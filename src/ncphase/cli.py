@@ -1,7 +1,7 @@
 """Command-line surface: config ingestion, subcommands, deterministic outputs.
 
-Exit codes: 0 ok, 1 config error, 2 singular structure, 3 integrator step
-rejection, 4 inconsistent constraint system.
+Exit codes: 0 ok, 1 config error, 2 singular structure or non-finite
+result, 3 integrator step rejection, 4 inconsistent constraint system.
 """
 
 from __future__ import annotations
@@ -244,10 +244,6 @@ def _emit_json(obj, out_path: str | None):
     _write_atomic(out_path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _require(value, what: str):
     if value is None:
         raise _fail(f"this subcommand requires {what} in the config")
@@ -341,29 +337,31 @@ def _simulate_rows(rc: RunConfig):
         states = constrained.degenerate_flow_n2(model, C, z0, times)
         lc = constrained.secondary_constraints(cfg, model)
         header = ["t", "q1", "q2", "p1", "p2", "H", "constraint_residual"]
-        rows = [
-            [t, *z, model.hamiltonian(z), lc.residual(z)]
-            for t, z in zip(times, states)
-        ]
-        return header, rows
+        table = np.column_stack(
+            [times, states, model.hamiltonian(states), lc.residual(states)]
+        )
+        return header, table
     traj = dynamics.integrate(cfg, model, z0, rc.dt, steps, rc.method, rc.tol_singular)
     N = cfg.N
-    header = (["t"] + [f"q{i+1}" for i in range(N)] + [f"p{i+1}" for i in range(N)]
-              + ["H"] + (["Lambda3"] if traj.lambda3 is not None else []))
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = [t, *traj.states[i], traj.energies[i]]
-        if traj.lambda3 is not None:
-            row.append(traj.lambda3[i])
-        rows.append(row)
-    return header, rows
+    header = ["t"] + [f"q{i+1}" for i in range(N)] + [f"p{i+1}" for i in range(N)] + ["H"]
+    columns = [traj.times, traj.states, traj.energies]
+    if traj.lambda3 is not None:
+        header.append("Lambda3")
+        columns.append(traj.lambda3)
+    return header, np.column_stack(columns)
 
 
 def cmd_simulate(rc: RunConfig, out_path: str | None) -> int:
     _require(rc.dt, "a time grid")
-    header, rows = _simulate_rows(rc)
+    header, table = _simulate_rows(rc)
+    if not np.isfinite(table).all():
+        sys.stderr.write("ncphase simulate: non-finite trajectory (overflow or "
+                         "invalid arithmetic in the flow); no output written\n")
+        return EXIT_SINGULAR
+    # "%.17g" formats a float exactly like format(x, ".17g").
+    template = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines += [",".join(_fmt17(v) for v in row) for row in rows]
+    lines += [template % tuple(row) for row in table.tolist()]
     _write_atomic(out_path, "\n".join(lines) + "\n")
     return EXIT_OK
 

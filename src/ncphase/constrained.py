@@ -45,9 +45,12 @@ class LinearConstraints:
     matrix: np.ndarray
     offset: np.ndarray
 
-    def residual(self, z) -> float:
+    def residual(self, z):
+        """Largest |row violation| of one state (a float) or of each row of a
+        (..., 2N) array."""
         z = np.asarray(z, dtype=float)
-        return float(np.abs(self.matrix @ z + self.offset).max())
+        r = np.abs((self.matrix @ z[..., None])[..., 0] + self.offset).max(-1)
+        return float(r) if z.ndim == 1 else r
 
 
 def secondary_constraints(cfg: FieldConfig, model: OscillatorModel) -> LinearConstraints:

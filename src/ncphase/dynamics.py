@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .darboux import darboux_n2, darboux_n3, n2_coefficients
 from .errors import DegenerateChi, SingularOmega, StepRejected
@@ -26,6 +25,20 @@ from .structure import (
 
 HARMONIC = "harmonic"
 LINEAR = "linear"
+
+
+def expm(a):
+    """Matrix exponential; scipy is imported on the first call, not with the package."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
+
+
+def _rowdot(a, b):
+    # Row-wise dot product of (..., n) arrays.  The batched matmul rounds
+    # each row exactly like the BLAS `a @ b` of two 1-d vectors, which
+    # einsum and (a * b).sum(-1) do not.
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -81,15 +94,17 @@ class OscillatorModel:
         N = z.size // 2
         return self.hessian(N) @ z + self.gradient_offset(N)
 
-    def hamiltonian(self, z) -> float:
+    def hamiltonian(self, z):
+        """H of one state (a float) or of each row of a (..., 2N) array."""
         z = np.asarray(z, dtype=float)
-        N = z.size // 2
-        q, p = z[:N], z[N:]
+        N = z.shape[-1] // 2
+        q, p = z[..., :N], z[..., N:]
         if self.potential == HARMONIC:
-            v = 0.5 * self.kappa * float(q @ q)
+            v = (0.5 * self.kappa) * _rowdot(q, q)
         else:
-            v = -float(np.dot(self.Evec, q))
-        return float(p @ p) / (2.0 * self.m) + v
+            v = -_rowdot(q, np.asarray(self.Evec))
+        h = _rowdot(p, p) / (2.0 * self.m) + v
+        return float(h) if z.ndim == 1 else h
 
 
 def flow_matrix(cfg: FieldConfig, model: OscillatorModel,
@@ -242,10 +257,13 @@ def closed_form_solution_n2(model: OscillatorModel, B: float, C: float,
     return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
-def angular_momentum(zeta) -> float:
-    """Planar angular momentum xi^1 pi_2 - xi^2 pi_1 in Darboux variables."""
+def angular_momentum(zeta):
+    """Angular momentum xi^1 pi_2 - xi^2 pi_1 about the third axis in Darboux
+    variables, of one state (a float) or of each row of a (..., 2N) array."""
     zeta = np.asarray(zeta, dtype=float)
-    return float(zeta[0] * zeta[3] - zeta[1] * zeta[2])
+    N = zeta.shape[-1] // 2
+    l3 = zeta[..., 0] * zeta[..., N + 1] - zeta[..., 1] * zeta[..., N]
+    return float(l3) if zeta.ndim == 1 else l3
 
 
 @dataclass(frozen=True)
@@ -362,11 +380,6 @@ def integrate(cfg: FieldConfig, model: OscillatorModel, z0, dt: float,
         states[i + 1] = z
 
     times = dt * np.arange(steps + 1)
-    energies = np.array([model.hamiltonian(s) for s in states])
     dmap = _darboux_for_lambda3(cfg)
-    lambda3 = None
-    if dmap is not None:
-        N = cfg.N
-        zeta = states @ dmap.T.T
-        lambda3 = zeta[:, 0] * zeta[:, N + 1] - zeta[:, 1] * zeta[:, N]
-    return Trajectory(times, states, energies, lambda3)
+    lambda3 = None if dmap is None else angular_momentum(states @ dmap.T.T)
+    return Trajectory(times, states, model.hamiltonian(states), lambda3)

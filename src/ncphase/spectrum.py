@@ -82,7 +82,7 @@ def chi_limit_scan(model: OscillatorModel, B: float, eps_values,
     the chi = 0 system, and the amplitude of the fast mode in q(t) for an
     initial state on the limiting constraint subspace.  As eps -> 0,
     omega_minus -> omega_r with an O(eps^2) defect, omega_plus * eps^2
-    tends to a constant, and the fast amplitude is O(eps).
+    tends to a constant, and the fast amplitude is O(eps^2).
     """
     if B <= 0:
         raise ValueError("the scan fixes the orientation B > 0")

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
+from .dynamics import expm
 from .errors import NotARotation
 from .structure import FieldConfig, build_omega
 

@@ -182,6 +182,16 @@ class TestSimulate:
         assert code == cli.EXIT_STEP_REJECTED
         assert not out.exists()
 
+    def test_non_finite_trajectory_refused(self, tmp_path, capsys):
+        # chi = 2, but the exact propagator of these magnitudes is all NaN.
+        cfg = dict(BASE, field={"B": 1e300, "C": 1e-300}, state=[1.0, 0.0, 0.0, 1.0],
+                   time={"t_final": 1.0, "dt": 0.1})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "nan.csv"
+        assert run(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
+        assert "non-finite trajectory" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_off_constraint_initial_state(self, tmp_path):
         cfg = dict(BASE, field={"B": 1.0, "C": -1.0}, state=[1.0, 0.0, 0.0, 0.0],
                    time={"t_final": 1.0, "dt": 0.1})
@@ -318,3 +328,24 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "ok"
+
+    def test_import_and_scipy_free_routes_do_not_load_scipy(self, tmp_path):
+        # scipy is needed only for the matrix exponential of the exact method.
+        midpoint = write_config(tmp_path, dict(
+            BASE, state=[1.0, 0.0, 0.0, 1.0],
+            time={"t_final": 1.0, "dt": 0.1, "method": "midpoint"}), name="mid.json")
+        degenerate = write_config(tmp_path, dict(
+            BASE, field={"B": 1.0, "C": -1.0}, state=[1.0, 0.0, 0.0, 1.0],
+            time={"t_final": 1.0, "dt": 0.1}), name="deg.json")
+        script = f"""
+import sys
+import ncphase.cli
+assert "scipy" not in sys.modules, "import"
+for argv in (["brackets", "--config", {midpoint!r}],
+             ["simulate", "--config", {midpoint!r}],
+             ["simulate", "--config", {degenerate!r}]):
+    assert ncphase.cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0
+    assert "scipy" not in sys.modules, argv
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
