@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -74,6 +75,32 @@ def _check_keys(section: dict, allowed: set, where: str):
         raise _fail(f"{where}: unknown keys {sorted(unknown)} (fail-closed schema)")
 
 
+def _check_finite(value, where: str):
+    # json accepts NaN, Infinity and overflowing literals such as 1e400.
+    # List entries are checked inline: a call per matrix entry would cost
+    # milliseconds on an N = 50 config.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _fail(f"{where} must be finite, got {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            if isinstance(item, (list, dict)) or (
+                    isinstance(item, float) and not math.isfinite(item)):
+                _check_finite(item, f"{where}[{i}]")
+
+
+def _tolerance(value, where: str) -> float:
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        raise _fail(f"{where}={value!r} is not a number") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise _fail(f"{where} must be positive and finite, got {tol!r}")
+    return tol
+
+
 def _matrix(value, name: str) -> np.ndarray:
     try:
         m = np.array(value, dtype=float)
@@ -110,16 +137,18 @@ def load_config(path: str) -> RunConfig:
     if has_field == has_problem:
         raise _fail(f"{path}: exactly one of 'field' or 'problem' must be present")
 
+    for key, section in raw.items():
+        _check_finite(section, f"{path}: {key}")
+
     tol = structure.TOL_SINGULAR
     env = os.environ.get(ENV_TOL)
     if env is not None:
-        try:
-            tol = float(env)
-        except ValueError:
-            raise _fail(f"environment {ENV_TOL}={env!r} is not a number") from None
+        tol = _tolerance(env, f"environment {ENV_TOL}")
     if "tolerances" in raw:
         _check_keys(raw["tolerances"], {"singular"}, f"{path}: tolerances")
-        tol = float(raw["tolerances"]["singular"])
+        if "singular" not in raw["tolerances"]:
+            raise _fail(f"{path}: tolerances requires 'singular'")
+        tol = _tolerance(raw["tolerances"]["singular"], f"{path}: tolerances.singular")
 
     cfg = n2 = n3 = None
     if has_field:

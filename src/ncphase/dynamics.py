@@ -27,11 +27,77 @@ HARMONIC = "harmonic"
 LINEAR = "linear"
 
 
-def expm(a):
-    """Matrix exponential; scipy is imported on the first call, not with the package."""
-    from scipy.linalg import expm as scipy_expm
+# Scaling and squaring with diagonal Pade approximants r_m (Higham 2005,
+# "The scaling and squaring method for the matrix exponential revisited"):
+# r_m is used unscaled when |A|_1 <= theta_m; beyond theta_9, A is scaled
+# by 2^-s into |A|_1 <= theta_13 and r_13 is squared s times.
+PADE_THETA = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068e0,
+    13: 5.371920351148152e0,
+}
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+         960960.0, 16380.0, 182.0, 1.0),
+}
 
-    return scipy_expm(a)
+
+def _pade_uv(a, m: int):
+    """Odd part U and even part V of the Pade numerator p_m(A) = V + U;
+    the denominator is q_m(A) = p_m(-A) = V - U."""
+    b = _PADE_COEFFS[m]
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+        return u, v
+    powers = [ident, a2]
+    while len(powers) <= m // 2:
+        powers.append(powers[-1] @ a2)
+    u = a @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
+    v = sum(b[2 * j] * p for j, p in enumerate(powers))
+    return u, v
+
+
+def expm(a):
+    """Matrix exponential exp(A) by scaling and squaring.
+
+    The computation carries E = exp(A) - I rather than exp(A): the Pade
+    step gives E = 2 (V - U)^-1 U, each squaring E <- 2E + E E, and I is
+    added last.  For a small step A, E is O(|A|) and keeps its own rounding
+    instead of that of numbers near 1 (notes/decisions.md).  A non-finite
+    1-norm gives all NaN; squarings that overflow give inf/NaN entries
+    without a warning.
+    """
+    a = np.asarray(a, dtype=float)
+    norm = np.linalg.norm(a, 1)
+    if not np.isfinite(norm):
+        return np.full(a.shape, np.nan)
+    m = next((m for m in (3, 5, 7, 9) if norm <= PADE_THETA[m]), 13)
+    s = 0
+    if m == 13 and norm > PADE_THETA[13]:
+        s = int(np.ceil(np.log2(norm / PADE_THETA[13])))
+        a = a / 2.0 ** s
+    u, v = _pade_uv(a, m)
+    e = 2.0 * np.linalg.solve(v - u, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            e = 2.0 * e + e @ e
+    return e + np.eye(a.shape[0])
 
 
 def _rowdot(a, b):

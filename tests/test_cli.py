@@ -73,6 +73,57 @@ class TestConfigValidation:
         monkeypatch.setenv(cli.ENV_TOL, "1e-6")
         assert run(["brackets", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
 
+    @pytest.mark.parametrize("section, value, key", [
+        ("field", {"B": float("nan"), "C": 1.0}, "field.B"),
+        ("field", {"B": 1.0, "C": float("inf")}, "field.C"),
+        ("model", {"m": float("inf"), "kappa": 1.0}, "model.m"),
+        ("model", {"m": 1.0, "Evec": [0.0, float("-inf")]}, "model.Evec[1]"),
+        ("state", [1.0, 0.0, float("nan"), 1.0], "state[2]"),
+        ("time", {"t_final": float("inf"), "dt": 0.1}, "time.t_final"),
+        ("tolerances", {"singular": float("nan")}, "tolerances.singular"),
+    ])
+    def test_non_finite_numbers_refused(self, tmp_path, capsys, section, value, key):
+        # json accepts NaN and Infinity; `"B": NaN` used to give NaN brackets.
+        cfg = dict(BASE, state=[1.0, 0.0, 0.0, 1.0], time={"t_final": 1.0, "dt": 0.1})
+        cfg[section] = value
+        path = write_config(tmp_path, cfg)
+        for command in ("brackets", "simulate"):
+            out = tmp_path / "never.out"
+            assert run([command, "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+            assert f"{key} must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_non_finite_problem_and_overflowing_literal_refused(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text('{"schema_version": 1, "N": 1, "problem": {"omega": '
+                        '[[0.0, 1.0], [-1.0, NaN]], "hessian": [[1.0, 0.0], [0.0, 1e400]], '
+                        '"gradient": [0.0, 0.0]}}')
+        assert run(["reduce", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert "problem.omega[1][1] must be finite, got nan" in capsys.readouterr().err
+        path.write_text(path.read_text().replace("NaN", "0.0"))
+        assert run(["reduce", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert "problem.hessian[1][1] must be finite, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0])
+    def test_non_positive_tolerance_refused(self, tmp_path, capsys, tol):
+        # At chi = 0 a negative tolerance used to end in "Singular matrix".
+        cfg = dict(BASE, field={"B": 1.0, "C": -1.0}, tolerances={"singular": tol})
+        path = write_config(tmp_path, cfg)
+        assert run(["brackets", "--config", path]) == cli.EXIT_CONFIG
+        assert "tolerances.singular must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env", ["-1", "0", "nan", "inf"])
+    def test_non_positive_env_tolerance_refused(self, tmp_path, capsys, monkeypatch, env):
+        path = write_config(tmp_path, dict(BASE, field={"B": 1.0, "C": -1.0}))
+        monkeypatch.setenv(cli.ENV_TOL, env)
+        assert run(["brackets", "--config", path]) == cli.EXIT_CONFIG
+        assert f"{cli.ENV_TOL} must be positive" in capsys.readouterr().err
+
+    def test_tolerances_require_singular(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(BASE, tolerances={}))
+        assert run(["brackets", "--config", path]) == cli.EXIT_CONFIG
+        assert "tolerances requires 'singular'" in capsys.readouterr().err
+
 
 class TestBrackets:
     def test_planar_report(self, tmp_path):
@@ -190,6 +241,25 @@ class TestSimulate:
         out = tmp_path / "nan.csv"
         assert run(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
         assert "non-finite trajectory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_trajectory_leaves_no_warning_on_stderr(self, tmp_path):
+        # The ~990 squarings of the exact propagator overflow; numpy must not
+        # print a RuntimeWarning beside the refusal.
+        cfg = dict(BASE, field={"B": 1e300, "C": 1e-300}, state=[1.0, 0.0, 0.0, 1.0],
+                   time={"t_final": 1.0, "dt": 0.1})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "nan.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "ncphase.cli", "simulate",
+             "--config", path, "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == cli.EXIT_SINGULAR
+        assert proc.stderr.splitlines() == [
+            "ncphase simulate: non-finite trajectory (overflow or invalid "
+            "arithmetic in the flow); no output written"
+        ]
         assert not out.exists()
 
     def test_off_constraint_initial_state(self, tmp_path):
@@ -346,6 +416,36 @@ for argv in (["brackets", "--config", {midpoint!r}],
              ["simulate", "--config", {degenerate!r}]):
     assert ncphase.cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0
     assert "scipy" not in sys.modules, argv
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_exact_simulate_and_finite_rotation_do_not_load_scipy(self, tmp_path):
+        # The matrix exponential is numpy's own: no ncphase route needs scipy.
+        rng = np.random.default_rng(3)
+        upper = np.triu(rng.normal(0.0, 0.1, (4, 4)), 1)
+        lower = np.triu(rng.normal(0.0, 0.1, (4, 4)), 1)
+        time = {"t_final": 1.0, "dt": 0.1, "method": "exact"}
+        configs = [
+            dict(BASE, state=[1.0, 0.0, 0.0, 1.0], time=time),
+            {"schema_version": 1, "N": 3,
+             "field": {"Bvec": [0.0, 0.0, 1.0], "Cvec": [0.0, 0.0, 0.5]},
+             "model": BASE["model"], "state": [1.0, 0.0, 0.5, 0.0, 1.0, 0.2],
+             "time": time},
+            {"schema_version": 1, "N": 4,
+             "field": {"eF": (upper - upper.T).tolist(), "rG": (lower - lower.T).tolist()},
+             "model": BASE["model"], "state": [0.5] * 8, "time": time},
+        ]
+        paths = [write_config(tmp_path, c, name=f"exact{i}.json") for i, c in enumerate(configs)]
+        script = f"""
+import sys
+import ncphase.cli
+from ncphase import symmetry
+for path in {paths!r}:
+    assert ncphase.cli.main(["simulate", "--config", path, "--out", {str(tmp_path / "out")!r}]) == 0
+    assert "scipy" not in sys.modules, path
+symmetry.finite_rotation(3, {{(0, 1): 0.7, (1, 2): -0.2}})
+assert "scipy" not in sys.modules, "finite_rotation"
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
