@@ -1,7 +1,8 @@
 """Command-line surface: config ingestion, subcommands, deterministic outputs.
 
-Exit codes: 0 ok, 1 config error, 2 singular structure or non-finite
-result, 3 integrator step rejection, 4 inconsistent constraint system.
+Exit codes: 0 ok, 1 config error, 2 singular structure, numerical failure
+or non-finite result, 3 integrator step rejection, 4 inconsistent
+constraint system.
 """
 
 from __future__ import annotations
@@ -387,11 +388,17 @@ def cmd_simulate(rc: RunConfig, out_path: str | None) -> int:
         sys.stderr.write("ncphase simulate: non-finite trajectory (overflow or "
                          "invalid arithmetic in the flow); no output written\n")
         return EXIT_SINGULAR
-    # "%.17g" formats a float exactly like format(x, ".17g").
+    # "%.17g" formats a float exactly like format(x, ".17g").  Rows are
+    # converted in chunks, so the Python floats of the whole table never
+    # exist at once, and the lines are dropped before the text is written.
     template = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines += [template % tuple(row) for row in table.tolist()]
-    _write_atomic(out_path, "\n".join(lines) + "\n")
+    for start in range(0, len(table), 4096):
+        lines += [template % tuple(row) for row in table[start:start + 4096].tolist()]
+    lines.append("")
+    text = "\n".join(lines)
+    del lines
+    _write_atomic(out_path, text)
     return EXIT_OK
 
 
@@ -436,8 +443,8 @@ def cmd_limit_scan(rc: RunConfig, out_path: str | None,
     if rc.n2 is None:
         raise _fail("the limit scan requires the scalar B/C field form")
     B, _ = rc.n2
-    if not (0 < eps_min <= eps_max) or points < 1:
-        raise _fail("scan requires 0 < eps_min <= eps_max and points >= 1")
+    if not (0 < eps_min <= eps_max < math.inf) or points < 1:
+        raise _fail("scan requires finite 0 < eps_min <= eps_max and points >= 1")
     grid = np.geomspace(eps_max, eps_min, points)
     rows = spectrum.chi_limit_scan(model, B, grid)
     lines = ["epsilon,omega_plus,omega_minus,omega_r_target,fast_amplitude"]
@@ -526,6 +533,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"ncphase: config error: {exc}\n")
         return EXIT_CONFIG
+    # LinAlgError subclasses ValueError, so it must be caught first; the
+    # contract checks of poisson_matrix and the Darboux maps raise
+    # ArithmeticError.
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        sys.stderr.write(f"ncphase: numerical failure: {exc}\n")
+        return EXIT_SINGULAR
     except ValueError as exc:
         sys.stderr.write(f"ncphase: config error: {exc}\n")
         return EXIT_CONFIG

@@ -3,7 +3,9 @@
 All in-scope Hamiltonians are quadratic, H = p^2/2m + V(q) with V either
 (kappa/2) q^2 or -E.q, so the flow is affine: dz/dt = M z + k with
 M = Lambda . Hess(H).  The exact propagator uses the matrix exponential;
-the implicit midpoint rule provides the generic symplectic step.
+the implicit midpoint rule provides the generic symplectic step.  Both
+give the one-step map as E = map - I, which `affine_rows` squares into
+the block map that advances a trajectory sqrt(steps) rows at a time.
 """
 
 from __future__ import annotations
@@ -73,15 +75,25 @@ def _pade_uv(a, m: int):
     return u, v
 
 
-def expm(a):
-    """Matrix exponential exp(A) by scaling and squaring.
+def _square(e, times: int):
+    """(I + E)^(2^times) - I by `times` squarings E <- 2E + E E.
 
-    The computation carries E = exp(A) - I rather than exp(A): the Pade
-    step gives E = 2 (V - U)^-1 U, each squaring E <- 2E + E E, and I is
-    added last.  For a small step A, E is O(|A|) and keeps its own rounding
-    instead of that of numbers near 1 (notes/decisions.md).  A non-finite
-    1-norm gives all NaN; squarings that overflow give inf/NaN entries
-    without a warning.
+    Carrying E rather than I + E keeps the digits of a small E.  Squarings
+    that overflow give inf/NaN entries without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(times):
+            e = 2.0 * e + e @ e
+    return e
+
+
+def expm_minus_identity(a):
+    """exp(A) - I by scaling and squaring.
+
+    The Pade step gives E = 2 (V - U)^-1 U and each squaring E <- 2E + E E,
+    so no number near 1 is formed: for a small step A, E is O(|A|) and
+    keeps its own rounding instead of that of numbers near 1
+    (notes/decisions.md).  A non-finite 1-norm gives all NaN.
     """
     a = np.asarray(a, dtype=float)
     norm = np.linalg.norm(a, 1)
@@ -93,11 +105,13 @@ def expm(a):
         s = int(np.ceil(np.log2(norm / PADE_THETA[13])))
         a = a / 2.0 ** s
     u, v = _pade_uv(a, m)
-    e = 2.0 * np.linalg.solve(v - u, u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            e = 2.0 * e + e @ e
-    return e + np.eye(a.shape[0])
+    return _square(2.0 * np.linalg.solve(v - u, u), s)
+
+
+def expm(a):
+    """Matrix exponential exp(A): `expm_minus_identity(A)` plus I."""
+    e = expm_minus_identity(a)
+    return e + np.eye(e.shape[0])
 
 
 def _rowdot(a, b):
@@ -175,9 +189,14 @@ class OscillatorModel:
 
 def flow_matrix(cfg: FieldConfig, model: OscillatorModel,
                 tol_singular: float = TOL_SINGULAR):
-    """Affine generator (M, k) of dz/dt = M z + k, M = Lambda . Hess(H)."""
+    """Affine generator (M, k) of dz/dt = M z + k, M = Lambda . Hess(H).
+
+    Finite fields and models can still overflow here; the products then
+    hold inf/NaN, without a warning, and the trajectory is refused later.
+    """
     lam = poisson_matrix(cfg, tol_singular)
-    return lam @ model.hessian(cfg.N), lam @ model.gradient_offset(cfg.N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return lam @ model.hessian(cfg.N), lam @ model.gradient_offset(cfg.N)
 
 
 def equations_of_motion(cfg: FieldConfig, model: OscillatorModel, z,
@@ -374,10 +393,11 @@ class Trajectory:
 
 
 def midpoint_transfer(M: np.ndarray, k: np.ndarray, dt: float):
-    """One-step implicit midpoint transfer: z' = P z + d.
+    """One-step implicit midpoint map z' = P z + d in E form.
 
-    P = (I - dt M/2)^{-1} (I + dt M/2); raises StepRejected when the
-    resolvent is singular.
+    Returns the (n+1) x (n+1) matrix E = [[P - I, d], [0, 0]], that is
+    (I - dt M/2)^{-1} [dt M | dt k] over a zero row; raises StepRejected
+    when the resolvent is singular.
     """
     n = M.shape[0]
     a = np.eye(n) - 0.5 * dt * M
@@ -388,10 +408,43 @@ def midpoint_transfer(M: np.ndarray, k: np.ndarray, dt: float):
         raise StepRejected(
             f"midpoint resolvent singular at dt = {dt}", suggested_dt=suggestion
         )
-    b = np.eye(n) + 0.5 * dt * M
-    p = np.linalg.solve(a, b)
-    d = np.linalg.solve(a, dt * k)
-    return p, d
+    e = np.zeros((n + 1, n + 1))
+    e[:n, :n] = dt * M
+    e[:n, n] = dt * k
+    e[:n] = np.linalg.solve(a, e[:n])
+    return e
+
+
+def affine_rows(e: np.ndarray, z0, steps: int) -> np.ndarray:
+    """Rows z_0 .. z_steps of z_{i+1} = P z_i + d, where [[P, d], [0, 1]] = I + E.
+
+    Sqrt blocking: with b = 2^floor(bitlen(steps + 1) / 2), about
+    sqrt(steps), rows 0 .. b-1 are stepped one at a time and each later
+    block of b rows is the block before it times the b-step map
+    I + E_b, E_b = (I + E)^b - I from log2(b) squarings.  Row j b + r is
+    then r + j <= b - 1 + steps // b roundings from z_0 (645 for 10^5
+    steps), not j b + r.
+    """
+    n = e.shape[0] - 1
+    rows = steps + 1
+    b = 1 << (rows.bit_length() // 2)
+    f = e + np.eye(n + 1)
+    p, d = f[:n, :n], f[:n, n]
+    fb = _square(e, b.bit_length() - 1) + np.eye(n + 1)
+    pb_t, db = fb[:n, :n].T, fb[:n, n]
+    states = np.empty((rows, n))
+    z = states[0] = z0
+    # A flow that overflows leaves inf/NaN rows, refused by the caller,
+    # without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, b):
+            z = p @ z + d
+            states[i] = z
+        for start in range(b, rows, b):
+            block = states[start:start + b]
+            np.matmul(states[start - b:start - b + len(block)], pb_t, out=block)
+            block += db
+    return states
 
 
 def _darboux_for_lambda3(cfg: FieldConfig):
@@ -433,17 +486,10 @@ def integrate(cfg: FieldConfig, model: OscillatorModel, z0, dt: float,
         aug = np.zeros((n + 1, n + 1))
         aug[:n, :n] = M * dt
         aug[:n, n] = k * dt
-        phi = expm(aug)
-        P, d = phi[:n, :n], phi[:n, n]
+        e = expm_minus_identity(aug)
     else:
-        P, d = midpoint_transfer(M, k, dt)
-
-    states = np.empty((steps + 1, n))
-    states[0] = z0
-    z = z0
-    for i in range(steps):
-        z = P @ z + d
-        states[i + 1] = z
+        e = midpoint_transfer(M, k, dt)
+    states = affine_rows(e, z0, steps)
 
     times = dt * np.arange(steps + 1)
     dmap = _darboux_for_lambda3(cfg)

@@ -150,3 +150,18 @@ def test_degenerate_simulate_csv_matches_per_value_format(tmp_path):
     header = ["t", "q1", "q2", "p1", "p2", "H", "constraint_residual"]
     assert got == csv_text(header, rows)
     assert got.splitlines()[1] == "0,1e-300,0,-0,1e-300,0,0"
+
+
+def test_long_simulate_csv_matches_per_value_format(tmp_path):
+    # 10,001 rows: cmd_simulate converts the table in chunks of 4096 rows.
+    config = {"schema_version": 1, "N": 2, "field": {"B": 1.0, "C": 0.5},
+              "model": {"m": 1.0, "kappa": 1.0}, "state": [1.0, 0.0, 0.0, 1.0],
+              "time": {"t_final": 100.0, "dt": 0.01}}
+    got = simulate_csv(tmp_path, config)
+
+    model = dynamics.OscillatorModel(m=1.0, kappa=1.0)
+    traj = dynamics.integrate(structure.field_config_n2(1.0, 0.5), model,
+                              [1.0, 0.0, 0.0, 1.0], 0.01, 10_000)
+    rows = np.column_stack([traj.times, traj.states, traj.energies, traj.lambda3])
+    assert got == csv_text(["t", "q1", "q2", "p1", "p2", "H", "Lambda3"], rows)
+    assert len(got.splitlines()) == 10_002

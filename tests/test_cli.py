@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ncphase import cli, dynamics
+from ncphase import cli, darboux, dynamics, structure
 from ncphase.errors import StepRejected
 
 BASE = {
@@ -244,23 +244,28 @@ class TestSimulate:
         assert not out.exists()
 
     def test_non_finite_trajectory_leaves_no_warning_on_stderr(self, tmp_path):
-        # The ~990 squarings of the exact propagator overflow; numpy must not
-        # print a RuntimeWarning beside the refusal.
-        cfg = dict(BASE, field={"B": 1e300, "C": 1e-300}, state=[1.0, 0.0, 0.0, 1.0],
-                   time={"t_final": 1.0, "dt": 0.1})
-        path = write_config(tmp_path, cfg)
-        out = tmp_path / "nan.csv"
-        proc = subprocess.run(
-            [sys.executable, "-W", "always", "-m", "ncphase.cli", "simulate",
-             "--config", path, "--out", str(out)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == cli.EXIT_SINGULAR
-        assert proc.stderr.splitlines() == [
-            "ncphase simulate: non-finite trajectory (overflow or invalid "
-            "arithmetic in the flow); no output written"
-        ]
-        assert not out.exists()
+        # m = 1: the ~990 squarings of the exact propagator overflow.
+        # m = 1e-10: Lambda . Hess(H) itself overflows in flow_matrix, on
+        # both methods.  numpy must not print a RuntimeWarning beside the
+        # refusal.
+        for i, (m, method) in enumerate(
+                [(1.0, "exact"), (1e-10, "exact"), (1e-10, "midpoint")]):
+            cfg = dict(BASE, field={"B": 1e300, "C": 1e-300},
+                       model={"m": m, "kappa": 1.0}, state=[1.0, 0.0, 0.0, 1.0],
+                       time={"t_final": 1.0, "dt": 0.1, "method": method})
+            path = write_config(tmp_path, cfg, name=f"config{i}.json")
+            out = tmp_path / "nan.csv"
+            proc = subprocess.run(
+                [sys.executable, "-W", "always", "-m", "ncphase.cli", "simulate",
+                 "--config", path, "--out", str(out)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == cli.EXIT_SINGULAR, (m, method)
+            assert proc.stderr.splitlines() == [
+                "ncphase simulate: non-finite trajectory (overflow or invalid "
+                "arithmetic in the flow); no output written"
+            ], (m, method)
+            assert not out.exists()
 
     def test_off_constraint_initial_state(self, tmp_path):
         cfg = dict(BASE, field={"B": 1.0, "C": -1.0}, state=[1.0, 0.0, 0.0, 0.0],
@@ -332,6 +337,56 @@ class TestLimitScan:
         defect = np.array([abs(r[2] - r[3]) for r in rows])
         slope = np.polyfit(np.log(eps), np.log(defect), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
+
+
+    @pytest.mark.parametrize("bounds", [
+        ["--eps-max", "inf", "--points", "3"],
+        ["--eps-min", "inf", "--eps-max", "inf"],
+        ["--eps-min", "nan"],
+        ["--eps-max", "nan"],
+    ])
+    def test_non_finite_bounds_refused(self, tmp_path, capsys, bounds):
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / "scan.csv"
+        code = run(["limit-scan", "--config", path, "--out", str(out), *bounds])
+        assert code == cli.EXIT_CONFIG
+        assert "finite 0 < eps_min <= eps_max" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNumericalFailure:
+    """Numerical failures exit 2 with their own message, not as config
+    errors (LinAlgError subclasses ValueError) or tracebacks."""
+
+    def test_singular_inverse_in_darboux(self, tmp_path, capsys):
+        # chi = 2, but the generic cross-check's symplectic Gram-Schmidt
+        # inverts a singular (NaN) basis: numpy raises LinAlgError.
+        cfg = dict(BASE, field={"B": 1e300, "C": 1e-300})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "d.json"
+        assert run(["darboux", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
+        err = capsys.readouterr().err
+        assert err.startswith("ncphase: numerical failure: ")
+        assert "config error" not in err
+        assert not out.exists()
+
+    def test_poisson_cross_check_failure(self, tmp_path, capsys, monkeypatch):
+        # A perturbed dense Omega makes the real cross-check in
+        # structure.poisson_matrix raise its ArithmeticError.
+        build = structure.build_omega
+        monkeypatch.setattr(structure, "build_omega", lambda cfg: 1.5 * build(cfg))
+        path = write_config(tmp_path, BASE)
+        assert run(["brackets", "--config", path]) == cli.EXIT_SINGULAR
+        err = capsys.readouterr().err
+        assert err.startswith("ncphase: numerical failure: closed-form Poisson blocks")
+
+    def test_darboux_contract_failure(self, tmp_path, capsys, monkeypatch):
+        # A residual above its bound makes darboux._finish raise.
+        monkeypatch.setattr(darboux, "verify_darboux", lambda dmap, omega: 1.0)
+        path = write_config(tmp_path, BASE)
+        assert run(["darboux", "--config", path]) == cli.EXIT_SINGULAR
+        err = capsys.readouterr().err
+        assert err.startswith("ncphase: numerical failure: constructed map violates")
 
 
 class TestReduce:
