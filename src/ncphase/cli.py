@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -270,8 +271,61 @@ def _write_atomic(path: str | None, text: str):
         raise
 
 
+@dataclass(frozen=True)
+class _Encoded:
+    """JSON text already laid out for its place in the document."""
+
+    text: str
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    With an indent set, CPython's json module encodes in pure Python; this
+    writer builds the same layout from joined strings.  Floats are written
+    by ``float.__repr__``, ints by ``int.__repr__`` and strings by json's C
+    ASCII escaper.  A non-finite float raises ArithmeticError, where json
+    would write NaN or Infinity.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ArithmeticError(f"non-finite number {obj!r} in the JSON output")
+        return float.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            # A matrix row: float.__repr__ refuses anything but floats.
+            items = list(map(float.__repr__, obj))
+        except TypeError:
+            items = None
+        if items is None or not all(map(math.isfinite, obj)):
+            items = [_json_text(item, inner) for item in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+                 for key, value in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, _Encoded):
+        return obj.text
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit_json(obj, out_path: str | None):
-    _write_atomic(out_path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out_path, _json_text(obj) + "\n")
 
 
 def _require(value, what: str):
@@ -338,7 +392,9 @@ def cmd_darboux(rc: RunConfig, out_path: str | None) -> int:
         sys.stderr.write(f"ncphase darboux: {exc}\n")
         return EXIT_SINGULAR
 
-    generic = darboux.symplectic_gram_schmidt(omega, rc.tol_singular)
+    # The generic map is deterministic: on the generic route it is dmap.
+    generic = dmap if route == "generic" else darboux.symplectic_gram_schmidt(
+        omega, rc.tol_singular)
     sp_residual = darboux.symplectic_deviation(dmap.T @ generic.Tinv)
     report = {
         "route": route,
@@ -430,11 +486,24 @@ def cmd_spectrum(rc: RunConfig, out_path: str | None, nmax: int) -> int:
             "kind": kind,
             "hbar": table.hbar,
             "frequencies": list(table.frequencies),
-            "levels": [{"n": list(n), "energy": e} for n, e in table.levels],
+            "levels": _level_records(table),
         },
         out_path,
     )
     return EXIT_OK
+
+
+def _level_records(table: spectrum.SpectrumTable) -> _Encoded:
+    """The report's ``levels`` list, ``[{"energy": e, "n": [...]}, ...]``,
+    laid out as ``_json_text`` lays out a list under a top-level key, with
+    one %-template per record."""
+    if not np.isfinite(table.energies).all():
+        raise ArithmeticError("non-finite level energy in the JSON output")
+    d = table.quanta.shape[1]
+    record = ('{\n      "energy": %r,\n      "n": [\n        '
+              + ",\n        ".join(["%d"] * d) + "\n      ]\n    }")
+    rows = zip(table.energies.tolist(), *table.quanta.T.tolist())
+    return _Encoded("[\n    " + ",\n    ".join([record % row for row in rows]) + "\n  ]")
 
 
 def cmd_limit_scan(rc: RunConfig, out_path: str | None,

@@ -128,7 +128,9 @@ def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient,
     chain.subspaces.append(np.eye(n))
     chain.points.append(np.zeros(n))
 
-    while True:
+    # A consistent stage adds at least one row to [A | b], and A has at most
+    # n independent rows, so the chain closes within n + 1 passes.
+    for _ in range(n + 1):
         a_rows = aug[:, :n]
         stacked = np.vstack([omega, a_rows])
         # Left null vectors of the stacked system generate the conditions
@@ -140,6 +142,12 @@ def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient,
         new_rows = np.hstack([y_omega @ h_hessian, (y_omega @ g)[:, None]])
 
         merged = _row_space(np.vstack([aug, new_rows]), tol_factor)
+        if merged.shape[0] < aug.shape[0]:
+            # merged spans aug and more: the relative cutoff lost rows of aug.
+            raise ArithmeticError(
+                f"constraint rows lost rank ({aug.shape[0]} -> {merged.shape[0]}) "
+                "under the relative singular-value cutoff"
+            )
         if merged.shape[0] == aug.shape[0]:
             break
 
@@ -157,6 +165,8 @@ def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient,
         null_basis = _null_of_rows(basis, n)
         chain.subspaces.append(null_basis)
         chain.points.append(point)
+    else:
+        raise ArithmeticError(f"constraint chain did not close within {n + 1} stages")
 
     a_rows, b = aug[:, :n], aug[:, n]
     chain.constraints = LinearConstraints(a_rows, b)

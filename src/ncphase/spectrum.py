@@ -14,17 +14,24 @@ from .constrained import degenerate_omega_r
 from .dynamics import OscillatorModel, n2_frequencies, shift_modes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumTable:
-    """Energy ladder: levels are (quantum numbers, energy), sorted by energy."""
+    """Energy ladder sorted by (energy, n): level k has the mode quantum
+    numbers quanta[k] (ints, one column per frequency) and energies[k]."""
 
-    levels: tuple
+    quanta: np.ndarray
+    energies: np.ndarray
     hbar: float
     frequencies: tuple
 
     @property
+    def levels(self) -> tuple:
+        """The levels as (quantum-number tuple, float energy) pairs."""
+        return tuple(zip(map(tuple, self.quanta.tolist()), self.energies.tolist()))
+
+    @property
     def ground_state(self) -> float:
-        return self.levels[0][1]
+        return float(self.energies[0])
 
 
 def _ladder(freqs, hbar: float, nmax: int) -> SpectrumTable:
@@ -33,11 +40,11 @@ def _ladder(freqs, hbar: float, nmax: int) -> SpectrumTable:
     grids = np.meshgrid(*[np.arange(nmax + 1)] * len(freqs), indexing="ij")
     ns = np.stack([g.ravel() for g in grids], axis=1)
     energies = hbar * (ns + 0.5) @ np.asarray(freqs)
-    levels = sorted(
-        ((tuple(int(v) for v in n), float(e)) for n, e in zip(ns, energies)),
-        key=lambda item: (item[1], item[0]),
-    )
-    return SpectrumTable(tuple(levels), float(hbar), tuple(float(f) for f in freqs))
+    # lexsort's last key is the primary one: the order of sorted() on
+    # (energy, n) tuples.
+    order = np.lexsort(tuple(ns.T[::-1]) + (energies,))
+    return SpectrumTable(ns[order], energies[order], float(hbar),
+                         tuple(float(f) for f in freqs))
 
 
 def spectrum_n2(model: OscillatorModel, B: float, C: float, nmax: int) -> SpectrumTable:

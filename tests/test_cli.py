@@ -4,8 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ncphase import cli, darboux, dynamics, structure
+from ncphase import cli, constrained, darboux, dynamics, structure
 from ncphase.errors import StepRejected
 
 BASE = {
@@ -389,6 +391,41 @@ class TestNumericalFailure:
         assert err.startswith("ncphase: numerical failure: constructed map violates")
 
 
+    def test_non_finite_brackets_refused(self, tmp_path, capsys):
+        # chi = 1 + 1e600 overflows: det Psi and the Poisson blocks are not
+        # finite, and json.dumps would have written Infinity and NaN.
+        path = write_config(tmp_path, dict(BASE, field={"B": 1e300, "C": 1e300}))
+        out = tmp_path / "br.json"
+        assert run(["brackets", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
+        err = capsys.readouterr().err
+        assert err.startswith("ncphase: numerical failure: non-finite number ")
+        assert err.endswith(" in the JSON output\n")
+        assert not out.exists()
+
+    def test_non_finite_spectrum_refused(self, tmp_path, capsys):
+        # m kappa = 1 but omega0^2 = kappa / m overflows to inf.
+        path = write_config(tmp_path, dict(BASE, model={"m": 1e-300, "kappa": 1e300}))
+        out = tmp_path / "sp.json"
+        assert run(["spectrum", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
+        err = capsys.readouterr().err
+        assert err.startswith("ncphase: numerical failure: non-finite ")
+        assert err.endswith(" in the JSON output\n")
+        assert not out.exists()
+
+    def test_non_finite_level_energy_refused(self, tmp_path, capsys):
+        # Finite frequencies and hbar, but hbar (n + 1/2) . omega overflows
+        # above the ground state: the templated level records are checked too.
+        cfg = dict(BASE, field={"B": 0.0, "C": 0.0},
+                   model={"m": 1.0, "kappa": 1.0, "hbar": 1e308})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "sp.json"
+        code = run(["spectrum", "--config", path, "--out", str(out), "--nmax", "1"])
+        assert code == cli.EXIT_SINGULAR
+        assert capsys.readouterr().err == (
+            "ncphase: numerical failure: non-finite level energy in the JSON output\n")
+        assert not out.exists()
+
+
 class TestReduce:
     def test_nondegenerate_single_link(self, tmp_path):
         path = write_config(tmp_path, BASE)
@@ -422,6 +459,23 @@ class TestReduce:
         assert run(["reduce", "--config", path, "--out", str(out)]) == cli.EXIT_INCONSISTENT
         rep = json.loads(out.read_text())
         assert rep["status"] == "inconsistent"
+
+
+    def test_rank_loss_in_chain_exits_instead_of_looping(self, tmp_path):
+        # The relative SVD cutoff dropped rows of the accumulated constraints
+        # once the new rows reached ~1e184, so the chain alternated between
+        # row counts and never closed, growing without bound.
+        cfg = dict(BASE, field={"B": 1e200, "C": 1.0}, model={"m": 1.0, "kappa": 1e200})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "red.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncphase.cli", "reduce", "--config", path,
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_SINGULAR
+        assert proc.stderr.startswith("ncphase: numerical failure: constraint rows lost rank")
+        assert not out.exists()
 
 
 class TestDeterminism:
@@ -504,3 +558,86 @@ assert "scipy" not in sys.modules, "finite_rotation"
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def _json_oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+_rng = np.random.default_rng(11)
+_upper = np.triu(_rng.normal(0.0, 0.5, (4, 4)), 1)
+_lower = np.triu(_rng.normal(0.0, 0.5, (4, 4)), 1)
+_GENERIC = {"schema_version": 1, "N": 4,
+            "field": {"eF": (_upper - _upper.T).tolist(), "rG": (_lower - _lower.T).tolist()},
+            "model": BASE["model"]}
+_AXIAL = dict(BASE, N=3, field={"Bvec": [0, 0, 1.0], "Cvec": [0, 0, 0.5]})
+_PROBLEM = {"schema_version": 1, "N": 2, "problem": {
+    "omega": [[0, -1, 1, 0], [1, 0, 0, 1], [-1, 0, 0, -1], [0, -1, 1, 0]],
+    "hessian": [[0] * 4] * 4, "gradient": [1.0, 0.0, 0.0, 0.0]}}
+
+
+class TestJsonWriter:
+    """The JSON subcommands write exactly json.dumps(indent=2, sort_keys=True)."""
+
+    @pytest.mark.parametrize("argv, cfg, code", [
+        (["brackets"], BASE, cli.EXIT_OK),
+        (["brackets"], dict(BASE, field={"B": 1.0, "C": -1.0}), cli.EXIT_SINGULAR),
+        (["brackets"], _GENERIC, cli.EXIT_OK),
+        (["darboux"], dict(BASE, field={"B": 3.0, "C": 1.0}), cli.EXIT_OK),
+        (["darboux"], dict(BASE, field={"B": 3.0, "C": -1.0}), cli.EXIT_OK),
+        (["darboux"], dict(_AXIAL, field={"Bvec": [0.3, 0.1, 1.0], "Cvec": [0.2, -0.4, 0.5]}),
+         cli.EXIT_OK),
+        (["darboux"], _GENERIC, cli.EXIT_OK),
+        (["spectrum", "--nmax", "3"], dict(BASE, field={"B": 1.0, "C": 0.0}), cli.EXIT_OK),
+        (["spectrum", "--nmax", "0"], dict(BASE, field={"B": 0.0, "C": 0.0}), cli.EXIT_OK),
+        (["spectrum", "--nmax", "5"], dict(BASE, field={"B": 1.0, "C": -1.0}), cli.EXIT_OK),
+        (["spectrum", "--nmax", "4"], _AXIAL, cli.EXIT_OK),
+        (["reduce"], BASE, cli.EXIT_OK),
+        (["reduce"], dict(BASE, field={"B": 1.0, "C": -1.0}), cli.EXIT_OK),
+        (["reduce"], _GENERIC, cli.EXIT_OK),
+        (["reduce"], _PROBLEM, cli.EXIT_INCONSISTENT),
+    ], ids=["brackets", "brackets-singular", "brackets-generic", "darboux-n2",
+            "darboux-negative-chi", "darboux-n3", "darboux-generic", "spectrum-planar",
+            "spectrum-nmax0", "spectrum-degenerate", "spectrum-axial", "reduce",
+            "reduce-degenerate", "reduce-generic", "reduce-inconsistent"])
+    def test_output_bytes_equal_json_dumps(self, tmp_path, capsys, argv, cfg, code):
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out.json"
+        assert run([argv[0], "--config", path, "--out", str(out)] + argv[1:]) == code
+        text = out.read_text()
+        assert text == _json_oracle(json.loads(text)) + "\n"
+        # stdout carries the same bytes.
+        capsys.readouterr()
+        assert run([argv[0], "--config", path] + argv[1:]) == code
+        assert capsys.readouterr().out == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers()
+        | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+        lambda children: st.lists(children, max_size=5)
+        | st.dictionaries(st.text(max_size=8), children, max_size=5),
+        max_leaves=40,
+    ))
+    @example(-0.0)
+    @example([5e-324, 1e-300, 1e308, -1.7976931348623157e308, 1e16, 0.1])
+    @example({"big": 2**200, "neg": -(2**70), "bools": [True, False, None], "empty": [[], {}]})
+    @example({"q\"uote": "back\\slash \x00\x1f\x7f é \U0001f600 \ud800", "": ""})
+    @example([[1.0, 2], [3.0, True], (4.0, 5.0)])
+    def test_matches_json_dumps(self, obj):
+        assert cli._json_text(obj) == _json_oracle(obj)
+
+    @pytest.mark.parametrize("obj", [
+        float("nan"), float("inf"), [float("-inf")], [1.0, 2.0, float("nan")],
+        [1, float("inf")], {"a": [[0.0], [float("nan")]]}, (np.float64("inf"),),
+    ])
+    def test_non_finite_float_raises(self, obj):
+        with pytest.raises(ArithmeticError, match="non-finite number"):
+            cli._json_text(obj)
+
+    @pytest.mark.parametrize("obj", [np.int64(1), [np.float32(1.0)], {"a": object()}])
+    def test_unsupported_type_raises_type_error(self, obj):
+        with pytest.raises(TypeError):
+            _json_oracle(obj)
+        with pytest.raises(TypeError):
+            cli._json_text(obj)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -213,3 +215,41 @@ class TestLimitScanOracle:
         amp, _ = _oracle_fast_q_coeffs(m, kappa, B, "1e-8")
         want = (m * kappa) ** 2 / (B**2 + m * kappa) ** 2
         assert abs(float(amp) / 1e-8**2 - want) <= 1e-12 * want
+
+
+def _sorted_ladder(freqs, hbar, nmax):
+    """Reference order: Python's sorted() on (energy, n) over the same energies."""
+    ns = list(itertools.product(range(nmax + 1), repeat=len(freqs)))
+    energies = hbar * (np.array(ns) + 0.5) @ np.asarray(freqs)
+    return tuple(sorted(((n, float(e)) for n, e in zip(ns, energies)),
+                        key=lambda item: (item[1], item[0])))
+
+
+class TestLadderOrderAtTies:
+    """The numpy lexsort must break exact energy ties by n, as sorted() does."""
+
+    @pytest.mark.parametrize("nmax", [0, 1, 7])
+    @pytest.mark.parametrize("freqs", [
+        (1.0,), (1.0, 1.0), (1.0, 1.0, 1.0),  # isotropic: exact ties
+        (0.5, 1.0), (0.5, 1.0, 1.5),          # commensurate: exact ties across modes
+    ])
+    def test_ladder_matches_sorted(self, freqs, nmax):
+        table = sp._ladder(freqs, 1.0, nmax)
+        assert table.levels == _sorted_ladder(freqs, 1.0, nmax)
+        assert len(table.levels) == (nmax + 1) ** len(freqs)
+
+    @pytest.mark.parametrize("nmax", [0, 1, 7])
+    @pytest.mark.parametrize("build", [
+        lambda nmax: sp.spectrum_degenerate_n2(UNIT, -1.0, nmax),
+        lambda nmax: sp.spectrum_n2(UNIT, 0.0, 0.0, nmax),     # isotropic
+        lambda nmax: sp.spectrum_n2(UNIT, 1.0, 1.0, nmax),     # balanced: 1 ulp apart
+        lambda nmax: sp.spectrum_n3_parallel(UNIT, 0.0, 0.0, nmax),
+        lambda nmax: sp.spectrum_n3_parallel(UNIT, 1.0, 1.0, nmax),
+    ], ids=["degenerate", "planar-isotropic", "planar-balanced", "axial-isotropic",
+            "axial-balanced"])
+    def test_spectra_match_sorted(self, build, nmax):
+        table = build(nmax)
+        assert table.levels == _sorted_ladder(table.frequencies, table.hbar, nmax)
+        assert table.ground_state == table.levels[0][1]
+        assert all(type(e) is float and all(type(k) is int for k in n)
+                   for n, e in table.levels)
