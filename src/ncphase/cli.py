@@ -36,6 +36,9 @@ EXIT_SINGULAR = 2
 EXIT_STEP_REJECTED = 3
 EXIT_INCONSISTENT = 4
 ENV_TOL = "NCPHASE_TOL_SINGULAR"
+# Largest simulate state table, rows (t_final/dt + 1) times 2N, refused
+# with exit 1 before anything is allocated: 400 MB of float64 states.
+MAX_STATE_VALUES = 50_000_000
 
 
 class ConfigError(NcphaseError):
@@ -413,6 +416,11 @@ def cmd_darboux(rc: RunConfig, out_path: str | None) -> int:
 def _simulate_rows(rc: RunConfig):
     cfg, model = _require(rc.cfg, "a field section"), _require(rc.model, "a model")
     z0 = _require(rc.state, "an initial state")
+    if (rc.t_final / rc.dt + 1) * 2 * cfg.N > MAX_STATE_VALUES:
+        raise _fail(
+            f"t_final/dt = {rc.t_final / rc.dt:.3g} steps at N = {cfg.N} exceeds "
+            f"the cap of {MAX_STATE_VALUES} state values (rows x 2N)"
+        )
     steps = int(round(rc.t_final / rc.dt))
     det_psi = structure.regularity(cfg)
     if abs(det_psi) < rc.tol_singular:

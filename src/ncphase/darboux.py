@@ -194,37 +194,58 @@ def symplectic_gram_schmidt(omega: np.ndarray, tol_singular: float = TOL_SINGULA
     """Generic Darboux map by greedy symplectic orthogonalization.
 
     Builds a basis (v_1..v_N, w_1..w_N) that is pairwise conjugate under
-    Omega by largest-pivot selection, normalizing Omega(v_k, w_k) = 1 and
-    projecting the remaining candidates onto the Omega-orthogonal
-    complement of each accepted pair (projection applied twice for
-    stability).  With S = [v | w], S^T Omega S = J, so T = S^{-1}.
+    Omega by largest-pivot selection: v is the largest-norm candidate,
+    normalized, and w the candidate with the largest |Omega(v, w)|, scaled
+    so that Omega(v, w) = 1; the pair is then balanced by
+    s = sqrt(|w| / |v|).  The remaining candidates are projected onto the
+    Omega-orthogonal complement of the pair (projection applied twice for
+    stability), and the largest-norm ones are kept.  With S = [v | w],
+    S^T Omega S = J, so T = S^{-1}.
+
+    The candidates are held as one matrix, one candidate per row, so a
+    step is BLAS work: the pivots of all candidates are one matvec with
+    v^T Omega, their pairings Omega(u, v) and Omega(u, w) one product
+    with [Omega v | Omega w], and each projection pass one rank-2 update.
+    A step costs O(N^2) flops and the map O(N^3).  A pair or a candidate
+    norm that stops being finite (extreme field scales) raises
+    ArithmeticError naming the pair.
     """
     omega = np.asarray(omega, dtype=float)
     n2 = omega.shape[0]
     N = n2 // 2
     scale = max(1.0, np.abs(omega).max())
-    sigma = lambda x, y: float(x @ omega @ y)
 
-    cand = [np.eye(n2)[:, k] for k in range(n2)]
+    # Rows in descending norm order: v is always the first candidate.
+    cand, norms = np.eye(n2), np.ones(n2)
     vs, ws = [], []
-    for k in range(N):
-        v = max(cand, key=np.linalg.norm)
-        v = v / np.linalg.norm(v)
-        pivots = [abs(sigma(v, u)) for u in cand]
-        jmax = int(np.argmax(pivots))
-        if pivots[jmax] < tol_singular * scale:
-            raise SingularOmega(
-                f"pivot {pivots[jmax]:.3e} below tolerance at pair {k}: Omega is rank deficient"
-            )
-        w = cand[jmax] / sigma(v, cand[jmax])
-        # Balance the pair without changing Omega(v, w) = 1.
-        s = np.sqrt(np.linalg.norm(w) / np.linalg.norm(v))
-        v, w = v * s, w / s
-        vs.append(v)
-        ws.append(w)
-        for _ in range(2):
-            cand = [u - sigma(u, w) * v + sigma(u, v) * w for u in cand]
-        cand = sorted(cand, key=np.linalg.norm, reverse=True)[: n2 - 2 * (k + 1)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(N):
+            v = cand[0] / norms[0]
+            pivots = cand @ (v @ omega)
+            jmax = int(np.argmax(np.abs(pivots)))
+            if abs(pivots[jmax]) < tol_singular * scale:
+                raise SingularOmega(
+                    f"pivot {abs(pivots[jmax]):.3e} below tolerance at pair {k}: "
+                    "Omega is rank deficient"
+                )
+            w = cand[jmax] / pivots[jmax]
+            # Balance the pair without changing Omega(v, w) = 1.
+            s = np.sqrt(np.sqrt(w @ w) / np.sqrt(v @ v))
+            v, w = v * s, w / s
+            if not (np.isfinite(v).all() and np.isfinite(w).all()):
+                raise ArithmeticError(f"non-finite basis pair at pair {k}")
+            vs.append(v)
+            ws.append(w)
+            pair = np.stack([v, w])
+            omega_pair = omega @ pair.T
+            for _ in range(2):
+                # u -> u - Omega(u, w) v + Omega(u, v) w for every row u.
+                cand += (cand @ omega_pair) @ EPS2 @ pair
+            norms = np.sqrt(np.einsum("ij,ij->i", cand, cand))
+            if not np.isfinite(norms).all():
+                raise ArithmeticError(f"non-finite candidate norms after pair {k}")
+            keep = np.argsort(-norms, kind="stable")[: n2 - 2 * (k + 1)]
+            cand, norms = cand[keep], norms[keep]
 
     S = np.column_stack(vs + ws)
     T = np.linalg.inv(S)

@@ -13,6 +13,10 @@ import numpy as np
 from .constrained import degenerate_omega_r
 from .dynamics import OscillatorModel, n2_frequencies, shift_modes
 
+# Largest ladder built, in levels; refused before any array is allocated.
+# At the cap an axial (d = 3) spectrum is about 200 MB of JSON.
+MAX_LEVELS = 2_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
@@ -37,6 +41,11 @@ class SpectrumTable:
 def _ladder(freqs, hbar: float, nmax: int) -> SpectrumTable:
     if nmax < 0:
         raise ValueError(f"nmax must be nonnegative, got {nmax}")
+    if (nmax + 1) ** len(freqs) > MAX_LEVELS:
+        raise ValueError(
+            f"nmax = {nmax} gives (nmax + 1)^{len(freqs)} levels, "
+            f"above the cap of {MAX_LEVELS}"
+        )
     grids = np.meshgrid(*[np.arange(nmax + 1)] * len(freqs), indexing="ij")
     ns = np.stack([g.ravel() for g in grids], axis=1)
     energies = hbar * (ns + 0.5) @ np.asarray(freqs)

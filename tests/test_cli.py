@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncphase import cli, constrained, darboux, dynamics, structure
+from ncphase import cli, constrained, darboux, dynamics, spectrum, structure
 from ncphase.errors import StepRejected
 
 BASE = {
@@ -315,6 +315,65 @@ class TestSpectrum:
         assert run(["spectrum", "--config", path]) == cli.EXIT_CONFIG
 
 
+class TestSizeCaps:
+    """simulate and spectrum refuse over-cap sizes with exit 1 before any
+    array is allocated: the configs below would need petabytes."""
+
+    @pytest.mark.parametrize("field,state", [
+        ({"B": 1.0, "C": 0.5}, [1.0, 0.0, 0.0, 1.0]),
+        ({"B": -1.0, "C": 1.0}, [1.0, 0.0, 0.0, -1.0]),  # chi = 0 route
+    ])
+    @pytest.mark.parametrize("time", [
+        {"t_final": 1e9, "dt": 1e-6},      # 1e15 rows
+        {"t_final": 1e300, "dt": 1e-300},  # t_final / dt overflows to inf
+    ])
+    def test_simulate_over_cap(self, tmp_path, capsys, field, state, time):
+        path = write_config(tmp_path, dict(BASE, field=field, state=state, time=time))
+        out = tmp_path / "big.csv"
+        assert run(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("ncphase: config error: t_final/dt = ")
+        assert f"exceeds the cap of {cli.MAX_STATE_VALUES} state values" in err
+        assert not out.exists()
+
+    def test_simulate_cap_boundary(self, tmp_path, monkeypatch):
+        # t_final / dt = 10: 11 rows of 2N = 4 values.
+        cfg = dict(BASE, state=[1.0, 0.0, 0.0, 1.0], time={"t_final": 1.0, "dt": 0.1})
+        path = write_config(tmp_path, cfg)
+        monkeypatch.setattr(cli, "MAX_STATE_VALUES", 44)
+        assert run(["simulate", "--config", path, "--out", str(tmp_path / "a.csv")]) == cli.EXIT_OK
+        monkeypatch.setattr(cli, "MAX_STATE_VALUES", 43)
+        assert run(["simulate", "--config", path, "--out", str(tmp_path / "b.csv")]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("field,N", [
+        ({"B": 1.0, "C": 0.5}, 2),
+        ({"B": -1.0, "C": 1.0}, 2),  # one-mode degenerate ladder
+        ({"Bvec": [0, 0, 1.0], "Cvec": [0, 0, 0.5]}, 3),
+    ])
+    def test_spectrum_over_cap(self, tmp_path, capsys, field, N):
+        path = write_config(tmp_path, dict(BASE, N=N, field=field))
+        out = tmp_path / "big.json"
+        # (10^12)^d levels, at least 1e12.
+        code = run(["spectrum", "--config", path, "--out", str(out), "--nmax", str(10**12)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"ncphase: config error: nmax = {10**12} gives (nmax + 1)^")
+        assert err.endswith(f"levels, above the cap of {spectrum.MAX_LEVELS}\n")
+        assert not out.exists()
+
+    def test_spectrum_cap_boundary(self, tmp_path, monkeypatch):
+        cfg = dict(BASE, N=3, field={"Bvec": [0, 0, 1.0], "Cvec": [0, 0, 0.5]})
+        path = write_config(tmp_path, cfg)
+        monkeypatch.setattr(spectrum, "MAX_LEVELS", 27)
+        out = tmp_path / "a.json"
+        assert run(["spectrum", "--config", path, "--out", str(out), "--nmax", "2"]) == cli.EXIT_OK
+        assert len(json.loads(out.read_text())["levels"]) == 27
+        out = tmp_path / "b.json"
+        assert run(["spectrum", "--config", path, "--out", str(out), "--nmax", "3"]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+
 class TestLimitScan:
     def test_scan_columns_and_trivial_row(self, tmp_path):
         path = write_config(tmp_path, BASE)
@@ -362,7 +421,7 @@ class TestNumericalFailure:
 
     def test_singular_inverse_in_darboux(self, tmp_path, capsys):
         # chi = 2, but the generic cross-check's symplectic Gram-Schmidt
-        # inverts a singular (NaN) basis: numpy raises LinAlgError.
+        # meets a non-finite basis pair and raises ArithmeticError.
         cfg = dict(BASE, field={"B": 1e300, "C": 1e-300})
         path = write_config(tmp_path, cfg)
         out = tmp_path / "d.json"
@@ -370,6 +429,22 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert err.startswith("ncphase: numerical failure: ")
         assert "config error" not in err
+        assert not out.exists()
+
+    def test_extreme_scale_darboux_writes_one_stderr_line(self, tmp_path):
+        # The generic cross-check's balanced pair underflows at these
+        # scales; the refusal must not come with numpy RuntimeWarnings.
+        path = write_config(tmp_path, dict(BASE, field={"B": 1e300, "C": 1e-300}))
+        out = tmp_path / "d.json"
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "ncphase.cli", "darboux",
+             "--config", path, "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == cli.EXIT_SINGULAR
+        assert proc.stderr.splitlines() == [
+            "ncphase: numerical failure: non-finite basis pair at pair 0"
+        ]
         assert not out.exists()
 
     def test_poisson_cross_check_failure(self, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ncphase import darboux as dx
 from ncphase import structure as st
@@ -10,6 +14,57 @@ def random_config(rng, N):
     eF = rng.uniform(-2, 2, (N, N))
     rG = rng.uniform(-2, 2, (N, N))
     return st.FieldConfig(N, 0.5 * (eF - eF.T), 0.5 * (rG - rG.T))
+
+
+def reference_gram_schmidt(omega, tol_singular=st.TOL_SINGULAR):
+    """Symplectic Gram-Schmidt over a Python list of candidate vectors,
+    one Omega(x, y) product per candidate and projection: the oracle for
+    the matrix form in ``darboux.symplectic_gram_schmidt``."""
+    omega = np.asarray(omega, dtype=float)
+    n2 = omega.shape[0]
+    N = n2 // 2
+    scale = max(1.0, np.abs(omega).max())
+    sigma = lambda x, y: float(x @ omega @ y)
+
+    cand = [np.eye(n2)[:, k] for k in range(n2)]
+    vs, ws = [], []
+    for k in range(N):
+        v = max(cand, key=np.linalg.norm)
+        v = v / np.linalg.norm(v)
+        pivots = [abs(sigma(v, u)) for u in cand]
+        jmax = int(np.argmax(pivots))
+        if pivots[jmax] < tol_singular * scale:
+            raise SingularOmega(
+                f"pivot {pivots[jmax]:.3e} below tolerance at pair {k}: Omega is rank deficient"
+            )
+        w = cand[jmax] / sigma(v, cand[jmax])
+        s = np.sqrt(np.linalg.norm(w) / np.linalg.norm(v))
+        v, w = v * s, w / s
+        vs.append(v)
+        ws.append(w)
+        for _ in range(2):
+            cand = [u - sigma(u, w) * v + sigma(u, v) * w for u in cand]
+        cand = sorted(cand, key=np.linalg.norm, reverse=True)[: n2 - 2 * (k + 1)]
+
+    S = np.column_stack(vs + ws)
+    T = np.linalg.inv(S)
+    return dx._finish(T, S, omega, 1e-8)
+
+
+def antisymmetric(rng, n, scale):
+    upper = np.triu(rng.normal(0.0, scale, (n, n)), 1)
+    return upper - upper.T
+
+
+def generic_fields(rng, n):
+    """Antisymmetric eF, rG with entries of standard deviation 0.3/sqrt(N),
+    redrawn until 0.5 <= det Psi <= 2: the generic-fields benchmark inputs."""
+    scale = 0.3 / np.sqrt(n)
+    while True:
+        eF = antisymmetric(rng, n, scale)
+        rG = antisymmetric(rng, n, scale)
+        if 0.5 <= np.linalg.det(np.eye(n) - rG @ eF) <= 2.0:
+            return eF, rG
 
 
 class TestDarbouxN2:
@@ -175,6 +230,85 @@ class TestSymplecticGramSchmidt:
         generic = dx.symplectic_gram_schmidt(omega)
         s = generic.T @ closed.Tinv
         assert dx.symplectic_deviation(s) <= 1e-8
+
+
+class TestGramSchmidtAgainstReference:
+    """The matrix form against the list-based reference.  On a near-tie of
+    candidate norms or pivots the two may pick different, equally valid
+    pivots, so T is compared entry by entry only on seeded inputs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=hst.integers(1, 12), scale=hst.floats(0.1, 3.0),
+           seed=hst.integers(0, 2**32 - 1), degenerate=hst.booleans())
+    def test_random_fields(self, n, scale, seed, degenerate):
+        rng = np.random.default_rng(seed)
+        eF = antisymmetric(rng, n, scale)
+        rG = antisymmetric(rng, n, scale)
+        if degenerate and n >= 2:
+            # A chi = 0 planar block, B = -1/C, rotated into the rest:
+            # Psi and Omega are singular.
+            c = rng.uniform(0.5, 2.0)
+            eF[:2, :] = eF[:, :2] = 0.0
+            rG[:2, :] = rG[:, :2] = 0.0
+            eF[:2, :2] = (-1.0 / c) * st.EPS2
+            rG[:2, :2] = c * st.EPS2
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            eF, rG = q @ eF @ q.T, q @ rG @ q.T
+            eF, rG = 0.5 * (eF - eF.T), 0.5 * (rG - rG.T)
+        omega = st.build_omega(st.FieldConfig(n, eF, rG))
+        outcomes = []
+        for build in (dx.symplectic_gram_schmidt, reference_gram_schmidt):
+            try:
+                outcomes.append(build(omega))
+            except SingularOmega:
+                outcomes.append(None)
+        new, ref = outcomes
+        assert (new is None) == (ref is None)
+        if degenerate and n >= 2:
+            assert new is None
+        if new is None:
+            return
+        bound = max(1.0, np.abs(omega).max())
+        assert dx.verify_darboux(new, omega) <= 1e-8 * bound
+        assert np.abs(new.T @ new.Tinv - np.eye(2 * n)).max() <= 1e-10 * bound
+        assert dx.symplectic_deviation(new.T @ ref.Tinv) <= 1e-8
+
+    @pytest.mark.parametrize("seed", [7, 901])
+    def test_seeded_generic_fields_same_map(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (6, 20, 50):
+            eF, rG = generic_fields(rng, n)
+            omega = st.build_omega(st.FieldConfig(n, eF, rG))
+            new = dx.symplectic_gram_schmidt(omega)
+            ref = reference_gram_schmidt(omega)
+            assert np.abs(new.T - ref.T).max() <= 1e-12 * np.abs(ref.T).max(), n
+            assert np.abs(new.Tinv - ref.Tinv).max() <= 1e-12 * np.abs(ref.Tinv).max(), n
+
+    def test_planar_chi0_raises_at_pair_1(self):
+        omega = st.build_omega(st.field_config_n2(1.0, -1.0))
+        for build in (dx.symplectic_gram_schmidt, reference_gram_schmidt):
+            with pytest.raises(SingularOmega, match="below tolerance at pair 1"):
+                build(omega)
+
+    def test_extreme_scale_fails_closed_without_warnings(self):
+        # chi = 2, but the balanced pair underflows: |w|^2 = 1e-600.
+        omega = st.build_omega(st.field_config_n2(1e300, 1e-300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="non-finite basis pair at pair 0"):
+                dx.symplectic_gram_schmidt(omega)
+
+    def test_candidate_norm_overflow_fails_closed_without_warnings(self):
+        # With the gate lowered to 1e-300 the pivot 1e-50 is accepted, and
+        # projecting e2 adds 1e250 e0 to it: its squared norm overflows.
+        omega = np.zeros((4, 4))
+        omega[0, 1], omega[2, 1], omega[2, 3] = 1e-50, 1e200, 1.0
+        omega = omega - omega.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError,
+                               match="non-finite candidate norms after pair 0"):
+                dx.symplectic_gram_schmidt(omega, 1e-300)
 
 
 class TestVerifyDarboux:
