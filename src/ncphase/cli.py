@@ -8,6 +8,7 @@ constraint system.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import constrained, darboux, dynamics, spectrum, structure
+from . import constrained, darboux, dynamics, g17, spectrum, structure
 from .errors import (
     DegenerateChi,
     InconsistentSystem,
@@ -39,6 +40,9 @@ ENV_TOL = "NCPHASE_TOL_SINGULAR"
 # Largest simulate state table, rows (t_final/dt + 1) times 2N, refused
 # with exit 1 before anything is allocated: 400 MB of float64 states.
 MAX_STATE_VALUES = 50_000_000
+# Largest limit-scan grid, refused with exit 1 before it is allocated: each
+# point costs about 40 us and one CSV row.
+MAX_SCAN_POINTS = 100_000
 
 
 class ConfigError(NcphaseError):
@@ -257,16 +261,20 @@ def _listify(arr: np.ndarray):
     return np.asarray(arr).tolist()
 
 
-def _write_atomic(path: str | None, text: str):
-    """Full-file write with temp-and-rename so failures leave no partial file."""
+def _write_atomic(path: str | None, chunks):
+    """Write the strings of ``chunks`` in order, to stdout or to ``path``.
+
+    A file is written to a temp file and renamed, so a failure, also one
+    raised while ``chunks`` is being produced, leaves no partial file.
+    """
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ncphase-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -328,7 +336,7 @@ def _json_text(obj, indent: str = "") -> str:
 
 
 def _emit_json(obj, out_path: str | None):
-    _write_atomic(out_path, _json_text(obj) + "\n")
+    _write_atomic(out_path, [_json_text(obj), "\n"])
 
 
 def _require(value, what: str):
@@ -452,17 +460,7 @@ def cmd_simulate(rc: RunConfig, out_path: str | None) -> int:
         sys.stderr.write("ncphase simulate: non-finite trajectory (overflow or "
                          "invalid arithmetic in the flow); no output written\n")
         return EXIT_SINGULAR
-    # "%.17g" formats a float exactly like format(x, ".17g").  Rows are
-    # converted in chunks, so the Python floats of the whole table never
-    # exist at once, and the lines are dropped before the text is written.
-    template = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    for start in range(0, len(table), 4096):
-        lines += [template % tuple(row) for row in table[start:start + 4096].tolist()]
-    lines.append("")
-    text = "\n".join(lines)
-    del lines
-    _write_atomic(out_path, text)
+    _write_atomic(out_path, itertools.chain([",".join(header) + "\n"], g17.csv_rows(table)))
     return EXIT_OK
 
 
@@ -522,6 +520,8 @@ def cmd_limit_scan(rc: RunConfig, out_path: str | None,
     B, _ = rc.n2
     if not (0 < eps_min <= eps_max < math.inf) or points < 1:
         raise _fail("scan requires finite 0 < eps_min <= eps_max and points >= 1")
+    if points > MAX_SCAN_POINTS:
+        raise _fail(f"--points {points} exceeds the cap of {MAX_SCAN_POINTS} scan points")
     grid = np.geomspace(eps_max, eps_min, points)
     rows = spectrum.chi_limit_scan(model, B, grid)
     lines = ["epsilon,omega_plus,omega_minus,omega_r_target,fast_amplitude"]
@@ -530,7 +530,7 @@ def cmd_limit_scan(rc: RunConfig, out_path: str | None,
             repr(v) for v in
             (r.epsilon, r.omega_plus, r.omega_minus, r.omega_r_target, r.fast_amplitude)
         ))
-    _write_atomic(out_path, "\n".join(lines) + "\n")
+    _write_atomic(out_path, ["\n".join(lines), "\n"])
     return EXIT_OK
 
 

@@ -253,21 +253,24 @@ def n2_frequencies(model: OscillatorModel, B: float, C: float,
         raise ValueError("frequencies require a harmonic potential with kappa > 0")
     co = n2_coefficients(B, C, tol)
     chi, u = co.chi, co.u
-    mk = np.sqrt(model.m * model.kappa)
-    b = B / mk
-    c = C * mk
-    omega0 = model.omega0
-    m_prime = model.m * chi / (u * (1.0 + c * c / (4.0 * u * u)))
-    kappa_prime = model.kappa * (u / chi) * (1.0 + b * b / (4.0 * u * u))
+    # Extreme parameters overflow to inf or nan here.  The output writers
+    # refuse non-finite numbers, so numpy's warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mk = np.sqrt(model.m * model.kappa)
+        b = B / mk
+        c = C * mk
+        omega0 = model.omega0
+        m_prime = model.m * chi / (u * (1.0 + c * c / (4.0 * u * u)))
+        kappa_prime = model.kappa * (u / chi) * (1.0 + b * b / (4.0 * u * u))
 
-    d = b - c
-    root = np.hypot(d, 2.0 * np.sqrt(chi))
-    omega0_prime = omega0 * root / (2.0 * chi)
-    omegaL_prime = omega0 * d / (2.0 * chi)
-    # Evaluate the smaller mode through the difference-free form; the raw
-    # omega0_prime - |omegaL_prime| cancels catastrophically as chi -> 0.
-    small = 2.0 * omega0 / (root + abs(d))
-    large = omega0 * (root + abs(d)) / (2.0 * chi)
+        d = b - c
+        root = np.hypot(d, 2.0 * np.sqrt(chi))
+        omega0_prime = omega0 * root / (2.0 * chi)
+        omegaL_prime = omega0 * d / (2.0 * chi)
+        # Evaluate the smaller mode through the difference-free form; the raw
+        # omega0_prime - |omegaL_prime| cancels catastrophically as chi -> 0.
+        small = 2.0 * omega0 / (root + abs(d))
+        large = omega0 * (root + abs(d)) / (2.0 * chi)
     if d >= 0:
         omega_plus, omega_minus = large, small
     else:

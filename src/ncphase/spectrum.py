@@ -48,7 +48,9 @@ def _ladder(freqs, hbar: float, nmax: int) -> SpectrumTable:
         )
     grids = np.meshgrid(*[np.arange(nmax + 1)] * len(freqs), indexing="ij")
     ns = np.stack([g.ravel() for g in grids], axis=1)
-    energies = hbar * (ns + 0.5) @ np.asarray(freqs)
+    # An overflow is refused by the caller's finiteness check on the energies.
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = hbar * (ns + 0.5) @ np.asarray(freqs)
     # lexsort's last key is the primary one: the order of sorted() on
     # (energy, n) tuples.
     order = np.lexsort(tuple(ns.T[::-1]) + (energies,))

@@ -121,9 +121,12 @@ class PsiPhiPair:
 
 
 def psi_phi(cfg: FieldConfig) -> PsiPhiPair:
-    psi = np.eye(cfg.N) - cfg.rG @ cfg.eF
-    phi = np.eye(cfg.N) - cfg.eF @ cfg.rG
-    return PsiPhiPair(psi, phi, float(np.linalg.det(psi)))
+    # Fields near the float limit overflow here; the non-finite products are
+    # refused downstream, so numpy's warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = np.eye(cfg.N) - cfg.rG @ cfg.eF
+        phi = np.eye(cfg.N) - cfg.eF @ cfg.rG
+        return PsiPhiPair(psi, phi, float(np.linalg.det(psi)))
 
 
 def regularity(cfg: FieldConfig) -> float:
@@ -144,7 +147,10 @@ def _require_regular(cfg: FieldConfig, tol_singular: float) -> PsiPhiPair:
 
 def _newton_inv(a_ld: np.ndarray, steps: int = 3) -> np.ndarray:
     """Inverse of a longdouble matrix by LAPACK seed plus Newton correction."""
-    x = np.linalg.inv(a_ld.astype(float)).astype(np.longdouble)
+    # Entries beyond the float64 range become inf in the seed, and the
+    # caller's finiteness check refuses the result.
+    with np.errstate(over="ignore"):
+        x = np.linalg.inv(a_ld.astype(float)).astype(np.longdouble)
     ident = np.eye(a_ld.shape[0], dtype=np.longdouble)
     for _ in range(steps):
         x = x + x @ (ident - a_ld @ x)

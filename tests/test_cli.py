@@ -309,6 +309,14 @@ class TestSpectrum:
         assert rep["kind"] == "axial"
         assert rep["levels"][0]["energy"] == pytest.approx(np.sqrt(5) / 2 + 0.5, abs=1e-12)
 
+    def test_extreme_planar_fields_without_warnings(self, tmp_path):
+        # kappa' overflows to inf inside n2_frequencies; it is not part of
+        # the report, which stays finite.  RuntimeWarnings fail the suite.
+        path = write_config(tmp_path, dict(BASE, field={"B": 1e300, "C": 1e-300}))
+        out = tmp_path / "spec.json"
+        assert run(["spectrum", "--config", path, "--out", str(out), "--nmax", "1"]) == cli.EXIT_OK
+        assert json.loads(out.read_text())["frequencies"] == [5e299, 1e-300]
+
     def test_crossed_axial_fields_rejected(self, tmp_path):
         cfg = dict(BASE, N=3, field={"Bvec": [0, 0, 1.0], "Cvec": [1.0, 0, 0]})
         path = write_config(tmp_path, cfg)
@@ -316,8 +324,8 @@ class TestSpectrum:
 
 
 class TestSizeCaps:
-    """simulate and spectrum refuse over-cap sizes with exit 1 before any
-    array is allocated: the configs below would need petabytes."""
+    """simulate, spectrum and limit-scan refuse over-cap sizes with exit 1
+    before any array is allocated: the configs below would need petabytes."""
 
     @pytest.mark.parametrize("field,state", [
         ({"B": 1.0, "C": 0.5}, [1.0, 0.0, 0.0, 1.0]),
@@ -371,6 +379,26 @@ class TestSizeCaps:
         assert len(json.loads(out.read_text())["levels"]) == 27
         out = tmp_path / "b.json"
         assert run(["spectrum", "--config", path, "--out", str(out), "--nmax", "3"]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    def test_limit_scan_over_cap(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(BASE, field={"B": 1.0, "C": 0.5}))
+        out = tmp_path / "big.csv"
+        code = run(["limit-scan", "--config", path, "--out", str(out), "--points", str(10**12)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"ncphase: config error: --points {10**12} exceeds the cap of "
+            f"{cli.MAX_SCAN_POINTS} scan points\n")
+        assert not out.exists()
+
+    def test_limit_scan_cap_boundary(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, BASE)
+        monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 5)
+        out = tmp_path / "a.csv"
+        assert run(["limit-scan", "--config", path, "--out", str(out), "--points", "5"]) == cli.EXIT_OK
+        assert len(out.read_text().splitlines()) == 6
+        out = tmp_path / "b.csv"
+        assert run(["limit-scan", "--config", path, "--out", str(out), "--points", "6"]) == cli.EXIT_CONFIG
         assert not out.exists()
 
 
