@@ -20,7 +20,6 @@ from .structure import (
     canonical_j,
     field_config_n2,
     field_config_n3,
-    hamiltonian_vector_field,
     poisson_matrix,
     psi_phi,
     regularity,
@@ -44,7 +43,6 @@ __all__ = [
     "canonical_j",
     "field_config_n2",
     "field_config_n3",
-    "hamiltonian_vector_field",
     "poisson_matrix",
     "psi_phi",
     "regularity",

@@ -43,6 +43,9 @@ MAX_STATE_VALUES = 50_000_000
 # Largest limit-scan grid, refused with exit 1 before it is allocated: each
 # point costs about 40 us and one CSV row.
 MAX_SCAN_POINTS = 100_000
+# Largest constraint residual of a degenerate simulate's initial state,
+# relative to max(1, max |z0|), before it is refused with exit 1.
+OFF_CONSTRAINT_TOL = 1e-8
 
 
 class ConfigError(NcphaseError):
@@ -430,26 +433,27 @@ def _simulate_rows(rc: RunConfig):
             f"the cap of {MAX_STATE_VALUES} state values (rows x 2N)"
         )
     steps = int(round(rc.t_final / rc.dt))
-    det_psi = structure.regularity(cfg)
-    if abs(det_psi) < rc.tol_singular:
-        if rc.n2 is None:
-            raise _fail("degenerate simulation is only available for planar scalar fields")
-        _, C = rc.n2
-        times = rc.dt * np.arange(steps + 1)
-        states = constrained.degenerate_flow_n2(model, C, z0, times)
-        lc = constrained.secondary_constraints(cfg, model)
-        header = ["t", "q1", "q2", "p1", "p2", "H", "constraint_residual"]
-        table = np.column_stack(
-            [times, states, model.hamiltonian(states), lc.residual(states)]
-        )
-        return header, table
-    traj = dynamics.integrate(cfg, model, z0, rc.dt, steps, rc.method, rc.tol_singular)
     N = cfg.N
     header = ["t"] + [f"q{i+1}" for i in range(N)] + [f"p{i+1}" for i in range(N)] + ["H"]
-    columns = [traj.times, traj.states, traj.energies]
-    if traj.lambda3 is not None:
-        header.append("Lambda3")
-        columns.append(traj.lambda3)
+    if abs(structure.regularity(cfg)) < rc.tol_singular:
+        # Presymplectic: the flow of the terminal constraint stage.
+        chain = constrained.gnh_from_model(cfg, model)
+        residual = chain.constraints.residual(z0)
+        if residual > OFF_CONSTRAINT_TOL * max(1.0, np.abs(z0).max()):
+            raise OffConstraint(
+                f"initial state violates the constraints (residual {residual:.3e})")
+        states = dynamics.affine_flow(chain.reduced_flow, chain.flow_offset, z0,
+                                      rc.dt, steps, rc.method)
+        times, energies = rc.dt * np.arange(steps + 1), model.hamiltonian(states)
+        last, column = "constraint_residual", chain.constraints.residual(states)
+    else:
+        traj = dynamics.integrate(cfg, model, z0, rc.dt, steps, rc.method, rc.tol_singular)
+        times, states, energies = traj.times, traj.states, traj.energies
+        last, column = "Lambda3", traj.lambda3
+    columns = [times, states, energies]
+    if column is not None:
+        header.append(last)
+        columns.append(column)
     return header, np.column_stack(columns)
 
 
@@ -526,10 +530,10 @@ def cmd_limit_scan(rc: RunConfig, out_path: str | None,
     rows = spectrum.chi_limit_scan(model, B, grid)
     lines = ["epsilon,omega_plus,omega_minus,omega_r_target,fast_amplitude"]
     for r in rows:
-        lines.append(",".join(
-            repr(v) for v in
-            (r.epsilon, r.omega_plus, r.omega_minus, r.omega_r_target, r.fast_amplitude)
-        ))
+        values = (r.epsilon, r.omega_plus, r.omega_minus, r.omega_r_target, r.fast_amplitude)
+        if not all(map(math.isfinite, values)):
+            raise ArithmeticError(f"non-finite limit-scan row at epsilon = {r.epsilon!r}")
+        lines.append(",".join(map(repr, values)))
     _write_atomic(out_path, ["\n".join(lines), "\n"])
     return EXIT_OK
 

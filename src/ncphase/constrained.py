@@ -1,4 +1,4 @@
-"""Presymplectic regime: kernels, constraint chains and the reduced planar flow.
+"""Presymplectic regime: kernels, constraint chains and the reduced planar structure.
 
 When det Psi = 0 the two-form matrix Omega is singular and the dynamics
 equation Omega X = -grad H(z) is only solvable on nested constraint
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistentSystem, NoKernel, OffConstraint
+from .errors import InconsistentSystem, NoKernel
 from .dynamics import HARMONIC, OscillatorModel
 from .structure import FieldConfig, build_omega
 
@@ -47,9 +47,9 @@ class LinearConstraints:
 
     def residual(self, z):
         """Largest |row violation| of one state (a float) or of each row of a
-        (..., 2N) array."""
+        (..., 2N) array; 0 when there are no rows."""
         z = np.asarray(z, dtype=float)
-        r = np.abs((self.matrix @ z[..., None])[..., 0] + self.offset).max(-1)
+        r = np.abs((self.matrix @ z[..., None])[..., 0] + self.offset).max(-1, initial=0.0)
         return float(r) if z.ndim == 1 else r
 
 
@@ -202,29 +202,6 @@ def degenerate_omega_r(model: OscillatorModel, C: float) -> float:
         raise ValueError("the reduced frequency requires a harmonic potential")
     mk = model.m * model.kappa
     return float(-np.sqrt(mk) * C * model.omega0 / (1.0 + mk * C * C))
-
-
-def degenerate_flow_n2(model: OscillatorModel, C: float, z0, t,
-                       tol: float = 1e-8) -> np.ndarray:
-    """Rotating solution on the constraint subspace of the chi = 0 plane.
-
-    Requires B = -1/C and an initial state satisfying the secondary
-    constraints p/m + i C kappa q = 0 to within tol.
-    """
-    z0 = np.asarray(z0, dtype=float)
-    q0 = complex(z0[0], z0[1])
-    p0 = complex(z0[2], z0[3])
-    res = abs(p0 / model.m + 1j * C * model.kappa * q0)
-    scale = max(1.0, abs(q0), abs(p0))
-    if res > tol * scale:
-        raise OffConstraint(
-            f"initial state violates the secondary constraints (residual {res:.3e})"
-        )
-    omega_r = degenerate_omega_r(model, C)
-    phase = np.exp(1j * omega_r * np.asarray(t, dtype=float))
-    q = phase * q0
-    p = phase * p0
-    return np.stack([q.real, q.imag, p.real, p.imag], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ M = Lambda . Hess(H).  The exact propagator uses the matrix exponential;
 the implicit midpoint rule provides the generic symplectic step.  Both
 give the one-step map as E = map - I, which `affine_rows` squares into
 the block map that advances a trajectory sqrt(steps) rows at a time.
+`affine_flow` does this for any (M, k), so the terminal flow of a
+degenerate constraint chain is stepped by the same code.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .darboux import darboux_n2, darboux_n3, n2_coefficients
-from .errors import DegenerateChi, SingularOmega, StepRejected
+from .errors import DegenerateChi, StepRejected
 from .structure import (
     TOL_SINGULAR,
     FieldConfig,
     n2_scalars,
     n3_vectors,
     poisson_matrix,
-    psi_phi,
 )
 
 HARMONIC = "harmonic"
@@ -199,27 +200,6 @@ def flow_matrix(cfg: FieldConfig, model: OscillatorModel,
         return lam @ model.hessian(cfg.N), lam @ model.gradient_offset(cfg.N)
 
 
-def equations_of_motion(cfg: FieldConfig, model: OscillatorModel, z,
-                        tol_singular: float = TOL_SINGULAR) -> np.ndarray:
-    """dz/dt from the Psi/Phi closed form.
-
-    dq/dt = Psi^{-1} (p/m - rG dV/dq),  dp/dt = Phi^{-1} (eF p/m - dV/dq).
-    """
-    pair = psi_phi(cfg)
-    if abs(pair.det_psi) < tol_singular:
-        raise SingularOmega(f"det Psi = {pair.det_psi:.3e}: use the constrained module")
-    z = np.asarray(z, dtype=float)
-    N = cfg.N
-    q, p = z[:N], z[N:]
-    if model.potential == HARMONIC:
-        dv = model.kappa * q
-    else:
-        dv = -np.asarray(model.Evec, dtype=float)
-    dq = np.linalg.solve(pair.Psi, p / model.m - cfg.rG @ dv)
-    dp = np.linalg.solve(pair.Phi, cfg.eF @ (p / model.m) - dv)
-    return np.concatenate([dq, dp])
-
-
 @dataclass(frozen=True)
 class N2Frequencies:
     """Renormalized planar oscillator data.
@@ -255,7 +235,7 @@ def n2_frequencies(model: OscillatorModel, B: float, C: float,
     chi, u = co.chi, co.u
     # Extreme parameters overflow to inf or nan here.  The output writers
     # refuse non-finite numbers, so numpy's warnings would only add noise.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mk = np.sqrt(model.m * model.kappa)
         b = B / mk
         c = C * mk
@@ -329,22 +309,6 @@ def shift_modes(model: OscillatorModel, B: float, C: float, z0) -> ShiftModes:
                       q_plus, q_minus, p_plus, p_minus)
 
 
-def closed_form_solution_n2(model: OscillatorModel, B: float, C: float,
-                            z0, t) -> np.ndarray:
-    """Exact planar flow via the rotating modes.
-
-    Accepts scalar or array t; returns shape (4,) or (len(t), 4).
-    """
-    modes = shift_modes(model, B, C, z0)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    ap = modes.a_plus * np.exp(-1j * modes.omega_plus * t_arr)
-    am = modes.a_minus_dag * np.exp(1j * modes.omega_minus * t_arr)
-    q = modes.q_coeff_plus * ap + modes.q_coeff_minus * am
-    p = modes.p_coeff_plus * ap + modes.p_coeff_minus * am
-    out = np.stack([q.real, q.imag, p.real, p.imag], axis=-1)
-    return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
-
-
 def angular_momentum(zeta):
     """Angular momentum xi^1 pi_2 - xi^2 pi_1 about the third axis in Darboux
     variables, of one state (a float) or of each row of a (..., 2N) array."""
@@ -352,32 +316,6 @@ def angular_momentum(zeta):
     N = zeta.shape[-1] // 2
     l3 = zeta[..., 0] * zeta[..., N + 1] - zeta[..., 1] * zeta[..., N]
     return float(l3) if zeta.ndim == 1 else l3
-
-
-@dataclass(frozen=True)
-class N3ParallelModel:
-    """Axis-aligned spatial oscillator: transverse sector renormalized as in
-    the planar case, axial sector untouched."""
-
-    m_perp: float
-    kappa_perp: float
-    omega3: float
-    omega_perp: float
-    omegaL_prime: float
-    omega_plus: float
-    omega_minus: float
-
-
-def n3_parallel_model(model: OscillatorModel, B: float, C: float,
-                      tol: float = TOL_SINGULAR) -> N3ParallelModel:
-    """Decoupled frequencies when both field vectors point along the z-axis."""
-    fr = n2_frequencies(model, B, C, tol)
-    return N3ParallelModel(
-        m_perp=fr.m_prime, kappa_perp=fr.kappa_prime,
-        omega3=model.omega0, omega_perp=fr.omega0_prime,
-        omegaL_prime=fr.omegaL_prime,
-        omega_plus=fr.omega_plus, omega_minus=fr.omega_minus,
-    )
 
 
 @dataclass(frozen=True)
@@ -467,10 +405,9 @@ def _darboux_for_lambda3(cfg: FieldConfig):
     return None
 
 
-def integrate(cfg: FieldConfig, model: OscillatorModel, z0, dt: float,
-              steps: int, method: str = "exact",
-              tol_singular: float = TOL_SINGULAR) -> Trajectory:
-    """Propagate the affine flow for `steps` steps of size dt.
+def affine_flow(M: np.ndarray, k: np.ndarray, z0, dt: float, steps: int,
+                method: str = "exact") -> np.ndarray:
+    """Rows z_0 .. z_steps of dz/dt = M z + k sampled every dt.
 
     method "exact" uses the matrix exponential of the augmented generator
     (variation of constants for the affine part); "midpoint" uses the
@@ -479,21 +416,25 @@ def integrate(cfg: FieldConfig, model: OscillatorModel, z0, dt: float,
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if method not in ("exact", "midpoint"):
-        raise ValueError(f"unknown method {method!r}")
-    M, k = flow_matrix(cfg, model, tol_singular)
-    n = M.shape[0]
-    z0 = np.asarray(z0, dtype=float)
-
     if method == "exact":
+        n = M.shape[0]
         aug = np.zeros((n + 1, n + 1))
         aug[:n, :n] = M * dt
         aug[:n, n] = k * dt
         e = expm_minus_identity(aug)
-    else:
+    elif method == "midpoint":
         e = midpoint_transfer(M, k, dt)
-    states = affine_rows(e, z0, steps)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return affine_rows(e, np.asarray(z0, dtype=float), steps)
 
+
+def integrate(cfg: FieldConfig, model: OscillatorModel, z0, dt: float,
+              steps: int, method: str = "exact",
+              tol_singular: float = TOL_SINGULAR) -> Trajectory:
+    """Propagate the flow of a nondegenerate field by `affine_flow`."""
+    M, k = flow_matrix(cfg, model, tol_singular)
+    states = affine_flow(M, k, z0, dt, steps, method)
     times = dt * np.arange(steps + 1)
     dmap = _darboux_for_lambda3(cfg)
     lambda3 = None if dmap is None else angular_momentum(states @ dmap.T.T)

@@ -109,23 +109,26 @@ def chi_limit_scan(model: OscillatorModel, B: float, eps_values,
         raise ValueError("eps values must be positive")
 
     mk = model.m * model.kappa
-    omega_r = degenerate_omega_r(model, -1.0 / B)
     if z0 is None:
         # q0 = 1 on the limiting constraint subspace: p0 = i m kappa q0 / B.
         z0 = np.array([1.0, 0.0, 0.0, mk / B])
 
     rows = []
-    for eps in eps_values:
-        C = (eps * eps - 1.0) / B
-        modes = shift_modes(model, B, C, z0)
-        fast = abs(modes.q_coeff_plus * modes.a_plus)
-        rows.append(LimitScanRow(
-            epsilon=float(eps),
-            omega_plus=modes.omega_plus,
-            omega_minus=modes.omega_minus,
-            omega_r_target=omega_r,
-            fast_amplitude=float(fast),
-        ))
+    # Extreme parameters give inf or nan here; the CLI refuses such rows,
+    # so numpy's warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        omega_r = degenerate_omega_r(model, -1.0 / B)
+        for eps in eps_values:
+            C = (eps * eps - 1.0) / B
+            modes = shift_modes(model, B, C, z0)
+            fast = abs(modes.q_coeff_plus * modes.a_plus)
+            rows.append(LimitScanRow(
+                epsilon=float(eps),
+                omega_plus=modes.omega_plus,
+                omega_minus=modes.omega_minus,
+                omega_r_target=omega_r,
+                fast_amplitude=float(fast),
+            ))
     return rows
 
 

@@ -157,16 +157,6 @@ def _newton_inv(a_ld: np.ndarray, steps: int = 3) -> np.ndarray:
     return x
 
 
-def refined_inv(a) -> np.ndarray:
-    """Dense float64 inverse driven to its representation limit.
-
-    Matrices here are tiny (N <= 6 in practice) but may be ill conditioned
-    near the presymplectic boundary; Newton steps with extended-precision
-    residuals remove the usual eps * cond forward-error floor.
-    """
-    return _newton_inv(np.asarray(a, dtype=np.longdouble)).astype(float)
-
-
 def poisson_matrix(cfg: FieldConfig, tol_singular: float = TOL_SINGULAR) -> np.ndarray:
     """Poisson matrix Lambda = -Omega^{-1} from the closed-form blocks.
 
@@ -205,24 +195,3 @@ def bracket(grad_f, grad_g, lam: np.ndarray) -> float:
     grad_f = np.asarray(grad_f, dtype=float)
     grad_g = np.asarray(grad_g, dtype=float)
     return float(grad_f @ lam @ grad_g)
-
-
-def hamiltonian_vector_field(
-    cfg: FieldConfig, grad_f, tol_singular: float = TOL_SINGULAR
-) -> np.ndarray:
-    """Vector field X_f with components solved from the Psi/Phi factorization.
-
-    X_q = Psi^{-1} (df/dp - rG df/dq),  X_p = -Phi^{-1} (df/dq - eF df/dp);
-    identical to Lambda . grad_f.
-    """
-    pair = _require_regular(cfg, tol_singular)
-    grad_f = np.asarray(grad_f, dtype=float)
-    N = cfg.N
-    gq, gp = grad_f[:N], grad_f[N:]
-    rhs_q = gp - cfg.rG @ gq
-    rhs_p = gq - cfg.eF @ gp
-    xq = np.linalg.solve(pair.Psi, rhs_q)
-    xq += np.linalg.solve(pair.Psi, rhs_q - pair.Psi @ xq)
-    xp = np.linalg.solve(pair.Phi, rhs_p)
-    xp += np.linalg.solve(pair.Phi, rhs_p - pair.Phi @ xp)
-    return np.concatenate([xq, -xp])

@@ -78,31 +78,21 @@ class MomentumValue:
         return -self.components[(b, a)]
 
 
-def _momentum(first, second) -> MomentumValue:
-    first = np.asarray(first, dtype=float)
-    second = np.asarray(second, dtype=float)
-    N = first.size
-    comps = {}
-    for a in range(N):
-        for b in range(a + 1, N):
-            comps[(a, b)] = float(second @ generator_matrix(N, a, b) @ first)
-    return MomentumValue(comps)
-
-
 def momentum_canonical(q, p) -> MomentumValue:
     """Plane momenta J_ab = p_k (M_ab)^k_j q^j of the canonical action.
 
     Sign convention: for N = 2, J_01 = p_1 q^2 - p_2 q^1, i.e. minus the
-    angular momentum q^1 p_2 - q^2 p_1.
+    angular momentum q^1 p_2 - q^2 p_1.  In Darboux variables (xi, pi) it
+    is the same bilinear of the two halves of zeta.
     """
-    return _momentum(q, p)
-
-
-def momentum_xi_pi(zeta) -> MomentumValue:
-    """Same bilinear evaluated in Darboux variables (xi, pi)."""
-    zeta = np.asarray(zeta, dtype=float)
-    N = zeta.size // 2
-    return _momentum(zeta[:N], zeta[N:])
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    N = q.size
+    comps = {}
+    for a in range(N):
+        for b in range(a + 1, N):
+            comps[(a, b)] = float(p @ generator_matrix(N, a, b) @ q)
+    return MomentumValue(comps)
 
 
 def momentum_gradient(z, a: int, b: int) -> np.ndarray:

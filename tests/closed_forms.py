@@ -1,0 +1,84 @@
+"""Closed forms and reference solves that the tests compare the program to.
+
+None of these run in the program: `simulate` propagates every flow, the
+degenerate ones included, through `dynamics.affine_flow`.  (The module is
+not called `oracles`, which would shadow the benchmark's `oracles` module
+when pytest collects both directories in one run.)
+"""
+
+import numpy as np
+
+from ncphase import constrained as con
+from ncphase import dynamics as dyn
+from ncphase import structure as st
+from ncphase.errors import OffConstraint, SingularOmega
+
+
+def refined_inv(a) -> np.ndarray:
+    """Dense float64 inverse driven to its representation limit.
+
+    Newton steps with extended-precision residuals remove the usual
+    eps * cond forward-error floor of a LAPACK inverse.
+    """
+    return st._newton_inv(np.asarray(a, dtype=np.longdouble)).astype(float)
+
+
+def hamiltonian_vector_field(cfg: st.FieldConfig, grad_f,
+                             tol_singular: float = st.TOL_SINGULAR) -> np.ndarray:
+    """Lambda . grad f solved from the Psi/Phi factorization.
+
+    X_q = Psi^{-1} (df/dp - rG df/dq),  X_p = -Phi^{-1} (df/dq - eF df/dp),
+    each with one step of residual refinement.  With grad f = grad H(z)
+    this is dz/dt.
+    """
+    pair = st.psi_phi(cfg)
+    if abs(pair.det_psi) < tol_singular:
+        raise SingularOmega(f"det Psi = {pair.det_psi:.3e}")
+    grad_f = np.asarray(grad_f, dtype=float)
+    N = cfg.N
+    gq, gp = grad_f[:N], grad_f[N:]
+    rhs_q = gp - cfg.rG @ gq
+    rhs_p = gq - cfg.eF @ gp
+    xq = np.linalg.solve(pair.Psi, rhs_q)
+    xq += np.linalg.solve(pair.Psi, rhs_q - pair.Psi @ xq)
+    xp = np.linalg.solve(pair.Phi, rhs_p)
+    xp += np.linalg.solve(pair.Phi, rhs_p - pair.Phi @ xp)
+    return np.concatenate([xq, -xp])
+
+
+def closed_form_solution_n2(model: dyn.OscillatorModel, B: float, C: float,
+                            z0, t) -> np.ndarray:
+    """Exact planar flow via the rotating modes of `dynamics.shift_modes`.
+
+    Accepts scalar or array t; returns shape (4,) or (len(t), 4).
+    """
+    modes = dyn.shift_modes(model, B, C, z0)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    ap = modes.a_plus * np.exp(-1j * modes.omega_plus * t_arr)
+    am = modes.a_minus_dag * np.exp(1j * modes.omega_minus * t_arr)
+    q = modes.q_coeff_plus * ap + modes.q_coeff_minus * am
+    p = modes.p_coeff_plus * ap + modes.p_coeff_minus * am
+    out = np.stack([q.real, q.imag, p.real, p.imag], axis=-1)
+    return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+
+
+def degenerate_flow_n2(model: dyn.OscillatorModel, C: float, z0, t,
+                       tol: float = 1e-8) -> np.ndarray:
+    """Rotating solution on the constraint subspace of the chi = 0 plane.
+
+    Requires B = -1/C and an initial state satisfying the secondary
+    constraints p/m + i C kappa q = 0 to within tol; q and p then turn
+    at the reduced frequency `constrained.degenerate_omega_r`.
+    """
+    z0 = np.asarray(z0, dtype=float)
+    q0 = complex(z0[0], z0[1])
+    p0 = complex(z0[2], z0[3])
+    res = abs(p0 / model.m + 1j * C * model.kappa * q0)
+    if res > tol * max(1.0, abs(q0), abs(p0)):
+        raise OffConstraint(
+            f"initial state violates the secondary constraints (residual {res:.3e})"
+        )
+    phase = np.exp(1j * con.degenerate_omega_r(model, C) * np.asarray(t, dtype=float))
+    q = phase * q0
+    p = phase * p0
+    return np.stack([q.real, q.imag, p.real, p.imag], axis=-1)

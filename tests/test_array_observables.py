@@ -143,13 +143,15 @@ def test_degenerate_simulate_csv_matches_per_value_format(tmp_path):
     got = simulate_csv(tmp_path, config)
 
     times = 0.01 * np.arange(51)
-    states = constrained.degenerate_flow_n2(model, -1.0, z0, times)
-    lc = constrained.secondary_constraints(structure.field_config_n2(1.0, -1.0), model)
-    rows = [[t, *z, scalar_hamiltonian(model, z), scalar_residual(lc, z)]
+    chain = constrained.gnh_from_model(structure.field_config_n2(1.0, -1.0), model)
+    states = dynamics.affine_flow(chain.reduced_flow, chain.flow_offset, z0, 0.01, 50)
+    rows = [[t, *z, scalar_hamiltonian(model, z), scalar_residual(chain.constraints, z)]
             for t, z in zip(times, states)]
     header = ["t", "q1", "q2", "p1", "p2", "H", "constraint_residual"]
     assert got == csv_text(header, rows)
-    assert got.splitlines()[1] == "0,1e-300,0,-0,1e-300,0,0"
+    # Row 0 is z0 itself; its residual is a subnormal that depends on the
+    # SVD that built the constraint rows.
+    assert got.splitlines()[1].startswith("0,1e-300,-0,-0,1e-300,0,")
 
 
 def test_long_simulate_csv_matches_per_value_format(tmp_path):

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
 
 from ncphase import cli, constrained, darboux, dynamics, spectrum, structure
 from ncphase.errors import StepRejected
+
+import closed_forms as cf
 
 BASE = {
     "schema_version": 1,
@@ -16,6 +19,7 @@ BASE = {
     "field": {"B": 1.0, "C": 1.0},
     "model": {"m": 1.0, "kappa": 1.0},
 }
+UNIT = dynamics.OscillatorModel(m=1.0, kappa=1.0)
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -276,6 +280,153 @@ class TestSimulate:
         assert run(["simulate", "--config", path]) == cli.EXIT_CONFIG
 
 
+def degenerate_n4(rng):
+    """N = 4 fields with Psi = 0: two planar chi = 0 blocks (B_k = -1/C_k)
+    under one rotation Q.  Returns (eF, rG, (C1, C2), Q)."""
+    cs = rng.uniform(0.5, 2.0, 2)
+    e0 = np.zeros((4, 4))
+    r0 = np.zeros((4, 4))
+    for k, c in enumerate(cs):
+        e0[2 * k:2 * k + 2, 2 * k:2 * k + 2] = (-1.0 / c) * structure.EPS2
+        r0[2 * k:2 * k + 2, 2 * k:2 * k + 2] = c * structure.EPS2
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)))
+    q = q * np.sign(np.diag(r))
+    eF = q @ e0 @ q.T
+    rG = q @ r0 @ q.T
+    return 0.5 * (eF - eF.T), 0.5 * (rG - rG.T), tuple(float(c) for c in cs), q
+
+
+def on_constraint_n4(cs, q, amplitudes):
+    """A state on the constraints of `degenerate_n4`, and the closed-form
+    flow through it: in the rotated frame each block is a planar chi = 0
+    state, p_k = -i C_k q_k (m = kappa = 1), turning at its own rate."""
+    blocks = []
+    for c, (a, b) in zip(cs, amplitudes):
+        blocks.append(np.array([a, b, c * b, -c * a]))
+
+    def flow(times):
+        parts = [cf.degenerate_flow_n2(UNIT, c, z, times) for c, z in zip(cs, blocks)]
+        q_rot = np.concatenate([part[:, :2] for part in parts], axis=1)
+        p_rot = np.concatenate([part[:, 2:] for part in parts], axis=1)
+        return np.hstack([q_rot @ q.T, p_rot @ q.T])
+
+    return flow(np.zeros(1))[0], flow
+
+
+def simulate_table(tmp_path, cfg, name="run"):
+    path = write_config(tmp_path, cfg, name=f"{name}.json")
+    out = tmp_path / f"{name}.csv"
+    assert run(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+    header = out.read_text().splitlines()[0].split(",")
+    return header, np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+
+
+def chain_expm(fields, times, z0):
+    """Dense scipy expm of the constraint chain's flow, applied to z0."""
+    chain = constrained.gnh_from_model(fields, UNIT)
+    assert not chain.flow_offset.any()
+    return np.array([scipy_expm(chain.reduced_flow * t) @ z0 for t in times]), chain
+
+
+class TestDegenerateSimulate:
+    """Degenerate configs of any N follow the constraint chain's flow."""
+
+    def test_planar_chi0_against_closed_form(self, tmp_path):
+        z0 = [1.0, 0.0, 0.0, -1.0]
+        cfg = dict(BASE, field={"B": -1.0, "C": 1.0}, state=z0,
+                   time={"t_final": 100.0, "dt": 0.01})
+        header, table = simulate_table(tmp_path, cfg)
+        assert header == ["t", "q1", "q2", "p1", "p2", "H", "constraint_residual"]
+        ref = cf.degenerate_flow_n2(UNIT, 1.0, z0, table[:, 0])
+        assert np.abs(table[:, 1:5] - ref).max() <= 1e-13
+        assert table[:, -1].max() <= 1e-13
+
+    def test_axial_chi0_against_expm_and_closed_form(self, tmp_path):
+        # Transverse chi = 1 + B C = 0; the axial pair (q3, p3) is a free
+        # oscillator.
+        z0 = np.array([1.0, 0.0, 0.5, 0.0, 1.0, 0.2])
+        cfg = dict(BASE, N=3, field={"Bvec": [0, 0, 1.0], "Cvec": [0, 0, -1.0]},
+                   state=z0.tolist(), time={"t_final": 20.0, "dt": 0.01})
+        header, table = simulate_table(tmp_path, cfg)
+        assert header == ["t", "q1", "q2", "q3", "p1", "p2", "p3", "H",
+                          "constraint_residual"]
+        times, states = table[:, 0], table[:, 1:7]
+        fields = structure.field_config_n3([0, 0, 1.0], [0, 0, -1.0])
+        dense, chain = chain_expm(fields, times[::50], z0)
+        assert chain.dimensions == [6, 4]
+        assert np.abs(states[::50] - dense).max() <= 1e-12
+        transverse = cf.degenerate_flow_n2(UNIT, -1.0, z0[[0, 1, 3, 4]], times)
+        assert np.abs(states[:, [0, 1, 3, 4]] - transverse).max() <= 1e-12
+        axial = np.column_stack([0.5 * np.cos(times) + 0.2 * np.sin(times),
+                                 0.2 * np.cos(times) - 0.5 * np.sin(times)])
+        assert np.abs(states[:, [2, 5]] - axial).max() <= 1e-12
+        assert table[:, -1].max() <= 1e-12
+
+    def test_n4_psi_zero_against_expm_and_closed_form(self, tmp_path):
+        eF, rG, cs, q = degenerate_n4(np.random.default_rng(7))
+        z0, flow = on_constraint_n4(cs, q, [(0.8, -0.3), (0.2, 0.6)])
+        cfg = dict(BASE, N=4, field={"eF": eF.tolist(), "rG": rG.tolist()},
+                   state=z0.tolist(), time={"t_final": 100.0, "dt": 0.01})
+        header, table = simulate_table(tmp_path, cfg)
+        assert header[-1] == "constraint_residual" and len(header) == 11
+        times, states = table[:, 0], table[:, 1:9]
+        dense, chain = chain_expm(structure.FieldConfig(4, eF, rG), times[::500], z0)
+        assert chain.dimensions == [8, 4]
+        assert np.abs(states[::500] - dense).max() <= 1e-12
+        assert np.abs(states - flow(times)).max() <= 1e-12
+        assert table[:, -1].max() <= 1e-12
+
+    def test_midpoint_within_second_order_phase_bound(self, tmp_path):
+        # The implicit midpoint map turns the chi = 0 mode by
+        # 2 arctan(w dt / 2) per step instead of w dt.
+        z0 = [1.0, 0.0, 0.0, -1.0]
+        dt, t_final = 0.01, 100.0
+        cfg = dict(BASE, field={"B": -1.0, "C": 1.0}, state=z0,
+                   time={"t_final": t_final, "dt": dt, "method": "midpoint"})
+        _, table = simulate_table(tmp_path, cfg)
+        exact = cf.degenerate_flow_n2(UNIT, 1.0, z0, table[:, 0])
+        w = constrained.degenerate_omega_r(UNIT, 1.0)
+        bound = t_final * abs(w - 2.0 * np.arctan(0.5 * w * dt) / dt)
+        deviation = np.abs(table[:, 1:5] - exact).max()
+        assert 0.9 * bound <= deviation <= bound * (1.0 + 1e-6)
+        assert table[:, -1].max() <= 1e-13
+
+    def test_tolerance_gate_above_the_chain_cutoff(self, tmp_path):
+        # chi = 1e-4: det Psi = 1e-8 is below a raised gate of 1e-6, but the
+        # chain's relative rank cutoff sees a nondegenerate Omega and adds
+        # no constraint rows.  The run is then the regular flow, with an
+        # empty-row residual of 0.
+        z0 = [1.0, 0.0, 0.0, 1.0]
+        cfg = dict(BASE, field={"B": 1.0, "C": -0.9999}, state=z0,
+                   time={"t_final": 1.0, "dt": 0.1}, tolerances={"singular": 1e-6})
+        header, table = simulate_table(tmp_path, cfg)
+        assert header[-1] == "constraint_residual"
+        assert not table[:, -1].any()
+        regular = dynamics.integrate(structure.field_config_n2(1.0, -0.9999), UNIT, z0,
+                                     0.1, 10, tol_singular=1e-12)
+        assert np.abs(table[:, 1:5] - regular.states).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_off_constraint_refused_without_output(self, tmp_path, capsys, n):
+        if n == 2:
+            cfg = dict(BASE, field={"B": 1.0, "C": -1.0}, state=[1.0, 0.0, 0.0, 0.0])
+        else:
+            eF, rG, cs, q = degenerate_n4(np.random.default_rng(7))
+            z0, _ = on_constraint_n4(cs, q, [(0.8, -0.3), (0.2, 0.6)])
+            z0[4] += 1e-3
+            cfg = dict(BASE, N=4, field={"eF": eF.tolist(), "rG": rG.tolist()},
+                       state=z0.tolist())
+        cfg["time"] = {"t_final": 1.0, "dt": 0.1}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "off.csv"
+        assert run(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ncphase: config error: "), err
+        assert "violates the constraints" in err[0]
+        assert not out.exists()
+        assert not list(tmp_path.glob(".ncphase-*"))
+
+
 class TestSpectrum:
     def test_isotropic_ground_state(self, tmp_path):
         path = write_config(tmp_path, dict(BASE, field={"B": 0.0, "C": 0.0}))
@@ -441,6 +592,18 @@ class TestLimitScan:
         assert code == cli.EXIT_CONFIG
         assert "finite 0 < eps_min <= eps_max" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_row_refused(self, tmp_path, capsys):
+        # omega_plus overflows to inf and the fast amplitude is NaN.  The
+        # refusal is the only line on stderr: numpy must not warn.
+        cfg = dict(BASE, field={"B": 1e150, "C": 0.5}, model={"m": 1e-300, "kappa": 1.0})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "scan.csv"
+        assert run(["limit-scan", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["ncphase: numerical failure: non-finite limit-scan row at epsilon = 0.1"]
+        assert not out.exists()
+        assert not list(tmp_path.glob(".ncphase-*"))
 
 
 class TestNumericalFailure:

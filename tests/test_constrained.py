@@ -6,6 +6,8 @@ from ncphase import dynamics as dyn
 from ncphase import structure as st
 from ncphase.errors import InconsistentSystem, NoKernel, OffConstraint
 
+import closed_forms as cf
+
 UNIT = dyn.OscillatorModel(m=1.0, kappa=1.0)
 DEGENERATE = st.field_config_n2(1.0, -1.0)  # chi = 0
 ON_M2 = np.array([1.0, 0.0, 0.0, 1.0])       # p = i q in complex form
@@ -128,31 +130,31 @@ class TestGnhChain:
 
 class TestDegenerateFlow:
     def test_time_zero(self):
-        assert np.allclose(con.degenerate_flow_n2(UNIT, -1.0, ON_M2, 0.0), ON_M2)
+        assert np.allclose(cf.degenerate_flow_n2(UNIT, -1.0, ON_M2, 0.0), ON_M2)
 
     def test_reduced_frequency_value(self):
         assert con.degenerate_omega_r(UNIT, -1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_full_period_return(self):
         period = 2 * np.pi / 0.5
-        z = con.degenerate_flow_n2(UNIT, -1.0, ON_M2, period)
+        z = cf.degenerate_flow_n2(UNIT, -1.0, ON_M2, period)
         assert np.abs(z - ON_M2).max() <= 1e-9
 
     def test_constraints_preserved(self):
         lc = con.secondary_constraints(DEGENERATE, UNIT)
         times = np.linspace(0.0, 10 / 0.5, 500)
-        states = con.degenerate_flow_n2(UNIT, -1.0, ON_M2, times)
+        states = cf.degenerate_flow_n2(UNIT, -1.0, ON_M2, times)
         residuals = [lc.residual(z) for z in states]
         assert max(residuals) <= 1e-9
 
     def test_off_constraint_rejected(self):
         with pytest.raises(OffConstraint):
-            con.degenerate_flow_n2(UNIT, -1.0, [1.0, 0.0, 0.0, 0.0], 1.0)
+            cf.degenerate_flow_n2(UNIT, -1.0, [1.0, 0.0, 0.0, 0.0], 1.0)
 
     def test_matches_gnh_terminal_flow(self):
         chain = con.gnh_from_model(DEGENERATE, UNIT)
         dt = 1e-6
-        z_plus = con.degenerate_flow_n2(UNIT, -1.0, ON_M2, dt)
+        z_plus = cf.degenerate_flow_n2(UNIT, -1.0, ON_M2, dt)
         numeric = (z_plus - ON_M2) / dt
         assert np.abs(numeric - chain.reduced_flow @ ON_M2).max() <= 1e-5
 

@@ -7,6 +7,8 @@ from ncphase import dynamics as dyn
 from ncphase import structure as st
 from ncphase.errors import SingularOmega, StepRejected
 
+import closed_forms as cf
+
 UNIT = dyn.OscillatorModel(m=1.0, kappa=1.0)
 GOLDEN_PLUS = (np.sqrt(5) + 1) / 2
 GOLDEN_MINUS = (np.sqrt(5) - 1) / 2
@@ -33,29 +35,34 @@ class TestModel:
 
 
 class TestEquationsOfMotion:
+    """`flow_matrix` against the Psi/Phi solve of the closed-form oracle."""
+
     def test_plain_oscillator(self):
         cfg = st.field_config_n2(0.0, 0.0)
         z = np.array([1.0, 0.0, 0.0, 0.0])
-        assert np.allclose(dyn.equations_of_motion(cfg, UNIT, z), [0, 0, -1, 0], atol=1e-15)
+        M, k = dyn.flow_matrix(cfg, UNIT)
+        assert np.allclose(M @ z + k, [0, 0, -1, 0], atol=1e-15)
+        assert np.allclose(cf.hamiltonian_vector_field(cfg, UNIT.gradient(z)),
+                           [0, 0, -1, 0], atol=1e-15)
 
     def test_matches_poisson_product(self):
         cfg = st.field_config_n2(1.0, 1.0)
-        lam = st.poisson_matrix(cfg)
         z = np.array([1.0, 0.0, 0.0, 1.0])
-        closed = dyn.equations_of_motion(cfg, UNIT, z)
-        assert np.abs(closed - lam @ UNIT.gradient(z)).max() < 1e-10
+        M, k = dyn.flow_matrix(cfg, UNIT)
+        closed = cf.hamiltonian_vector_field(cfg, UNIT.gradient(z))
+        assert np.abs(closed - (M @ z + k)).max() < 1e-10
 
     def test_linear_potential_against_poisson_product(self):
         model = dyn.OscillatorModel(m=1.0, potential="linear", Evec=(1.0, 0.0))
         cfg = st.field_config_n2(0.6, 0.4)
-        lam = st.poisson_matrix(cfg)
         z = np.array([0.2, -0.1, 0.0, 0.0])
-        closed = dyn.equations_of_motion(cfg, model, z)
-        assert np.abs(closed - lam @ model.gradient(z)).max() < 1e-12
+        M, k = dyn.flow_matrix(cfg, model)
+        closed = cf.hamiltonian_vector_field(cfg, model.gradient(z))
+        assert np.abs(closed - (M @ z + k)).max() < 1e-12
 
     def test_singular_raises(self):
         with pytest.raises(SingularOmega):
-            dyn.equations_of_motion(st.field_config_n2(1.0, -1.0), UNIT, np.ones(4))
+            dyn.flow_matrix(st.field_config_n2(1.0, -1.0), UNIT)
 
 
 class TestFrequencies:
@@ -132,10 +139,10 @@ class TestClosedFormSolution:
             if 1 + B * C <= 0.05:
                 continue
             z0 = rng.uniform(-1, 1, 4)
-            assert np.abs(dyn.closed_form_solution_n2(UNIT, B, C, z0, 0.0) - z0).max() < 1e-10
+            assert np.abs(cf.closed_form_solution_n2(UNIT, B, C, z0, 0.0) - z0).max() < 1e-10
 
     def test_quarter_period_plain_oscillator(self):
-        z = dyn.closed_form_solution_n2(UNIT, 0.0, 0.0, [1.0, 0, 0, 0], np.pi / 2)
+        z = cf.closed_form_solution_n2(UNIT, 0.0, 0.0, [1.0, 0, 0, 0], np.pi / 2)
         assert np.allclose(z, [0.0, 0.0, -1.0, 0.0], atol=1e-14)
 
     def test_matches_matrix_exponential(self):
@@ -153,13 +160,13 @@ class TestClosedFormSolution:
             z0 = rng.uniform(-1, 1, 4)
             horizon = 20 * 2 * np.pi / model.omega0
             for t in np.linspace(0.0, horizon, 7):
-                za = dyn.closed_form_solution_n2(model, B, C, z0, t)
+                za = cf.closed_form_solution_n2(model, B, C, z0, t)
                 zb = expm(M * t) @ z0
                 assert np.abs(za - zb).max() < 1e-8
 
     def test_vectorized_times(self):
         ts = np.linspace(0, 5, 11)
-        out = dyn.closed_form_solution_n2(UNIT, 0.5, -0.2, [1, 0, 0, 1], ts)
+        out = cf.closed_form_solution_n2(UNIT, 0.5, -0.2, [1, 0, 0, 1], ts)
         assert out.shape == (11, 4)
 
 
@@ -176,40 +183,46 @@ class TestAngularMomentum:
         period = 2 * np.pi / UNIT.omega0
         values = []
         for t in np.linspace(0, 10 * period, 400):
-            z = dyn.closed_form_solution_n2(UNIT, 1.0, 0.5, z0, t)
+            z = cf.closed_form_solution_n2(UNIT, 1.0, 0.5, z0, t)
             values.append(dyn.angular_momentum(dmap.apply(z)))
         assert np.ptp(values) <= 1e-9
 
 
 class TestN3Parallel:
+    """Axis-aligned fields: the transverse sector is the planar case and the
+    axial sector keeps the bare frequency omega0."""
+
     def test_zero_fields(self):
-        p = dyn.n3_parallel_model(UNIT, 0.0, 0.0)
-        assert p.m_perp == pytest.approx(1.0)
-        assert p.kappa_perp == pytest.approx(1.0)
-        assert p.omega_perp == pytest.approx(1.0)
-        assert p.omega3 == pytest.approx(1.0)
-        assert p.omegaL_prime == 0.0
+        fr = dyn.n2_frequencies(UNIT, 0.0, 0.0)
+        assert fr.m_prime == pytest.approx(1.0)
+        assert fr.kappa_prime == pytest.approx(1.0)
+        assert fr.omega0_prime == pytest.approx(1.0)
+        assert UNIT.omega0 == pytest.approx(1.0)
+        assert fr.omegaL_prime == 0.0
 
     def test_transverse_sector_is_planar_case(self):
-        p = dyn.n3_parallel_model(UNIT, 1.0, 0.0)
-        fr = dyn.n2_frequencies(UNIT, 1.0, 0.0)
-        assert p.omega3 == pytest.approx(1.0)
-        assert p.omega_perp == pytest.approx(fr.omega0_prime)
-        assert p.omegaL_prime == pytest.approx(fr.omegaL_prime)
+        # The N = 3 flow is the planar flow on (q1, q2, p1, p2) and the bare
+        # oscillator on (q3, p3), with no coupling between the two.
+        M3, _ = dyn.flow_matrix(st.field_config_n3([0, 0, 1.0], [0, 0, 0.5]), UNIT)
+        M2, _ = dyn.flow_matrix(st.field_config_n2(1.0, 0.5), UNIT)
+        transverse, axial = [0, 1, 3, 4], [2, 5]
+        assert np.abs(M3[np.ix_(transverse, transverse)] - M2).max() <= 1e-15
+        assert np.array_equal(M3[np.ix_(axial, axial)], [[0.0, 1.0], [-1.0, 0.0]])
+        assert not M3[np.ix_(transverse, axial)].any()
+        assert not M3[np.ix_(axial, transverse)].any()
 
     def test_balanced_fields(self):
-        p = dyn.n3_parallel_model(UNIT, 1.0, 1.0)
-        assert p.omegaL_prime == 0.0
-        assert p.omega_perp == pytest.approx(1 / np.sqrt(2))
-        assert p.omega3 == pytest.approx(1.0)
+        fr = dyn.n2_frequencies(UNIT, 1.0, 1.0)
+        assert fr.omegaL_prime == 0.0
+        assert fr.omega0_prime == pytest.approx(1 / np.sqrt(2))
 
     def test_flow_spectrum_decomposes(self):
-        p = dyn.n3_parallel_model(UNIT, 1.0, 0.0)
+        fr = dyn.n2_frequencies(UNIT, 1.0, 0.0)
         cfg = st.field_config_n3([0, 0, 1.0], [0, 0, 0.0])
         M, _ = dyn.flow_matrix(cfg, UNIT)
         got = np.sort(np.abs(np.linalg.eigvals(M).imag))
-        want = np.sort([p.omega_minus, p.omega_minus, p.omega_plus, p.omega_plus,
-                        p.omega3, p.omega3])
+        want = np.sort([fr.omega_minus, fr.omega_minus, fr.omega_plus, fr.omega_plus,
+                        UNIT.omega0, UNIT.omega0])
         assert np.abs(got - want).max() < 1e-9
 
     def test_axial_angular_momentum_conserved(self):
@@ -289,7 +302,7 @@ def _block_size(steps):
 
 
 def _one_step_e(cfg, model, dt, method):
-    """E = [[P - I, d], [0, 0]] of the one-step map, as `integrate` builds it."""
+    """E = [[P - I, d], [0, 0]] of the one-step map, as `affine_flow` builds it."""
     M, k = dyn.flow_matrix(cfg, model)
     if method == "midpoint":
         return dyn.midpoint_transfer(M, k, dt)
@@ -367,7 +380,7 @@ class TestBlockedStepping:
         # takes at most 645 and is about 1.3e-13 away.
         z0 = [1.0, 0.0, 0.0, 1.0]
         traj = dyn.integrate(st.field_config_n2(1.0, 0.5), UNIT, z0, 0.01, 100_000)
-        ref = dyn.closed_form_solution_n2(UNIT, 1.0, 0.5, z0, traj.times)
+        ref = cf.closed_form_solution_n2(UNIT, 1.0, 0.5, z0, traj.times)
         assert np.abs(traj.states - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("case", range(len(BLOCK_CASES)))

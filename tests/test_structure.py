@@ -4,6 +4,8 @@ import pytest
 from ncphase import structure as st
 from ncphase.errors import SingularOmega
 
+import closed_forms as cf
+
 
 def random_config(rng, N):
     eF = rng.uniform(-2, 2, (N, N))
@@ -136,7 +138,7 @@ class TestPoissonMatrix:
             omega = st.build_omega(cfg)
             lam = st.poisson_matrix(cfg)
             assert np.abs(lam @ omega + np.eye(2 * cfg.N)).max() < 1e-10
-            assert np.abs(lam + st.refined_inv(omega)).max() < 1e-10
+            assert np.abs(lam + cf.refined_inv(omega)).max() < 1e-10
             assert np.array_equal(lam, -lam.T)
 
     def test_mixed_blocks_antisymmetric(self):
@@ -200,16 +202,20 @@ class TestBracket:
 
 
 class TestHamiltonianVectorField:
+    """Lambda . grad f from `poisson_matrix` against the Psi/Phi solve of
+    the closed-form oracle."""
+
     def test_free_motion(self):
         cfg = st.field_config_n2(0.0, 0.0)
         grad = np.array([0.0, 0.0, 1.0, 0.0])  # grad of p^2/2 at p = (1, 0)
-        assert np.allclose(st.hamiltonian_vector_field(cfg, grad), [1, 0, 0, 0], atol=1e-15)
+        assert np.allclose(cf.hamiltonian_vector_field(cfg, grad), [1, 0, 0, 0], atol=1e-15)
+        assert np.allclose(st.poisson_matrix(cfg) @ grad, [1, 0, 0, 0], atol=1e-15)
 
     def test_matches_poisson_product(self):
         cfg = st.field_config_n2(1.0, 1.0)
         lam = st.poisson_matrix(cfg)
         grad = np.array([1.0, 0.0, 0.0, 1.0])  # grad H, m = kappa = 1 at q=(1,0), p=(0,1)
-        x = st.hamiltonian_vector_field(cfg, grad)
+        x = cf.hamiltonian_vector_field(cfg, grad)
         assert np.abs(x - lam @ grad).max() < 1e-10
         rng = np.random.RandomState(6)
         for _ in range(30):
@@ -218,13 +224,14 @@ class TestHamiltonianVectorField:
                 continue
             lam = st.poisson_matrix(cfg)
             grad = rng.uniform(-1, 1, 2 * cfg.N)
-            x = st.hamiltonian_vector_field(cfg, grad)
+            x = cf.hamiltonian_vector_field(cfg, grad)
             assert np.abs(x - lam @ grad).max() < 1e-10
 
     def test_constants_generate_no_flow(self):
         cfg = st.field_config_n2(0.4, 0.2)
-        assert np.array_equal(st.hamiltonian_vector_field(cfg, np.zeros(4)), np.zeros(4))
+        assert np.array_equal(cf.hamiltonian_vector_field(cfg, np.zeros(4)), np.zeros(4))
+        assert np.array_equal(st.poisson_matrix(cfg) @ np.zeros(4), np.zeros(4))
 
     def test_singular_raises(self):
         with pytest.raises(SingularOmega):
-            st.hamiltonian_vector_field(st.field_config_n2(1.0, -1.0), np.ones(4))
+            st.poisson_matrix(st.field_config_n2(1.0, -1.0))
