@@ -470,27 +470,20 @@ def cmd_simulate(rc: RunConfig, out_path: str | None) -> int:
 
 def cmd_spectrum(rc: RunConfig, out_path: str | None, nmax: int) -> int:
     cfg, model = _require(rc.cfg, "a field section"), _require(rc.model, "a model")
-    det_psi = structure.regularity(cfg)
-    if cfg.N == 2:
-        if rc.n2 is None:
-            raise _fail("spectrum requires the scalar B/C field form for N = 2")
-        B, C = rc.n2
-        if abs(det_psi) < rc.tol_singular:
-            table = spectrum.spectrum_degenerate_n2(model, C, nmax)
-            kind = "degenerate-ladder"
-        else:
-            table = spectrum.spectrum_n2(model, B, C, nmax)
-            kind = "planar"
-    elif cfg.N == 3:
-        if rc.n3 is None:
-            raise _fail("spectrum requires the vector field form for N = 3")
-        bvec, cvec = rc.n3
-        if abs(bvec[0]) + abs(bvec[1]) + abs(cvec[0]) + abs(cvec[1]) != 0.0:
-            raise _fail("N = 3 spectra require both field vectors along the z-axis")
-        table = spectrum.spectrum_n3_parallel(model, bvec[2], cvec[2], nmax)
-        kind = "axial"
+    r = spectrum.hessian_factor(model.hessian(cfg.N))
+    omega = structure.build_omega(cfg)
+    if abs(structure.regularity(cfg)) < rc.tol_singular:
+        # Presymplectic: the modes of the terminal constraint stage.  The
+        # chain runs where Hess H = I, so its relative rank cutoff does not
+        # see the scales of m and kappa; the gradient does not move a mode.
+        white = spectrum.whiten(omega, r)
+        n = white.shape[0]
+        v = constrained.gnh_chain(white, np.eye(n), np.zeros(n)).subspaces[-1]
+        omega, r, lam = v.T @ white @ v, np.eye(v.shape[1]), None
+        kind = "degenerate-ladder"
     else:
-        raise _fail(f"spectra are implemented for N = 2 and N = 3, not N = {cfg.N}")
+        lam, kind = structure.poisson_matrix(cfg, rc.tol_singular), "normal-modes"
+    table = spectrum.ladder(spectrum.mode_frequencies(omega, r, lam), model.hbar, nmax)
     _emit_json(
         {
             "kind": kind,

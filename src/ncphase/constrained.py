@@ -1,4 +1,4 @@
-"""Presymplectic regime: kernels, constraint chains and the reduced planar structure.
+"""Presymplectic regime: kernels, constraint chains and the planar reduced frequency.
 
 When det Psi = 0 the two-form matrix Omega is singular and the dynamics
 equation Omega X = -grad H(z) is only solvable on nested constraint
@@ -84,10 +84,6 @@ class ConstraintChain:
     @property
     def dimensions(self) -> list:
         return [b.shape[1] for b in self.subspaces]
-
-    @property
-    def terminal_index(self) -> int:
-        return len(self.subspaces) - 1
 
     def terminal_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the flow restricted to the terminal direction space."""
@@ -202,41 +198,3 @@ def degenerate_omega_r(model: OscillatorModel, C: float) -> float:
         raise ValueError("the reduced frequency requires a harmonic potential")
     mk = model.m * model.kappa
     return float(-np.sqrt(mk) * C * model.omega0 / (1.0 + mk * C * C))
-
-
-@dataclass(frozen=True)
-class ReducedOscillatorN2:
-    """Reduced structure on the secondary constraint subspace.
-
-    bracket_qqdag is the fundamental bracket {q, q*}; the reduced
-    Hamiltonian is H_r = h_r_coeff * q* q, generating dq/dt = i omega_r q.
-    a_scale normalizes a = a_scale * q* so that {a, a*} = -i.
-    """
-
-    C: float
-    B: float
-    omega_r: float
-    bracket_qqdag: complex
-    h_r_coeff: float
-    a_scale: float
-
-    @property
-    def rotation_rate(self) -> complex:
-        return 1j * self.omega_r
-
-
-def reduced_structure_n2(model: OscillatorModel, C: float) -> ReducedOscillatorN2:
-    """Reduced bracket, Hamiltonian and ladder normalization at chi = 0 (B = -1/C)."""
-    if C == 0.0:
-        raise ValueError("C must be nonzero in the degenerate regime")
-    B = -1.0 / C
-    mk = model.m * model.kappa
-    denom = 1.0 + mk * C * C
-    return ReducedOscillatorN2(
-        C=float(C),
-        B=float(B),
-        omega_r=degenerate_omega_r(model, C),
-        bracket_qqdag=complex(0.0, -2.0 * C / denom**2),
-        h_r_coeff=float(denom * model.kappa / 2.0),
-        a_scale=float(denom / np.sqrt(2.0 * abs(C))),
-    )

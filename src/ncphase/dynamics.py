@@ -287,6 +287,8 @@ def shift_modes(model: OscillatorModel, B: float, C: float, z0) -> ShiftModes:
     """Decompose a planar state into the two rotating modes."""
     fr = n2_frequencies(model, B, C)
     mw = fr.m_prime_omega0_prime
+    if mw == 0.0:
+        raise ArithmeticError("m' omega0' = sqrt(m' kappa') underflows to 0")
     u, chi = fr.u, fr.chi
     bp = B / mw
     cp = C * mw

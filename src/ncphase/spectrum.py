@@ -1,7 +1,9 @@
 """Quantum spectra of the quadratic models and the chi -> 0 limit scan.
 
-Spectra are pure frequency ladders with symmetric-ordering offsets:
-every mode contributes hbar * omega * (n + 1/2).
+A positive-definite quadratic H has a pure frequency ladder with
+symmetric-ordering offsets: every normal mode contributes
+hbar * omega * (n + 1/2).  `mode_frequencies` finds the frequencies of any
+pair (Omega, Hess H), so one core serves every field and every N.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constrained import degenerate_omega_r
-from .dynamics import OscillatorModel, n2_frequencies, shift_modes
+from .dynamics import OscillatorModel, shift_modes
 
 # Largest ladder built, in levels; refused before any array is allocated.
 # At the cap an axial (d = 3) spectrum is about 200 MB of JSON.
@@ -38,7 +40,8 @@ class SpectrumTable:
         return float(self.energies[0])
 
 
-def _ladder(freqs, hbar: float, nmax: int) -> SpectrumTable:
+def ladder(freqs, hbar: float, nmax: int) -> SpectrumTable:
+    """All levels hbar (n + 1/2) . freqs with 0 <= n_k <= nmax, sorted."""
     if nmax < 0:
         raise ValueError(f"nmax must be nonnegative, got {nmax}")
     if (nmax + 1) ** len(freqs) > MAX_LEVELS:
@@ -49,8 +52,9 @@ def _ladder(freqs, hbar: float, nmax: int) -> SpectrumTable:
     grids = np.meshgrid(*[np.arange(nmax + 1)] * len(freqs), indexing="ij")
     ns = np.stack([g.ravel() for g in grids], axis=1)
     # An overflow is refused by the caller's finiteness check on the energies.
+    # The frequencies are copied: matmul rounds a strided vector differently.
     with np.errstate(over="ignore", invalid="ignore"):
-        energies = hbar * (ns + 0.5) @ np.asarray(freqs)
+        energies = hbar * (ns + 0.5) @ np.array(freqs, dtype=float)
     # lexsort's last key is the primary one: the order of sorted() on
     # (energy, n) tuples.
     order = np.lexsort(tuple(ns.T[::-1]) + (energies,))
@@ -58,27 +62,60 @@ def _ladder(freqs, hbar: float, nmax: int) -> SpectrumTable:
                          tuple(float(f) for f in freqs))
 
 
-def spectrum_n2(model: OscillatorModel, B: float, C: float, nmax: int) -> SpectrumTable:
-    """Planar levels E(n+, n-) = hbar w+ (n+ + 1/2) + hbar w- (n- + 1/2)."""
-    fr = n2_frequencies(model, B, C)
-    return _ladder((fr.omega_plus, fr.omega_minus), model.hbar, nmax)
+def hessian_factor(hess) -> np.ndarray:
+    """Upper-triangular R with Hess H = R^T R.  A Hessian that is not
+    positive definite (a linear potential, or kappa = 0) has a continuous
+    spectrum: ValueError, a config error, rather than numpy's LinAlgError."""
+    try:
+        return np.linalg.cholesky(hess).T
+    except np.linalg.LinAlgError:
+        raise ValueError("the Hessian of H is not positive definite, so the "
+                         "spectrum is not a ladder") from None
 
 
-def spectrum_degenerate_n2(model: OscillatorModel, C: float, nmax: int) -> SpectrumTable:
-    """Single reduced ladder E(n) = hbar |omega_r| (n + 1/2) at chi = 0.
+def whiten(omega, r) -> np.ndarray:
+    """R^-T Omega R^-1: the two-form in the coordinates y = R z, where
+    Hess H = R^T R is the identity.  The congruence keeps the frequencies.
+    A non-finite result raises ArithmeticError before an SVD sees it."""
+    r_inv = np.linalg.inv(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        white = r_inv.T @ omega @ r_inv
+    if not np.isfinite(white).all():
+        raise ArithmeticError("Omega overflows in the coordinates where Hess H = I")
+    return white
 
-    The sign of omega_r (orientation of the reduced rotation) is recorded
-    by the constrained module; the ladder uses its magnitude.
+
+def mode_frequencies(omega, r, lam=None) -> np.ndarray:
+    """Normal-mode frequencies of H = |R z|^2 / 2 under the two-form Omega,
+    in descending order: the symplectic eigenvalues of R^T R (Williamson).
+
+    The flow Lambda R^T R, with Lambda = -Omega^-1 (``lam`` when the caller
+    has a more accurate one), is similar to R Lambda R^T, and its inverse
+    to -R^-T Omega R^-1.  So the top halves of the Hermitian eigenvalues
+    of 1j R Lambda R^T and of -1j R^-T Omega R^-1 are the w and the 1/w.
+    Each solve is accurate to eps times its norm: the first keeps the modes
+    above sqrt(w_max w_min) and above its own noise floor, the second the
+    rest (notes/decisions.md).
     """
-    omega_r = degenerate_omega_r(model, C)
-    return _ladder((abs(omega_r),), model.hbar, nmax)
-
-
-def spectrum_n3_parallel(model: OscillatorModel, B: float, C: float,
-                         nmax: int) -> SpectrumTable:
-    """Axis-aligned spatial levels: transverse pair (w+, w-) plus the bare w3."""
-    fr = n2_frequencies(model, B, C)
-    return _ladder((fr.omega_plus, fr.omega_minus, model.omega0), model.hbar, nmax)
+    n, odd = divmod(omega.shape[0], 2)
+    if n == 0 or odd:
+        raise ArithmeticError(f"a {omega.shape[0]}-dimensional phase space has no "
+                              "normal-mode pairs")
+    if lam is None:
+        lam = -np.linalg.inv(omega)
+    white = whiten(omega, r)
+    # An unusable frequency of the discarded form may be inf or 0.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # Lambda must invert -Omega to rounding: an underflowed Lambda
+        # would pass as a zero frequency.
+        residual = np.abs(lam @ omega + np.eye(2 * n)).max()
+        if not residual <= 1e-8 * np.abs(lam).max() * np.abs(omega).max():
+            raise ArithmeticError("Lambda does not invert -Omega at these scales")
+        large = np.linalg.eigvalsh(1j * (r @ lam @ r.T))[n:][::-1]
+        small = 1.0 / np.linalg.eigvalsh(-1j * white)[n:]
+        keep = ((large >= np.sqrt(large[0]) * np.sqrt(small[-1]))
+                & (large > 16 * n * np.finfo(float).eps * large[0]))
+    return np.sort(np.where(keep, large, small))[::-1]
 
 
 @dataclass(frozen=True)
@@ -120,7 +157,11 @@ def chi_limit_scan(model: OscillatorModel, B: float, eps_values,
         omega_r = degenerate_omega_r(model, -1.0 / B)
         for eps in eps_values:
             C = (eps * eps - 1.0) / B
-            modes = shift_modes(model, B, C, z0)
+            try:
+                modes = shift_modes(model, B, C, z0)
+            except ArithmeticError as exc:
+                raise ArithmeticError(
+                    f"limit scan at epsilon = {float(eps)!r}: {exc}") from None
             fast = abs(modes.q_coeff_plus * modes.a_plus)
             rows.append(LimitScanRow(
                 epsilon=float(eps),

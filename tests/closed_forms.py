@@ -1,15 +1,19 @@
 """Closed forms and reference solves that the tests compare the program to.
 
 None of these run in the program: `simulate` propagates every flow, the
-degenerate ones included, through `dynamics.affine_flow`.  (The module is
+degenerate ones included, through `dynamics.affine_flow`, and `spectrum`
+takes every ladder from `spectrum.mode_frequencies`.  (The module is
 not called `oracles`, which would shadow the benchmark's `oracles` module
 when pytest collects both directories in one run.)
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from ncphase import constrained as con
 from ncphase import dynamics as dyn
+from ncphase import spectrum as sp
 from ncphase import structure as st
 from ncphase.errors import OffConstraint, SingularOmega
 
@@ -82,3 +86,62 @@ def degenerate_flow_n2(model: dyn.OscillatorModel, C: float, z0, t,
     q = phase * q0
     p = phase * p0
     return np.stack([q.real, q.imag, p.real, p.imag], axis=-1)
+
+
+def spectrum_n2(model: dyn.OscillatorModel, B: float, C: float, nmax: int) -> sp.SpectrumTable:
+    """Planar levels E(n+, n-) = hbar w+ (n+ + 1/2) + hbar w- (n- + 1/2)."""
+    fr = dyn.n2_frequencies(model, B, C)
+    return sp.ladder((fr.omega_plus, fr.omega_minus), model.hbar, nmax)
+
+
+def spectrum_degenerate_n2(model: dyn.OscillatorModel, C: float, nmax: int) -> sp.SpectrumTable:
+    """Single reduced ladder E(n) = hbar |omega_r| (n + 1/2) at chi = 0.
+
+    The sign of omega_r (orientation of the reduced rotation) is recorded
+    by `reduced_structure_n2`; the ladder uses its magnitude.
+    """
+    return sp.ladder((abs(con.degenerate_omega_r(model, C)),), model.hbar, nmax)
+
+
+def spectrum_n3_parallel(model: dyn.OscillatorModel, B: float, C: float,
+                         nmax: int) -> sp.SpectrumTable:
+    """Axis-aligned spatial levels: transverse pair (w+, w-) plus the bare w3."""
+    fr = dyn.n2_frequencies(model, B, C)
+    return sp.ladder((fr.omega_plus, fr.omega_minus, model.omega0), model.hbar, nmax)
+
+
+@dataclass(frozen=True)
+class ReducedOscillatorN2:
+    """Reduced structure on the secondary constraint subspace.
+
+    bracket_qqdag is the fundamental bracket {q, q*}; the reduced
+    Hamiltonian is H_r = h_r_coeff * q* q, generating dq/dt = i omega_r q.
+    a_scale normalizes a = a_scale * q* so that {a, a*} = -i.
+    """
+
+    C: float
+    B: float
+    omega_r: float
+    bracket_qqdag: complex
+    h_r_coeff: float
+    a_scale: float
+
+    @property
+    def rotation_rate(self) -> complex:
+        return 1j * self.omega_r
+
+
+def reduced_structure_n2(model: dyn.OscillatorModel, C: float) -> ReducedOscillatorN2:
+    """Reduced bracket, Hamiltonian and ladder normalization at chi = 0 (B = -1/C)."""
+    if C == 0.0:
+        raise ValueError("C must be nonzero in the degenerate regime")
+    mk = model.m * model.kappa
+    denom = 1.0 + mk * C * C
+    return ReducedOscillatorN2(
+        C=float(C),
+        B=-1.0 / C,
+        omega_r=con.degenerate_omega_r(model, C),
+        bracket_qqdag=complex(0.0, -2.0 * C / denom**2),
+        h_r_coeff=float(denom * model.kappa / 2.0),
+        a_scale=float(denom / np.sqrt(2.0 * abs(C))),
+    )

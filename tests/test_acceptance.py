@@ -188,7 +188,7 @@ def test_degenerate_regime():
     flow_residual = float(lc.residual(states).max())
     flow_err = float(np.abs(states - cf.degenerate_flow_n2(UNIT, -1.0, z0, times)).max())
 
-    rs = con.reduced_structure_n2(UNIT, -1.0)
+    rs = cf.reduced_structure_n2(UNIT, -1.0)
     bracket_err = abs(rs.bracket_qqdag - 0.5j)
 
     ok = (dims_ok and eig_err <= 1e-10 and flow_residual <= 1e-9 and flow_err <= 1e-10
@@ -249,8 +249,8 @@ def test_limit_study_fast_amplitude_order():
     )
 
 
-def test_spectra():
-    table = sp.spectrum_n2(UNIT, 0.7, -0.3, 3)
+def test_spectra(tmp_path):
+    table = cf.spectrum_n2(UNIT, 0.7, -0.3, 3)
     energies = {n: e for n, e in table.levels}
     wp, wm = table.frequencies
     additivity = max(
@@ -259,20 +259,34 @@ def test_spectra():
     )
     ground_ok = (
         abs(table.ground_state - 0.5 * (wp + wm)) <= 1e-14
-        and abs(sp.spectrum_n2(UNIT, 0.0, 0.0, 1).ground_state - 1.0) <= 1e-14
+        and abs(cf.spectrum_n2(UNIT, 0.0, 0.0, 1).ground_state - 1.0) <= 1e-14
     )
 
-    ladder = sp.spectrum_degenerate_n2(UNIT, -1.0, 4)
+    ladder = cf.spectrum_degenerate_n2(UNIT, -1.0, 4)
     ladder_err = max(abs(e - 0.5 * (n[0] + 0.5)) for n, e in ladder.levels)
 
-    axial = sp.spectrum_n3_parallel(UNIT, 1.0, 0.0, 2)
+    axial = cf.spectrum_n3_parallel(UNIT, 1.0, 0.0, 2)
     axial_err = abs(axial.ground_state - (np.sqrt(5) / 2 + 0.5))
 
-    ok = additivity <= 1e-12 and ground_ok and ladder_err <= 1e-12 and axial_err <= 1e-12
+    # The program's one spectrum core against the three closed forms.
+    core_err = 0.0
+    for N, field, oracle in [(2, {"B": 0.7, "C": -0.3}, table), (2, {"B": 1.0, "C": -1.0}, ladder),
+                             (3, {"Bvec": [0, 0, 1.0], "Cvec": [0, 0, 0.0]}, axial)]:
+        path, out = tmp_path / "spectrum.json", tmp_path / "levels.json"
+        path.write_text(json.dumps({"schema_version": 1, "N": N, "field": field,
+                                    "model": {"m": 1.0, "kappa": 1.0}}))
+        assert cli.main(["spectrum", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        got = json.loads(out.read_text())["frequencies"]
+        want = sorted(oracle.frequencies, reverse=True)
+        core_err = max(core_err, max(abs(g / w - 1.0) for g, w in zip(got, want)))
+
+    ok = (additivity <= 1e-12 and ground_ok and ladder_err <= 1e-12 and axial_err <= 1e-12
+          and core_err <= 1e-12)
     report(
         "spectra",
         ok,
-        f"(additivity {additivity:.2e}, ladder dev {ladder_err:.2e}, axial dev {axial_err:.2e})",
+        f"(additivity {additivity:.2e}, ladder dev {ladder_err:.2e}, axial dev {axial_err:.2e}, "
+        f"core vs closed forms {core_err:.2e})",
     )
 
 

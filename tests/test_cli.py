@@ -427,6 +427,20 @@ class TestDegenerateSimulate:
         assert not list(tmp_path.glob(".ncphase-*"))
 
 
+def spectrum_report(tmp_path, cfg, *args):
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "sp.json"
+    assert run(["spectrum", "--config", path, "--out", str(out), *args]) == cli.EXIT_OK
+    return json.loads(out.read_text())
+
+
+def dense_frequencies(fields, model=UNIT):
+    """Positive imaginary parts of the eigenvalues of -Omega^-1 Hess H,
+    descending."""
+    flow = -np.linalg.inv(structure.build_omega(fields)) @ model.hessian(fields.N)
+    return np.sort(np.linalg.eigvals(flow).imag)[::-1][:fields.N]
+
+
 class TestSpectrum:
     def test_isotropic_ground_state(self, tmp_path):
         path = write_config(tmp_path, dict(BASE, field={"B": 0.0, "C": 0.0}))
@@ -440,7 +454,7 @@ class TestSpectrum:
         out = tmp_path / "sp.json"
         run(["spectrum", "--config", path, "--out", str(out), "--nmax", "2"])
         rep = json.loads(out.read_text())
-        assert rep["kind"] == "planar"
+        assert rep["kind"] == "normal-modes"
         assert rep["levels"][0]["energy"] == pytest.approx(np.sqrt(5) / 2, abs=1e-12)
 
     def test_degenerate_ladder(self, tmp_path):
@@ -457,21 +471,116 @@ class TestSpectrum:
         out = tmp_path / "sp.json"
         assert run(["spectrum", "--config", path, "--out", str(out)]) == cli.EXIT_OK
         rep = json.loads(out.read_text())
-        assert rep["kind"] == "axial"
+        assert rep["kind"] == "normal-modes"
         assert rep["levels"][0]["energy"] == pytest.approx(np.sqrt(5) / 2 + 0.5, abs=1e-12)
 
     def test_extreme_planar_fields_without_warnings(self, tmp_path):
-        # kappa' overflows to inf inside n2_frequencies; it is not part of
-        # the report, which stays finite.  RuntimeWarnings fail the suite.
+        # w+/w- = 5e599: each Hermitian form loses one mode, the core keeps
+        # the other form's.  The reference is a 1300-digit mpmath
+        # eigensolve of -Omega^-1 Hess H, correctly rounded.  RuntimeWarnings
+        # fail the suite.
         path = write_config(tmp_path, dict(BASE, field={"B": 1e300, "C": 1e-300}))
         out = tmp_path / "spec.json"
         assert run(["spectrum", "--config", path, "--out", str(out), "--nmax", "1"]) == cli.EXIT_OK
-        assert json.loads(out.read_text())["frequencies"] == [5e299, 1e-300]
+        got = np.array(json.loads(out.read_text())["frequencies"])
+        assert np.abs(got / [5e299, 1e-300] - 1.0).max() <= 1e-15
 
-    def test_crossed_axial_fields_rejected(self, tmp_path):
-        cfg = dict(BASE, N=3, field={"Bvec": [0, 0, 1.0], "Cvec": [1.0, 0, 0]})
-        path = write_config(tmp_path, cfg)
-        assert run(["spectrum", "--config", path]) == cli.EXIT_CONFIG
+    def test_crossed_axial_fields_match_dense_eigensolve(self, tmp_path):
+        for bvec, cvec in [([0, 0, 1.0], [1.0, 0, 0]), ([0.3, 0.1, 1.0], [0.2, -0.4, 0.5])]:
+            rep = spectrum_report(tmp_path, dict(BASE, N=3, field={"Bvec": bvec, "Cvec": cvec}))
+            want = dense_frequencies(structure.field_config_n3(bvec, cvec))
+            assert rep["kind"] == "normal-modes"
+            assert np.abs(np.array(rep["frequencies"]) / want - 1.0).max() <= 1e-12
+
+    def test_generic_n4_matches_dense_eigensolve(self, tmp_path):
+        rep = spectrum_report(tmp_path, _GENERIC, "--nmax", "2")
+        fields = structure.FieldConfig(4, _GENERIC["field"]["eF"], _GENERIC["field"]["rG"])
+        freqs = np.array(rep["frequencies"])
+        assert rep["kind"] == "normal-modes" and len(rep["levels"]) == 3**4
+        assert np.abs(freqs / dense_frequencies(fields) - 1.0).max() <= 1e-12
+        assert rep["levels"][0]["energy"] == pytest.approx(0.5 * freqs.sum(), rel=1e-15)
+
+    def test_frequencies_descend_and_order_the_quanta(self, tmp_path):
+        # Axial B = 1: w+ = 1.618 > w3 = 1 > w- = 0.618, so the bare axial
+        # mode is the middle column of n.
+        rep = spectrum_report(tmp_path, dict(BASE, N=3, field={"Bvec": [0, 0, 1.0],
+                                                              "Cvec": [0, 0, 0.0]}))
+        freqs = rep["frequencies"]
+        assert freqs == sorted(freqs, reverse=True)
+        assert freqs[1] == pytest.approx(1.0, rel=1e-15)
+        for level in rep["levels"]:
+            assert level["energy"] == pytest.approx(np.dot(np.add(level["n"], 0.5), freqs),
+                                                    rel=1e-15)
+
+    def test_n4_psi_zero_matches_reduced_frequencies(self, tmp_path):
+        eF, rG, cs, _ = degenerate_n4(np.random.default_rng(7))
+        rep = spectrum_report(tmp_path, dict(BASE, N=4, field={"eF": eF.tolist(),
+                                                               "rG": rG.tolist()}))
+        want = sorted((abs(constrained.degenerate_omega_r(UNIT, c)) for c in cs), reverse=True)
+        assert rep["kind"] == "degenerate-ladder"
+        assert np.abs(np.array(rep["frequencies"]) / want - 1.0).max() <= 1e-12
+
+    def test_axial_chi0_ladder(self, tmp_path):
+        # Transverse chi = 0 leaves the reduced rotation |omega_r| = 1/2 and
+        # the bare axial oscillator.
+        rep = spectrum_report(tmp_path, dict(BASE, N=3, field={"Bvec": [0, 0, 1.0],
+                                                              "Cvec": [0, 0, -1.0]}))
+        assert rep["kind"] == "degenerate-ladder"
+        assert np.abs(np.array(rep["frequencies"]) / [1.0, 0.5] - 1.0).max() <= 1e-12
+
+    def test_degenerate_ladder_at_extreme_elasticity(self, tmp_path):
+        # Hess H = diag(1e-300, 1e-300, 1, 1): a chain on the raw pair puts
+        # the 1e-16 rounding of its basis into the restricted Hessian.
+        model = {"m": 1.0, "kappa": 1e-300}
+        rep = spectrum_report(tmp_path, dict(BASE, field={"B": 0.5, "C": -2.0}, model=model))
+        want = abs(constrained.degenerate_omega_r(dynamics.OscillatorModel(**model), -2.0))
+        assert rep["kind"] == "degenerate-ladder"
+        assert abs(rep["frequencies"][0] / want - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("field, model, message", [
+        # chi = 1 + B C overflows and poisson_matrix returns a zero Lambda.
+        ({"B": 1e150, "C": 1e300}, {"m": 1.0, "kappa": 1e300},
+         "Lambda does not invert -Omega at these scales"),
+        # omega_r = 1e-600: rG m overflows where Hess H = I.
+        ({"B": -1e-300, "C": 1e300}, {"m": 1e300, "kappa": 1.0},
+         "Omega overflows in the coordinates where Hess H = I"),
+    ])
+    def test_unresolvable_scales_refused(self, tmp_path, capsys, field, model, message):
+        path = write_config(tmp_path, dict(BASE, field=field, model=model))
+        out = tmp_path / "sp.json"
+        assert run(["spectrum", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
+        assert capsys.readouterr().err == f"ncphase: numerical failure: {message}\n"
+        assert not out.exists()
+
+    def test_tolerance_gate_above_the_chain_cutoff(self, tmp_path):
+        # chi = 1e-4 with a raised gate: the chain route, whose cutoff sees a
+        # nondegenerate Omega, so V = I and the modes are the regular ones.
+        cfg = dict(BASE, field={"B": 1.0, "C": -0.9999})
+        regular = spectrum_report(tmp_path, cfg)
+        gated = spectrum_report(tmp_path, dict(cfg, tolerances={"singular": 1e-6}))
+        assert (regular["kind"], gated["kind"]) == ("normal-modes", "degenerate-ladder")
+        assert np.abs(np.array(gated["frequencies"]) / regular["frequencies"] - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("field", [{"B": 1.0, "C": 0.5}, {"B": 1.0, "C": -1.0}])
+    @pytest.mark.parametrize("model", [{"m": 1.0, "kappa": 0.0},
+                                       {"m": 1.0, "Evec": [1.0, 0.0]}])
+    def test_hessian_not_positive_definite_refused(self, tmp_path, capsys, field, model):
+        path = write_config(tmp_path, dict(BASE, field=field, model=model))
+        out = tmp_path / "sp.json"
+        assert run(["spectrum", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "ncphase: config error: the Hessian of H is not positive definite, "
+            "so the spectrum is not a ladder\n")
+        assert not out.exists()
+
+    def test_extreme_mass_and_elasticity_spectrum(self, tmp_path):
+        # m kappa = 1 but kappa / m = 1e600 overflows a double; the modes
+        # omega0 / sqrt(chi) = sqrt(kappa / 2 m) do not.
+        mp = pytest.importorskip("mpmath")
+        rep = spectrum_report(tmp_path, dict(BASE, model={"m": 1e-300, "kappa": 1e300}))
+        with mp.workdps(50):
+            want = float(mp.sqrt(mp.mpf(1e300) / mp.mpf(1e-300) / 2))
+        assert np.abs(np.array(rep["frequencies"]) / want - 1.0).max() <= 1e-15
 
 
 class TestSizeCaps:
@@ -605,6 +714,19 @@ class TestLimitScan:
         assert not out.exists()
         assert not list(tmp_path.glob(".ncphase-*"))
 
+    def test_underflowing_mode_mass_refused(self, tmp_path, capsys):
+        # B = 1e-300: m' omega0' underflows to 0, and the rotating-mode
+        # amplitudes would divide by it.
+        cfg = dict(BASE, field={"B": 1e-300, "C": 0.5})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "scan.csv"
+        assert run(["limit-scan", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
+        assert capsys.readouterr().err.splitlines() == [
+            "ncphase: numerical failure: limit scan at epsilon = 0.1: "
+            "m' omega0' = sqrt(m' kappa') underflows to 0"]
+        assert not out.exists()
+        assert not list(tmp_path.glob(".ncphase-*"))
+
 
 class TestNumericalFailure:
     """Numerical failures exit 2 with their own message, not as config
@@ -665,16 +787,6 @@ class TestNumericalFailure:
         assert run(["brackets", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
         err = capsys.readouterr().err
         assert err.startswith("ncphase: numerical failure: non-finite number ")
-        assert err.endswith(" in the JSON output\n")
-        assert not out.exists()
-
-    def test_non_finite_spectrum_refused(self, tmp_path, capsys):
-        # m kappa = 1 but omega0^2 = kappa / m overflows to inf.
-        path = write_config(tmp_path, dict(BASE, model={"m": 1e-300, "kappa": 1e300}))
-        out = tmp_path / "sp.json"
-        assert run(["spectrum", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
-        err = capsys.readouterr().err
-        assert err.startswith("ncphase: numerical failure: non-finite ")
         assert err.endswith(" in the JSON output\n")
         assert not out.exists()
 

@@ -161,7 +161,7 @@ class TestDegenerateFlow:
 
 class TestReducedStructure:
     def test_worked_bracket_value(self):
-        rs = con.reduced_structure_n2(UNIT, -1.0)
+        rs = cf.reduced_structure_n2(UNIT, -1.0)
         assert rs.bracket_qqdag == pytest.approx(0.5j, abs=1e-15)
         assert rs.h_r_coeff == pytest.approx(1.0)
         assert rs.omega_r == pytest.approx(0.5)
@@ -171,18 +171,18 @@ class TestReducedStructure:
         # dq/dt = {q, H_r} = bracket_qqdag * h_r_coeff * q = i omega_r q.
         for m, k, C in [(1.0, 1.0, -1.0), (2.0, 0.5, -0.7), (1.0, 1.0, 0.8)]:
             model = dyn.OscillatorModel(m=m, kappa=k)
-            rs = con.reduced_structure_n2(model, C)
+            rs = cf.reduced_structure_n2(model, C)
             assert rs.bracket_qqdag * rs.h_r_coeff == pytest.approx(rs.rotation_rate, abs=1e-14)
 
     def test_ladder_normalization(self):
         # {a, a*} = a_scale^2 {q*, q} = -a_scale^2 {q, q*} = -i.
         for C in (-1.0, -0.4, -2.5):
-            rs = con.reduced_structure_n2(UNIT, C)
+            rs = cf.reduced_structure_n2(UNIT, C)
             assert -rs.a_scale**2 * rs.bracket_qqdag == pytest.approx(-1j, abs=1e-12)
 
     def test_sign_flip_symmetry(self):
-        plus = con.reduced_structure_n2(UNIT, -1.0)
-        minus = con.reduced_structure_n2(UNIT, 1.0)
+        plus = cf.reduced_structure_n2(UNIT, -1.0)
+        minus = cf.reduced_structure_n2(UNIT, 1.0)
         assert minus.omega_r == pytest.approx(-plus.omega_r)
         assert abs(minus.omega_r) == pytest.approx(abs(plus.omega_r))
 

@@ -2,18 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from ncphase import constrained as con
 from ncphase import dynamics as dyn
 from ncphase import spectrum as sp
 from ncphase import structure as st
 
+import closed_forms as cf
+
 UNIT = dyn.OscillatorModel(m=1.0, kappa=1.0)
 
 
 class TestPlanarSpectrum:
     def test_isotropic_levels(self):
-        table = sp.spectrum_n2(UNIT, 0.0, 0.0, 2)
+        table = cf.spectrum_n2(UNIT, 0.0, 0.0, 2)
         assert table.ground_state == pytest.approx(1.0)
         energies = {n: e for n, e in table.levels}
         assert energies[(1, 0)] == pytest.approx(2.0)
@@ -21,11 +25,11 @@ class TestPlanarSpectrum:
         assert energies[(2, 2)] == pytest.approx(5.0)
 
     def test_worked_ground_state(self):
-        table = sp.spectrum_n2(UNIT, 1.0, 0.0, 3)
+        table = cf.spectrum_n2(UNIT, 1.0, 0.0, 3)
         assert table.ground_state == pytest.approx(np.sqrt(5) / 2, abs=1e-12)
 
     def test_additivity(self):
-        table = sp.spectrum_n2(UNIT, 0.7, -0.3, 3)
+        table = cf.spectrum_n2(UNIT, 0.7, -0.3, 3)
         energies = {n: e for n, e in table.levels}
         wp, wm = table.frequencies
         for (np_, nm), e in energies.items():
@@ -35,31 +39,31 @@ class TestPlanarSpectrum:
                 assert energies[(np_, nm + 1)] - e == pytest.approx(wm, abs=1e-12)
 
     def test_balanced_fields_degenerate_levels(self):
-        table = sp.spectrum_n2(UNIT, 1.0, 1.0, 1)
+        table = cf.spectrum_n2(UNIT, 1.0, 1.0, 1)
         energies = {n: e for n, e in table.levels}
         assert energies[(1, 0)] == pytest.approx(energies[(0, 1)], abs=1e-12)
 
     def test_hbar_scaling(self):
         scaled = dyn.OscillatorModel(m=1.0, kappa=1.0, hbar=3.0)
-        t1 = sp.spectrum_n2(UNIT, 0.4, 0.1, 2)
-        t3 = sp.spectrum_n2(scaled, 0.4, 0.1, 2)
+        t1 = cf.spectrum_n2(UNIT, 0.4, 0.1, 2)
+        t3 = cf.spectrum_n2(scaled, 0.4, 0.1, 2)
         for (n1, e1), (n3, e3) in zip(t1.levels, t3.levels):
             assert n1 == n3
             assert e3 == pytest.approx(3.0 * e1, rel=1e-14)
 
     def test_ground_is_half_frequency_sum(self):
-        table = sp.spectrum_n2(UNIT, 0.9, -0.1, 2)
+        table = cf.spectrum_n2(UNIT, 0.9, -0.1, 2)
         assert table.ground_state == pytest.approx(0.5 * sum(table.frequencies), rel=1e-14)
 
 
 class TestDegenerateSpectrum:
     def test_worked_ladder(self):
-        table = sp.spectrum_degenerate_n2(UNIT, -1.0, 3)
+        table = cf.spectrum_degenerate_n2(UNIT, -1.0, 3)
         for n, e in table.levels:
             assert e == pytest.approx(0.5 * (n[0] + 0.5), abs=1e-14)
 
     def test_ground_state(self):
-        table = sp.spectrum_degenerate_n2(UNIT, -1.0, 0)
+        table = cf.spectrum_degenerate_n2(UNIT, -1.0, 0)
         assert table.ground_state == pytest.approx(0.25)
 
     def test_mass_elasticity_rescaling(self):
@@ -68,39 +72,135 @@ class TestDegenerateSpectrum:
         light = dyn.OscillatorModel(m=0.5, kappa=0.5)
         b = 2.0  # B = -1/C = 1 against sqrt(m kappa) = 1/2
         expected = UNIT.omega0 * b / (1 + b * b)
-        table = sp.spectrum_degenerate_n2(light, -1.0, 1)
+        table = cf.spectrum_degenerate_n2(light, -1.0, 1)
         assert table.frequencies[0] == pytest.approx(expected, rel=1e-12)
 
     def test_sign_recorded_separately(self):
         # Ladder frequency is |omega_r|; orientation lives with the reduced
         # structure.
-        rs = con.reduced_structure_n2(UNIT, 1.0)
-        table = sp.spectrum_degenerate_n2(UNIT, 1.0, 1)
+        rs = cf.reduced_structure_n2(UNIT, 1.0)
+        table = cf.spectrum_degenerate_n2(UNIT, 1.0, 1)
         assert rs.omega_r < 0
         assert table.frequencies[0] == pytest.approx(abs(rs.omega_r))
 
 
 class TestAxialSpectrum:
     def test_isotropic(self):
-        table = sp.spectrum_n3_parallel(UNIT, 0.0, 0.0, 1)
+        table = cf.spectrum_n3_parallel(UNIT, 0.0, 0.0, 1)
         assert table.ground_state == pytest.approx(1.5)
 
     def test_worked_ground_state(self):
-        table = sp.spectrum_n3_parallel(UNIT, 1.0, 0.0, 2)
+        table = cf.spectrum_n3_parallel(UNIT, 1.0, 0.0, 2)
         assert table.ground_state == pytest.approx(np.sqrt(5) / 2 + 0.5, abs=1e-12)
 
     def test_balanced_fields_exchange_degeneracy(self):
-        table = sp.spectrum_n3_parallel(UNIT, 1.0, 1.0, 1)
+        table = cf.spectrum_n3_parallel(UNIT, 1.0, 1.0, 1)
         energies = {n: e for n, e in table.levels}
         assert energies[(1, 0, 0)] == pytest.approx(energies[(0, 1, 0)], abs=1e-12)
 
     def test_classical_quantum_consistency(self):
-        table = sp.spectrum_n3_parallel(UNIT, 1.0, 0.5, 1)
+        table = cf.spectrum_n3_parallel(UNIT, 1.0, 0.5, 1)
         cfg = st.field_config_n3([0, 0, 1.0], [0, 0, 0.5])
         M, _ = dyn.flow_matrix(cfg, UNIT)
         eig = np.abs(np.linalg.eigvals(M).imag)
         for f in table.frequencies:
             assert np.min(np.abs(eig - f)) < 1e-9
+
+
+def core(fields, model=UNIT):
+    """`mode_frequencies` on the full pair, with the program's Lambda."""
+    return sp.mode_frequencies(st.build_omega(fields), sp.hessian_factor(model.hessian(fields.N)),
+                               st.poisson_matrix(fields))
+
+
+def core_restricted(fields, model=UNIT):
+    """`mode_frequencies` on the pair restricted to the terminal stage of
+    the constraint chain, V^T Omega V and V^T Hess V."""
+    v = con.gnh_from_model(fields, model).subspaces[-1]
+    return sp.mode_frequencies(v.T @ st.build_omega(fields) @ v,
+                               sp.hessian_factor(v.T @ model.hessian(fields.N) @ v))
+
+
+def rel_err(got, want) -> float:
+    return float(np.max(np.abs(np.asarray(got, dtype=float) / np.asarray(want, dtype=float) - 1.0)))
+
+
+def _mpmath_planar_frequencies(B, C):
+    """Mode frequencies of the planar unit oscillator from a 50-digit mpmath
+    eigensolve of -Omega^-1 Hess H, descending; no ncphase code."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        B, C = mp.mpf(B), mp.mpf(C)
+        omega = mp.matrix([[0, -B, 1, 0], [B, 0, 0, 1], [-1, 0, 0, C], [0, -1, -C, 0]])
+        eigvals = mp.eig(-mp.inverse(omega), left=False, right=False)
+        return [float(w) for w in sorted((mp.im(e) for e in eigvals), reverse=True)[:2]]
+
+
+# Planar B and chi = 1 + B C of the accuracy table in notes/decisions.md.
+TABLE = [(B, chi) for B in (1.0, 3.0, 0.3, -2.0) for chi in (1.0, 1e-2, 1e-4, 2e-5)]
+
+
+class TestModeFrequencies:
+    """The one spectrum core against the closed forms, dense eigensolves
+    and high-precision arithmetic."""
+
+    @pytest.mark.parametrize("B, C", [(0.0, 0.0), (1.0, 0.0), (0.7, -0.3), (1.0, 1.0),
+                                      (3.0, -0.25), (-2.0, 0.4)])
+    def test_planar_matches_closed_form(self, B, C):
+        w = core(st.field_config_n2(B, C))
+        assert rel_err(w, sorted(cf.spectrum_n2(UNIT, B, C, 0).frequencies, reverse=True)) <= 1e-12
+
+    @pytest.mark.parametrize("B, C", [(0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (1.0, 1.0)])
+    def test_axial_matches_closed_form(self, B, C):
+        w = core(st.field_config_n3([0, 0, B], [0, 0, C]))
+        want = sorted(cf.spectrum_n3_parallel(UNIT, B, C, 0).frequencies, reverse=True)
+        assert rel_err(w, want) <= 1e-12
+
+    @pytest.mark.parametrize("m, kappa, C", [(1.0, 1.0, -1.0), (0.5, 0.5, -1.0),
+                                             (2.0, 0.5, 0.7), (1.0, 3.0, 1.6)])
+    def test_chi0_terminal_pair_matches_closed_ladder(self, m, kappa, C):
+        model = dyn.OscillatorModel(m=m, kappa=kappa)
+        w = core_restricted(st.field_config_n2(-1.0 / C, C), model)
+        assert rel_err(w, cf.spectrum_degenerate_n2(model, C, 0).frequencies) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=hst.data(), n=hst.integers(1, 6),
+           m=hst.floats(0.1, 10.0), kappa=hst.floats(0.1, 10.0))
+    def test_random_fields_match_dense_eigensolve(self, data, n, m, kappa):
+        k = n * (n - 1) // 2
+        entries = data.draw(hst.lists(hst.floats(-1.0, 1.0), min_size=2 * k, max_size=2 * k))
+        blocks = []
+        for values in (entries[:k], entries[k:]):
+            a = np.zeros((n, n))
+            a[np.triu_indices(n, 1)] = values
+            blocks.append(a - a.T)
+        fields = st.FieldConfig(n, *blocks)
+        assume(abs(st.regularity(fields)) >= 0.1)
+        model = dyn.OscillatorModel(m=m, kappa=kappa)
+        w = core(fields, model)
+        dense = np.linalg.eigvals(st.poisson_matrix(fields) @ model.hessian(n))
+        assert np.all(np.diff(w) <= 0)
+        assert rel_err(w, np.sort(dense.imag)[::-1][:n]) <= 1e-10
+
+    @pytest.mark.parametrize("B, chi", TABLE)
+    def test_planar_table_against_mpmath(self, B, chi):
+        C = (chi - 1.0) / B
+        assert rel_err(core(st.field_config_n2(B, C)), _mpmath_planar_frequencies(B, C)) <= 2e-15
+
+    def test_table_resolves_the_closed_form_rounding(self):
+        # n2_frequencies rounds chi = 1 + B C before it divides by it.
+        worst = max(rel_err(sorted(cf.spectrum_n2(UNIT, B, (chi - 1.0) / B, 0).frequencies,
+                                   reverse=True),
+                            _mpmath_planar_frequencies(B, (chi - 1.0) / B))
+                    for B, chi in TABLE)
+        assert worst > 1e-12
+
+    @pytest.mark.parametrize("model", [dyn.OscillatorModel(m=1.0, kappa=0.0),
+                                       dyn.OscillatorModel(m=1.0, potential=dyn.LINEAR,
+                                                           Evec=(1.0, 0.0))])
+    def test_hessian_not_positive_definite_refused(self, model):
+        with pytest.raises(ValueError, match="not positive definite"):
+            sp.hessian_factor(model.hessian(2))
 
 
 class TestLimitScan:
@@ -234,19 +334,21 @@ class TestLadderOrderAtTies:
         (0.5, 1.0), (0.5, 1.0, 1.5),          # commensurate: exact ties across modes
     ])
     def test_ladder_matches_sorted(self, freqs, nmax):
-        table = sp._ladder(freqs, 1.0, nmax)
+        table = sp.ladder(freqs, 1.0, nmax)
         assert table.levels == _sorted_ladder(freqs, 1.0, nmax)
         assert len(table.levels) == (nmax + 1) ** len(freqs)
 
     @pytest.mark.parametrize("nmax", [0, 1, 7])
     @pytest.mark.parametrize("build", [
-        lambda nmax: sp.spectrum_degenerate_n2(UNIT, -1.0, nmax),
-        lambda nmax: sp.spectrum_n2(UNIT, 0.0, 0.0, nmax),     # isotropic
-        lambda nmax: sp.spectrum_n2(UNIT, 1.0, 1.0, nmax),     # balanced: 1 ulp apart
-        lambda nmax: sp.spectrum_n3_parallel(UNIT, 0.0, 0.0, nmax),
-        lambda nmax: sp.spectrum_n3_parallel(UNIT, 1.0, 1.0, nmax),
+        lambda nmax: cf.spectrum_degenerate_n2(UNIT, -1.0, nmax),
+        lambda nmax: cf.spectrum_n2(UNIT, 0.0, 0.0, nmax),     # isotropic
+        lambda nmax: cf.spectrum_n2(UNIT, 1.0, 1.0, nmax),     # balanced: 1 ulp apart
+        lambda nmax: cf.spectrum_n3_parallel(UNIT, 0.0, 0.0, nmax),
+        lambda nmax: cf.spectrum_n3_parallel(UNIT, 1.0, 1.0, nmax),
+        lambda nmax: sp.ladder(core(st.field_config_n2(1.0, 1.0)), 1.0, nmax),
+        lambda nmax: sp.ladder(core(st.field_config_n3([0, 0, 0.0], [0, 0, 0.0])), 1.0, nmax),
     ], ids=["degenerate", "planar-isotropic", "planar-balanced", "axial-isotropic",
-            "axial-balanced"])
+            "axial-balanced", "core-planar-balanced", "core-axial-isotropic"])
     def test_spectra_match_sorted(self, build, nmax):
         table = build(nmax)
         assert table.levels == _sorted_ladder(table.frequencies, table.hbar, nmax)
