@@ -473,17 +473,13 @@ def cmd_spectrum(rc: RunConfig, out_path: str | None, nmax: int) -> int:
     r = spectrum.hessian_factor(model.hessian(cfg.N))
     omega = structure.build_omega(cfg)
     if abs(structure.regularity(cfg)) < rc.tol_singular:
-        # Presymplectic: the modes of the terminal constraint stage.  The
-        # chain runs where Hess H = I, so its relative rank cutoff does not
-        # see the scales of m and kappa; the gradient does not move a mode.
-        white = spectrum.whiten(omega, r)
-        n = white.shape[0]
-        v = constrained.gnh_chain(white, np.eye(n), np.zeros(n)).subspaces[-1]
-        omega, r, lam = v.T @ white @ v, np.eye(v.shape[1]), None
+        # Presymplectic: the modes of the terminal constraint stage.
+        freqs = spectrum.mode_frequencies(spectrum.terminal_form(omega, r))
         kind = "degenerate-ladder"
     else:
-        lam, kind = structure.poisson_matrix(cfg, rc.tol_singular), "normal-modes"
-    table = spectrum.ladder(spectrum.mode_frequencies(omega, r, lam), model.hbar, nmax)
+        lam = structure.poisson_matrix(cfg, rc.tol_singular)
+        freqs, kind = spectrum.mode_frequencies(omega, r, lam), "normal-modes"
+    table = spectrum.ladder(freqs, model.hbar, nmax)
     _emit_json(
         {
             "kind": kind,

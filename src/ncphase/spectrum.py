@@ -12,12 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constrained import degenerate_omega_r
+from .constrained import degenerate_omega_r, gnh_chain
 from .dynamics import OscillatorModel, shift_modes
 
 # Largest ladder built, in levels; refused before any array is allocated.
 # At the cap an axial (d = 3) spectrum is about 200 MB of JSON.
 MAX_LEVELS = 2_000_000
+
+# Largest relative error bound of a reported frequency (_two_sided).
+MODE_ACCURACY = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,37 +88,62 @@ def whiten(omega, r) -> np.ndarray:
     return white
 
 
-def mode_frequencies(omega, r, lam=None) -> np.ndarray:
-    """Normal-mode frequencies of H = |R z|^2 / 2 under the two-form Omega,
-    in descending order: the symplectic eigenvalues of R^T R (Williamson).
-
-    The flow Lambda R^T R, with Lambda = -Omega^-1 (``lam`` when the caller
-    has a more accurate one), is similar to R Lambda R^T, and its inverse
-    to -R^-T Omega R^-1.  So the top halves of the Hermitian eigenvalues
-    of 1j R Lambda R^T and of -1j R^-T Omega R^-1 are the w and the 1/w.
-    Each solve is accurate to eps times its norm: the first keeps the modes
-    above sqrt(w_max w_min) and above its own noise floor, the second the
-    rest (notes/decisions.md).
-    """
-    n, odd = divmod(omega.shape[0], 2)
-    if n == 0 or odd:
-        raise ArithmeticError(f"a {omega.shape[0]}-dimensional phase space has no "
-                              "normal-mode pairs")
-    if lam is None:
-        lam = -np.linalg.inv(omega)
+def terminal_form(omega, r) -> np.ndarray:
+    """Omega on the terminal stage of the constraint chain, built where
+    Hess H = I (y = R z): the chain's relative rank cutoff then does not see
+    the scales of m and kappa.  The gradient offset does not move a mode."""
     white = whiten(omega, r)
-    # An unusable frequency of the discarded form may be inf or 0.
+    v = gnh_chain(white, np.eye(len(white)), np.zeros(len(white))).subspaces[-1]
+    return v.T @ white @ v
+
+
+def mode_frequencies(omega, r=None, lam=None) -> np.ndarray:
+    """Normal-mode frequencies of H = |R z|^2 / 2 (r=None: R = I) under the
+    two-form Omega, descending: the symplectic eigenvalues of R^T R.  The
+    flow Lambda R^T R (Lambda = -Omega^-1, or ``lam``) is similar to the
+    antisymmetric R Lambda R^T, and its inverse to -R^-T Omega R^-1.
+    Coordinates that no exact nonzero couples are solved apart."""
+    dim = omega.shape[0]
+    if dim == 0 or dim % 2:
+        raise ArithmeticError(f"a {dim}-dimensional phase space has no normal-mode pairs")
+    lam = -np.linalg.inv(omega) if lam is None else lam
+    white = omega if r is None else whiten(omega, r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = lam if r is None else r @ lam @ r.T
+    reach = np.eye(dim, dtype=bool)
+    for a in (omega, lam, white, flow) + (() if r is None else (r,)):
+        reach |= (a != 0) | (a.T != 0)
+    for _ in range(dim.bit_length()):  # squaring doubles the path length
+        reach = (reach.astype(float) @ reach) > 0
+    parts = [_two_sided(*(a[np.ix_(b, b)] for a in (omega, lam, white, flow)))
+             for b in map(np.flatnonzero, np.unique(reach, axis=0))]
+    return np.sort(np.concatenate(parts))[::-1]
+
+
+def _two_sided(omega, lam, white, flow) -> np.ndarray:
+    """One coupled block.  The top halves of the Hermitian eigenvalues of
+    1j R Lambda R^T and -1j R^-T Omega R^-1 are the w and the 1/w, each
+    accurate to about eps times its norm: the Lambda form keeps the modes
+    above sqrt(w_max w_min) and its own noise floor, the Omega form the
+    rest, and a mode is known to 16 n eps w_max / w or 16 n eps w / w_min
+    by the form kept (notes/decisions.md)."""
+    n = len(omega) // 2
+    floor = 16 * n * np.finfo(float).eps
+    # An underflowed Lambda would pass as a zero frequency; a frequency of
+    # the discarded form may be inf or 0.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # Lambda must invert -Omega to rounding: an underflowed Lambda
-        # would pass as a zero frequency.
         residual = np.abs(lam @ omega + np.eye(2 * n)).max()
         if not residual <= 1e-8 * np.abs(lam).max() * np.abs(omega).max():
             raise ArithmeticError("Lambda does not invert -Omega at these scales")
-        large = np.linalg.eigvalsh(1j * (r @ lam @ r.T))[n:][::-1]
+        large = np.linalg.eigvalsh(1j * flow)[n:][::-1]
         small = 1.0 / np.linalg.eigvalsh(-1j * white)[n:]
-        keep = ((large >= np.sqrt(large[0]) * np.sqrt(small[-1]))
-                & (large > 16 * n * np.finfo(float).eps * large[0]))
-    return np.sort(np.where(keep, large, small))[::-1]
+        keep = (large >= np.sqrt(large[0]) * np.sqrt(small[-1])) & (large > floor * large[0])
+        w = np.where(keep, large, small)
+        spread, bound = w.max() / w.min(), floor * np.where(keep, w.max() / w, w / w.min())
+    if not (bound <= MODE_ACCURACY).all():
+        raise ArithmeticError(f"a frequency spread of {spread:.3g} resolves a normal "
+                              f"mode only to {bound.max():.1e} relative")
+    return w
 
 
 @dataclass(frozen=True)

@@ -582,6 +582,52 @@ class TestSpectrum:
             want = float(mp.sqrt(mp.mpf(1e300) / mp.mpf(1e-300) / 2))
         assert np.abs(np.array(rep["frequencies"]) / want - 1.0).max() <= 1e-15
 
+    @pytest.mark.parametrize("bz, cz", [(1e8, 0.0), (1e300, 1e-300)])
+    def test_wide_axial_spread_keeps_the_middle_mode(self, tmp_path, bz, cz):
+        # w3 = omega0 = 1 lies between w+ ~ bz and w- ~ 1 / bz.  The axial
+        # pair shares no nonzero with the transverse ones, so it is solved
+        # on its own and takes none of the eps w_max noise of theirs.
+        rep = spectrum_report(tmp_path, dict(BASE, N=3, field={"Bvec": [0, 0, bz],
+                                                              "Cvec": [0, 0, cz]}))
+        want = sorted(cf.spectrum_n3_parallel(UNIT, bz, cz, 0).frequencies, reverse=True)
+        assert np.abs(np.array(rep["frequencies"]) / want - 1.0).max() <= 1e-12
+
+    def test_moderate_oblique_spread_matches_closed_form(self, tmp_path):
+        # Along (1, 2, 2)/3 every coordinate is coupled; at |B| = 100 the
+        # middle mode's bound 16 n eps w_max / w is 1e-12.
+        u = np.array([1.0, 2.0, 2.0]) / 3.0
+        rep = spectrum_report(tmp_path, dict(BASE, N=3, field={"Bvec": (100 * u).tolist(),
+                                                              "Cvec": [0, 0, 0]}))
+        want = sorted(cf.spectrum_n3_parallel(UNIT, 100.0, 0.0, 0).frequencies, reverse=True)
+        assert np.abs(np.array(rep["frequencies"]) / want - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("bmag, cmag", [(1e8, 0.0), (1e150, 1e-150)])
+    def test_unresolved_middle_mode_refused(self, tmp_path, capsys, bmag, cmag):
+        # The same fields along (1, 2, 2)/3: no block splits off, and each
+        # eigensolve puts noise of about eps sqrt(w_max / w_min) on w3 = 1.
+        # Unchecked, the core printed w3 = 1.0000000041 and 6.0e-135.
+        u = np.array([1.0, 2.0, 2.0]) / 3.0
+        path = write_config(tmp_path, dict(BASE, N=3, field={"Bvec": (bmag * u).tolist(),
+                                                             "Cvec": (cmag * u).tolist()}))
+        out = tmp_path / "sp.json"
+        assert run(["spectrum", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
+        err = capsys.readouterr().err
+        assert err.startswith("ncphase: numerical failure: a frequency spread of ")
+        assert err.endswith(" relative\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_axial_block_checks_its_own_lambda(self, tmp_path, capsys):
+        # chi = 1 + B C overflows: the transverse Lambda block is zero, as
+        # in the planar twin, while the axial block's entries of 1 would
+        # let a residual over the whole matrix pass.
+        path = write_config(tmp_path, dict(BASE, N=3, field={"Bvec": [0, 0, 1e300],
+                                                             "Cvec": [0, 0, 1e300]}))
+        out = tmp_path / "sp.json"
+        assert run(["spectrum", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
+        assert capsys.readouterr().err == (
+            "ncphase: numerical failure: Lambda does not invert -Omega at these scales\n")
+        assert not out.exists()
+
 
 class TestSizeCaps:
     """simulate, spectrum and limit-scan refuse over-cap sizes with exit 1
