@@ -5,8 +5,6 @@ or non-finite result, 3 integrator step rejection, 4 inconsistent
 constraint system.
 """
 
-from __future__ import annotations
-
 import argparse
 import itertools
 import json
@@ -14,8 +12,8 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,19 +50,25 @@ class ConfigError(NcphaseError):
     """Schema violation in a run configuration."""
 
 
-@dataclass
 class RunConfig:
-    N: int
-    cfg: structure.FieldConfig | None
-    n2: tuple | None             # (B, C) when the field section was planar scalars
-    n3: tuple | None             # (Bvec, Cvec) when it was spatial vectors
-    model: dynamics.OscillatorModel | None
-    state: np.ndarray | None
-    t_final: float | None
-    dt: float | None
-    method: str
-    tol_singular: float
-    problem: dict | None         # raw {omega, hessian, gradient} for `reduce`
+    """A validated run configuration, as `load_config` returns it."""
+
+    __slots__ = ("N", "cfg", "n2", "n3", "model", "state", "t_final", "dt",
+                 "method", "tol_singular", "problem")
+
+    def __init__(self, N: int, cfg, n2, n3, model, state, t_final, dt,
+                 method: str, tol_singular: float, problem):
+        self.N = N
+        self.cfg = cfg                 # structure.FieldConfig, or None
+        self.n2 = n2                   # (B, C) when the field section was planar scalars
+        self.n3 = n3                   # (Bvec, Cvec) when it was spatial vectors
+        self.model = model             # dynamics.OscillatorModel, or None
+        self.state = state
+        self.t_final = t_final
+        self.dt = dt
+        self.method = method
+        self.tol_singular = tol_singular
+        self.problem = problem         # raw {omega, hessian, gradient} for `reduce`
 
 
 _TOP_KEYS = {
@@ -87,10 +91,26 @@ def _check_keys(section: dict, allowed: set, where: str):
         raise _fail(f"{where}: unknown keys {sorted(unknown)} (fail-closed schema)")
 
 
+def _finite(value) -> bool:
+    """Whether a parsed JSON value holds no NaN or infinite float.
+
+    json accepts NaN, Infinity and overflowing literals such as 1e400.  A
+    numeric list is tested as one array, without a Python call per entry.
+    """
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, list):
+        try:
+            return bool(np.isfinite(np.array(value, dtype=float)).all())
+        except (TypeError, ValueError, OverflowError):
+            return all(map(_finite, value))
+    return True
+
+
 def _check_finite(value, where: str):
-    # json accepts NaN, Infinity and overflowing literals such as 1e400.
-    # List entries are checked inline: a call per matrix entry would cost
-    # milliseconds on an N = 50 config.
+    """Name the first non-finite float of a value that `_finite` refused."""
     if isinstance(value, float) and not math.isfinite(value):
         raise _fail(f"{where} must be finite, got {value!r}")
     if isinstance(value, dict):
@@ -98,9 +118,7 @@ def _check_finite(value, where: str):
             _check_finite(item, f"{where}.{key}")
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            if isinstance(item, (list, dict)) or (
-                    isinstance(item, float) and not math.isfinite(item)):
-                _check_finite(item, f"{where}[{i}]")
+            _check_finite(item, f"{where}[{i}]")
 
 
 def _tolerance(value, where: str) -> float:
@@ -150,7 +168,8 @@ def load_config(path: str) -> RunConfig:
         raise _fail(f"{path}: exactly one of 'field' or 'problem' must be present")
 
     for key, section in raw.items():
-        _check_finite(section, f"{path}: {key}")
+        if not _finite(section):
+            _check_finite(section, f"{path}: {key}")
 
     tol = structure.TOL_SINGULAR
     env = os.environ.get(ENV_TOL)
@@ -285,8 +304,7 @@ def _write_atomic(path: str | None, chunks):
         raise
 
 
-@dataclass(frozen=True)
-class _Encoded:
+class _Encoded(NamedTuple):
     """JSON text already laid out for its place in the document."""
 
     text: str
@@ -315,6 +333,8 @@ def _json_text(obj, indent: str = "") -> str:
         if not math.isfinite(obj):
             raise ArithmeticError(f"non-finite number {obj!r} in the JSON output")
         return float.__repr__(obj)
+    if isinstance(obj, _Encoded):  # a NamedTuple: test it before tuple
+        return obj.text
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -333,8 +353,6 @@ def _json_text(obj, indent: str = "") -> str:
         items = [encode_basestring_ascii(key) + ": " + _json_text(value, inner)
                  for key, value in sorted(obj.items())]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(obj, _Encoded):
-        return obj.text
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

@@ -11,13 +11,11 @@ stage adds the rows along which the combined system
 fails to be solvable, and stops when no new independent row appears.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InconsistentSystem, NoKernel
+from .errors import InconsistentSystem
 from .dynamics import HARMONIC, OscillatorModel
 from .structure import FieldConfig, build_omega
 
@@ -38,8 +36,7 @@ def kernel(omega: np.ndarray, tol_factor: float = RANK_TOL_FACTOR) -> np.ndarray
     return vt[mask].T
 
 
-@dataclass(frozen=True)
-class LinearConstraints:
+class LinearConstraints(NamedTuple):
     """Affine constraint rows: z admissible iff matrix @ z + offset = 0."""
 
     matrix: np.ndarray
@@ -53,17 +50,6 @@ class LinearConstraints:
         return float(r) if z.ndim == 1 else r
 
 
-def secondary_constraints(cfg: FieldConfig, model: OscillatorModel) -> LinearConstraints:
-    """Solvability rows <grad H(z) | Z> = 0 for each kernel direction Z."""
-    z_basis = kernel(build_omega(cfg))
-    if z_basis.shape[1] == 0:
-        raise NoKernel("Omega is nondegenerate; no secondary constraints arise")
-    hess = model.hessian(cfg.N)
-    g0 = model.gradient_offset(cfg.N)
-    return LinearConstraints(z_basis.T @ hess, z_basis.T @ g0)
-
-
-@dataclass
 class ConstraintChain:
     """Nested subspaces M_1 >= M_2 >= ... with the terminal tangent flow.
 
@@ -71,15 +57,16 @@ class ConstraintChain:
     of stage k; points[k] a particular point on the stage.  The terminal
     flow is dz/dt = reduced_flow @ z + flow_offset, valid on the terminal
     stage, with any residual gauge freedom spanned by gauge_basis.
+    `gnh_chain` fills the chain in stage by stage.
     """
 
-    subspaces: list = field(default_factory=list)
-    points: list = field(default_factory=list)
-    constraints: LinearConstraints | None = None
-    reduced_flow: np.ndarray | None = None
-    flow_offset: np.ndarray | None = None
-    gauge_basis: np.ndarray | None = None
-    status: str = "consistent"
+    __slots__ = ("subspaces", "points", "constraints", "reduced_flow",
+                 "flow_offset", "gauge_basis", "status")
+
+    def __init__(self):
+        self.subspaces, self.points = [], []
+        self.constraints = self.reduced_flow = self.flow_offset = self.gauge_basis = None
+        self.status = "consistent"
 
     @property
     def dimensions(self) -> list:

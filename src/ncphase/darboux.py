@@ -6,9 +6,7 @@ and spatial constant-field cases and the single-charge shears; a pivoted
 symplectic orthogonalization handles any nondegenerate Omega.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +23,7 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True)
-class DarbouxMap:
+class DarbouxMap(NamedTuple):
     """Invertible linear map z -> zeta = T z with T^T J T = Omega."""
 
     T: np.ndarray
@@ -66,8 +63,7 @@ def _finish(T: np.ndarray, Tinv: np.ndarray, omega: np.ndarray, bound: float) ->
     return DarbouxMap(T, Tinv, res, dmap.cond)
 
 
-@dataclass(frozen=True)
-class N2Coefficients:
+class N2Coefficients(NamedTuple):
     """Planar regularity data: chi = 1 + CB and the branch scalar u."""
 
     chi: float
@@ -85,8 +81,7 @@ def n2_coefficients(B: float, C: float, tol: float = TOL_SINGULAR) -> N2Coeffici
     return N2Coefficients(chi, 0.5 * (1.0 + np.sqrt(chi)))
 
 
-@dataclass(frozen=True)
-class N3Coefficients:
+class N3Coefficients(NamedTuple):
     """Spatial regularity data with the mixing scalars gamma, gamma_prime.
 
     Both scalars are 0/0 forms in theta = C.B at theta = 0; they are

@@ -10,13 +10,11 @@ the block map that advances a trajectory sqrt(steps) rows at a time.
 degenerate constraint chain is stepped by the same code.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .darboux import darboux_n2, darboux_n3, n2_coefficients
+from .darboux import darboux_n2, darboux_n3, n2_coefficients, n3_coefficients
 from .errors import DegenerateChi, StepRejected
 from .structure import (
     TOL_SINGULAR,
@@ -122,7 +120,6 @@ def _rowdot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-@dataclass(frozen=True)
 class OscillatorModel:
     """Mass, elasticity (or constant force) and the action scale hbar.
 
@@ -130,26 +127,25 @@ class OscillatorModel:
     particle); "linear" uses V = -Evec.q.
     """
 
-    m: float
-    kappa: float = 0.0
-    potential: str = HARMONIC
-    Evec: tuple | None = None
-    hbar: float = 1.0
+    __slots__ = ("m", "kappa", "potential", "Evec", "hbar")
 
-    def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if self.potential == HARMONIC:
-            if self.kappa < 0:
-                raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        elif self.potential == LINEAR:
-            if self.Evec is None:
+    def __init__(self, m: float, kappa: float = 0.0, potential: str = HARMONIC,
+                 Evec: tuple | None = None, hbar: float = 1.0):
+        if m <= 0:
+            raise ValueError(f"mass must be positive, got {m}")
+        if hbar <= 0:
+            raise ValueError(f"hbar must be positive, got {hbar}")
+        if potential == HARMONIC:
+            if kappa < 0:
+                raise ValueError(f"kappa must be nonnegative, got {kappa}")
+        elif potential == LINEAR:
+            if Evec is None:
                 raise ValueError("linear potential requires Evec")
-            object.__setattr__(self, "Evec", tuple(float(e) for e in self.Evec))
+            Evec = tuple(float(e) for e in Evec)
         else:
-            raise ValueError(f"unknown potential {self.potential!r}")
+            raise ValueError(f"unknown potential {potential!r}")
+        self.m, self.kappa, self.potential = m, kappa, potential
+        self.Evec, self.hbar = Evec, hbar
 
     @property
     def omega0(self) -> float:
@@ -200,8 +196,7 @@ def flow_matrix(cfg: FieldConfig, model: OscillatorModel,
         return lam @ model.hessian(cfg.N), lam @ model.gradient_offset(cfg.N)
 
 
-@dataclass(frozen=True)
-class N2Frequencies:
+class N2Frequencies(NamedTuple):
     """Renormalized planar oscillator data.
 
     omega0_prime = (omega0 / 2 chi) sqrt((b-c)^2 + 4 chi), the induced
@@ -264,8 +259,7 @@ def n2_frequencies(model: OscillatorModel, B: float, C: float,
     )
 
 
-@dataclass(frozen=True)
-class ShiftModes:
+class ShiftModes(NamedTuple):
     """Complex normal-mode content of a planar state.
 
     q(t) = q_coeff_plus A+(t) + q_coeff_minus A-*(t) with
@@ -320,19 +314,17 @@ def angular_momentum(zeta):
     return float(l3) if zeta.ndim == 1 else l3
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled flow with per-sample energy and, when defined, the Darboux
     angular momentum about the third axis."""
 
-    times: np.ndarray
-    states: np.ndarray
-    energies: np.ndarray
-    lambda3: np.ndarray | None
+    __slots__ = ("times", "states", "energies", "lambda3")
 
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
+    def __init__(self, times: np.ndarray, states: np.ndarray, energies: np.ndarray,
+                 lambda3: np.ndarray | None):
+        if np.any(np.diff(times) <= 0):
             raise ValueError("sample times must be strictly increasing")
+        self.times, self.states, self.energies, self.lambda3 = times, states, energies, lambda3
 
 
 def midpoint_transfer(M: np.ndarray, k: np.ndarray, dt: float):
@@ -392,19 +384,21 @@ def affine_rows(e: np.ndarray, z0, steps: int) -> np.ndarray:
 
 def _darboux_for_lambda3(cfg: FieldConfig):
     # Lambda3 is reported only where a closed-form chart exists: planar
-    # configs and axis-aligned spatial configs.
+    # configs and axis-aligned spatial configs whose chart coefficients are
+    # finite (chi = 1 + C.B overflows at extreme fields).
+    sc, vecs = n2_scalars(cfg), n3_vectors(cfg)
+    if sc is not None:
+        coefficients, chart, args = n2_coefficients, darboux_n2, sc
+    elif vecs is not None and not (np.any(vecs[0][:2]) or np.any(vecs[1][:2])):
+        coefficients, chart, args = n3_coefficients, darboux_n3, vecs
+    else:
+        return None
     try:
-        sc = n2_scalars(cfg)
-        if sc is not None:
-            return darboux_n2(*sc)
-        vecs = n3_vectors(cfg)
-        if vecs is not None:
-            bv, cv = vecs
-            if abs(bv[0]) + abs(bv[1]) + abs(cv[0]) + abs(cv[1]) == 0.0:
-                return darboux_n3(bv, cv)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            finite = np.isfinite(coefficients(*args)).all()
     except DegenerateChi:
         return None
-    return None
+    return chart(*args) if finite else None
 
 
 def affine_flow(M: np.ndarray, k: np.ndarray, z0, dt: float, steps: int,

@@ -19,8 +19,6 @@ with whole-array numpy operations:
   NUL and one ``bytes.translate`` deletes them.
 """
 
-from __future__ import annotations
-
 import functools
 from typing import NamedTuple
 

@@ -6,9 +6,7 @@ hbar * omega * (n + 1/2).  `mode_frequencies` finds the frequencies of any
 pair (Omega, Hess H), so one core serves every field and every N.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +21,7 @@ MAX_LEVELS = 2_000_000
 MODE_ACCURACY = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumTable:
+class SpectrumTable(NamedTuple):
     """Energy ladder sorted by (energy, n): level k has the mode quantum
     numbers quanta[k] (ints, one column per frequency) and energies[k]."""
 
@@ -135,7 +132,13 @@ def _two_sided(omega, lam, white, flow) -> np.ndarray:
         residual = np.abs(lam @ omega + np.eye(2 * n)).max()
         if not residual <= 1e-8 * np.abs(lam).max() * np.abs(omega).max():
             raise ArithmeticError("Lambda does not invert -Omega at these scales")
-        large = np.linalg.eigvalsh(1j * flow)[n:][::-1]
+        try:
+            large = np.linalg.eigvalsh(1j * flow)[n:][::-1]
+        except np.linalg.LinAlgError as exc:
+            # fmax skips the NaN of inf * 0 and names the overflow.
+            largest = np.fmax.reduce(np.abs(flow), axis=None)
+            raise ArithmeticError(f"{exc} for the whitened flow R Lambda R^T "
+                                  f"(largest magnitude {largest:.3e})") from None
         small = 1.0 / np.linalg.eigvalsh(-1j * white)[n:]
         keep = (large >= np.sqrt(large[0]) * np.sqrt(small[-1])) & (large > floor * large[0])
         w = np.where(keep, large, small)
@@ -146,8 +149,7 @@ def _two_sided(omega, lam, white, flow) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class LimitScanRow:
+class LimitScanRow(NamedTuple):
     """One chi = eps^2 sample of the degenerate-limit study."""
 
     epsilon: float
@@ -200,11 +202,3 @@ def chi_limit_scan(model: OscillatorModel, B: float, eps_values,
             ))
     return rows
 
-
-def loglog_slope(x, y) -> float:
-    """Least-squares slope of log y against log x (order-fit helper)."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(y, dtype=float))
-    a = np.vstack([np.ones_like(lx), lx]).T
-    coef, *_ = np.linalg.lstsq(a, ly, rcond=None)
-    return float(coef[1])

@@ -10,9 +10,7 @@ and the Poisson matrix is Lambda = -Omega^{-1}, assembled from closed-form
 blocks built out of Psi = I - rG.eF and Phi = I - eF.rG.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,31 +40,29 @@ def canonical_j(N: int) -> np.ndarray:
     return j
 
 
-@dataclass(frozen=True)
 class FieldConfig:
     """Dimension N plus the constant coupled field matrices.
 
     eF lives on q-space (charge times magnetic field), rG on p-space
-    (dual charge times dual field).  Both must be antisymmetric N x N.
+    (dual charge times dual field).  Both must be antisymmetric N x N;
+    they are stored as read-only float copies.
     """
 
-    N: int
-    eF: np.ndarray
-    rG: np.ndarray
+    __slots__ = ("N", "eF", "rG")
 
-    def __post_init__(self):
-        if int(self.N) < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
-        for name in ("eF", "rG"):
-            m = np.array(getattr(self, name), dtype=float)
-            if m.shape != (self.N, self.N):
-                raise ValueError(f"{name} must be {self.N}x{self.N}, got {m.shape}")
+    def __init__(self, N: int, eF, rG):
+        if int(N) < 1:
+            raise ValueError(f"N must be a positive integer, got {N}")
+        self.N = N = int(N)
+        for name, m in (("eF", eF), ("rG", rG)):
+            m = np.array(m, dtype=float)
+            if m.shape != (N, N):
+                raise ValueError(f"{name} must be {N}x{N}, got {m.shape}")
             scale = max(1.0, np.abs(m).max())
             if np.abs(m + m.T).max() > 1e-14 * scale:
                 raise ValueError(f"{name} is not antisymmetric")
             m.setflags(write=False)
-            object.__setattr__(self, name, m)
+            setattr(self, name, m)
 
 
 def field_config_n2(B: float, C: float) -> FieldConfig:
@@ -111,8 +107,7 @@ def build_omega(cfg: FieldConfig) -> np.ndarray:
     return omega
 
 
-@dataclass(frozen=True)
-class PsiPhiPair:
+class PsiPhiPair(NamedTuple):
     """Factorization matrices Psi = I - rG.eF and Phi = I - eF.rG (Phi = Psi^T)."""
 
     Psi: np.ndarray
@@ -181,9 +176,12 @@ def poisson_matrix(cfg: FieldConfig, tol_singular: float = TOL_SINGULAR) -> np.n
     ])
     lam = (0.5 * (lam_ld - lam_ld.T)).astype(float)
 
+    # The error is relative to the dense inverse: a Lambda lost to overflow
+    # (all zero once chi = 1 + B C overflows) is refused, and so is a NaN.
     dense = -np.linalg.inv(build_omega(cfg))
-    err = np.abs(lam - dense).max() / max(1.0, np.abs(lam).max())
-    if err > 1e-6:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        err = np.abs(lam - dense).max() / np.abs(dense).max()
+    if not err <= 1e-6:
         raise ArithmeticError(
             f"closed-form Poisson blocks disagree with dense inversion (rel {err:.3e})"
         )

@@ -1,8 +1,6 @@
 """Rotation generators, momentum maps and field-invariance checks."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,8 +9,7 @@ from .errors import NotARotation
 from .structure import FieldConfig, build_omega
 
 
-@dataclass(frozen=True)
-class RotationGenerator:
+class RotationGenerator(NamedTuple):
     """Antisymmetric generator of the rotation in the (alpha, beta) plane."""
 
     alpha: int
@@ -63,11 +60,16 @@ def finite_rotation(N: int, coeffs: dict) -> np.ndarray:
     return expm(g)
 
 
-@dataclass(frozen=True)
 class MomentumValue:
-    """Antisymmetric collection of plane momenta J_ab = -J_ba."""
+    """Antisymmetric collection of plane momenta J_ab = -J_ba.
 
-    components: dict
+    A plain class, not a NamedTuple: indexing takes a plane (a, b).
+    """
+
+    __slots__ = ("components",)
+
+    def __init__(self, components: dict):
+        self.components = components
 
     def __getitem__(self, pair) -> float:
         a, b = pair
@@ -104,8 +106,7 @@ def momentum_gradient(z, a: int, b: int) -> np.ndarray:
     return np.concatenate([m.T @ p, m @ q])
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     """Residuals of the field-invariance conditions under a rotation."""
 
     symplectic: bool

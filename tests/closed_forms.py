@@ -7,7 +7,7 @@ not called `oracles`, which would shadow the benchmark's `oracles` module
 when pytest collects both directories in one run.)
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from ncphase import constrained as con
 from ncphase import dynamics as dyn
 from ncphase import spectrum as sp
 from ncphase import structure as st
-from ncphase.errors import OffConstraint, SingularOmega
+from ncphase.errors import NoKernel, OffConstraint, SingularOmega
 
 
 def refined_inv(a) -> np.ndarray:
@@ -110,8 +110,7 @@ def spectrum_n3_parallel(model: dyn.OscillatorModel, B: float, C: float,
     return sp.ladder((fr.omega_plus, fr.omega_minus, model.omega0), model.hbar, nmax)
 
 
-@dataclass(frozen=True)
-class ReducedOscillatorN2:
+class ReducedOscillatorN2(NamedTuple):
     """Reduced structure on the secondary constraint subspace.
 
     bracket_qqdag is the fundamental bracket {q, q*}; the reduced
@@ -145,3 +144,24 @@ def reduced_structure_n2(model: dyn.OscillatorModel, C: float) -> ReducedOscilla
         h_r_coeff=float(denom * model.kappa / 2.0),
         a_scale=float(denom / np.sqrt(2.0 * abs(C))),
     )
+
+
+def secondary_constraints(cfg: st.FieldConfig,
+                          model: dyn.OscillatorModel) -> con.LinearConstraints:
+    """Solvability rows <grad H(z) | Z> = 0 for each kernel direction Z of
+    Omega: the first stage of `constrained.gnh_chain`, built directly."""
+    z_basis = con.kernel(st.build_omega(cfg))
+    if z_basis.shape[1] == 0:
+        raise NoKernel("Omega is nondegenerate; no secondary constraints arise")
+    hess = model.hessian(cfg.N)
+    g0 = model.gradient_offset(cfg.N)
+    return con.LinearConstraints(z_basis.T @ hess, z_basis.T @ g0)
+
+
+def loglog_slope(x, y) -> float:
+    """Least-squares slope of log y against log x (order-fit helper)."""
+    lx = np.log(np.asarray(x, dtype=float))
+    ly = np.log(np.asarray(y, dtype=float))
+    a = np.vstack([np.ones_like(lx), lx]).T
+    coef, *_ = np.linalg.lstsq(a, ly, rcond=None)
+    return float(coef[1])

@@ -181,7 +181,7 @@ def test_degenerate_regime():
         max(np.abs(np.sort(eig.imag) - np.array([-0.5, 0.5])).max(), np.abs(eig.real).max())
     )
 
-    lc = con.secondary_constraints(cfg, UNIT)
+    lc = cf.secondary_constraints(cfg, UNIT)
     z0 = np.array([1.0, 0.0, 0.0, 1.0])
     times = np.linspace(0.0, 10 * 2 * np.pi / 0.5, 2000)
     states = dyn.affine_flow(chain.reduced_flow, chain.flow_offset, z0, times[1], 1999)
@@ -208,7 +208,7 @@ SCAN_EPS = np.geomspace(1e-1, 1e-3, 9)
 def test_limit_study_slow_frequency_order():
     rows = sp.chi_limit_scan(UNIT, 1.0, SCAN_EPS)
     defects = [abs(r.omega_minus - 0.5) for r in rows]
-    slope = sp.loglog_slope(SCAN_EPS, defects)
+    slope = cf.loglog_slope(SCAN_EPS, defects)
     report(
         "limit-study-slow-frequency",
         abs(slope - 2.0) <= 0.1,
@@ -236,7 +236,7 @@ def test_limit_study_fast_amplitude_order():
     B = 1.0
     rows = sp.chi_limit_scan(UNIT, B, SCAN_EPS)
     amps = [r.fast_amplitude for r in rows]
-    slope = sp.loglog_slope(SCAN_EPS, amps)
+    slope = cf.loglog_slope(SCAN_EPS, amps)
     mk = UNIT.m * UNIT.kappa
     prefactor = mk**2 / (B**2 + mk) ** 2
     prefactor_dev = max(abs(r.fast_amplitude / r.epsilon**2 - prefactor) / prefactor

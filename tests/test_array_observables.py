@@ -13,6 +13,8 @@ import pytest
 
 from ncphase import cli, constrained, darboux, dynamics, structure
 
+import closed_forms as cf
+
 
 def scalar_hamiltonian(model, z):
     N = z.size // 2
@@ -76,8 +78,8 @@ def test_residual_rows_match_scalar_calls(N):
 
 
 def test_secondary_constraint_residual_rows_match_scalar_calls():
-    lc = constrained.secondary_constraints(structure.field_config_n2(1.0, -1.0),
-                                           dynamics.OscillatorModel(m=1.0, kappa=1.0))
+    lc = cf.secondary_constraints(structure.field_config_n2(1.0, -1.0),
+                                  dynamics.OscillatorModel(m=1.0, kappa=1.0))
     states = random_states(np.random.default_rng(5), 2)
     want = np.array([scalar_residual(lc, z) for z in states])
     assert np.array_equal(lc.residual(states), want)

@@ -110,6 +110,23 @@ class TestConfigValidation:
         assert run(["reduce", "--config", str(path)]) == cli.EXIT_CONFIG
         assert "problem.hessian[1][1] must be finite, got inf" in capsys.readouterr().err
 
+    def test_non_finite_entry_of_a_ragged_list_named(self, tmp_path, capsys):
+        # A ragged list is not one array: its items are tested one by one.
+        path = write_config(tmp_path, dict(BASE, state=[[1.0, 2.0], [float("nan")]]))
+        assert run(["brackets", "--config", path]) == cli.EXIT_CONFIG
+        assert "state[1][0] must be finite, got nan" in capsys.readouterr().err
+
+    def test_finite_config_is_not_walked(self, tmp_path, monkeypatch):
+        # The per-entry walk only names the key of a value that failed.
+        def walk(value, where):
+            raise AssertionError(f"walked {where}")
+
+        monkeypatch.setattr(cli, "_check_finite", walk)
+        cfg = dict(_GENERIC, state=[0.5] * 8, time={"t_final": 1.0, "dt": 0.1},
+                   tolerances={"singular": 1e-10})
+        rc = cli.load_config(write_config(tmp_path, cfg))
+        assert rc.cfg.N == 4 and rc.state.shape == (8,)
+
     @pytest.mark.parametrize("tol", [-1.0, 0.0])
     def test_non_positive_tolerance_refused(self, tmp_path, capsys, tol):
         # At chi = 0 a negative tolerance used to end in "Singular matrix".
@@ -250,13 +267,25 @@ class TestSimulate:
         assert not out.exists()
 
     def test_non_finite_trajectory_leaves_no_warning_on_stderr(self, tmp_path):
-        # m = 1: the ~990 squarings of the exact propagator overflow.
-        # m = 1e-10: Lambda . Hess(H) itself overflows in flow_matrix, on
-        # both methods.  numpy must not print a RuntimeWarning beside the
-        # refusal.
-        for i, (m, method) in enumerate(
-                [(1.0, "exact"), (1e-10, "exact"), (1e-10, "midpoint")]):
-            cfg = dict(BASE, field={"B": 1e300, "C": 1e-300},
+        # B = 1e300, C = 1e-300, m = 1: the ~990 squarings of the exact
+        # propagator overflow.  m = 1e-10: Lambda . Hess(H) itself overflows
+        # in flow_matrix, on both methods.  B = -1e300, C = 1e150 and
+        # B = 1e150, C = 1e300: chi = 1 + B C overflows, Lambda is lost and
+        # the Darboux chart for Lambda3 has no finite coefficients.  numpy
+        # must not print a RuntimeWarning beside the refusal.
+        trajectory = ("ncphase simulate: non-finite trajectory (overflow or invalid "
+                      "arithmetic in the flow); no output written")
+        poisson = ("ncphase: numerical failure: closed-form Poisson blocks disagree "
+                   "with dense inversion (rel 1.000e+00)")
+        cases = [
+            ((1e300, 1e-300), 1.0, "exact", trajectory),
+            ((1e300, 1e-300), 1e-10, "exact", trajectory),
+            ((1e300, 1e-300), 1e-10, "midpoint", trajectory),
+            ((-1e300, 1e150), 1.0, "exact", poisson),
+            ((1e150, 1e300), 1.0, "exact", poisson),
+        ]
+        for i, ((b, c), m, method, line) in enumerate(cases):
+            cfg = dict(BASE, field={"B": b, "C": c},
                        model={"m": m, "kappa": 1.0}, state=[1.0, 0.0, 0.0, 1.0],
                        time={"t_final": 1.0, "dt": 0.1, "method": method})
             path = write_config(tmp_path, cfg, name=f"config{i}.json")
@@ -266,12 +295,27 @@ class TestSimulate:
                  "--config", path, "--out", str(out)],
                 capture_output=True, text=True,
             )
-            assert proc.returncode == cli.EXIT_SINGULAR, (m, method)
-            assert proc.stderr.splitlines() == [
-                "ncphase simulate: non-finite trajectory (overflow or invalid "
-                "arithmetic in the flow); no output written"
-            ], (m, method)
+            assert proc.returncode == cli.EXIT_SINGULAR, (b, c, m, method)
+            assert proc.stderr.splitlines() == [line], (b, c, m, method)
             assert not out.exists()
+
+    def test_chart_without_finite_coefficients_drops_lambda3(self, tmp_path):
+        # Axial Bz = Cz = 1e300: chi overflows, but Lambda passes its
+        # cross-check (the axial block carries its norm).  The closed-form
+        # chart then has no finite coefficients, so there is no Lambda3
+        # column, and no warning or SVD failure from building the chart.
+        cfg = {"schema_version": 1, "N": 3,
+               "field": {"Bvec": [0.0, 0.0, 1e300], "Cvec": [0.0, 0.0, 1e300]},
+               "model": BASE["model"], "state": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+               "time": {"t_final": 1.0, "dt": 0.5}}
+        out = tmp_path / "axial.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "ncphase.cli", "simulate",
+             "--config", write_config(tmp_path, cfg), "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+        assert out.read_text().splitlines()[0] == "t,q1,q2,q3,p1,p2,p3,H"
 
     def test_off_constraint_initial_state(self, tmp_path):
         cfg = dict(BASE, field={"B": 1.0, "C": -1.0}, state=[1.0, 0.0, 0.0, 0.0],
@@ -538,12 +582,19 @@ class TestSpectrum:
         assert abs(rep["frequencies"][0] / want - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("field, model, message", [
-        # chi = 1 + B C overflows and poisson_matrix returns a zero Lambda.
+        # chi = 1 + B C overflows: the closed-form Lambda is zero, and the
+        # cross-check in poisson_matrix, relative to the dense inverse,
+        # refuses it.
         ({"B": 1e150, "C": 1e300}, {"m": 1.0, "kappa": 1e300},
-         "Lambda does not invert -Omega at these scales"),
+         "closed-form Poisson blocks disagree with dense inversion (rel 1.000e+00)"),
         # omega_r = 1e-600: rG m overflows where Hess H = I.
         ({"B": -1e-300, "C": 1e300}, {"m": 1e300, "kappa": 1.0},
          "Omega overflows in the coordinates where Hess H = I"),
+        # R Lambda R^T = 1e150 Lambda_pp 1e150 overflows, and LAPACK's
+        # eigensolve of it fails.
+        ({"B": 1e300, "C": 1e-300}, {"m": 1e-300, "kappa": 1.0},
+         "Eigenvalues did not converge for the whitened flow R Lambda R^T "
+         "(largest magnitude inf)"),
     ])
     def test_unresolvable_scales_refused(self, tmp_path, capsys, field, model, message):
         path = write_config(tmp_path, dict(BASE, field=field, model=model))
@@ -826,14 +877,34 @@ class TestNumericalFailure:
 
 
     def test_non_finite_brackets_refused(self, tmp_path, capsys):
-        # chi = 1 + 1e600 overflows: det Psi and the Poisson blocks are not
-        # finite, and json.dumps would have written Infinity and NaN.
-        path = write_config(tmp_path, dict(BASE, field={"B": 1e300, "C": 1e300}))
+        # chi = 1 + 1e200: Lambda is finite, but det Psi = chi^2 overflows,
+        # and json.dumps would have written Infinity.
+        path = write_config(tmp_path, dict(BASE, field={"B": 1e100, "C": 1e100}))
         out = tmp_path / "br.json"
         assert run(["brackets", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
         err = capsys.readouterr().err
         assert err.startswith("ncphase: numerical failure: non-finite number ")
         assert err.endswith(" in the JSON output\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["brackets", "simulate", "spectrum"])
+    def test_zero_lambda_of_overflowing_chi_refused(self, tmp_path, command):
+        # chi = 1 + B C = 1e450 overflows and the closed-form Lambda is all
+        # zero, where the true blocks are about 1e-150 and 1e-300.  The
+        # cross-check, relative to the dense inverse, refuses it on every
+        # route that builds Lambda; an absolute test below 1 passed it.
+        cfg = dict(BASE, field={"B": 1e150, "C": 1e300}, state=[1.0, 0.0, 0.0, 1.0],
+                   time={"t_final": 1.0, "dt": 0.5})
+        out = tmp_path / "never.out"
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "ncphase.cli", command,
+             "--config", write_config(tmp_path, cfg), "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == cli.EXIT_SINGULAR
+        assert proc.stderr.splitlines() == [
+            "ncphase: numerical failure: closed-form Poisson blocks disagree "
+            "with dense inversion (rel 1.000e+00)"]
         assert not out.exists()
 
     def test_non_finite_level_energy_refused(self, tmp_path, capsys):
@@ -950,6 +1021,13 @@ for argv in (["brackets", "--config", {midpoint!r}],
     assert ncphase.cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0
     assert "scipy" not in sys.modules, argv
 """
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_import_does_not_load_dataclasses(self):
+        # Records are NamedTuples or __slots__ classes: creating the frozen
+        # dataclasses once cost about half of a fresh `import ncphase.cli`.
+        script = "import sys, ncphase.cli; assert 'dataclasses' not in sys.modules"
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 

@@ -43,7 +43,7 @@ class TestKernel:
 
 class TestSecondaryConstraints:
     def test_planar_harmonic_rows(self):
-        lc = con.secondary_constraints(DEGENERATE, UNIT)
+        lc = cf.secondary_constraints(DEGENERATE, UNIT)
         assert lc.matrix.shape == (2, 4)
         assert np.abs(lc.offset).max() == 0.0
         # Row space equals span{q1 - p2, q2 + p1} (fixed by the kernel).
@@ -53,12 +53,12 @@ class TestSecondaryConstraints:
         assert np.abs(p_rows - p_target).max() <= 1e-12
 
     def test_on_constraint_state_has_zero_residual(self):
-        lc = con.secondary_constraints(DEGENERATE, UNIT)
+        lc = cf.secondary_constraints(DEGENERATE, UNIT)
         assert lc.residual(ON_M2) <= 1e-12
 
     def test_linear_potential_offsets(self):
         model = dyn.OscillatorModel(m=1.0, potential="linear", Evec=(1.0, 0.0))
-        lc = con.secondary_constraints(DEGENERATE, model)
+        lc = cf.secondary_constraints(DEGENERATE, model)
         # Gradient offset feeds a state-independent part; momentum block
         # still carries the z-dependence.
         assert np.abs(lc.offset).max() > 0.1
@@ -67,7 +67,7 @@ class TestSecondaryConstraints:
 
     def test_nondegenerate_raises(self):
         with pytest.raises(NoKernel):
-            con.secondary_constraints(st.field_config_n2(1.0, 1.0), UNIT)
+            cf.secondary_constraints(st.field_config_n2(1.0, 1.0), UNIT)
 
 
 class TestGnhChain:
@@ -94,7 +94,7 @@ class TestGnhChain:
 
     def test_terminal_matches_secondary_constraints(self):
         chain = con.gnh_from_model(DEGENERATE, UNIT)
-        lc = con.secondary_constraints(DEGENERATE, UNIT)
+        lc = cf.secondary_constraints(DEGENERATE, UNIT)
         v = chain.subspaces[-1]
         assert np.abs(lc.matrix @ v).max() <= 1e-10
 
@@ -141,7 +141,7 @@ class TestDegenerateFlow:
         assert np.abs(z - ON_M2).max() <= 1e-9
 
     def test_constraints_preserved(self):
-        lc = con.secondary_constraints(DEGENERATE, UNIT)
+        lc = cf.secondary_constraints(DEGENERATE, UNIT)
         times = np.linspace(0.0, 10 / 0.5, 500)
         states = cf.degenerate_flow_n2(UNIT, -1.0, ON_M2, times)
         residuals = [lc.residual(z) for z in states]

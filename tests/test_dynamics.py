@@ -233,6 +233,23 @@ class TestN3Parallel:
         assert np.ptp(traj.lambda3) <= 1e-9
 
 
+class TestLambda3Chart:
+    @pytest.mark.parametrize("cfg", [
+        st.field_config_n2(1e150, 1e300),           # chi = +inf
+        st.field_config_n2(-1e300, 1e150),          # chi = -inf
+        st.field_config_n3([0, 0, 1e300], [0, 0, 1e300]),
+    ], ids=["planar-plus-inf", "planar-minus-inf", "axial"])
+    def test_no_chart_without_finite_coefficients(self, cfg):
+        # RuntimeWarnings are errors under pytest: the coefficients are
+        # computed quietly and the chart is skipped, not built from inf.
+        assert dyn._darboux_for_lambda3(cfg) is None
+
+    def test_chart_of_finite_coefficients_kept(self):
+        assert dyn._darboux_for_lambda3(st.field_config_n2(1e100, 1e100)) is not None
+        assert dyn._darboux_for_lambda3(st.field_config_n3([0, 0, 2.0], [0, 0, 0.5])) is not None
+        assert dyn._darboux_for_lambda3(st.field_config_n3([1.0, 0, 0], [0, 0, 0.5])) is None
+
+
 class TestIntegrate:
     def test_exact_energy_conservation(self):
         cfg = st.field_config_n2(1.0, 1.0)

@@ -223,7 +223,7 @@ class TestLimitScan:
         eps = np.geomspace(1e-1, 1e-3, 9)
         rows = sp.chi_limit_scan(UNIT, 1.0, eps)
         errors = [abs(r.omega_minus - r.omega_r_target) for r in rows]
-        assert sp.loglog_slope(eps, errors) == pytest.approx(2.0, abs=0.1)
+        assert cf.loglog_slope(eps, errors) == pytest.approx(2.0, abs=0.1)
 
     def test_error_shrinks_fourfold_under_halving(self):
         rows = sp.chi_limit_scan(UNIT, 1.0, [2e-2, 1e-2])
@@ -254,13 +254,13 @@ class TestLimitScan:
         eps = np.geomspace(1e-1, 1e-3, 9)
         rows = sp.chi_limit_scan(UNIT, 1.0, eps)
         amps = [r.fast_amplitude for r in rows]
-        assert sp.loglog_slope(eps, amps) == pytest.approx(2.0, abs=0.05)
+        assert cf.loglog_slope(eps, amps) == pytest.approx(2.0, abs=0.05)
 
     def test_off_constraint_amplitude_is_order_one(self):
         eps = np.geomspace(1e-1, 1e-3, 5)
         rows = sp.chi_limit_scan(UNIT, 1.0, eps, z0=[1.0, 0.0, 0.3, 0.8])
         amps = [r.fast_amplitude for r in rows]
-        assert abs(sp.loglog_slope(eps, amps)) < 0.05
+        assert abs(cf.loglog_slope(eps, amps)) < 0.05
 
     def test_requires_positive_orientation(self):
         with pytest.raises(ValueError):
