@@ -70,14 +70,24 @@ class N2Coefficients(NamedTuple):
     u: float
 
 
-def n2_coefficients(B: float, C: float, tol: float = TOL_SINGULAR) -> N2Coefficients:
-    chi = 1.0 + C * B
+def _checked_chi(theta, tol: float):
+    """chi = 1 + theta where the closed forms hold: NegativeChi below -tol,
+    DegenerateChi up to tol, and OverflowError when it is not finite."""
+    chi = 1.0 + theta
     if chi < -tol:
         raise NegativeChi(
             f"chi = {chi:.6g} < 0: closed form unavailable, use symplectic_gram_schmidt"
         )
     if chi <= tol:
         raise DegenerateChi(f"chi = {chi:.6g} is singular (presymplectic regime)")
+    if not chi < np.inf:
+        raise OverflowError(f"chi = 1 + C.B = {chi:.6g} is not finite: no closed-form map")
+    return chi
+
+
+def n2_coefficients(B: float, C: float, tol: float = TOL_SINGULAR) -> N2Coefficients:
+    with np.errstate(over="ignore"):
+        chi = _checked_chi(C * B, tol)
     return N2Coefficients(chi, 0.5 * (1.0 + np.sqrt(chi)))
 
 
@@ -97,14 +107,9 @@ class N3Coefficients(NamedTuple):
 
 
 def n3_coefficients(Bvec, Cvec, tol: float = TOL_SINGULAR) -> N3Coefficients:
-    theta = float(np.dot(Cvec, Bvec))
-    chi = 1.0 + theta
-    if chi < -tol:
-        raise NegativeChi(
-            f"chi = {chi:.6g} < 0: closed form unavailable, use symplectic_gram_schmidt"
-        )
-    if chi <= tol:
-        raise DegenerateChi(f"chi = {chi:.6g} is singular (presymplectic regime)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = float(np.dot(Cvec, Bvec))
+    chi = _checked_chi(theta, tol)
     rchi = np.sqrt(chi)
     u = 0.5 * (1.0 + rchi)
     ru = np.sqrt(u)

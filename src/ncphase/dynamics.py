@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .darboux import darboux_n2, darboux_n3, n2_coefficients, n3_coefficients
+from .darboux import darboux_n2, darboux_n3, n2_coefficients
 from .errors import DegenerateChi, StepRejected
 from .structure import (
     TOL_SINGULAR,
@@ -384,21 +384,19 @@ def affine_rows(e: np.ndarray, z0, steps: int) -> np.ndarray:
 
 def _darboux_for_lambda3(cfg: FieldConfig):
     # Lambda3 is reported only where a closed-form chart exists: planar
-    # configs and axis-aligned spatial configs whose chart coefficients are
-    # finite (chi = 1 + C.B overflows at extreme fields).
-    sc, vecs = n2_scalars(cfg), n3_vectors(cfg)
-    if sc is not None:
-        coefficients, chart, args = n2_coefficients, darboux_n2, sc
-    elif vecs is not None and not (np.any(vecs[0][:2]) or np.any(vecs[1][:2])):
-        coefficients, chart, args = n3_coefficients, darboux_n3, vecs
-    else:
-        return None
+    # configs and axis-aligned spatial configs whose chi = 1 + C.B is finite.
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            finite = np.isfinite(coefficients(*args)).all()
-    except DegenerateChi:
+        sc = n2_scalars(cfg)
+        if sc is not None:
+            return darboux_n2(*sc)
+        vecs = n3_vectors(cfg)
+        if vecs is not None:
+            bv, cv = vecs
+            if abs(bv[0]) + abs(bv[1]) + abs(cv[0]) + abs(cv[1]) == 0.0:
+                return darboux_n3(bv, cv)
+    except (DegenerateChi, OverflowError):
         return None
-    return chart(*args) if finite else None
+    return None
 
 
 def affine_flow(M: np.ndarray, k: np.ndarray, z0, dt: float, steps: int,

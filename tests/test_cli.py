@@ -857,6 +857,26 @@ class TestNumericalFailure:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, field", [
+        (2, {"B": 1e150, "C": 1e300}),
+        (3, {"Bvec": [0.0, 0.0, 1e300], "Cvec": [0.0, 0.0, 1e300]}),
+    ])
+    def test_overflowing_chi_darboux_writes_one_stderr_line(self, tmp_path, n, field):
+        # chi = 1 + C.B overflows: the closed form is refused before its
+        # coefficients turn into inf and NaN (and an SVD that fails).
+        path = write_config(tmp_path, dict(BASE, N=n, field=field))
+        out = tmp_path / "d.json"
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "ncphase.cli", "darboux",
+             "--config", path, "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == cli.EXIT_SINGULAR
+        assert proc.stderr.splitlines() == [
+            "ncphase: numerical failure: chi = 1 + C.B = inf is not finite: no closed-form map"
+        ]
+        assert not out.exists()
+
     def test_poisson_cross_check_failure(self, tmp_path, capsys, monkeypatch):
         # A perturbed dense Omega makes the real cross-check in
         # structure.poisson_matrix raise its ArithmeticError.

@@ -240,8 +240,8 @@ class TestLambda3Chart:
         st.field_config_n3([0, 0, 1e300], [0, 0, 1e300]),
     ], ids=["planar-plus-inf", "planar-minus-inf", "axial"])
     def test_no_chart_without_finite_coefficients(self, cfg):
-        # RuntimeWarnings are errors under pytest: the coefficients are
-        # computed quietly and the chart is skipped, not built from inf.
+        # chi = 1 + C.B is +-inf.  RuntimeWarnings are errors under pytest:
+        # chi is refused quietly and no chart is built from inf and NaN.
         assert dyn._darboux_for_lambda3(cfg) is None
 
     def test_chart_of_finite_coefficients_kept(self):
