@@ -87,6 +87,8 @@ class TestConfigValidation:
         ("state", [1.0, 0.0, float("nan"), 1.0], "state[2]"),
         ("time", {"t_final": float("inf"), "dt": 0.1}, "time.t_final"),
         ("tolerances", {"singular": float("nan")}, "tolerances.singular"),
+        # A ragged list is not one array: its items are tested one by one.
+        ("state", [[1.0, 2.0], [float("nan")]], "state[1][0]"),
     ])
     def test_non_finite_numbers_refused(self, tmp_path, capsys, section, value, key):
         # json accepts NaN and Infinity; `"B": NaN` used to give NaN brackets.
@@ -109,12 +111,6 @@ class TestConfigValidation:
         path.write_text(path.read_text().replace("NaN", "0.0"))
         assert run(["reduce", "--config", str(path)]) == cli.EXIT_CONFIG
         assert "problem.hessian[1][1] must be finite, got inf" in capsys.readouterr().err
-
-    def test_non_finite_entry_of_a_ragged_list_named(self, tmp_path, capsys):
-        # A ragged list is not one array: its items are tested one by one.
-        path = write_config(tmp_path, dict(BASE, state=[[1.0, 2.0], [float("nan")]]))
-        assert run(["brackets", "--config", path]) == cli.EXIT_CONFIG
-        assert "state[1][0] must be finite, got nan" in capsys.readouterr().err
 
     def test_finite_config_is_not_walked(self, tmp_path, monkeypatch):
         # The per-entry walk only names the key of a value that failed.
