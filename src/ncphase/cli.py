@@ -39,7 +39,7 @@ ENV_TOL = "NCPHASE_TOL_SINGULAR"
 # with exit 1 before anything is allocated: 400 MB of float64 states.
 MAX_STATE_VALUES = 50_000_000
 # Largest limit-scan grid, refused with exit 1 before it is allocated: each
-# point costs about 40 us and one CSV row.
+# point costs about 30 us and one CSV row.
 MAX_SCAN_POINTS = 100_000
 # Largest constraint residual of a degenerate simulate's initial state,
 # relative to max(1, max |z0|), before it is refused with exit 1.
@@ -79,6 +79,14 @@ _FIELD_FORMS = (
     {"Bvec", "Cvec"},
     {"eF", "rG"},
 )
+# Keys whose values are JSON numbers or lists of them, by section.
+_NUMERIC_KEYS = {
+    "field": ("B", "C", "Bvec", "Cvec", "eF", "rG"),
+    "model": ("m", "kappa", "Evec", "hbar"),
+    "time": ("t_final", "dt"),
+    "tolerances": ("singular",),
+    "problem": ("omega", "hessian", "gradient"),
+}
 
 
 def _fail(msg: str) -> ConfigError:
@@ -107,6 +115,20 @@ def _finite(value) -> bool:
         except (TypeError, ValueError, OverflowError):
             return all(map(_finite, value))
     return True
+
+
+def _check_numbers(value, where: str):
+    """Refuse anything but a JSON number, or nested lists of them, at
+    ``where``: numpy's float conversion would take "1.5", "nan", null and
+    true.  A list of numbers costs one call, not one per entry."""
+    if type(value) in (int, float):  # bool is a subclass of int, not int
+        return
+    if type(value) is list:
+        if not all(type(item) in (int, float) for item in value):
+            for i, item in enumerate(value):
+                _check_numbers(item, f"{where}[{i}]")
+        return
+    raise _fail(f"{where} must be a JSON number, got {json.dumps(value)}")
 
 
 def _check_finite(value, where: str):
@@ -154,11 +176,12 @@ def load_config(path: str) -> RunConfig:
         raise _fail(f"{path}: top level must be an object")
     _check_keys(raw, _TOP_KEYS, path)
 
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    version = raw.get("schema_version")
+    if version != SCHEMA_VERSION or isinstance(version, bool):
         raise _fail(
-            f"{path}: schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
+            f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
         )
-    if "N" not in raw or not isinstance(raw["N"], int) or raw["N"] < 1:
+    if "N" not in raw or type(raw["N"]) is not int or raw["N"] < 1:
         raise _fail(f"{path}: 'N' must be a positive integer")
     N = raw["N"]
 
@@ -167,6 +190,14 @@ def load_config(path: str) -> RunConfig:
     if has_field == has_problem:
         raise _fail(f"{path}: exactly one of 'field' or 'problem' must be present")
 
+    for key, names in _NUMERIC_KEYS.items():
+        section = raw.get(key)
+        if isinstance(section, dict):
+            for name in names:
+                if name in section:
+                    _check_numbers(section[name], f"{path}: {key}.{name}")
+    if "state" in raw:
+        _check_numbers(raw["state"], f"{path}: state")
     for key, section in raw.items():
         if not _finite(section):
             _check_finite(section, f"{path}: {key}")
@@ -535,12 +566,12 @@ def cmd_limit_scan(rc: RunConfig, out_path: str | None,
         raise _fail(f"--points {points} exceeds the cap of {MAX_SCAN_POINTS} scan points")
     grid = np.geomspace(eps_max, eps_min, points)
     rows = spectrum.chi_limit_scan(model, B, grid)
+    finite = np.isfinite(np.array(rows)).all(axis=1)
+    if not finite.all():
+        raise ArithmeticError(
+            f"non-finite limit-scan row at epsilon = {rows[finite.argmin()].epsilon!r}")
     lines = ["epsilon,omega_plus,omega_minus,omega_r_target,fast_amplitude"]
-    for r in rows:
-        values = (r.epsilon, r.omega_plus, r.omega_minus, r.omega_r_target, r.fast_amplitude)
-        if not all(map(math.isfinite, values)):
-            raise ArithmeticError(f"non-finite limit-scan row at epsilon = {r.epsilon!r}")
-        lines.append(",".join(map(repr, values)))
+    lines += [",".join(map(repr, r)) for r in rows]
     _write_atomic(out_path, ["\n".join(lines), "\n"])
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Presymplectic regime: kernels, constraint chains and the planar reduced frequency.
+"""Presymplectic regime: kernels and constraint chains.
 
 When det Psi = 0 the two-form matrix Omega is singular and the dynamics
 equation Omega X = -grad H(z) is only solvable on nested constraint
@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InconsistentSystem
-from .dynamics import HARMONIC, OscillatorModel
+from .dynamics import OscillatorModel
 from .structure import FieldConfig, build_omega
 
 RANK_TOL_FACTOR = 1e-10
@@ -177,11 +177,3 @@ def gnh_from_model(cfg: FieldConfig, model: OscillatorModel) -> ConstraintChain:
     """Chain for the standard kinetic-plus-potential data of a field config."""
     return gnh_chain(build_omega(cfg), model.hessian(cfg.N),
                      model.gradient_offset(cfg.N))
-
-
-def degenerate_omega_r(model: OscillatorModel, C: float) -> float:
-    """Reduced rotation frequency on the secondary constraint subspace."""
-    if model.potential != HARMONIC or model.kappa <= 0:
-        raise ValueError("the reduced frequency requires a harmonic potential")
-    mk = model.m * model.kappa
-    return float(-np.sqrt(mk) * C * model.omega0 / (1.0 + mk * C * C))

@@ -10,11 +10,9 @@ the block map that advances a trajectory sqrt(steps) rows at a time.
 degenerate constraint chain is stepped by the same code.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .darboux import darboux_n2, darboux_n3, n2_coefficients
+from .darboux import darboux_n2, darboux_n3
 from .errors import DegenerateChi, StepRejected
 from .structure import (
     TOL_SINGULAR,
@@ -194,115 +192,6 @@ def flow_matrix(cfg: FieldConfig, model: OscillatorModel,
     lam = poisson_matrix(cfg, tol_singular)
     with np.errstate(over="ignore", invalid="ignore"):
         return lam @ model.hessian(cfg.N), lam @ model.gradient_offset(cfg.N)
-
-
-class N2Frequencies(NamedTuple):
-    """Renormalized planar oscillator data.
-
-    omega0_prime = (omega0 / 2 chi) sqrt((b-c)^2 + 4 chi), the induced
-    rotation frequency omegaL_prime = (omega0 / 2 chi)(b-c), and the two
-    positive mode frequencies omega_pm = omega0_prime +/- omegaL_prime.
-    """
-
-    b: float
-    c: float
-    chi: float
-    u: float
-    m_prime: float
-    kappa_prime: float
-    omega0: float
-    omega0_prime: float
-    omegaL_prime: float
-    omega_plus: float
-    omega_minus: float
-
-    @property
-    def m_prime_omega0_prime(self) -> float:
-        return float(np.sqrt(self.m_prime * self.kappa_prime))
-
-
-def n2_frequencies(model: OscillatorModel, B: float, C: float,
-                   tol: float = TOL_SINGULAR) -> N2Frequencies:
-    """Renormalized mass/elasticity and mode frequencies for the planar oscillator."""
-    if model.potential != HARMONIC or model.kappa <= 0:
-        raise ValueError("frequencies require a harmonic potential with kappa > 0")
-    co = n2_coefficients(B, C, tol)
-    chi, u = co.chi, co.u
-    # Extreme parameters overflow to inf or nan here.  The output writers
-    # refuse non-finite numbers, so numpy's warnings would only add noise.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mk = np.sqrt(model.m * model.kappa)
-        b = B / mk
-        c = C * mk
-        omega0 = model.omega0
-        m_prime = model.m * chi / (u * (1.0 + c * c / (4.0 * u * u)))
-        kappa_prime = model.kappa * (u / chi) * (1.0 + b * b / (4.0 * u * u))
-
-        d = b - c
-        root = np.hypot(d, 2.0 * np.sqrt(chi))
-        omega0_prime = omega0 * root / (2.0 * chi)
-        omegaL_prime = omega0 * d / (2.0 * chi)
-        # Evaluate the smaller mode through the difference-free form; the raw
-        # omega0_prime - |omegaL_prime| cancels catastrophically as chi -> 0.
-        small = 2.0 * omega0 / (root + abs(d))
-        large = omega0 * (root + abs(d)) / (2.0 * chi)
-    if d >= 0:
-        omega_plus, omega_minus = large, small
-    else:
-        omega_plus, omega_minus = small, large
-    return N2Frequencies(
-        b=float(b), c=float(c), chi=float(chi), u=float(u),
-        m_prime=float(m_prime), kappa_prime=float(kappa_prime),
-        omega0=float(omega0), omega0_prime=float(omega0_prime),
-        omegaL_prime=float(omegaL_prime),
-        omega_plus=float(omega_plus), omega_minus=float(omega_minus),
-    )
-
-
-class ShiftModes(NamedTuple):
-    """Complex normal-mode content of a planar state.
-
-    q(t) = q_coeff_plus A+(t) + q_coeff_minus A-*(t) with
-    A+(t) = a_plus exp(-i w+ t) and A-*(t) = a_minus_dag exp(+i w- t);
-    p(t) analogously with the p coefficients.
-    """
-
-    omega_plus: float
-    omega_minus: float
-    a_plus: complex
-    a_minus_dag: complex
-    q_coeff_plus: complex
-    q_coeff_minus: complex
-    p_coeff_plus: complex
-    p_coeff_minus: complex
-
-
-def shift_modes(model: OscillatorModel, B: float, C: float, z0) -> ShiftModes:
-    """Decompose a planar state into the two rotating modes."""
-    fr = n2_frequencies(model, B, C)
-    mw = fr.m_prime_omega0_prime
-    if mw == 0.0:
-        raise ArithmeticError("m' omega0' = sqrt(m' kappa') underflows to 0")
-    u, chi = fr.u, fr.chi
-    bp = B / mw
-    cp = C * mw
-    ru, rmw = np.sqrt(u), np.sqrt(mw)
-
-    z0 = np.asarray(z0, dtype=float)
-    q0 = complex(z0[0], z0[1])
-    p0 = complex(z0[2], z0[3])
-    a_plus = 0.5 * ru * (rmw * (1.0 - bp / (2 * u)) * q0
-                         + 1j * (1.0 + cp / (2 * u)) * p0 / rmw)
-    a_minus_dag = 0.5 * ru * (rmw * (1.0 + bp / (2 * u)) * q0
-                              - 1j * (1.0 - cp / (2 * u)) * p0 / rmw)
-
-    back = np.sqrt(u / chi)
-    q_plus = back * (1.0 - cp / (2 * u)) / rmw
-    q_minus = back * (1.0 + cp / (2 * u)) / rmw
-    p_plus = -1j * back * (1.0 + bp / (2 * u)) * rmw
-    p_minus = 1j * back * (1.0 - bp / (2 * u)) * rmw
-    return ShiftModes(fr.omega_plus, fr.omega_minus, a_plus, a_minus_dag,
-                      q_plus, q_minus, p_plus, p_minus)
 
 
 def angular_momentum(zeta):

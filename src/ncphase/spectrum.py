@@ -10,8 +10,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constrained import degenerate_omega_r, gnh_chain
-from .dynamics import OscillatorModel, shift_modes
+from .constrained import gnh_chain
+from .dynamics import OscillatorModel
+from .structure import build_omega, field_config_n2
 
 # Largest ladder built, in levels; refused before any array is allocated.
 # At the cap an axial (d = 3) spectrum is about 200 MB of JSON.
@@ -20,6 +21,11 @@ MAX_LEVELS = 2_000_000
 # Largest relative error bound of a reported frequency (_two_sided).
 MODE_ACCURACY = 1e-8
 
+# Largest estimated relative error of a fast amplitude in the limit scan,
+# 4 eps |R z0| / |R z_fast| times w+ / (w+ - w-) (_scan_rows): the
+# rounding of the start against the size of its fast part, amplified by
+# the conditioning of the fast eigenvectors.  A row above it is refused.
+AMPLITUDE_ACCURACY = 1e-5
 
 class SpectrumTable(NamedTuple):
     """Energy ladder sorted by (energy, n): level k has the mode quantum
@@ -118,33 +124,37 @@ def mode_frequencies(omega, r=None, lam=None) -> np.ndarray:
 
 
 def _two_sided(omega, lam, white, flow) -> np.ndarray:
-    """One coupled block.  The top halves of the Hermitian eigenvalues of
-    1j R Lambda R^T and -1j R^-T Omega R^-1 are the w and the 1/w, each
-    accurate to about eps times its norm: the Lambda form keeps the modes
-    above sqrt(w_max w_min) and its own noise floor, the Omega form the
-    rest, and a mode is known to 16 n eps w_max / w or 16 n eps w / w_min
-    by the form kept (notes/decisions.md)."""
-    n = len(omega) // 2
+    """One coupled block, or a stack of them along the leading axes.  The
+    top halves of the Hermitian eigenvalues of 1j R Lambda R^T and
+    -1j R^-T Omega R^-1 are the w and the 1/w, each accurate to about eps
+    times its norm: the Lambda form keeps the modes above
+    sqrt(w_max w_min) and its own noise floor, the Omega form the rest, and
+    a mode is known to 16 n eps w_max / w or 16 n eps w / w_min by the form
+    kept (notes/decisions.md)."""
+    n = omega.shape[-1] // 2
     floor = 16 * n * np.finfo(float).eps
     # An underflowed Lambda would pass as a zero frequency; a frequency of
     # the discarded form may be inf or 0.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        residual = np.abs(lam @ omega + np.eye(2 * n)).max()
-        if not residual <= 1e-8 * np.abs(lam).max() * np.abs(omega).max():
+        residual = np.abs(lam @ omega + np.eye(2 * n)).max((-2, -1))
+        scale = np.abs(lam).max((-2, -1)) * np.abs(omega).max((-2, -1))
+        if not (residual <= 1e-8 * scale).all():
             raise ArithmeticError("Lambda does not invert -Omega at these scales")
         try:
-            large = np.linalg.eigvalsh(1j * flow)[n:][::-1]
+            large = np.linalg.eigvalsh(1j * flow)[..., n:][..., ::-1]
         except np.linalg.LinAlgError as exc:
             # fmax skips the NaN of inf * 0 and names the overflow.
             largest = np.fmax.reduce(np.abs(flow), axis=None)
             raise ArithmeticError(f"{exc} for the whitened flow R Lambda R^T "
                                   f"(largest magnitude {largest:.3e})") from None
-        small = 1.0 / np.linalg.eigvalsh(-1j * white)[n:]
-        keep = (large >= np.sqrt(large[0]) * np.sqrt(small[-1])) & (large > floor * large[0])
+        small = 1.0 / np.linalg.eigvalsh(-1j * white)[..., n:]
+        keep = ((large >= np.sqrt(large[..., :1]) * np.sqrt(small[..., -1:]))
+                & (large > floor * large[..., :1]))
         w = np.where(keep, large, small)
-        spread, bound = w.max() / w.min(), floor * np.where(keep, w.max() / w, w / w.min())
+        w_max, w_min = w.max(-1, keepdims=True), w.min(-1, keepdims=True)
+        spread, bound = w_max / w_min, floor * np.where(keep, w_max / w, w / w_min)
     if not (bound <= MODE_ACCURACY).all():
-        raise ArithmeticError(f"a frequency spread of {spread:.3g} resolves a normal "
+        raise ArithmeticError(f"a frequency spread of {spread.max():.3g} resolves a normal "
                               f"mode only to {bound.max():.1e} relative")
     return w
 
@@ -159,46 +169,87 @@ class LimitScanRow(NamedTuple):
     fast_amplitude: float
 
 
+def _scan_rows(omega, r, z0) -> np.ndarray:
+    """Columns (omega_plus, omega_minus, fast_amplitude) of a stack of
+    planar Omega: the core's two-sided frequencies, and the q amplitude of
+    the orthogonal projection of R z0 onto the +/- omega_plus eigenvectors
+    U of 1j R Lambda R^T, z_fast = R^-1 U U^H R z0."""
+    # Extreme parameters overflow here; the core's checks, the estimate
+    # and the caller's finiteness check refuse such rows, so numpy's
+    # warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            lam = -np.linalg.inv(omega)
+        except np.linalg.LinAlgError:
+            raise ArithmeticError("Omega is singular in double precision") from None
+        flow = r @ lam @ r.T
+        w = _two_sided(omega, lam, whiten(omega, r), flow)
+        w_plus, w_minus = w.max(-1), w.min(-1)
+        y0 = r @ z0
+        u = np.linalg.eigh(1j * flow)[1][..., [0, -1]]
+        y = (u @ (u.conj().swapaxes(-1, -2) @ y0)[..., None])[..., 0].real
+        q = np.linalg.solve(r, y[..., None])[..., :2, 0]
+        error = (4 * np.finfo(float).eps * np.linalg.norm(y0) / np.linalg.norm(y, axis=-1)
+                 * w_plus / (w_plus - w_minus))
+    if (error > AMPLITUDE_ACCURACY).any():
+        raise ArithmeticError(f"the fast amplitude's error estimate {error.max():.3e} "
+                              f"exceeds {AMPLITUDE_ACCURACY:.0e} relative")
+    return np.column_stack([w_plus, w_minus, np.hypot(q[..., 0], q[..., 1])])
+
+
 def chi_limit_scan(model: OscillatorModel, B: float, eps_values,
                    z0=None) -> list:
     """Scan chi = eps^2 at fixed B > 0, with C = (eps^2 - 1)/B.
 
-    Per row: the two mode frequencies, the reduced-frequency target of
-    the chi = 0 system, and the amplitude of the fast mode in q(t) for an
-    initial state on the limiting constraint subspace.  As eps -> 0,
-    omega_minus -> omega_r with an O(eps^2) defect, omega_plus * eps^2
-    tends to a constant, and the fast amplitude is O(eps^2).
+    Per row: the two mode frequencies (omega_plus the larger), the
+    reduced-frequency target of the chi = 0 system, and the amplitude of
+    the omega_plus mode in q(t) for an initial state on the limiting
+    constraint subspace.  As eps -> 0, omega_minus -> omega_r with an
+    O(eps^2) defect, omega_plus * eps^2 tends to a constant, and the fast
+    amplitude is O(eps^2).  All rows go through the spectrum core in one
+    batched pass; the first row that fails, also by an amplitude error
+    estimate above AMPLITUDE_ACCURACY, raises ArithmeticError naming its
+    epsilon.
     """
     if B <= 0:
         raise ValueError("the scan fixes the orientation B > 0")
     eps_values = np.asarray(sorted(set(float(e) for e in eps_values), reverse=True))
     if eps_values.size == 0 or eps_values[-1] <= 0:
         raise ValueError("eps values must be positive")
-
-    mk = model.m * model.kappa
     if z0 is None:
         # q0 = 1 on the limiting constraint subspace: p0 = i m kappa q0 / B.
-        z0 = np.array([1.0, 0.0, 0.0, mk / B])
+        z0 = np.array([1.0, 0.0, 0.0, model.m * model.kappa / B])
+    z0 = np.asarray(z0, dtype=float)
+    r = hessian_factor(model.hessian(2))
+    failures = (ArithmeticError, np.linalg.LinAlgError)
+    try:
+        omega_r = mode_frequencies(terminal_form(build_omega(field_config_n2(B, -1.0 / B)), r))[0]
+    except failures as exc:
+        raise ArithmeticError(f"limit scan target omega_r at chi = 0: {exc}") from None
 
-    rows = []
-    # Extreme parameters give inf or nan here; the CLI refuses such rows,
-    # so numpy's warnings would only add noise.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        omega_r = degenerate_omega_r(model, -1.0 / B)
-        for eps in eps_values:
-            C = (eps * eps - 1.0) / B
+    # Omega of each row: the C = 0 matrix with C written into the rG block.
+    omega = np.repeat(build_omega(field_config_n2(B, 0.0))[None], eps_values.size, axis=0)
+    c = (eps_values * eps_values - 1.0) / B
+    omega[:, 2, 3], omega[:, 3, 2] = c, -c
+    try:
+        table = _scan_rows(omega, r, z0)
+    except failures:
+        # Rows fail independently: bisect for the first one that does, in
+        # chunks that halve, and report that row's own failure.
+        lo, hi = 0, len(omega)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                modes = shift_modes(model, B, C, z0)
-            except ArithmeticError as exc:
-                raise ArithmeticError(
-                    f"limit scan at epsilon = {float(eps)!r}: {exc}") from None
-            fast = abs(modes.q_coeff_plus * modes.a_plus)
-            rows.append(LimitScanRow(
-                epsilon=float(eps),
-                omega_plus=modes.omega_plus,
-                omega_minus=modes.omega_minus,
-                omega_r_target=omega_r,
-                fast_amplitude=float(fast),
-            ))
-    return rows
-
+                _scan_rows(omega[lo:mid], r, z0)
+                lo = mid
+            except failures:
+                hi = mid
+        try:
+            _scan_rows(omega[lo:hi], r, z0)
+        except failures as exc:
+            raise ArithmeticError(
+                f"limit scan at epsilon = {float(eps_values[lo])!r}: {exc}") from None
+        raise
+    rows = np.column_stack([eps_values, table[:, :2], np.full(eps_values.size, omega_r),
+                            table[:, 2]])
+    return list(map(LimitScanRow._make, rows.tolist()))

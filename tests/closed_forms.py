@@ -2,16 +2,19 @@
 
 None of these run in the program: `simulate` propagates every flow, the
 degenerate ones included, through `dynamics.affine_flow`, and `spectrum`
-takes every ladder from `spectrum.mode_frequencies`.  (The module is
-not called `oracles`, which would shadow the benchmark's `oracles` module
-when pytest collects both directories in one run.)
+and `limit-scan` take every frequency from the core of
+`spectrum.mode_frequencies`.  (The module is not called `oracles`, which
+would shadow the benchmark's `oracles` module when pytest collects both
+directories in one run.)
 """
 
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 from ncphase import constrained as con
+from ncphase import darboux as dx
 from ncphase import dynamics as dyn
 from ncphase import spectrum as sp
 from ncphase import structure as st
@@ -50,13 +53,130 @@ def hamiltonian_vector_field(cfg: st.FieldConfig, grad_f,
     return np.concatenate([xq, -xp])
 
 
+class N2Frequencies(NamedTuple):
+    """Renormalized planar oscillator data.
+
+    omega0_prime = (omega0 / 2 chi) sqrt((b-c)^2 + 4 chi), the induced
+    rotation frequency omegaL_prime = (omega0 / 2 chi)(b-c), and the two
+    positive mode frequencies omega_pm = omega0_prime +/- omegaL_prime.
+    """
+
+    b: float
+    c: float
+    chi: float
+    u: float
+    m_prime: float
+    kappa_prime: float
+    omega0: float
+    omega0_prime: float
+    omegaL_prime: float
+    omega_plus: float
+    omega_minus: float
+
+    @property
+    def m_prime_omega0_prime(self) -> float:
+        return float(np.sqrt(self.m_prime * self.kappa_prime))
+
+
+def n2_frequencies(model: dyn.OscillatorModel, B: float, C: float,
+                   tol: float = st.TOL_SINGULAR) -> N2Frequencies:
+    """Renormalized mass/elasticity and mode frequencies for the planar oscillator."""
+    if model.potential != dyn.HARMONIC or model.kappa <= 0:
+        raise ValueError("frequencies require a harmonic potential with kappa > 0")
+    co = dx.n2_coefficients(B, C, tol)
+    chi, u = co.chi, co.u
+    # Extreme parameters overflow to inf or nan here.  The output writers
+    # refuse non-finite numbers, so numpy's warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mk = np.sqrt(model.m * model.kappa)
+        b = B / mk
+        c = C * mk
+        omega0 = model.omega0
+        m_prime = model.m * chi / (u * (1.0 + c * c / (4.0 * u * u)))
+        kappa_prime = model.kappa * (u / chi) * (1.0 + b * b / (4.0 * u * u))
+
+        d = b - c
+        root = np.hypot(d, 2.0 * np.sqrt(chi))
+        omega0_prime = omega0 * root / (2.0 * chi)
+        omegaL_prime = omega0 * d / (2.0 * chi)
+        # Evaluate the smaller mode through the difference-free form; the raw
+        # omega0_prime - |omegaL_prime| cancels catastrophically as chi -> 0.
+        small = 2.0 * omega0 / (root + abs(d))
+        large = omega0 * (root + abs(d)) / (2.0 * chi)
+    if d >= 0:
+        omega_plus, omega_minus = large, small
+    else:
+        omega_plus, omega_minus = small, large
+    return N2Frequencies(
+        b=float(b), c=float(c), chi=float(chi), u=float(u),
+        m_prime=float(m_prime), kappa_prime=float(kappa_prime),
+        omega0=float(omega0), omega0_prime=float(omega0_prime),
+        omegaL_prime=float(omegaL_prime),
+        omega_plus=float(omega_plus), omega_minus=float(omega_minus),
+    )
+
+
+class ShiftModes(NamedTuple):
+    """Complex normal-mode content of a planar state.
+
+    q(t) = q_coeff_plus A+(t) + q_coeff_minus A-*(t) with
+    A+(t) = a_plus exp(-i w+ t) and A-*(t) = a_minus_dag exp(+i w- t);
+    p(t) analogously with the p coefficients.
+    """
+
+    omega_plus: float
+    omega_minus: float
+    a_plus: complex
+    a_minus_dag: complex
+    q_coeff_plus: complex
+    q_coeff_minus: complex
+    p_coeff_plus: complex
+    p_coeff_minus: complex
+
+
+def shift_modes(model: dyn.OscillatorModel, B: float, C: float, z0) -> ShiftModes:
+    """Decompose a planar state into the two rotating modes."""
+    fr = n2_frequencies(model, B, C)
+    mw = fr.m_prime_omega0_prime
+    if mw == 0.0:
+        raise ArithmeticError("m' omega0' = sqrt(m' kappa') underflows to 0")
+    u, chi = fr.u, fr.chi
+    bp = B / mw
+    cp = C * mw
+    ru, rmw = np.sqrt(u), np.sqrt(mw)
+
+    z0 = np.asarray(z0, dtype=float)
+    q0 = complex(z0[0], z0[1])
+    p0 = complex(z0[2], z0[3])
+    a_plus = 0.5 * ru * (rmw * (1.0 - bp / (2 * u)) * q0
+                         + 1j * (1.0 + cp / (2 * u)) * p0 / rmw)
+    a_minus_dag = 0.5 * ru * (rmw * (1.0 + bp / (2 * u)) * q0
+                              - 1j * (1.0 - cp / (2 * u)) * p0 / rmw)
+
+    back = np.sqrt(u / chi)
+    q_plus = back * (1.0 - cp / (2 * u)) / rmw
+    q_minus = back * (1.0 + cp / (2 * u)) / rmw
+    p_plus = -1j * back * (1.0 + bp / (2 * u)) * rmw
+    p_minus = 1j * back * (1.0 - bp / (2 * u)) * rmw
+    return ShiftModes(fr.omega_plus, fr.omega_minus, a_plus, a_minus_dag,
+                      q_plus, q_minus, p_plus, p_minus)
+
+
+def degenerate_omega_r(model: dyn.OscillatorModel, C: float) -> float:
+    """Reduced rotation frequency on the secondary constraint subspace."""
+    if model.potential != dyn.HARMONIC or model.kappa <= 0:
+        raise ValueError("the reduced frequency requires a harmonic potential")
+    mk = model.m * model.kappa
+    return float(-np.sqrt(mk) * C * model.omega0 / (1.0 + mk * C * C))
+
+
 def closed_form_solution_n2(model: dyn.OscillatorModel, B: float, C: float,
                             z0, t) -> np.ndarray:
-    """Exact planar flow via the rotating modes of `dynamics.shift_modes`.
+    """Exact planar flow via the rotating modes of `shift_modes`.
 
     Accepts scalar or array t; returns shape (4,) or (len(t), 4).
     """
-    modes = dyn.shift_modes(model, B, C, z0)
+    modes = shift_modes(model, B, C, z0)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     ap = modes.a_plus * np.exp(-1j * modes.omega_plus * t_arr)
     am = modes.a_minus_dag * np.exp(1j * modes.omega_minus * t_arr)
@@ -72,7 +192,7 @@ def degenerate_flow_n2(model: dyn.OscillatorModel, C: float, z0, t,
 
     Requires B = -1/C and an initial state satisfying the secondary
     constraints p/m + i C kappa q = 0 to within tol; q and p then turn
-    at the reduced frequency `constrained.degenerate_omega_r`.
+    at the reduced frequency `degenerate_omega_r`.
     """
     z0 = np.asarray(z0, dtype=float)
     q0 = complex(z0[0], z0[1])
@@ -82,7 +202,7 @@ def degenerate_flow_n2(model: dyn.OscillatorModel, C: float, z0, t,
         raise OffConstraint(
             f"initial state violates the secondary constraints (residual {res:.3e})"
         )
-    phase = np.exp(1j * con.degenerate_omega_r(model, C) * np.asarray(t, dtype=float))
+    phase = np.exp(1j * degenerate_omega_r(model, C) * np.asarray(t, dtype=float))
     q = phase * q0
     p = phase * p0
     return np.stack([q.real, q.imag, p.real, p.imag], axis=-1)
@@ -90,7 +210,7 @@ def degenerate_flow_n2(model: dyn.OscillatorModel, C: float, z0, t,
 
 def spectrum_n2(model: dyn.OscillatorModel, B: float, C: float, nmax: int) -> sp.SpectrumTable:
     """Planar levels E(n+, n-) = hbar w+ (n+ + 1/2) + hbar w- (n- + 1/2)."""
-    fr = dyn.n2_frequencies(model, B, C)
+    fr = n2_frequencies(model, B, C)
     return sp.ladder((fr.omega_plus, fr.omega_minus), model.hbar, nmax)
 
 
@@ -100,13 +220,13 @@ def spectrum_degenerate_n2(model: dyn.OscillatorModel, C: float, nmax: int) -> s
     The sign of omega_r (orientation of the reduced rotation) is recorded
     by `reduced_structure_n2`; the ladder uses its magnitude.
     """
-    return sp.ladder((abs(con.degenerate_omega_r(model, C)),), model.hbar, nmax)
+    return sp.ladder((abs(degenerate_omega_r(model, C)),), model.hbar, nmax)
 
 
 def spectrum_n3_parallel(model: dyn.OscillatorModel, B: float, C: float,
                          nmax: int) -> sp.SpectrumTable:
     """Axis-aligned spatial levels: transverse pair (w+, w-) plus the bare w3."""
-    fr = dyn.n2_frequencies(model, B, C)
+    fr = n2_frequencies(model, B, C)
     return sp.ladder((fr.omega_plus, fr.omega_minus, model.omega0), model.hbar, nmax)
 
 
@@ -139,7 +259,7 @@ def reduced_structure_n2(model: dyn.OscillatorModel, C: float) -> ReducedOscilla
     return ReducedOscillatorN2(
         C=float(C),
         B=-1.0 / C,
-        omega_r=con.degenerate_omega_r(model, C),
+        omega_r=degenerate_omega_r(model, C),
         bracket_qqdag=complex(0.0, -2.0 * C / denom**2),
         h_r_coeff=float(denom * model.kappa / 2.0),
         a_scale=float(denom / np.sqrt(2.0 * abs(C))),
@@ -156,6 +276,39 @@ def secondary_constraints(cfg: st.FieldConfig,
     hess = model.hessian(cfg.N)
     g0 = model.gradient_offset(cfg.N)
     return con.LinearConstraints(z_basis.T @ hess, z_basis.T @ g0)
+
+
+def fast_q_coeffs_mpmath(m, kappa, B, eps, C=None):
+    """Fast-mode content of q = q^1 + i q^2 for the limit scan's
+    on-constraint start.
+
+    Builds Omega = [[-eF, I], [-I, rG]] with eF = B eps_ij, rG = C eps_ij,
+    C = (eps^2 - 1)/B unless C is given, then Lambda = -Omega^{-1} and
+    Hess H = diag(kappa, kappa, 1/m, 1/m) in 60-digit mpmath,
+    eigendecomposes the dense flow matrix Lambda Hess H and expands
+    z0 = (1, 0, 0, m kappa/B) in its eigenvectors.  Uses no ncphase code.
+    Returns the magnitudes of the q coefficients on the two fast
+    eigenvalues +/- i omega_plus, larger first: the co-rotating amplitude
+    and its counter-rotating partner, which rotational symmetry makes zero.
+    The scan rounds C to a float, which moves chi = 1 + B C by about
+    1e-16 / eps^2 relative; pass that C to compare with its rows.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        m, kappa, B = mp.mpf(m), mp.mpf(kappa), mp.mpf(B)
+        C = (mp.mpf(eps) ** 2 - 1) / B if C is None else mp.mpf(C)
+        omega = mp.matrix([[0, -B, 1, 0],
+                           [B, 0, 0, 1],
+                           [-1, 0, 0, C],
+                           [0, -1, -C, 0]])
+        flow = -mp.inverse(omega) * mp.diag([kappa, kappa, 1 / m, 1 / m])
+        eigvals, vecs = mp.eig(flow)
+        coeffs = mp.lu_solve(vecs, mp.matrix([1, 0, 0, m * kappa / B]))
+        fast = max(abs(mp.im(lam)) for lam in eigvals)
+        amps = sorted((abs(coeffs[j] * (vecs[0, j] + 1j * vecs[1, j]))
+                       for j, lam in enumerate(eigvals)
+                       if abs(mp.im(lam)) > fast / 2), reverse=True)
+        return amps[0], amps[1]
 
 
 def loglog_slope(x, y) -> float:

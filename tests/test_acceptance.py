@@ -115,14 +115,14 @@ def test_frequency_identities():
             continue
         produced += 1
         model = dyn.OscillatorModel(m=float(m), kappa=float(k))
-        fr = dyn.n2_frequencies(model, B, C)
+        fr = cf.n2_frequencies(model, B, C)
         assert fr.omega_plus > 0 and fr.omega_minus > 0
         M, _ = dyn.flow_matrix(st.field_config_n2(B, C), model, tol_singular=1e-16)
         got = np.sort(np.abs(np.linalg.eigvals(M).imag))
         want = np.sort([fr.omega_minus, fr.omega_minus, fr.omega_plus, fr.omega_plus])
         worst = max(worst, float(np.abs(got - want).max()))
 
-    fr = dyn.n2_frequencies(UNIT, 1.0, 0.0)
+    fr = cf.n2_frequencies(UNIT, 1.0, 0.0)
     point_err = max(
         abs(fr.omega_plus - (np.sqrt(5) + 1) / 2),
         abs(fr.omega_minus - (np.sqrt(5) - 1) / 2),
@@ -323,7 +323,7 @@ def test_symmetry():
         and crossed.residual_g > 0.1
     )
 
-    fr = dyn.n2_frequencies(UNIT, 1.0, 0.0)
+    fr = cf.n2_frequencies(UNIT, 1.0, 0.0)
     j_can = st.canonical_j(2)
     bilinear = np.zeros((4, 4))
     bilinear[0, 3] = bilinear[3, 0] = 1.0

@@ -101,6 +101,43 @@ class TestConfigValidation:
             assert f"{key} must be finite" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("section, value, where, got", [
+        ("field", {"eF": [[0, "nan"], ["nan", 0]], "rG": [[0, 0], [0, 0]]},
+         "field.eF[0][1]", '"nan"'),
+        ("field", {"B": 1.0, "C": None}, "field.C", "null"),
+        ("model", {"m": 1.0, "kappa": "1.5"}, "model.kappa", '"1.5"'),
+        ("model", {"m": 1.0, "kappa": 1.0, "hbar": True}, "model.hbar", "true"),
+        ("model", {"m": 1.0, "Evec": [0.0, {"x": 1}]}, "model.Evec[1]", '{"x": 1}'),
+        ("state", [None, 0.0, 0.0, 1.0], "state[0]", "null"),
+        ("state", ["1.5", 0.0, 0.0, 1.0], "state[0]", '"1.5"'),
+        ("time", {"t_final": 1.0, "dt": False}, "time.dt", "false"),
+        ("tolerances", {"singular": "1e-10"}, "tolerances.singular", '"1e-10"'),
+    ])
+    def test_non_numbers_refused(self, tmp_path, capsys, section, value, where, got):
+        # numpy's float conversion takes numeric strings, null and booleans.
+        cfg = dict(BASE, state=[1.0, 0.0, 0.0, 1.0], time={"t_final": 1.0, "dt": 0.1})
+        cfg[section] = value
+        path = write_config(tmp_path, cfg)
+        for command in ("brackets", "simulate"):
+            out = tmp_path / "never.out"
+            assert run([command, "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"ncphase: config error: {path}: {where} must be a JSON number, got {got}\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["N", "schema_version"])
+    def test_boolean_integer_keys_refused(self, tmp_path, key):
+        path = write_config(tmp_path, dict(BASE, **{key: True}))
+        assert run(["brackets", "--config", path]) == cli.EXIT_CONFIG
+
+    def test_non_numbers_in_problem_refused(self, tmp_path, capsys):
+        cfg = {"schema_version": 1, "N": 1, "problem": {
+            "omega": [[0.0, 1.0], [-1.0, 0.0]], "hessian": [[1.0, 0.0], [0.0, 1.0]],
+            "gradient": [0.0, "0"]}}
+        path = write_config(tmp_path, cfg)
+        assert run(["reduce", "--config", path]) == cli.EXIT_CONFIG
+        assert 'problem.gradient[1] must be a JSON number, got "0"' in capsys.readouterr().err
+
     def test_non_finite_problem_and_overflowing_literal_refused(self, tmp_path, capsys):
         path = tmp_path / "problem.json"
         path.write_text('{"schema_version": 1, "N": 1, "problem": {"omega": '
@@ -425,7 +462,7 @@ class TestDegenerateSimulate:
                    time={"t_final": t_final, "dt": dt, "method": "midpoint"})
         _, table = simulate_table(tmp_path, cfg)
         exact = cf.degenerate_flow_n2(UNIT, 1.0, z0, table[:, 0])
-        w = constrained.degenerate_omega_r(UNIT, 1.0)
+        w = cf.degenerate_omega_r(UNIT, 1.0)
         bound = t_final * abs(w - 2.0 * np.arctan(0.5 * w * dt) / dt)
         deviation = np.abs(table[:, 1:5] - exact).max()
         assert 0.9 * bound <= deviation <= bound * (1.0 + 1e-6)
@@ -556,7 +593,7 @@ class TestSpectrum:
         eF, rG, cs, _ = degenerate_n4(np.random.default_rng(7))
         rep = spectrum_report(tmp_path, dict(BASE, N=4, field={"eF": eF.tolist(),
                                                                "rG": rG.tolist()}))
-        want = sorted((abs(constrained.degenerate_omega_r(UNIT, c)) for c in cs), reverse=True)
+        want = sorted((abs(cf.degenerate_omega_r(UNIT, c)) for c in cs), reverse=True)
         assert rep["kind"] == "degenerate-ladder"
         assert np.abs(np.array(rep["frequencies"]) / want - 1.0).max() <= 1e-12
 
@@ -573,7 +610,7 @@ class TestSpectrum:
         # the 1e-16 rounding of its basis into the restricted Hessian.
         model = {"m": 1.0, "kappa": 1e-300}
         rep = spectrum_report(tmp_path, dict(BASE, field={"B": 0.5, "C": -2.0}, model=model))
-        want = abs(constrained.degenerate_omega_r(dynamics.OscillatorModel(**model), -2.0))
+        want = abs(cf.degenerate_omega_r(dynamics.OscillatorModel(**model), -2.0))
         assert rep["kind"] == "degenerate-ladder"
         assert abs(rep["frequencies"][0] / want - 1.0) <= 1e-15
 
@@ -765,7 +802,7 @@ class TestLimitScan:
         lines = out.read_text().splitlines()
         assert lines[0] == "epsilon,omega_plus,omega_minus,omega_r_target,fast_amplitude"
         row = [float(v) for v in lines[1].split(",")]
-        fr = dynamics.n2_frequencies(dynamics.OscillatorModel(m=1, kappa=1), 1.0, 0.0)
+        fr = cf.n2_frequencies(dynamics.OscillatorModel(m=1, kappa=1), 1.0, 0.0)
         assert row[1] == pytest.approx(fr.omega_plus)
         assert row[2] == pytest.approx(fr.omega_minus)
 
@@ -796,29 +833,69 @@ class TestLimitScan:
         assert not out.exists()
 
     def test_non_finite_row_refused(self, tmp_path, capsys):
-        # omega_plus overflows to inf and the fast amplitude is NaN.  The
+        # omega_plus overflows to inf, which the spectrum core refuses.  The
         # refusal is the only line on stderr: numpy must not warn.
         cfg = dict(BASE, field={"B": 1e150, "C": 0.5}, model={"m": 1e-300, "kappa": 1.0})
         path = write_config(tmp_path, cfg)
         out = tmp_path / "scan.csv"
         assert run(["limit-scan", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
         err = capsys.readouterr().err.splitlines()
-        assert err == ["ncphase: numerical failure: non-finite limit-scan row at epsilon = 0.1"]
+        assert err == ["ncphase: numerical failure: limit scan at epsilon = 0.1: a frequency "
+                       "spread of inf resolves a normal mode only to inf relative"]
         assert not out.exists()
         assert not list(tmp_path.glob(".ncphase-*"))
 
-    def test_underflowing_mode_mass_refused(self, tmp_path, capsys):
-        # B = 1e-300: m' omega0' underflows to 0, and the rotating-mode
-        # amplitudes would divide by it.
+    def test_non_finite_value_names_the_first_row(self, tmp_path, capsys, monkeypatch):
+        def scan(model, B, grid):
+            rows = [spectrum.LimitScanRow(e, 2.0, 0.5, 0.5, 1e-3) for e in grid.tolist()]
+            rows[2] = rows[2]._replace(fast_amplitude=float("nan"))
+            rows[3] = rows[3]._replace(omega_plus=float("inf"))
+            return rows
+
+        monkeypatch.setattr(spectrum, "chi_limit_scan", scan)
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / "scan.csv"
+        assert run(["limit-scan", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
+        eps = np.geomspace(1e-1, 1e-3, 9)[2]
+        assert capsys.readouterr().err.splitlines() == [
+            f"ncphase: numerical failure: non-finite limit-scan row at epsilon = {float(eps)!r}"]
+        assert not out.exists()
+
+    def test_unresolved_fast_amplitude_refused(self, tmp_path, capsys):
+        # B = 1e-300: the fast part of the start is lost to rounding, so
+        # the amplitude's error estimate is infinite.
         cfg = dict(BASE, field={"B": 1e-300, "C": 0.5})
         path = write_config(tmp_path, cfg)
         out = tmp_path / "scan.csv"
         assert run(["limit-scan", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
         assert capsys.readouterr().err.splitlines() == [
             "ncphase: numerical failure: limit scan at epsilon = 0.1: "
-            "m' omega0' = sqrt(m' kappa') underflows to 0"]
+            "the fast amplitude's error estimate inf exceeds 1e-05 relative"]
         assert not out.exists()
         assert not list(tmp_path.glob(".ncphase-*"))
+
+    @pytest.mark.parametrize("eps", ["1e-5", "1e-7", "1e-9"])
+    def test_small_epsilon_accurate_or_refused(self, tmp_path, eps):
+        # At 1e-9, C B rounds to -1: chi = 0 and Omega is singular.
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / "scan.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "ncphase.cli", "limit-scan", "--config", path,
+             "--out", str(out), "--eps-min", eps, "--eps-max", eps, "--points", "1"],
+            capture_output=True, text=True,
+        )
+        if proc.returncode == cli.EXIT_OK:
+            assert proc.stderr == ""
+            row = [float(v) for v in out.read_text().splitlines()[1].split(",")]
+            C = (row[0] * row[0] - 1.0) / 1.0
+            want, _ = cf.fast_q_coeffs_mpmath(1.0, 1.0, 1.0, row[0], C)
+            assert abs(row[4] - float(want)) <= spectrum.AMPLITUDE_ACCURACY * float(want)
+        else:
+            assert proc.returncode == cli.EXIT_SINGULAR
+            assert len(proc.stderr.splitlines()) == 1
+            assert proc.stderr.startswith(
+                f"ncphase: numerical failure: limit scan at epsilon = {float(eps)!r}: ")
+            assert not out.exists()
 
 
 class TestNumericalFailure:

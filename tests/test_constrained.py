@@ -133,7 +133,7 @@ class TestDegenerateFlow:
         assert np.allclose(cf.degenerate_flow_n2(UNIT, -1.0, ON_M2, 0.0), ON_M2)
 
     def test_reduced_frequency_value(self):
-        assert con.degenerate_omega_r(UNIT, -1.0) == pytest.approx(0.5, abs=1e-15)
+        assert cf.degenerate_omega_r(UNIT, -1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_full_period_return(self):
         period = 2 * np.pi / 0.5

@@ -67,19 +67,19 @@ class TestEquationsOfMotion:
 
 class TestFrequencies:
     def test_commutative_isotropic(self):
-        fr = dyn.n2_frequencies(UNIT, 0.0, 0.0)
+        fr = cf.n2_frequencies(UNIT, 0.0, 0.0)
         assert fr.omega0_prime == pytest.approx(1.0)
         assert fr.omegaL_prime == 0.0
         assert fr.omega_plus == pytest.approx(1.0)
         assert fr.omega_minus == pytest.approx(1.0)
 
     def test_balanced_fields_cancel_rotation(self):
-        fr = dyn.n2_frequencies(UNIT, 1.0, 1.0)
+        fr = cf.n2_frequencies(UNIT, 1.0, 1.0)
         assert fr.omegaL_prime == 0.0
         assert fr.omega0_prime == pytest.approx(1 / np.sqrt(2), abs=1e-14)
 
     def test_worked_point(self):
-        fr = dyn.n2_frequencies(UNIT, 1.0, 0.0)
+        fr = cf.n2_frequencies(UNIT, 1.0, 0.0)
         assert fr.omegaL_prime == pytest.approx(0.5, abs=1e-15)
         assert fr.omega0_prime == pytest.approx(np.sqrt(5) / 2, abs=1e-15)
         assert fr.omega_plus == pytest.approx(GOLDEN_PLUS, abs=1e-12)
@@ -93,7 +93,7 @@ class TestFrequencies:
             if 1 + B * C <= 1e-3:
                 continue
             model = dyn.OscillatorModel(m=float(m), kappa=float(k))
-            fr = dyn.n2_frequencies(model, B, C)
+            fr = cf.n2_frequencies(model, B, C)
             # m' w0' = sqrt(m' k') equals the closed form in b, c and u.
             closed = np.sqrt(m * k) * np.sqrt(
                 (1 + fr.b**2 / (4 * fr.u**2)) / (1 + fr.c**2 / (4 * fr.u**2))
@@ -110,7 +110,7 @@ class TestFrequencies:
             if 1 + B * C <= 1e-4:
                 continue
             produced += 1
-            fr = dyn.n2_frequencies(dyn.OscillatorModel(m=float(m), kappa=float(k)), B, C)
+            fr = cf.n2_frequencies(dyn.OscillatorModel(m=float(m), kappa=float(k)), B, C)
             assert fr.omega_plus > 0
             assert fr.omega_minus > 0
 
@@ -124,7 +124,7 @@ class TestFrequencies:
                 continue
             produced += 1
             model = dyn.OscillatorModel(m=float(m), kappa=float(k))
-            fr = dyn.n2_frequencies(model, B, C)
+            fr = cf.n2_frequencies(model, B, C)
             M, _ = dyn.flow_matrix(st.field_config_n2(B, C), model, tol_singular=1e-16)
             got = np.sort(np.abs(np.linalg.eigvals(M).imag))
             want = np.sort([fr.omega_minus, fr.omega_minus, fr.omega_plus, fr.omega_plus])
@@ -193,7 +193,7 @@ class TestN3Parallel:
     axial sector keeps the bare frequency omega0."""
 
     def test_zero_fields(self):
-        fr = dyn.n2_frequencies(UNIT, 0.0, 0.0)
+        fr = cf.n2_frequencies(UNIT, 0.0, 0.0)
         assert fr.m_prime == pytest.approx(1.0)
         assert fr.kappa_prime == pytest.approx(1.0)
         assert fr.omega0_prime == pytest.approx(1.0)
@@ -212,12 +212,12 @@ class TestN3Parallel:
         assert not M3[np.ix_(axial, transverse)].any()
 
     def test_balanced_fields(self):
-        fr = dyn.n2_frequencies(UNIT, 1.0, 1.0)
+        fr = cf.n2_frequencies(UNIT, 1.0, 1.0)
         assert fr.omegaL_prime == 0.0
         assert fr.omega0_prime == pytest.approx(1 / np.sqrt(2))
 
     def test_flow_spectrum_decomposes(self):
-        fr = dyn.n2_frequencies(UNIT, 1.0, 0.0)
+        fr = cf.n2_frequencies(UNIT, 1.0, 0.0)
         cfg = st.field_config_n3([0, 0, 1.0], [0, 0, 0.0])
         M, _ = dyn.flow_matrix(cfg, UNIT)
         got = np.sort(np.abs(np.linalg.eigvals(M).imag))

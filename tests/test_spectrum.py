@@ -211,7 +211,7 @@ class TestLimitScan:
 
     def test_single_row_at_unit_epsilon_matches_direct_call(self):
         rows = sp.chi_limit_scan(UNIT, 1.0, [1.0])
-        fr = dyn.n2_frequencies(UNIT, 1.0, 0.0)  # C = (1 - 1)/B = 0
+        fr = cf.n2_frequencies(UNIT, 1.0, 0.0)  # C = (1 - 1)/B = 0
         assert rows[0].omega_plus == pytest.approx(fr.omega_plus, rel=1e-14)
         assert rows[0].omega_minus == pytest.approx(fr.omega_minus, rel=1e-14)
 
@@ -266,53 +266,88 @@ class TestLimitScan:
         with pytest.raises(ValueError):
             sp.chi_limit_scan(UNIT, -1.0, [0.1])
 
+    def test_batched_rows_equal_single_row_scans(self):
+        model = dyn.OscillatorModel(m=0.7, kappa=1.3)
+        rows = sp.chi_limit_scan(model, 2.0, np.geomspace(1e-1, 1e-3, 1000))
+        for row in rows[::7]:
+            assert sp.chi_limit_scan(model, 2.0, [row.epsilon]) == [row]
 
-def _oracle_fast_q_coeffs(m, kappa, B, eps):
-    """Fast-mode content of q = q^1 + i q^2 for the scan's on-constraint start.
+    @settings(max_examples=100, deadline=None)
+    @given(m=hst.floats(0.1, 10.0), kappa=hst.floats(0.1, 10.0), B=hst.floats(0.1, 10.0),
+           eps=hst.floats(1e-3, 1.0))
+    def test_frequencies_are_the_core_of_each_row(self, m, kappa, B, eps):
+        # An off-constraint start keeps the fast amplitude O(1), so no row
+        # is refused for it.
+        model = dyn.OscillatorModel(m=m, kappa=kappa)
+        row, = sp.chi_limit_scan(model, B, [eps], z0=[1.0, 0.0, 0.3, 0.8])
+        omega = st.build_omega(st.field_config_n2(B, (eps * eps - 1.0) / B))
+        w = sp.mode_frequencies(omega, sp.hessian_factor(model.hessian(2)))
+        assert rel_err([row.omega_plus, row.omega_minus], w) <= 1e-15
 
-    Builds Omega = [[-eF, I], [-I, rG]] with eF = B eps_ij, rG = C eps_ij,
-    C = (eps^2 - 1)/B, then Lambda = -Omega^{-1} and Hess H = diag(kappa,
-    kappa, 1/m, 1/m) in 60-digit mpmath, eigendecomposes the dense flow
-    matrix Lambda Hess H and expands z0 = (1, 0, 0, m kappa/B) in its
-    eigenvectors.  Uses no ncphase code.  Returns the magnitudes of the
-    q coefficients on the two fast eigenvalues +/- i omega_plus, larger
-    first: the co-rotating amplitude and its counter-rotating partner,
-    which rotational symmetry makes zero.
-    """
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(60):
-        m, kappa, B = mp.mpf(m), mp.mpf(kappa), mp.mpf(B)
-        eps = mp.mpf(eps)
-        C = (eps * eps - 1) / B
-        omega = mp.matrix([[0, -B, 1, 0],
-                           [B, 0, 0, 1],
-                           [-1, 0, 0, C],
-                           [0, -1, -C, 0]])
-        flow = -mp.inverse(omega) * mp.diag([kappa, kappa, 1 / m, 1 / m])
-        eigvals, vecs = mp.eig(flow)
-        coeffs = mp.lu_solve(vecs, mp.matrix([1, 0, 0, m * kappa / B]))
-        fast = max(abs(mp.im(lam)) for lam in eigvals)
-        amps = sorted((abs(coeffs[j] * (vecs[0, j] + 1j * vecs[1, j]))
-                       for j, lam in enumerate(eigvals)
-                       if abs(mp.im(lam)) > fast / 2), reverse=True)
-        return amps[0], amps[1]
+    def test_first_failing_row_is_named(self):
+        # The batched pass fails as a whole; the error names the largest
+        # epsilon whose own single-row scan fails.
+        eps = np.geomspace(1e-1, 1e-9, 200).tolist()
+        for first in eps:
+            try:
+                sp.chi_limit_scan(UNIT, 1.0, [first])
+            except ArithmeticError:
+                break
+        with pytest.raises(ArithmeticError) as info:
+            sp.chi_limit_scan(UNIT, 1.0, eps)
+        assert str(info.value).startswith(f"limit scan at epsilon = {first!r}: ")
+
+    def test_singular_omega_refused(self):
+        # eps = 1e-9: C B rounds to -1, so chi = 0 and Omega is singular.
+        assert 1.0 + 1.0 * ((1e-9 * 1e-9 - 1.0) / 1.0) == 0.0
+        with pytest.raises(ArithmeticError, match="^limit scan at epsilon = 1e-09: Omega "
+                                                  "is singular in double precision$"):
+            sp.chi_limit_scan(UNIT, 1.0, [1e-9])
+
+
+# The (m, kappa, B) triples checked against the 60-digit oracle.
+ORACLE_TRIPLES = [(1.0, 1.0, 1.0), (0.7, 1.3, 2.0), (2.0, 2.0, 0.3)]
+
+
+def _oracle_error(m, kappa, B, row):
+    """Relative error of a row's fast amplitude against the oracle at the
+    float C = (eps^2 - 1)/B that the scan itself uses."""
+    C = (row.epsilon * row.epsilon - 1.0) / B
+    want, counter = cf.fast_q_coeffs_mpmath(m, kappa, B, row.epsilon, C)
+    assert counter <= 1e-40 * want
+    return abs(row.fast_amplitude - float(want)) / float(want)
 
 
 class TestLimitScanOracle:
-    @pytest.mark.parametrize("m, kappa, B", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.0),
-                                             (2.0, 2.0, 0.3)])
+    @pytest.mark.parametrize("m, kappa, B", ORACLE_TRIPLES)
     def test_fast_amplitude_matches_mpmath_eigendecomposition(self, m, kappa, B):
         eps = np.geomspace(1e-1, 1e-3, 9)
         rows = sp.chi_limit_scan(dyn.OscillatorModel(m=m, kappa=kappa), B, eps)
-        for r in rows:
-            want, counter = _oracle_fast_q_coeffs(m, kappa, B, r.epsilon)
-            assert counter <= 1e-40 * want
-            assert abs(r.fast_amplitude - float(want)) <= 1e-5 * float(want)
+        assert max(_oracle_error(m, kappa, B, r) for r in rows) <= 1e-8
+
+    @pytest.mark.parametrize("m, kappa, B", ORACLE_TRIPLES)
+    def test_fast_amplitude_at_eps_1e_4(self, m, kappa, B):
+        # The projector's relative error grows like eps_mach / eps^2; that
+        # of the closed form it replaced grew like eps_mach / eps^3.
+        row, = sp.chi_limit_scan(dyn.OscillatorModel(m=m, kappa=kappa), B, [1e-4])
+        assert _oracle_error(m, kappa, B, row) <= 1e-6
+
+    @pytest.mark.parametrize("m, kappa, B", ORACLE_TRIPLES)
+    def test_small_eps_rows_accurate_or_refused(self, m, kappa, B):
+        model = dyn.OscillatorModel(m=m, kappa=kappa)
+        for eps in np.geomspace(1e-1, 1e-5, 9).tolist():
+            try:
+                row, = sp.chi_limit_scan(model, B, [eps])
+            except ArithmeticError as exc:
+                assert str(exc).startswith(f"limit scan at epsilon = {eps!r}: the fast "
+                                           "amplitude's error estimate ")
+                continue
+            assert _oracle_error(m, kappa, B, row) <= sp.AMPLITUDE_ACCURACY
 
     @pytest.mark.parametrize("m, kappa, B", [(1.0, 1.0, 1.0), (1.0, 3.0, 0.5),
                                              (0.7, 1.3, 2.0), (2.0, 2.0, 0.3)])
     def test_oracle_limit_is_closed_form_prefactor(self, m, kappa, B):
-        amp, _ = _oracle_fast_q_coeffs(m, kappa, B, "1e-8")
+        amp, _ = cf.fast_q_coeffs_mpmath(m, kappa, B, "1e-8")
         want = (m * kappa) ** 2 / (B**2 + m * kappa) ** 2
         assert abs(float(amp) / 1e-8**2 - want) <= 1e-12 * want
 

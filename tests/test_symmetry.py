@@ -6,6 +6,8 @@ from ncphase import structure as st
 from ncphase import symmetry as sym
 from ncphase.errors import NotARotation
 
+import closed_forms as cf
+
 UNIT = dyn.OscillatorModel(m=1.0, kappa=1.0)
 
 
@@ -130,7 +132,7 @@ class TestDarbouxMomentum:
     def test_hamiltonian_commutes_with_rotation_charge(self):
         # In Darboux variables the diagonalized planar Hamiltonian is a
         # function of pi^2, xi^2 and the angular momentum alone.
-        fr = dyn.n2_frequencies(UNIT, 1.0, 0.0)
+        fr = cf.n2_frequencies(UNIT, 1.0, 0.0)
         j_can = st.canonical_j(2)
         bilinear = np.zeros((4, 4))
         bilinear[0, 3] = bilinear[3, 0] = 1.0
