@@ -2,7 +2,7 @@
 
 Exit codes: 0 ok, 1 config error, 2 singular structure, numerical failure
 or non-finite result, 3 integrator step rejection, 4 inconsistent
-constraint system.
+constraint system, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 import argparse
@@ -34,6 +34,7 @@ EXIT_CONFIG = 1
 EXIT_SINGULAR = 2
 EXIT_STEP_REJECTED = 3
 EXIT_INCONSISTENT = 4
+EXIT_BROKEN_PIPE = 141
 ENV_TOL = "NCPHASE_TOL_SINGULAR"
 # Largest simulate state table, rows (t_final/dt + 1) times 2N, refused
 # with exit 1 before anything is allocated: 400 MB of float64 states.
@@ -50,71 +51,50 @@ class ConfigError(NcphaseError):
     """Schema violation in a run configuration."""
 
 
-class RunConfig:
+class NonFiniteOutput(ArithmeticError):
+    """A subcommand's result holds NaN or inf, so nothing is written."""
+
+
+class RunConfig(NamedTuple):
     """A validated run configuration, as `load_config` returns it."""
 
-    __slots__ = ("N", "cfg", "n2", "n3", "model", "state", "t_final", "dt",
-                 "method", "tol_singular", "problem")
-
-    def __init__(self, N: int, cfg, n2, n3, model, state, t_final, dt,
-                 method: str, tol_singular: float, problem):
-        self.N = N
-        self.cfg = cfg                 # structure.FieldConfig, or None
-        self.n2 = n2                   # (B, C) when the field section was planar scalars
-        self.n3 = n3                   # (Bvec, Cvec) when it was spatial vectors
-        self.model = model             # dynamics.OscillatorModel, or None
-        self.state = state
-        self.t_final = t_final
-        self.dt = dt
-        self.method = method
-        self.tol_singular = tol_singular
-        self.problem = problem         # raw {omega, hessian, gradient} for `reduce`
+    N: int
+    cfg: structure.FieldConfig | None
+    model: dynamics.OscillatorModel | None
+    state: np.ndarray | None
+    t_final: float | None
+    dt: float | None
+    method: str
+    tol_singular: float
+    problem: dict | None           # {omega, hessian, gradient} arrays for `reduce`
 
 
-_TOP_KEYS = {
-    "schema_version", "N", "field", "model", "state", "time", "tolerances", "problem",
+# What each key of a config holds.  A section is (its keys, its required
+# keys); a value is JSON numbers of a rank (NUMBER, VECTOR or MATRIX), a
+# positive integer (int) or one of a frozenset of JSON values.  The rules
+# that tie keys together are in `load_config`.
+NUMBER, VECTOR, MATRIX = 0, 1, 2
+_SCHEMA = ({
+    "schema_version": frozenset({SCHEMA_VERSION}),
+    "N": int,
+    "field": ({"B": NUMBER, "C": NUMBER, "Bvec": VECTOR, "Cvec": VECTOR,
+               "eF": MATRIX, "rG": MATRIX}, ()),
+    "model": ({"m": NUMBER, "kappa": NUMBER, "Evec": VECTOR, "hbar": NUMBER}, ("m",)),
+    "state": VECTOR,
+    "time": ({"t_final": NUMBER, "dt": NUMBER, "method": frozenset({"exact", "midpoint"})},
+             ("t_final", "dt")),
+    "tolerances": ({"singular": NUMBER}, ("singular",)),
+    "problem": ({"omega": MATRIX, "hessian": MATRIX, "gradient": VECTOR},
+                ("omega", "hessian", "gradient")),
+}, ("schema_version", "N"))
+_RANKS = ("a number", "a vector", "a matrix")
+# The field forms, keys sorted: the N each requires (None: any) and its
+# constructor, called with the values of the keys.
+_FIELD_FORMS = {
+    ("B", "C"): (2, structure.field_config_n2),
+    ("Bvec", "Cvec"): (3, structure.field_config_n3),
+    ("eF", "rG"): (None, lambda eF, rG: structure.FieldConfig(len(eF), eF, rG)),
 }
-_FIELD_FORMS = (
-    {"B", "C"},
-    {"Bvec", "Cvec"},
-    {"eF", "rG"},
-)
-# Keys whose values are JSON numbers or lists of them, by section.
-_NUMERIC_KEYS = {
-    "field": ("B", "C", "Bvec", "Cvec", "eF", "rG"),
-    "model": ("m", "kappa", "Evec", "hbar"),
-    "time": ("t_final", "dt"),
-    "tolerances": ("singular",),
-    "problem": ("omega", "hessian", "gradient"),
-}
-
-
-def _fail(msg: str) -> ConfigError:
-    return ConfigError(msg)
-
-
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
-    if unknown:
-        raise _fail(f"{where}: unknown keys {sorted(unknown)} (fail-closed schema)")
-
-
-def _finite(value) -> bool:
-    """Whether a parsed JSON value holds no NaN or infinite float.
-
-    json accepts NaN, Infinity and overflowing literals such as 1e400.  A
-    numeric list is tested as one array, without a Python call per entry.
-    """
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, dict):
-        return all(map(_finite, value.values()))
-    if isinstance(value, list):
-        try:
-            return bool(np.isfinite(np.array(value, dtype=float)).all())
-        except (TypeError, ValueError, OverflowError):
-            return all(map(_finite, value))
-    return True
 
 
 def _check_numbers(value, where: str):
@@ -128,39 +108,86 @@ def _check_numbers(value, where: str):
             for i, item in enumerate(value):
                 _check_numbers(item, f"{where}[{i}]")
         return
-    raise _fail(f"{where} must be a JSON number, got {json.dumps(value)}")
+    raise ConfigError(f"{where} must be a JSON number, got {json.dumps(value)}")
 
 
 def _check_finite(value, where: str):
-    """Name the first non-finite float of a value that `_finite` refused."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise _fail(f"{where} must be finite, got {value!r}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{where}.{key}")
-    elif isinstance(value, list):
+    """Name the first number of ``value`` outside the float range.
+
+    json accepts NaN, Infinity and overflowing literals such as 1e400, and
+    an integer literal may not fit a float at all.
+    """
+    if type(value) is list:
         for i, item in enumerate(value):
             _check_finite(item, f"{where}[{i}]")
+    elif not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be finite, got {value!r}")
 
 
-def _tolerance(value, where: str) -> float:
+def _numbers(value, rank: int, where: str):
+    """``value`` as a float array of ``rank``, a float for rank 0."""
+    _check_numbers(value, where)
     try:
-        tol = float(value)
-    except (TypeError, ValueError):
-        raise _fail(f"{where}={value!r} is not a number") from None
-    if not (math.isfinite(tol) and tol > 0):
-        raise _fail(f"{where} must be positive and finite, got {tol!r}")
-    return tol
+        arr = np.array(value, dtype=float)
+        finite = np.isfinite(arr).all()
+    except (ValueError, OverflowError):  # a ragged list, or a huge integer
+        arr, finite = None, False
+    if not finite:  # walk the entries only to name the one at fault
+        _check_finite(value, where)
+    if arr is None or arr.ndim != rank:
+        raise ConfigError(f"{where} must be {_RANKS[rank]}")
+    return float(arr) if rank == NUMBER else arr
 
 
-def _matrix(value, name: str) -> np.ndarray:
+def _walk(value, section, path: str, where: str = "") -> dict:
+    """Check ``value`` against a section of `_SCHEMA`; return its items,
+    numbers converted."""
+    keys, required = section
+    name = where or "top level"
+    if type(value) is not dict:
+        raise ConfigError(f"{path}: {name} must be a JSON object")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ConfigError(f"{path}: {name}: unknown keys {sorted(unknown)} (fail-closed schema)")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{path}: {name} requires {key!r}")
+    out = {}
+    for key, item in value.items():
+        kind, at = keys[key], f"{where}.{key}" if where else key
+        if type(kind) is tuple:
+            out[key] = _walk(item, kind, path, at)
+        elif kind is int:
+            if type(item) is not int or item < 1:
+                raise ConfigError(f"{path}: {at} must be a positive integer")
+            out[key] = item
+        elif type(kind) is frozenset:
+            if type(item) not in (int, str) or item not in kind:
+                raise ConfigError(
+                    f"{path}: {at} must be one of {sorted(kind)}, got {json.dumps(item)}")
+            out[key] = item
+        else:
+            out[key] = _numbers(item, kind, f"{path}: {at}")
+    return out
+
+
+def _sized(arr, n: int, where: str):
+    """``arr`` when each of its axes has length ``n``."""
+    want = (n,) * np.ndim(arr)
+    if np.shape(arr) != want:
+        raise ConfigError(f"{where} must have shape {want}, got {np.shape(arr)}")
+    return arr
+
+
+def _positive(value, where: str) -> float:
+    """``value`` as a float, when it is positive and finite."""
     try:
-        m = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise _fail(f"field {name!r} is not a numeric matrix: {exc}") from None
-    if m.ndim != 2:
-        raise _fail(f"field {name!r} must be a 2d matrix")
-    return m
+        x = float(value)
+    except ValueError:
+        x = math.nan
+    if not 0 < x < math.inf:
+        raise ConfigError(f"{where} must be positive and finite, got {value!r}")
+    return x
 
 
 def load_config(path: str) -> RunConfig:
@@ -169,145 +196,64 @@ def load_config(path: str) -> RunConfig:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
-        raise _fail(f"config file not found: {path}") from None
+        raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise _fail(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise _fail(f"{path}: top level must be an object")
-    _check_keys(raw, _TOP_KEYS, path)
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    top = _walk(raw, _SCHEMA, path)
+    N = top["N"]
+    if ("field" in top) == ("problem" in top):
+        raise ConfigError(f"{path}: exactly one of 'field' or 'problem' must be present")
+    tol = _positive(os.environ.get(ENV_TOL, structure.TOL_SINGULAR), f"environment {ENV_TOL}")
+    if "tolerances" in top:
+        tol = _positive(top["tolerances"]["singular"], f"{path}: tolerances.singular")
 
-    version = raw.get("schema_version")
-    if version != SCHEMA_VERSION or isinstance(version, bool):
-        raise _fail(
-            f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
-        )
-    if "N" not in raw or type(raw["N"]) is not int or raw["N"] < 1:
-        raise _fail(f"{path}: 'N' must be a positive integer")
-    N = raw["N"]
-
-    has_field = "field" in raw
-    has_problem = "problem" in raw
-    if has_field == has_problem:
-        raise _fail(f"{path}: exactly one of 'field' or 'problem' must be present")
-
-    for key, names in _NUMERIC_KEYS.items():
-        section = raw.get(key)
-        if isinstance(section, dict):
-            for name in names:
-                if name in section:
-                    _check_numbers(section[name], f"{path}: {key}.{name}")
-    if "state" in raw:
-        _check_numbers(raw["state"], f"{path}: state")
-    for key, section in raw.items():
-        if not _finite(section):
-            _check_finite(section, f"{path}: {key}")
-
-    tol = structure.TOL_SINGULAR
-    env = os.environ.get(ENV_TOL)
-    if env is not None:
-        tol = _tolerance(env, f"environment {ENV_TOL}")
-    if "tolerances" in raw:
-        _check_keys(raw["tolerances"], {"singular"}, f"{path}: tolerances")
-        if "singular" not in raw["tolerances"]:
-            raise _fail(f"{path}: tolerances requires 'singular'")
-        tol = _tolerance(raw["tolerances"]["singular"], f"{path}: tolerances.singular")
-
-    cfg = n2 = n3 = None
-    if has_field:
-        field_sec = raw["field"]
-        if not isinstance(field_sec, dict):
-            raise _fail(f"{path}: 'field' must be an object")
-        keys = set(field_sec)
-        if keys not in [set(f) for f in _FIELD_FORMS]:
-            raise _fail(
-                f"{path}: 'field' must be exactly one of B/C, Bvec/Cvec or eF/rG, got {sorted(keys)}"
-            )
+    cfg = None
+    if "field" in top:
+        sec = top["field"]
+        form = tuple(sorted(sec))
+        if form not in _FIELD_FORMS:
+            raise ConfigError(f"{path}: 'field' must be exactly one of B/C, Bvec/Cvec "
+                              f"or eF/rG, got {list(form)}")
+        n, make = _FIELD_FORMS[form]
+        if n not in (None, N):
+            raise ConfigError(f"{path}: the {'/'.join(form)} field form requires N = {n}")
         try:
-            if keys == {"B", "C"}:
-                if N != 2:
-                    raise _fail(f"{path}: scalar B/C field form requires N = 2")
-                n2 = (float(field_sec["B"]), float(field_sec["C"]))
-                cfg = structure.field_config_n2(*n2)
-            elif keys == {"Bvec", "Cvec"}:
-                if N != 3:
-                    raise _fail(f"{path}: vector field form requires N = 3")
-                n3 = (np.array(field_sec["Bvec"], dtype=float),
-                      np.array(field_sec["Cvec"], dtype=float))
-                if n3[0].shape != (3,) or n3[1].shape != (3,):
-                    raise _fail(f"{path}: Bvec and Cvec must have length 3")
-                cfg = structure.field_config_n3(*n3)
-            else:
-                cfg = structure.FieldConfig(
-                    N, _matrix(field_sec["eF"], "eF"), _matrix(field_sec["rG"], "rG")
-                )
-                n2 = structure.n2_scalars(cfg)
-                n3 = structure.n3_vectors(cfg)
+            cfg = make(*(_sized(sec[key], N, f"{path}: field.{key}") for key in form))
         except ValueError as exc:
-            raise _fail(f"{path}: invalid field section: {exc}") from None
+            raise ConfigError(f"{path}: invalid field section: {exc}") from None
 
-    problem = None
-    if has_problem:
-        sec = raw["problem"]
-        _check_keys(sec, {"omega", "hessian", "gradient"}, f"{path}: problem")
-        for key in ("omega", "hessian", "gradient"):
-            if key not in sec:
-                raise _fail(f"{path}: problem requires {key!r}")
-        problem = {
-            "omega": _matrix(sec["omega"], "omega"),
-            "hessian": _matrix(sec["hessian"], "hessian"),
-            "gradient": np.array(sec["gradient"], dtype=float),
-        }
+    problem = top.get("problem")
+    for key, arr in (problem or {}).items():
+        _sized(arr, 2 * N, f"{path}: problem.{key}")
+    state = top.get("state")
+    if state is not None:
+        _sized(state, 2 * N, f"{path}: state")
 
     model = None
-    if "model" in raw:
-        sec = raw["model"]
-        _check_keys(sec, {"m", "kappa", "Evec", "hbar"}, f"{path}: model")
-        if "m" not in sec:
-            raise _fail(f"{path}: model requires 'm'")
+    if "model" in top:
+        sec = top["model"]
         if ("kappa" in sec) == ("Evec" in sec):
-            raise _fail(f"{path}: model requires exactly one of 'kappa' or 'Evec'")
+            raise ConfigError(f"{path}: model requires exactly one of 'kappa' or 'Evec'")
         try:
             if "kappa" in sec:
                 model = dynamics.OscillatorModel(
-                    m=float(sec["m"]), kappa=float(sec["kappa"]),
-                    hbar=float(sec.get("hbar", 1.0)),
-                )
+                    m=sec["m"], kappa=sec["kappa"], hbar=sec.get("hbar", 1.0))
             else:
-                evec = tuple(float(e) for e in sec["Evec"])
-                if len(evec) != N:
-                    raise _fail(f"{path}: Evec must have length N = {N}")
                 model = dynamics.OscillatorModel(
-                    m=float(sec["m"]), potential=dynamics.LINEAR,
-                    Evec=evec, hbar=float(sec.get("hbar", 1.0)),
-                )
+                    m=sec["m"], potential=dynamics.LINEAR, hbar=sec.get("hbar", 1.0),
+                    Evec=_sized(sec["Evec"], N, f"{path}: model.Evec"))
         except ValueError as exc:
-            raise _fail(f"{path}: invalid model: {exc}") from None
-
-    state = None
-    if "state" in raw:
-        state = np.array(raw["state"], dtype=float)
-        if state.shape != (2 * N,):
-            raise _fail(f"{path}: 'state' must have length 2N = {2 * N}")
+            raise ConfigError(f"{path}: invalid model: {exc}") from None
 
     t_final = dt = None
     method = "exact"
-    if "time" in raw:
-        sec = raw["time"]
-        _check_keys(sec, {"t_final", "dt", "method"}, f"{path}: time")
-        if "t_final" not in sec or "dt" not in sec:
-            raise _fail(f"{path}: time requires 't_final' and 'dt'")
-        t_final = float(sec["t_final"])
-        dt = float(sec["dt"])
-        if dt <= 0 or t_final <= 0:
-            raise _fail(f"{path}: time values must be positive")
-        method = sec.get("method", "exact")
-        if method not in ("exact", "midpoint"):
-            raise _fail(f"{path}: time method must be 'exact' or 'midpoint'")
+    if "time" in top:
+        sec = top["time"]
+        t_final = _positive(sec["t_final"], f"{path}: time.t_final")
+        dt = _positive(sec["dt"], f"{path}: time.dt")
+        method = sec.get("method", method)
 
-    return RunConfig(
-        N=N, cfg=cfg, n2=n2, n3=n3, model=model, state=state,
-        t_final=t_final, dt=dt, method=method, tol_singular=tol, problem=problem,
-    )
+    return RunConfig(N, cfg, model, state, t_final, dt, method, tol, problem)
 
 
 def _listify(arr: np.ndarray):
@@ -322,6 +268,7 @@ def _write_atomic(path: str | None, chunks):
     """
     if path is None:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe raises here, inside `main`
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ncphase-")
@@ -387,62 +334,51 @@ def _json_text(obj, indent: str = "") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit_json(obj, out_path: str | None):
-    _write_atomic(out_path, [_json_text(obj), "\n"])
-
-
 def _require(value, what: str):
     if value is None:
-        raise _fail(f"this subcommand requires {what} in the config")
+        raise ConfigError(f"this subcommand requires {what} in the config")
     return value
 
 
-def cmd_brackets(rc: RunConfig, out_path: str | None) -> int:
+def cmd_brackets(rc: RunConfig, args) -> tuple:
     cfg = _require(rc.cfg, "a field section")
     omega = structure.build_omega(cfg)
     try:
         lam = structure.poisson_matrix(cfg, rc.tol_singular)
     except SingularOmega:
         kernel_dim = constrained.kernel(omega).shape[1]
-        _emit_json(
-            {
-                "status": "singular",
-                "det_psi": structure.regularity(cfg),
-                "kernel_dimension": int(kernel_dim),
-                "omega": _listify(omega),
-            },
-            out_path,
-        )
-        return EXIT_SINGULAR
-    N = cfg.N
-    _emit_json(
-        {
-            "status": "ok",
-            "omega": _listify(omega),
-            "poisson": _listify(lam),
-            "brackets": {
-                "qq": _listify(lam[:N, :N]),
-                "qp": _listify(lam[:N, N:]),
-                "pq": _listify(lam[N:, :N]),
-                "pp": _listify(lam[N:, N:]),
-            },
+        return EXIT_SINGULAR, {
+            "status": "singular",
             "det_psi": structure.regularity(cfg),
+            "kernel_dimension": int(kernel_dim),
+            "omega": _listify(omega),
+        }
+    N = cfg.N
+    return EXIT_OK, {
+        "status": "ok",
+        "omega": _listify(omega),
+        "poisson": _listify(lam),
+        "brackets": {
+            "qq": _listify(lam[:N, :N]),
+            "qp": _listify(lam[:N, N:]),
+            "pq": _listify(lam[N:, :N]),
+            "pp": _listify(lam[N:, N:]),
         },
-        out_path,
-    )
-    return EXIT_OK
+        "det_psi": structure.regularity(cfg),
+    }
 
 
-def cmd_darboux(rc: RunConfig, out_path: str | None) -> int:
+def cmd_darboux(rc: RunConfig, args) -> tuple:
     cfg = _require(rc.cfg, "a field section")
     omega = structure.build_omega(cfg)
+    n2, n3 = structure.n2_scalars(cfg), structure.n3_vectors(cfg)
     note = None
     try:
-        if rc.n2 is not None:
-            dmap = darboux.darboux_n2(*rc.n2, tol=rc.tol_singular)
+        if n2 is not None:
+            dmap = darboux.darboux_n2(*n2, tol=rc.tol_singular)
             route = "closed-n2"
-        elif rc.n3 is not None:
-            dmap = darboux.darboux_n3(*rc.n3, tol=rc.tol_singular)
+        elif n3 is not None:
+            dmap = darboux.darboux_n3(*n3, tol=rc.tol_singular)
             route = "closed-n3"
         else:
             dmap = darboux.symplectic_gram_schmidt(omega, rc.tol_singular)
@@ -451,9 +387,6 @@ def cmd_darboux(rc: RunConfig, out_path: str | None) -> int:
         dmap = darboux.symplectic_gram_schmidt(omega, rc.tol_singular)
         route = "generic"
         note = "chi < 0: routed to the generic orthogonalization"
-    except DegenerateChi as exc:
-        sys.stderr.write(f"ncphase darboux: {exc}\n")
-        return EXIT_SINGULAR
 
     # The generic map is deterministic: on the generic route it is dmap.
     generic = dmap if route == "generic" else darboux.symplectic_gram_schmidt(
@@ -469,15 +402,14 @@ def cmd_darboux(rc: RunConfig, out_path: str | None) -> int:
     }
     if note:
         report["note"] = note
-    _emit_json(report, out_path)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
 def _simulate_rows(rc: RunConfig):
     cfg, model = _require(rc.cfg, "a field section"), _require(rc.model, "a model")
     z0 = _require(rc.state, "an initial state")
     if (rc.t_final / rc.dt + 1) * 2 * cfg.N > MAX_STATE_VALUES:
-        raise _fail(
+        raise ConfigError(
             f"t_final/dt = {rc.t_final / rc.dt:.3g} steps at N = {cfg.N} exceeds "
             f"the cap of {MAX_STATE_VALUES} state values (rows x 2N)"
         )
@@ -506,18 +438,17 @@ def _simulate_rows(rc: RunConfig):
     return header, np.column_stack(columns)
 
 
-def cmd_simulate(rc: RunConfig, out_path: str | None) -> int:
+def cmd_simulate(rc: RunConfig, args) -> tuple:
     _require(rc.dt, "a time grid")
     header, table = _simulate_rows(rc)
     if not np.isfinite(table).all():
-        sys.stderr.write("ncphase simulate: non-finite trajectory (overflow or "
-                         "invalid arithmetic in the flow); no output written\n")
-        return EXIT_SINGULAR
-    _write_atomic(out_path, itertools.chain([",".join(header) + "\n"], g17.csv_rows(table)))
-    return EXIT_OK
+        raise NonFiniteOutput("non-finite trajectory (overflow or invalid arithmetic "
+                              "in the flow); no output written")
+    # Lazy: the CSV text is made chunk by chunk as it is written.
+    return EXIT_OK, itertools.chain([",".join(header) + "\n"], g17.csv_rows(table))
 
 
-def cmd_spectrum(rc: RunConfig, out_path: str | None, nmax: int) -> int:
+def cmd_spectrum(rc: RunConfig, args) -> tuple:
     cfg, model = _require(rc.cfg, "a field section"), _require(rc.model, "a model")
     r = spectrum.hessian_factor(model.hessian(cfg.N))
     omega = structure.build_omega(cfg)
@@ -528,17 +459,13 @@ def cmd_spectrum(rc: RunConfig, out_path: str | None, nmax: int) -> int:
     else:
         lam = structure.poisson_matrix(cfg, rc.tol_singular)
         freqs, kind = spectrum.mode_frequencies(omega, r, lam), "normal-modes"
-    table = spectrum.ladder(freqs, model.hbar, nmax)
-    _emit_json(
-        {
-            "kind": kind,
-            "hbar": table.hbar,
-            "frequencies": list(table.frequencies),
-            "levels": _level_records(table),
-        },
-        out_path,
-    )
-    return EXIT_OK
+    table = spectrum.ladder(freqs, model.hbar, args.nmax)
+    return EXIT_OK, {
+        "kind": kind,
+        "hbar": table.hbar,
+        "frequencies": list(table.frequencies),
+        "levels": _level_records(table),
+    }
 
 
 def _level_records(table: spectrum.SpectrumTable) -> _Encoded:
@@ -554,16 +481,17 @@ def _level_records(table: spectrum.SpectrumTable) -> _Encoded:
     return _Encoded("[\n    " + ",\n    ".join([record % row for row in rows]) + "\n  ]")
 
 
-def cmd_limit_scan(rc: RunConfig, out_path: str | None,
-                   eps_min: float, eps_max: float, points: int) -> int:
+def cmd_limit_scan(rc: RunConfig, args) -> tuple:
     model = _require(rc.model, "a model")
-    if rc.n2 is None:
-        raise _fail("the limit scan requires the scalar B/C field form")
-    B, _ = rc.n2
+    n2 = structure.n2_scalars(rc.cfg) if rc.cfg is not None else None
+    if n2 is None:
+        raise ConfigError("the limit scan requires the scalar B/C field form")
+    B, _ = n2
+    eps_min, eps_max, points = args.eps_min, args.eps_max, args.points
     if not (0 < eps_min <= eps_max < math.inf) or points < 1:
-        raise _fail("scan requires finite 0 < eps_min <= eps_max and points >= 1")
+        raise ConfigError("scan requires finite 0 < eps_min <= eps_max and points >= 1")
     if points > MAX_SCAN_POINTS:
-        raise _fail(f"--points {points} exceeds the cap of {MAX_SCAN_POINTS} scan points")
+        raise ConfigError(f"--points {points} exceeds the cap of {MAX_SCAN_POINTS} scan points")
     grid = np.geomspace(eps_max, eps_min, points)
     rows = spectrum.chi_limit_scan(model, B, grid)
     finite = np.isfinite(np.array(rows)).all(axis=1)
@@ -572,11 +500,10 @@ def cmd_limit_scan(rc: RunConfig, out_path: str | None,
             f"non-finite limit-scan row at epsilon = {rows[finite.argmin()].epsilon!r}")
     lines = ["epsilon,omega_plus,omega_minus,omega_r_target,fast_amplitude"]
     lines += [",".join(map(repr, r)) for r in rows]
-    _write_atomic(out_path, ["\n".join(lines), "\n"])
-    return EXIT_OK
+    return EXIT_OK, ["\n".join(lines), "\n"]
 
 
-def cmd_reduce(rc: RunConfig, out_path: str | None) -> int:
+def cmd_reduce(rc: RunConfig, args) -> tuple:
     if rc.problem is not None:
         omega = rc.problem["omega"]
         hess = rc.problem["hessian"]
@@ -610,8 +537,7 @@ def cmd_reduce(rc: RunConfig, out_path: str | None) -> int:
         },
         "gauge_dimension": int(chain.gauge_basis.shape[1]) if chain.gauge_basis is not None else None,
     }
-    _emit_json(report, out_path)
-    return code
+    return code, report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -638,27 +564,27 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rc = load_config(args.config)
-        if args.command == "brackets":
-            return cmd_brackets(rc, args.out)
-        if args.command == "darboux":
-            return cmd_darboux(rc, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(rc, args.out)
-        if args.command == "spectrum":
-            return cmd_spectrum(rc, args.out, args.nmax)
-        if args.command == "limit-scan":
-            return cmd_limit_scan(rc, args.out, args.eps_min, args.eps_max, args.points)
-        return cmd_reduce(rc, args.out)
-    except ConfigError as exc:
-        sys.stderr.write(f"ncphase: config error: {exc}\n")
-        return EXIT_CONFIG
+        # Looked up when called, so that a wrapper bound to the name sees the call.
+        code, payload = globals()["cmd_" + args.command.replace("-", "_")](rc, args)
+        if isinstance(payload, dict):
+            payload = [_json_text(payload), "\n"]
+        _write_atomic(args.out, payload)
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone: end as a SIGPIPE would, and point
+        # stdout at /dev/null so that the flush at exit stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except NonFiniteOutput as exc:
+        sys.stderr.write(f"ncphase {args.command}: {exc}\n")
+        return EXIT_SINGULAR
     # LinAlgError subclasses ValueError, so it must be caught first; the
     # contract checks of poisson_matrix and the Darboux maps raise
     # ArithmeticError.
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         sys.stderr.write(f"ncphase: numerical failure: {exc}\n")
         return EXIT_SINGULAR
-    except ValueError as exc:
+    except (ConfigError, ValueError, OffConstraint) as exc:
         sys.stderr.write(f"ncphase: config error: {exc}\n")
         return EXIT_CONFIG
     except StepRejected as exc:
@@ -668,9 +594,6 @@ def main(argv=None) -> int:
     except (SingularOmega, DegenerateChi) as exc:
         sys.stderr.write(f"ncphase: singular structure: {exc}\n")
         return EXIT_SINGULAR
-    except OffConstraint as exc:
-        sys.stderr.write(f"ncphase: config error: {exc}\n")
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -32,6 +32,11 @@ def run(argv):
     return cli.main(argv)
 
 
+_PROBLEM_N1 = {"schema_version": 1, "N": 1, "problem": {
+    "omega": [[0.0, 1.0], [-1.0, 0.0]], "hessian": [[1.0, 0.0], [0.0, 1.0]],
+    "gradient": [0.0, 0.0]}}
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path):
         path = write_config(tmp_path, dict(BASE, surprise=1))
@@ -89,6 +94,8 @@ class TestConfigValidation:
         ("tolerances", {"singular": float("nan")}, "tolerances.singular"),
         # A ragged list is not one array: its items are tested one by one.
         ("state", [[1.0, 2.0], [float("nan")]], "state[1][0]"),
+        # An integer literal beyond the float range.
+        ("field", {"B": 10**400, "C": 1.0}, "field.B"),
     ])
     def test_non_finite_numbers_refused(self, tmp_path, capsys, section, value, key):
         # json accepts NaN and Infinity; `"B": NaN` used to give NaN brackets.
@@ -180,6 +187,30 @@ class TestConfigValidation:
         assert run(["brackets", "--config", path]) == cli.EXIT_CONFIG
         assert "tolerances requires 'singular'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("brackets", dict(BASE, model=5), "model must be a JSON object"),
+        ("simulate", dict(BASE, time=5), "time must be a JSON object"),
+        ("brackets", dict(BASE, tolerances=5), "tolerances must be a JSON object"),
+        ("reduce", dict(_PROBLEM_N1, problem=5), "problem must be a JSON object"),
+        ("brackets", dict(BASE, model=[]), "model must be a JSON object"),
+        ("brackets", dict(BASE, model={"m": 1.0, "kappa": [1, 2]}), "model.kappa must be a number"),
+        ("brackets", dict(BASE, field={"B": [1, 2], "C": 1.0}), "field.B must be a number"),
+        ("brackets", dict(BASE, model={"m": 1.0, "Evec": 5}), "model.Evec must be a vector"),
+        ("reduce", dict(_PROBLEM_N1, N=5),
+         "problem.omega must have shape (10, 10), got (2, 2)"),
+        ("reduce", dict(_PROBLEM_N1, problem=dict(_PROBLEM_N1["problem"], gradient=[[0, 0]])),
+         "problem.gradient must be a vector"),
+    ])
+    def test_malformed_values_refused(self, tmp_path, capsys, command, cfg, message):
+        # Sections that are not objects, ranks that do not match and problem
+        # arrays that disagree with N: each used to end in a traceback, a
+        # numpy message or exit 0.
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "never.out"
+        assert run([command, "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"ncphase: config error: {path}: {message}\n"
+        assert not out.exists()
+
 
 class TestBrackets:
     def test_planar_report(self, tmp_path):
@@ -226,6 +257,14 @@ class TestDarboux:
         run(["darboux", "--config", path, "--out", str(out)])
         rep = json.loads(out.read_text())
         assert np.allclose(rep["T"], np.eye(4))
+
+    def test_chi_zero_refused(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(BASE, field={"B": 1.0, "C": -1.0}))
+        out = tmp_path / "dx.json"
+        assert run(["darboux", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
+        assert capsys.readouterr().err == (
+            "ncphase: singular structure: chi = 0 is singular (presymplectic regime)\n")
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -1117,6 +1156,18 @@ for argv in (["brackets", "--config", {midpoint!r}],
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_closed_stdout_exits_141_without_a_traceback(self, tmp_path):
+        # 100,001 rows, far more than a pipe buffer holds: the writer is
+        # still writing when the reader goes.
+        cfg = dict(BASE, state=[1.0, 0.0, 0.0, 1.0], time={"t_final": 1000.0, "dt": 0.01})
+        argv = [sys.executable, "-m", "ncphase.cli", "simulate",
+                "--config", write_config(tmp_path, cfg)]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"t,q1,q2,p1,p2,H,Lambda3\n"
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+
     def test_import_does_not_load_dataclasses(self):
         # Records are NamedTuples or __slots__ classes: creating the frozen
         # dataclasses once cost about half of a fresh `import ncphase.cli`.
@@ -1236,3 +1287,45 @@ class TestJsonWriter:
             _json_oracle(obj)
         with pytest.raises(TypeError):
             cli._json_text(obj)
+
+
+class TestRecords:
+    """Subcommands return (exit code, payload); `main` alone writes."""
+
+    def test_main_calls_the_module_binding(self, tmp_path, monkeypatch):
+        # A wrapper bound to the module name, as a tracer binds it, sees the call.
+        calls = []
+        original = cli.cmd_brackets
+
+        def wrapper(rc, args):
+            calls.append(args.command)
+            return original(rc, args)
+
+        monkeypatch.setattr(cli, "cmd_brackets", wrapper)
+        out = tmp_path / "br.json"
+        assert run(["brackets", "--config", write_config(tmp_path, BASE),
+                    "--out", str(out)]) == cli.EXIT_OK
+        assert calls == ["brackets"] and out.exists()
+
+    @pytest.mark.parametrize("argv, cfg, code", [
+        (["brackets"], BASE, cli.EXIT_OK),
+        (["brackets"], dict(BASE, field={"B": 1.0, "C": -1.0}), cli.EXIT_SINGULAR),
+        (["darboux"], BASE, cli.EXIT_OK),
+        (["simulate"], dict(BASE, state=[1.0, 0.0, 0.0, 1.0], time={"t_final": 1.0, "dt": 0.1}),
+         cli.EXIT_OK),
+        (["spectrum", "--nmax", "2"], BASE, cli.EXIT_OK),
+        (["limit-scan", "--points", "3"], BASE, cli.EXIT_OK),
+        (["reduce"], BASE, cli.EXIT_OK),
+        (["reduce"], _PROBLEM, cli.EXIT_INCONSISTENT),
+    ])
+    def test_subcommands_return_records_and_write_nothing(self, tmp_path, capsys,
+                                                           argv, cfg, code):
+        args = cli.build_parser().parse_args(
+            [argv[0], "--config", write_config(tmp_path, cfg)] + argv[1:])
+        command = getattr(cli, "cmd_" + argv[0].replace("-", "_"))
+        got, payload = command(cli.load_config(args.config), args)
+        assert got == code
+        if not isinstance(payload, dict):
+            assert all(isinstance(chunk, str) for chunk in payload)
+        assert capsys.readouterr() == ("", "")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
