@@ -372,25 +372,19 @@ def cmd_darboux(rc: RunConfig, args) -> tuple:
     cfg = _require(rc.cfg, "a field section")
     omega = structure.build_omega(cfg)
     n2, n3 = structure.n2_scalars(cfg), structure.n3_vectors(cfg)
-    note = None
+    dmap, route, note = None, "generic", None
     try:
         if n2 is not None:
-            dmap = darboux.darboux_n2(*n2, tol=rc.tol_singular)
-            route = "closed-n2"
+            dmap, route = darboux.darboux_n2(*n2, tol=rc.tol_singular), "closed-n2"
         elif n3 is not None:
-            dmap = darboux.darboux_n3(*n3, tol=rc.tol_singular)
-            route = "closed-n3"
-        else:
-            dmap = darboux.symplectic_gram_schmidt(omega, rc.tol_singular)
-            route = "generic"
+            dmap, route = darboux.darboux_n3(*n3, tol=rc.tol_singular), "closed-n3"
     except NegativeChi:
-        dmap = darboux.symplectic_gram_schmidt(omega, rc.tol_singular)
-        route = "generic"
         note = "chi < 0: routed to the generic orthogonalization"
-
-    # The generic map is deterministic: on the generic route it is dmap.
-    generic = dmap if route == "generic" else darboux.symplectic_gram_schmidt(
-        omega, rc.tol_singular)
+    # The generic map cross-checks a closed form; on the generic route it
+    # is the map.  DegenerateChi at chi = 0 has escaped before it is built.
+    generic = darboux.symplectic_gram_schmidt(omega, rc.tol_singular)
+    if dmap is None:
+        dmap = generic
     sp_residual = darboux.symplectic_deviation(dmap.T @ generic.Tinv)
     report = {
         "route": route,
@@ -416,22 +410,23 @@ def _simulate_rows(rc: RunConfig):
     steps = int(round(rc.t_final / rc.dt))
     N = cfg.N
     header = ["t"] + [f"q{i+1}" for i in range(N)] + [f"p{i+1}" for i in range(N)] + ["H"]
-    if abs(structure.regularity(cfg)) < rc.tol_singular:
+    chain = None
+    try:
+        M, k = dynamics.flow_matrix(cfg, model, rc.tol_singular)
+    except SingularOmega:
         # Presymplectic: the flow of the terminal constraint stage.
         chain = constrained.gnh_from_model(cfg, model)
         residual = chain.constraints.residual(z0)
         if residual > OFF_CONSTRAINT_TOL * max(1.0, np.abs(z0).max()):
             raise OffConstraint(
                 f"initial state violates the constraints (residual {residual:.3e})")
-        states = dynamics.affine_flow(chain.reduced_flow, chain.flow_offset, z0,
-                                      rc.dt, steps, rc.method)
-        times, energies = rc.dt * np.arange(steps + 1), model.hamiltonian(states)
-        last, column = "constraint_residual", chain.constraints.residual(states)
+        M, k = chain.reduced_flow, chain.flow_offset
+    states = dynamics.affine_flow(M, k, z0, rc.dt, steps, rc.method)
+    if chain is None:
+        last, column = "Lambda3", darboux.lambda3(cfg, states)
     else:
-        traj = dynamics.integrate(cfg, model, z0, rc.dt, steps, rc.method, rc.tol_singular)
-        times, states, energies = traj.times, traj.states, traj.energies
-        last, column = "Lambda3", traj.lambda3
-    columns = [times, states, energies]
+        last, column = "constraint_residual", chain.constraints.residual(states)
+    columns = [rc.dt * np.arange(steps + 1), states, model.hamiltonian(states)]
     if column is not None:
         header.append(last)
         columns.append(column)
@@ -452,12 +447,13 @@ def cmd_spectrum(rc: RunConfig, args) -> tuple:
     cfg, model = _require(rc.cfg, "a field section"), _require(rc.model, "a model")
     r = spectrum.hessian_factor(model.hessian(cfg.N))
     omega = structure.build_omega(cfg)
-    if abs(structure.regularity(cfg)) < rc.tol_singular:
+    try:
+        lam = structure.poisson_matrix(cfg, rc.tol_singular)
+    except SingularOmega:
         # Presymplectic: the modes of the terminal constraint stage.
         freqs = spectrum.mode_frequencies(spectrum.terminal_form(omega, r))
         kind = "degenerate-ladder"
     else:
-        lam = structure.poisson_matrix(cfg, rc.tol_singular)
         freqs, kind = spectrum.mode_frequencies(omega, r, lam), "normal-modes"
     table = spectrum.ladder(freqs, model.hbar, args.nmax)
     return EXIT_OK, {

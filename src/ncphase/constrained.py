@@ -54,17 +54,17 @@ class ConstraintChain:
     """Nested subspaces M_1 >= M_2 >= ... with the terminal tangent flow.
 
     subspaces[k] is an orthonormal basis (columns) of the direction space
-    of stage k; points[k] a particular point on the stage.  The terminal
-    flow is dz/dt = reduced_flow @ z + flow_offset, valid on the terminal
-    stage, with any residual gauge freedom spanned by gauge_basis.
-    `gnh_chain` fills the chain in stage by stage.
+    of stage k.  The terminal flow is dz/dt = reduced_flow @ z +
+    flow_offset, valid on the terminal stage, with any residual gauge
+    freedom spanned by gauge_basis.  `gnh_chain` fills the chain in stage
+    by stage.
     """
 
-    __slots__ = ("subspaces", "points", "constraints", "reduced_flow",
-                 "flow_offset", "gauge_basis", "status")
+    __slots__ = ("subspaces", "constraints", "reduced_flow", "flow_offset",
+                 "gauge_basis", "status")
 
     def __init__(self):
-        self.subspaces, self.points = [], []
+        self.subspaces = []
         self.constraints = self.reduced_flow = self.flow_offset = self.gauge_basis = None
         self.status = "consistent"
 
@@ -109,7 +109,6 @@ def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient,
     chain = ConstraintChain()
     aug = np.zeros((0, n + 1))  # rows [A | b] of the affine constraints A z + b = 0
     chain.subspaces.append(np.eye(n))
-    chain.points.append(np.zeros(n))
 
     # A consistent stage adds at least one row to [A | b], and A has at most
     # n independent rows, so the chain closes within n + 1 passes.
@@ -135,19 +134,15 @@ def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient,
             break
 
         a_new, b_new = merged[:, :n], merged[:, n]
-        rank_a = _row_space(a_new, tol_factor).shape[0]
-        if rank_a < merged.shape[0]:
+        basis = _row_space(a_new, tol_factor)
+        if basis.shape[0] < merged.shape[0]:
             chain.status = "inconsistent"
             chain.constraints = LinearConstraints(a_new, b_new)
             raise InconsistentSystem(
                 "solvability conditions are nowhere satisfied", chain=chain
             )
         aug = merged
-        point, *_ = np.linalg.lstsq(a_new, -b_new, rcond=None)
-        basis = _row_space(a_new, tol_factor)
-        null_basis = _null_of_rows(basis, n)
-        chain.subspaces.append(null_basis)
-        chain.points.append(point)
+        chain.subspaces.append(_null_of_rows(basis, n))
     else:
         raise ArithmeticError(f"constraint chain did not close within {n + 1} stages")
 

@@ -20,6 +20,8 @@ from .structure import (
     cross_matrix,
     field_config_n2,
     field_config_n3,
+    n2_scalars,
+    n3_vectors,
 )
 
 
@@ -33,9 +35,6 @@ class DarbouxMap(NamedTuple):
 
     def apply(self, z) -> np.ndarray:
         return self.T @ np.asarray(z, dtype=float)
-
-    def pull_back(self, zeta) -> np.ndarray:
-        return self.Tinv @ np.asarray(zeta, dtype=float)
 
 
 def verify_darboux(dmap: DarbouxMap, omega: np.ndarray) -> float:
@@ -158,6 +157,30 @@ def darboux_n3(Bvec, Cvec, tol: float = TOL_SINGULAR) -> DarbouxMap:
         [-bx / (2.0 * co.u), ident + co.gamma_prime * cb],
     ])
     return _finish(T, Tinv, build_omega(field_config_n3(B, C)), 1e-9)
+
+
+def lambda3(cfg: FieldConfig, states):
+    """Angular momentum xi^1 pi_2 - xi^2 pi_1 about the third axis in the
+    closed-form Darboux variables zeta = T z, of one state (a float) or of
+    each row of a (..., 2N) array; None where no such chart exists.
+
+    The charts are those of planar configs and of axis-aligned spatial
+    configs whose chi = 1 + C.B is finite and positive.
+    """
+    try:
+        sc, vecs = n2_scalars(cfg), n3_vectors(cfg)
+        if sc is not None:
+            dmap = darboux_n2(*sc)
+        elif vecs is not None and not (vecs[0][:2].any() or vecs[1][:2].any()):
+            dmap = darboux_n3(*vecs)
+        else:
+            return None
+    except (DegenerateChi, OverflowError):
+        return None
+    zeta = np.asarray(states, dtype=float) @ dmap.T.T
+    N = cfg.N
+    l3 = zeta[..., 0] * zeta[..., N + 1] - zeta[..., 1] * zeta[..., N]
+    return float(l3) if zeta.ndim == 1 else l3
 
 
 def darboux_single_charge(cfg: FieldConfig, which: str) -> DarbouxMap:

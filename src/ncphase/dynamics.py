@@ -12,15 +12,8 @@ degenerate constraint chain is stepped by the same code.
 
 import numpy as np
 
-from .darboux import darboux_n2, darboux_n3
-from .errors import DegenerateChi, StepRejected
-from .structure import (
-    TOL_SINGULAR,
-    FieldConfig,
-    n2_scalars,
-    n3_vectors,
-    poisson_matrix,
-)
+from .errors import StepRejected
+from .structure import TOL_SINGULAR, FieldConfig, poisson_matrix
 
 HARMONIC = "harmonic"
 LINEAR = "linear"
@@ -186,34 +179,13 @@ def flow_matrix(cfg: FieldConfig, model: OscillatorModel,
                 tol_singular: float = TOL_SINGULAR):
     """Affine generator (M, k) of dz/dt = M z + k, M = Lambda . Hess(H).
 
+    A degenerate structure raises SingularOmega from `poisson_matrix`.
     Finite fields and models can still overflow here; the products then
     hold inf/NaN, without a warning, and the trajectory is refused later.
     """
     lam = poisson_matrix(cfg, tol_singular)
     with np.errstate(over="ignore", invalid="ignore"):
         return lam @ model.hessian(cfg.N), lam @ model.gradient_offset(cfg.N)
-
-
-def angular_momentum(zeta):
-    """Angular momentum xi^1 pi_2 - xi^2 pi_1 about the third axis in Darboux
-    variables, of one state (a float) or of each row of a (..., 2N) array."""
-    zeta = np.asarray(zeta, dtype=float)
-    N = zeta.shape[-1] // 2
-    l3 = zeta[..., 0] * zeta[..., N + 1] - zeta[..., 1] * zeta[..., N]
-    return float(l3) if zeta.ndim == 1 else l3
-
-
-class Trajectory:
-    """Sampled flow with per-sample energy and, when defined, the Darboux
-    angular momentum about the third axis."""
-
-    __slots__ = ("times", "states", "energies", "lambda3")
-
-    def __init__(self, times: np.ndarray, states: np.ndarray, energies: np.ndarray,
-                 lambda3: np.ndarray | None):
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        self.times, self.states, self.energies, self.lambda3 = times, states, energies, lambda3
 
 
 def midpoint_transfer(M: np.ndarray, k: np.ndarray, dt: float):
@@ -271,23 +243,6 @@ def affine_rows(e: np.ndarray, z0, steps: int) -> np.ndarray:
     return states
 
 
-def _darboux_for_lambda3(cfg: FieldConfig):
-    # Lambda3 is reported only where a closed-form chart exists: planar
-    # configs and axis-aligned spatial configs whose chi = 1 + C.B is finite.
-    try:
-        sc = n2_scalars(cfg)
-        if sc is not None:
-            return darboux_n2(*sc)
-        vecs = n3_vectors(cfg)
-        if vecs is not None:
-            bv, cv = vecs
-            if abs(bv[0]) + abs(bv[1]) + abs(cv[0]) + abs(cv[1]) == 0.0:
-                return darboux_n3(bv, cv)
-    except (DegenerateChi, OverflowError):
-        return None
-    return None
-
-
 def affine_flow(M: np.ndarray, k: np.ndarray, z0, dt: float, steps: int,
                 method: str = "exact") -> np.ndarray:
     """Rows z_0 .. z_steps of dz/dt = M z + k sampled every dt.
@@ -311,14 +266,3 @@ def affine_flow(M: np.ndarray, k: np.ndarray, z0, dt: float, steps: int,
         raise ValueError(f"unknown method {method!r}")
     return affine_rows(e, np.asarray(z0, dtype=float), steps)
 
-
-def integrate(cfg: FieldConfig, model: OscillatorModel, z0, dt: float,
-              steps: int, method: str = "exact",
-              tol_singular: float = TOL_SINGULAR) -> Trajectory:
-    """Propagate the flow of a nondegenerate field by `affine_flow`."""
-    M, k = flow_matrix(cfg, model, tol_singular)
-    states = affine_flow(M, k, z0, dt, steps, method)
-    times = dt * np.arange(steps + 1)
-    dmap = _darboux_for_lambda3(cfg)
-    lambda3 = None if dmap is None else angular_momentum(states @ dmap.T.T)
-    return Trajectory(times, states, model.hamiltonian(states), lambda3)

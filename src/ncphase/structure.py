@@ -129,17 +129,6 @@ def regularity(cfg: FieldConfig) -> float:
     return psi_phi(cfg).det_psi
 
 
-def _require_regular(cfg: FieldConfig, tol_singular: float) -> PsiPhiPair:
-    pair = psi_phi(cfg)
-    if abs(pair.det_psi) < tol_singular:
-        cond = float(np.linalg.cond(build_omega(cfg)))
-        raise SingularOmega(
-            f"det Psi = {pair.det_psi:.3e} below tolerance {tol_singular:.1e} "
-            f"(cond(Omega) ~ {cond:.3e}); use the constrained module"
-        )
-    return pair
-
-
 def _newton_inv(a_ld: np.ndarray, steps: int = 3) -> np.ndarray:
     """Inverse of a longdouble matrix by LAPACK seed plus Newton correction."""
     # Entries beyond the float64 range become inf in the seed, and the
@@ -161,9 +150,17 @@ def poisson_matrix(cfg: FieldConfig, tol_singular: float = TOL_SINGULAR) -> np.n
     the entries of Lambda amplify the formation rounding of Psi
     quadratically, which would otherwise dominate the result.  The output
     is cross-checked against a dense inversion of Omega and
-    antisymmetrized.
+    antisymmetrized.  Raises SingularOmega when |det Psi| is below
+    tol_singular: this is the one regular/degenerate decision of
+    `simulate` and `spectrum`.
     """
-    _require_regular(cfg, tol_singular)
+    det_psi = psi_phi(cfg).det_psi
+    if abs(det_psi) < tol_singular:
+        cond = float(np.linalg.cond(build_omega(cfg)))
+        raise SingularOmega(
+            f"det Psi = {det_psi:.3e} below tolerance {tol_singular:.1e} "
+            f"(cond(Omega) ~ {cond:.3e}); use the constrained module"
+        )
     N = cfg.N
     eF = cfg.eF.astype(np.longdouble)
     rG = cfg.rG.astype(np.longdouble)

@@ -155,14 +155,16 @@ def test_closed_form_vs_numeric_flow():
 
     cfg = st.field_config_n2(1.0, 0.5)
     z0 = [1.0, 0.0, 0.0, 0.0]
-    ref = dyn.integrate(cfg, UNIT, z0, 0.01, 200, "exact").states[-1]
-    e1 = np.abs(dyn.integrate(cfg, UNIT, z0, 0.01, 200, "midpoint").states[-1] - ref).max()
-    e2 = np.abs(dyn.integrate(cfg, UNIT, z0, 0.005, 400, "midpoint").states[-1] - ref).max()
+    M, k = dyn.flow_matrix(cfg, UNIT)
+    ref = dyn.affine_flow(M, k, z0, 0.01, 200, "exact")[-1]
+    e1 = np.abs(dyn.affine_flow(M, k, z0, 0.01, 200, "midpoint")[-1] - ref).max()
+    e2 = np.abs(dyn.affine_flow(M, k, z0, 0.005, 400, "midpoint")[-1] - ref).max()
     ratio = e1 / e2
 
-    traj = dyn.integrate(st.field_config_n2(0.7, -0.2), UNIT,
-                         [1.0, 0.2, -0.3, 0.4], 0.05, 100000, "midpoint")
-    drift = float(np.abs(traj.energies - traj.energies[0]).max() / abs(traj.energies[0]))
+    energies = UNIT.hamiltonian(dyn.affine_flow(
+        *dyn.flow_matrix(st.field_config_n2(0.7, -0.2), UNIT),
+        [1.0, 0.2, -0.3, 0.4], 0.05, 100000, "midpoint"))
+    drift = float(np.abs(energies - energies[0]).max() / abs(energies[0]))
 
     ok = worst <= 1e-8 and abs(ratio - 4.0) <= 0.4 and drift <= 1e-9
     report(

@@ -85,23 +85,30 @@ def test_secondary_constraint_residual_rows_match_scalar_calls():
     assert np.array_equal(lc.residual(states), want)
 
 
-@pytest.mark.parametrize("N", [2, 3, 6])
+# Zero fields: the closed-form chart is T = I, so zeta = z exactly.  N = 6
+# has no chart (tests/test_dynamics.py, TestLambda3Chart).
+ZERO_FIELDS = {2: structure.field_config_n2(0.0, 0.0),
+               3: structure.field_config_n3([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])}
+
+
+@pytest.mark.parametrize("N", [2, 3])
 def test_angular_momentum_rows_match_scalar_calls(N):
     zeta = random_states(np.random.default_rng(20 + N), N)
     want = np.array([scalar_angular_momentum(z) for z in zeta])
-    assert np.array_equal(dynamics.angular_momentum(zeta), want)
-    assert type(dynamics.angular_momentum(zeta[0])) is float
+    assert np.array_equal(darboux.lambda3(ZERO_FIELDS[N], zeta), want)
+    assert type(darboux.lambda3(ZERO_FIELDS[N], zeta[0])) is float
 
 
 def test_integrate_lambda3_is_the_darboux_bilinear():
     cfg = structure.field_config_n3([0, 0, 1.0], [0, 0, 0.5])
     model = dynamics.OscillatorModel(m=1.0, kappa=1.0)
-    traj = dynamics.integrate(cfg, model, [1.0, 0.0, 0.3, 0.0, 0.7, -0.2], 0.05, 200)
-    zeta = traj.states @ darboux.darboux_n3([0, 0, 1.0], [0, 0, 0.5]).T.T
+    states = dynamics.affine_flow(*dynamics.flow_matrix(cfg, model),
+                                  [1.0, 0.0, 0.3, 0.0, 0.7, -0.2], 0.05, 200)
+    zeta = states @ darboux.darboux_n3([0, 0, 1.0], [0, 0, 0.5]).T.T
     want = zeta[:, 0] * zeta[:, 4] - zeta[:, 1] * zeta[:, 3]
-    assert np.array_equal(traj.lambda3, want)
-    assert np.array_equal(traj.energies,
-                          [scalar_hamiltonian(model, z) for z in traj.states])
+    assert np.array_equal(darboux.lambda3(cfg, states), want)
+    assert np.array_equal(model.hamiltonian(states),
+                          [scalar_hamiltonian(model, z) for z in states])
 
 
 def csv_text(header, rows):
@@ -128,10 +135,11 @@ def test_simulate_csv_matches_per_value_format(tmp_path, method):
               "time": {"t_final": 0.5, "dt": 0.01, "method": method}}
     got = simulate_csv(tmp_path, config)
 
-    traj = dynamics.integrate(structure.field_config_n2(B, C), model, z0, 0.01, 50, method)
-    zeta = traj.states @ darboux.darboux_n2(B, C).T.T
+    states = dynamics.affine_flow(*dynamics.flow_matrix(structure.field_config_n2(B, C), model),
+                                  z0, 0.01, 50, method)
+    zeta = states @ darboux.darboux_n2(B, C).T.T
     rows = [[t, *z, scalar_hamiltonian(model, z), scalar_angular_momentum(x)]
-            for t, z, x in zip(traj.times, traj.states, zeta)]
+            for t, z, x in zip(0.01 * np.arange(51), states, zeta)]
     assert got == csv_text(["t", "q1", "q2", "p1", "p2", "H", "Lambda3"], rows)
     assert got.splitlines()[1] == "0,-0,1e-300,3.0000000000000002e-300,-2.5e-300,0,0"
 
@@ -164,8 +172,10 @@ def test_long_simulate_csv_matches_per_value_format(tmp_path):
     got = simulate_csv(tmp_path, config)
 
     model = dynamics.OscillatorModel(m=1.0, kappa=1.0)
-    traj = dynamics.integrate(structure.field_config_n2(1.0, 0.5), model,
-                              [1.0, 0.0, 0.0, 1.0], 0.01, 10_000)
-    rows = np.column_stack([traj.times, traj.states, traj.energies, traj.lambda3])
+    cfg = structure.field_config_n2(1.0, 0.5)
+    states = dynamics.affine_flow(*dynamics.flow_matrix(cfg, model),
+                                  [1.0, 0.0, 0.0, 1.0], 0.01, 10_000)
+    rows = np.column_stack([0.01 * np.arange(10_001), states, model.hamiltonian(states),
+                            darboux.lambda3(cfg, states)])
     assert got == csv_text(["t", "q1", "q2", "p1", "p2", "H", "Lambda3"], rows)
     assert len(got.splitlines()) == 10_002

@@ -313,19 +313,26 @@ class TestSimulate:
         lam3 = [float(line.split(",")[-1]) for line in lines[1:]]
         assert max(lam3) - min(lam3) <= 1e-9
 
-    def test_step_rejection_exit_code(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("field, z0", [
+        ({"B": 1.0, "C": 0.5}, [1.0, 0.0, 0.0, 1.0]),
+        ({"B": -1.0, "C": 1.0}, [1.0, 0.0, 0.0, -1.0]),  # chi = 0, on the constraints
+    ], ids=["planar", "degenerate"])
+    def test_step_rejection_exit_code(self, tmp_path, monkeypatch, capsys, field, z0):
         # No in-scope config degenerates the midpoint resolvent (the flow
-        # spectra are purely imaginary), so the exit path is driven directly.
+        # spectra are purely imaginary), so the stepping core's one-step
+        # map is made to refuse; both routes reach it through affine_flow.
         def reject(*args, **kwargs):
             raise StepRejected("forced", suggested_dt=0.01)
 
-        monkeypatch.setattr(dynamics, "integrate", reject)
-        cfg = dict(BASE, state=[1.0, 0.0, 0.0, 1.0],
+        monkeypatch.setattr(dynamics, "midpoint_transfer", reject)
+        cfg = dict(BASE, field=field, state=z0,
                    time={"t_final": 1.0, "dt": 0.5, "method": "midpoint"})
         path = write_config(tmp_path, cfg)
         out = tmp_path / "rej.csv"
         code = run(["simulate", "--config", path, "--out", str(out)])
         assert code == cli.EXIT_STEP_REJECTED
+        assert capsys.readouterr().err == (
+            "ncphase: step rejected: forced (try dt <= 1.000e-02)\n")
         assert not out.exists()
 
     def test_non_finite_trajectory_refused(self, tmp_path, capsys):
@@ -518,9 +525,9 @@ class TestDegenerateSimulate:
         header, table = simulate_table(tmp_path, cfg)
         assert header[-1] == "constraint_residual"
         assert not table[:, -1].any()
-        regular = dynamics.integrate(structure.field_config_n2(1.0, -0.9999), UNIT, z0,
-                                     0.1, 10, tol_singular=1e-12)
-        assert np.abs(table[:, 1:5] - regular.states).max() <= 1e-9
+        regular = dynamics.affine_flow(*dynamics.flow_matrix(
+            structure.field_config_n2(1.0, -0.9999), UNIT, tol_singular=1e-12), z0, 0.1, 10)
+        assert np.abs(table[:, 1:5] - regular).max() <= 1e-9
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_off_constraint_refused_without_output(self, tmp_path, capsys, n):

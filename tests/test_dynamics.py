@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ncphase import cli
 from ncphase import darboux as dx
 from ncphase import dynamics as dyn
 from ncphase import structure as st
@@ -171,20 +174,23 @@ class TestClosedFormSolution:
 
 
 class TestAngularMomentum:
+    """`darboux.lambda3`; with zero fields the closed-form chart is T = I,
+    so it is the bilinear xi^1 pi_2 - xi^2 pi_1 of the state itself."""
+
     def test_unit_pair(self):
-        assert dyn.angular_momentum([1.0, 0.0, 0.0, 1.0]) == 1.0
+        assert dx.lambda3(st.field_config_n2(0.0, 0.0), [1.0, 0.0, 0.0, 1.0]) == 1.0
 
     def test_radial_configuration(self):
-        assert dyn.angular_momentum([1.0, 0.0, 1.0, 0.0]) == 0.0
+        assert dx.lambda3(st.field_config_n2(0.0, 0.0), [1.0, 0.0, 1.0, 0.0]) == 0.0
 
     def test_conserved_along_flow(self):
-        dmap = dx.darboux_n2(1.0, 0.5)
+        cfg = st.field_config_n2(1.0, 0.5)
         z0 = np.array([1.0, -0.3, 0.4, 0.8])
         period = 2 * np.pi / UNIT.omega0
         values = []
         for t in np.linspace(0, 10 * period, 400):
             z = cf.closed_form_solution_n2(UNIT, 1.0, 0.5, z0, t)
-            values.append(dyn.angular_momentum(dmap.apply(z)))
+            values.append(dx.lambda3(cfg, z))
         assert np.ptp(values) <= 1e-9
 
 
@@ -228,9 +234,10 @@ class TestN3Parallel:
     def test_axial_angular_momentum_conserved(self):
         cfg = st.field_config_n3([0, 0, 1.0], [0, 0, 0.5])
         z0 = np.array([1.0, 0.0, 0.3, 0.0, 0.7, -0.2])
-        traj = dyn.integrate(cfg, UNIT, z0, 0.02, 4000, "exact")
-        assert traj.lambda3 is not None
-        assert np.ptp(traj.lambda3) <= 1e-9
+        states = dyn.affine_flow(*dyn.flow_matrix(cfg, UNIT), z0, 0.02, 4000, "exact")
+        lam3 = dx.lambda3(cfg, states)
+        assert lam3 is not None
+        assert np.ptp(lam3) <= 1e-9
 
 
 class TestLambda3Chart:
@@ -242,40 +249,54 @@ class TestLambda3Chart:
     def test_no_chart_without_finite_coefficients(self, cfg):
         # chi = 1 + C.B is +-inf.  RuntimeWarnings are errors under pytest:
         # chi is refused quietly and no chart is built from inf and NaN.
-        assert dyn._darboux_for_lambda3(cfg) is None
+        assert dx.lambda3(cfg, np.ones(2 * cfg.N)) is None
 
     def test_chart_of_finite_coefficients_kept(self):
-        assert dyn._darboux_for_lambda3(st.field_config_n2(1e100, 1e100)) is not None
-        assert dyn._darboux_for_lambda3(st.field_config_n3([0, 0, 2.0], [0, 0, 0.5])) is not None
-        assert dyn._darboux_for_lambda3(st.field_config_n3([1.0, 0, 0], [0, 0, 0.5])) is None
+        def has_chart(cfg):
+            return dx.lambda3(cfg, np.ones(2 * cfg.N)) is not None
+
+        assert has_chart(st.field_config_n2(1e100, 1e100))
+        assert has_chart(st.field_config_n3([0, 0, 2.0], [0, 0, 0.5]))
+        assert not has_chart(st.field_config_n3([1.0, 0, 0], [0, 0, 0.5]))
+        # No closed-form chart beyond N = 3, even with zero fields.
+        assert not has_chart(st.FieldConfig(6, np.zeros((6, 6)), np.zeros((6, 6))))
 
 
 class TestIntegrate:
+    """The regular flow through the core calls,
+    `affine_flow(*flow_matrix(cfg, model), z0, dt, steps, method)`."""
+
     def test_exact_energy_conservation(self):
         cfg = st.field_config_n2(1.0, 1.0)
-        traj = dyn.integrate(cfg, UNIT, [1.0, 0.0, 0.0, 1.0], 0.05, 10000, "exact")
-        drift = np.abs(traj.energies - traj.energies[0]).max()
-        assert drift <= 1e-10 * abs(traj.energies[0])
+        states = dyn.affine_flow(*dyn.flow_matrix(cfg, UNIT), [1.0, 0.0, 0.0, 1.0],
+                                 0.05, 10000, "exact")
+        energies = UNIT.hamiltonian(states)
+        drift = np.abs(energies - energies[0]).max()
+        assert drift <= 1e-10 * abs(energies[0])
 
     def test_midpoint_second_order(self):
         cfg = st.field_config_n2(1.0, 0.5)
+        M, k = dyn.flow_matrix(cfg, UNIT)
         z0 = [1.0, 0.0, 0.0, 0.0]
-        ref = dyn.integrate(cfg, UNIT, z0, 0.01, 200, "exact").states[-1]
-        e1 = np.abs(dyn.integrate(cfg, UNIT, z0, 0.01, 200, "midpoint").states[-1] - ref).max()
-        e2 = np.abs(dyn.integrate(cfg, UNIT, z0, 0.005, 400, "midpoint").states[-1] - ref).max()
+        ref = dyn.affine_flow(M, k, z0, 0.01, 200, "exact")[-1]
+        e1 = np.abs(dyn.affine_flow(M, k, z0, 0.01, 200, "midpoint")[-1] - ref).max()
+        e2 = np.abs(dyn.affine_flow(M, k, z0, 0.005, 400, "midpoint")[-1] - ref).max()
         assert e1 / e2 == pytest.approx(4.0, rel=0.1)
 
     def test_free_particle_exact_drift(self):
         free = dyn.OscillatorModel(m=2.0, kappa=0.0)
         cfg = st.field_config_n2(0.0, 0.0)
         for method in ("exact", "midpoint"):
-            traj = dyn.integrate(cfg, free, [0.0, 0.0, 1.0, 0.0], 0.1, 10, method)
-            assert np.allclose(traj.states[-1], [0.5, 0.0, 1.0, 0.0], atol=1e-14)
+            states = dyn.affine_flow(*dyn.flow_matrix(cfg, free), [0.0, 0.0, 1.0, 0.0],
+                                     0.1, 10, method)
+            assert np.allclose(states[-1], [0.5, 0.0, 1.0, 0.0], atol=1e-14)
 
     def test_midpoint_long_energy_drift(self):
         cfg = st.field_config_n2(0.7, -0.2)
-        traj = dyn.integrate(cfg, UNIT, [1.0, 0.2, -0.3, 0.4], 0.05, 100000, "midpoint")
-        rel = np.abs(traj.energies - traj.energies[0]).max() / abs(traj.energies[0])
+        states = dyn.affine_flow(*dyn.flow_matrix(cfg, UNIT), [1.0, 0.2, -0.3, 0.4],
+                                 0.05, 100000, "midpoint")
+        energies = UNIT.hamiltonian(states)
+        rel = np.abs(energies - energies[0]).max() / abs(energies[0])
         assert rel <= 1e-9
 
     def test_constant_force_drift(self):
@@ -284,18 +305,28 @@ class TestIntegrate:
         model = dyn.OscillatorModel(m=1.0, potential="linear", Evec=(1.0, 0.0))
         cfg = st.field_config_n2(0.8, 0.3)
         z0 = [0.1, -0.2, 0.4, 0.0]
-        exact = dyn.integrate(cfg, model, z0, 0.02, 500, "exact")
-        drift = np.abs(exact.energies - exact.energies[0]).max()
+        M, k = dyn.flow_matrix(cfg, model)
+        exact = dyn.affine_flow(M, k, z0, 0.02, 500, "exact")
+        energies = model.hamiltonian(exact)
+        drift = np.abs(energies - energies[0]).max()
         assert drift <= 1e-10
-        ref = exact.states[-1]
-        e1 = np.abs(dyn.integrate(cfg, model, z0, 0.02, 500, "midpoint").states[-1] - ref).max()
-        e2 = np.abs(dyn.integrate(cfg, model, z0, 0.01, 1000, "midpoint").states[-1] - ref).max()
+        ref = exact[-1]
+        e1 = np.abs(dyn.affine_flow(M, k, z0, 0.02, 500, "midpoint")[-1] - ref).max()
+        e2 = np.abs(dyn.affine_flow(M, k, z0, 0.01, 1000, "midpoint")[-1] - ref).max()
         assert e1 / e2 == pytest.approx(4.0, rel=0.1)
 
-    def test_times_strictly_increasing(self):
-        cfg = st.field_config_n2(0.0, 0.0)
-        traj = dyn.integrate(cfg, UNIT, [1.0, 0, 0, 0], 0.1, 5)
-        assert np.all(np.diff(traj.times) > 0)
+    def test_times_strictly_increasing(self, tmp_path):
+        # The t column that `simulate` writes next to the flow's rows.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "schema_version": 1, "N": 2, "field": {"B": 0.0, "C": 0.0},
+            "model": {"m": 1.0, "kappa": 1.0}, "state": [1.0, 0, 0, 0],
+            "time": {"t_final": 0.5, "dt": 0.1}}))
+        out = tmp_path / "out.csv"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        times = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+        assert times.size == 6
+        assert np.all(np.diff(times) > 0)
 
     def test_step_rejection_on_real_spectrum(self):
         # The in-scope flows have purely imaginary spectra, so the midpoint
@@ -308,10 +339,11 @@ class TestIntegrate:
 
     def test_bad_arguments(self):
         cfg = st.field_config_n2(0.0, 0.0)
+        M, k = dyn.flow_matrix(cfg, UNIT)
         with pytest.raises(ValueError):
-            dyn.integrate(cfg, UNIT, [1, 0, 0, 0], -0.1, 10)
+            dyn.affine_flow(M, k, [1, 0, 0, 0], -0.1, 10)
         with pytest.raises(ValueError):
-            dyn.integrate(cfg, UNIT, [1, 0, 0, 0], 0.1, 10, "verlet")
+            dyn.affine_flow(M, k, [1, 0, 0, 0], 0.1, 10, "verlet")
 
 
 def _block_size(steps):
@@ -370,7 +402,7 @@ class TestBlockedStepping:
         cfg, model, z0 = BLOCK_CASES[case]
         steps = 5000
         b = _block_size(steps)
-        states = dyn.integrate(cfg, model, z0, 0.01, steps, method).states
+        states = dyn.affine_flow(*dyn.flow_matrix(cfg, model), z0, 0.01, steps, method)
         seq = _sequential(_one_step_e(cfg, model, 0.01, method), z0, b - 1)
         assert np.array_equal(states[:b], seq)
 
@@ -396,14 +428,15 @@ class TestBlockedStepping:
         # roundings to the last row, was 2.9e-12 away; blocked stepping
         # takes at most 645 and is about 1.3e-13 away.
         z0 = [1.0, 0.0, 0.0, 1.0]
-        traj = dyn.integrate(st.field_config_n2(1.0, 0.5), UNIT, z0, 0.01, 100_000)
-        ref = cf.closed_form_solution_n2(UNIT, 1.0, 0.5, z0, traj.times)
-        assert np.abs(traj.states - ref).max() <= 1e-12
+        states = dyn.affine_flow(*dyn.flow_matrix(st.field_config_n2(1.0, 0.5), UNIT),
+                                 z0, 0.01, 100_000)
+        ref = cf.closed_form_solution_n2(UNIT, 1.0, 0.5, z0, 0.01 * np.arange(100_001))
+        assert np.abs(states - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("case", range(len(BLOCK_CASES)))
     def test_blocked_midpoint_matches_sequential_loop(self, case):
         cfg, model, z0 = BLOCK_CASES[case]
         steps = 10_000
-        traj = dyn.integrate(cfg, model, z0, 0.01, steps, "midpoint")
+        states = dyn.affine_flow(*dyn.flow_matrix(cfg, model), z0, 0.01, steps, "midpoint")
         seq = _sequential(_one_step_e(cfg, model, 0.01, "midpoint"), z0, steps)
-        assert np.abs(traj.states - seq).max() <= 1e-12 * max(1.0, np.abs(seq).max())
+        assert np.abs(states - seq).max() <= 1e-12 * max(1.0, np.abs(seq).max())
