@@ -22,6 +22,11 @@ from .structure import FieldConfig, build_omega
 RANK_TOL_FACTOR = 1e-10
 
 
+def _rank(s: np.ndarray, tol_factor: float) -> int:
+    """Count of singular values above tol_factor times the largest (0 if none)."""
+    return int(np.sum(s > tol_factor * s[0])) if s.size else 0
+
+
 def kernel(omega: np.ndarray, tol_factor: float = RANK_TOL_FACTOR) -> np.ndarray:
     """Orthonormal basis of the null space of Omega (2N x k, possibly k = 0).
 
@@ -30,10 +35,7 @@ def kernel(omega: np.ndarray, tol_factor: float = RANK_TOL_FACTOR) -> np.ndarray
     """
     omega = np.asarray(omega, dtype=float)
     _, s, vt = np.linalg.svd(omega)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(omega.shape[0])
-    mask = s <= tol_factor * s[0]
-    return vt[mask].T
+    return vt[_rank(s, tol_factor):].T
 
 
 class LinearConstraints(NamedTuple):
@@ -87,9 +89,7 @@ def _row_space(rows: np.ndarray, tol_factor: float) -> np.ndarray:
     if rows.shape[0] == 0:
         return rows
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return rows[:0]
-    return vt[s > tol_factor * s[0]]
+    return vt[:_rank(s, tol_factor)]
 
 
 def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient,
@@ -117,8 +117,8 @@ def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient,
         stacked = np.vstack([omega, a_rows])
         # Left null vectors of the stacked system generate the conditions
         # under which [Omega; A] X = [-(Hess z + g); 0] is solvable.
-        u, s, _ = np.linalg.svd(stacked)
-        rank = int(np.sum(s > tol_factor * s[0])) if s.size and s[0] > 0 else 0
+        u, s, vt = np.linalg.svd(stacked)
+        rank = _rank(s, tol_factor)
         left_null = u[:, rank:].T
         y_omega = left_null[:, :omega.shape[0]]
         new_rows = np.hstack([y_omega @ h_hessian, (y_omega @ g)[:, None]])
@@ -142,30 +142,20 @@ def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient,
                 "solvability conditions are nowhere satisfied", chain=chain
             )
         aug = merged
-        chain.subspaces.append(_null_of_rows(basis, n))
+        # The rows of `basis` are orthonormal: its complement needs no rank test.
+        chain.subspaces.append(np.linalg.svd(basis)[2][basis.shape[0]:].T)
     else:
         raise ArithmeticError(f"constraint chain did not close within {n + 1} stages")
 
-    a_rows, b = aug[:, :n], aug[:, n]
-    chain.constraints = LinearConstraints(a_rows, b)
-    stacked = np.vstack([omega, a_rows])
-    pinv = np.linalg.pinv(stacked, rcond=tol_factor)
-    proj = pinv[:, :n]
+    # After the break, `stacked` is [Omega; A] of the final constraints.
+    chain.constraints = LinearConstraints(a_rows, aug[:, n])
+    proj = np.linalg.pinv(stacked, rcond=tol_factor)[:, :n]
     chain.reduced_flow = -proj @ h_hessian
     chain.flow_offset = -proj @ g
-    chain.gauge_basis = _null_of_rows(_row_space(stacked, tol_factor), n)
+    chain.gauge_basis = vt[rank:].T
     if chain.subspaces[-1].shape[1] == 0:
         chain.status = "empty"
     return chain
-
-
-def _null_of_rows(orth_rows: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal basis of {z : R z = 0} given orthonormal rows R."""
-    if orth_rows.shape[0] == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(orth_rows, full_matrices=True)
-    rank = int(np.sum(s > RANK_TOL_FACTOR * s[0]))
-    return vt[rank:].T
 
 
 def gnh_from_model(cfg: FieldConfig, model: OscillatorModel) -> ConstraintChain:

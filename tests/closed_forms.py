@@ -25,9 +25,23 @@ def refined_inv(a) -> np.ndarray:
     """Dense float64 inverse driven to its representation limit.
 
     Newton steps with extended-precision residuals remove the usual
-    eps * cond forward-error floor of a LAPACK inverse.
+    eps * cond forward-error floor of a LAPACK inverse.  The loop is this
+    module's own, so it does not share a fault with `structure._newton_inv`.
     """
-    return st._newton_inv(np.asarray(a, dtype=np.longdouble)).astype(float)
+    a = np.asarray(a, dtype=np.longdouble)
+    x = np.linalg.inv(a.astype(float)).astype(np.longdouble)
+    ident = np.eye(a.shape[0], dtype=np.longdouble)
+    for _ in range(3):
+        x = x + x @ (ident - a @ x)
+    return x.astype(float)
+
+
+def lambda_mpmath(cfg: st.FieldConfig, dps: int = 60) -> np.ndarray:
+    """Lambda = -Omega^{-1} from a dps-digit mpmath inverse, rounded once."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        inv = mp.matrix(st.build_omega(cfg).tolist()) ** -1
+        return -np.array(inv.tolist(), dtype=float)
 
 
 def hamiltonian_vector_field(cfg: st.FieldConfig, grad_f,

@@ -127,6 +127,17 @@ class TestGnhChain:
         # On {p = 0} the solution field is unique (gauge fixed by tangency).
         assert chain.gauge_basis.shape[1] == 0
 
+    def test_gauge_freedom_is_the_kernel(self):
+        # H = 0 gives no constraint rows: the chain closes on its first
+        # pass, and any kernel direction of Omega can be added to X.
+        omega = st.build_omega(DEGENERATE)
+        chain = con.gnh_chain(omega, np.zeros((4, 4)), np.zeros(4))
+        gauge = chain.gauge_basis
+        assert chain.dimensions == [4]
+        assert gauge.shape == (4, 2)
+        assert np.abs(gauge.T @ gauge - np.eye(2)).max() <= 1e-12
+        assert np.abs(omega @ gauge).max() <= 1e-12
+
 
 class TestDegenerateFlow:
     def test_time_zero(self):

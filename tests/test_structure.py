@@ -36,6 +36,17 @@ class TestFieldConfig:
         assert np.allclose(bvec, [1.0, -2.0, 0.5])
         assert np.allclose(cvec, [0.0, 3.0, 1.0])
 
+    @pytest.mark.parametrize("b, c", [(1.25, -0.5), (1e6, -3e-7), (0.0, 4e3)])
+    def test_n2_scalars_of_blocks_at_the_antisymmetry_bound(self, b, c):
+        # FieldConfig admits |m + m^T| up to 1e-14 max(1, max|m|); every
+        # such 2x2 block is a pseudoscalar, read from its [0, 1] entry.
+        def perturbed(x):
+            tol = 0.9e-14 * max(1.0, abs(x))
+            return [[0.45 * tol, x], [-x + 0.9 * tol, -0.45 * tol]]
+        cfg = st.FieldConfig(2, perturbed(b), perturbed(c))
+        assert np.abs(cfg.eF - b * st.EPS2).max() > 0.0
+        assert st.n2_scalars(cfg) == (cfg.eF[0, 1], cfg.rG[0, 1])
+
 
 class TestBuildOmega:
     def test_canonical(self):
@@ -123,8 +134,9 @@ class TestPoissonMatrix:
         assert lam[0, 3] == pytest.approx(0.5, abs=1e-14)    # {q1, p1} = (1 + B1 C1)/chi
         assert lam[2, 5] == pytest.approx(1.0, abs=1e-14)    # {q3, p3} = (1 + B3 C3)/chi
 
-    def test_singular_raises_with_condition_estimate(self):
-        with pytest.raises(SingularOmega, match="cond"):
+    def test_singular_raises_naming_det_psi(self):
+        with pytest.raises(SingularOmega,
+                           match="det Psi = .* below tolerance .*; use the constrained module"):
             st.poisson_matrix(st.field_config_n2(2.0, -0.5))
 
     def test_random_sweep_inverse_and_closed_form(self):
@@ -152,6 +164,38 @@ class TestPoissonMatrix:
             b = np.linalg.solve(pair.Phi, cfg.eF)
             assert np.abs(a + a.T).max() < 1e-10
             assert np.abs(b + b.T).max() < 1e-10
+
+
+class TestLambdaOracle:
+    """`poisson_matrix` against a 60-digit mpmath -Omega^{-1}.
+
+    A float64 dense inverse is off by 5.6e-12 relative at planar
+    chi = 1e-5, so the 2e-15 bound fails if the extended precision is lost.
+    """
+
+    BOUND = 2e-15
+
+    @staticmethod
+    def rel_error(cfg, **kw):
+        ref = cf.lambda_mpmath(cfg)
+        return np.abs(st.poisson_matrix(cfg, **kw) - ref).max() / np.abs(ref).max()
+
+    @pytest.mark.parametrize("chi", [1e-2, 1e-3, 1e-4, 3e-5, 1e-5])
+    @pytest.mark.parametrize("b", [0.3, 1.0, 3.0, -2.0])
+    def test_planar_near_the_singularity(self, chi, b):
+        # det Psi = chi^2 is 1e-10 at chi = 1e-5, at the default tolerance.
+        cfg = st.field_config_n2(b, (chi - 1.0) / b)
+        assert self.rel_error(cfg, tol_singular=1e-12) <= self.BOUND
+
+    def test_random_fields(self):
+        rng = np.random.RandomState(15)
+        produced = 0
+        while produced < 40:
+            cfg = random_config(rng, rng.randint(2, 9))
+            if abs(st.regularity(cfg)) < 1e-8:
+                continue
+            produced += 1
+            assert self.rel_error(cfg) <= self.BOUND
 
 
 class TestBracket:
