@@ -256,10 +256,6 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(N, cfg, model, state, t_final, dt, method, tol, problem)
 
 
-def _listify(arr: np.ndarray):
-    return np.asarray(arr).tolist()
-
-
 def _write_atomic(path: str | None, chunks):
     """Write the strings of ``chunks`` in order, to stdout or to ``path``.
 
@@ -282,21 +278,46 @@ def _write_atomic(path: str | None, chunks):
         raise
 
 
-class _Encoded(NamedTuple):
-    """JSON text already laid out for its place in the document."""
-
-    text: str
-
-
-def _json_text(obj, indent: str = "") -> str:
+def _json_text(obj) -> str:
     """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
 
     With an indent set, CPython's json module encodes in pure Python; this
     writer builds the same layout from joined strings.  Floats are written
     by ``float.__repr__``, ints by ``int.__repr__`` and strings by json's C
-    ASCII escaper.  A non-finite float raises ArithmeticError, where json
-    would write NaN or Infinity.
+    ASCII escaper.  A float64 ndarray is written as its ``tolist()`` would
+    be; the values of all of them are encoded by `g17` in one call.  A
+    non-finite float raises ArithmeticError, where json would write NaN or
+    Infinity.
     """
+    arrays = []
+    parts = _layout(obj, "", arrays).split("\0")
+    if not arrays:
+        return parts[0]
+    # The byte after each value: 1 in a row, 2 at the end of a matrix row,
+    # 3 at the end of an array.
+    ends = [np.ones(arr.shape, np.uint8) for arr, _ in arrays]
+    for end in ends:
+        end[..., -1] = 2
+        end.reshape(-1)[-1] = 3
+    texts = g17.repr_text(np.concatenate([arr.reshape(-1) for arr, _ in arrays]),
+                          np.concatenate([end.reshape(-1) for end in ends])).split("\3")
+    out = [parts[0]]
+    for (arr, indent), text, part in zip(arrays, texts, parts[1:]):
+        inner = indent + "  "
+        if arr.ndim == 2:  # a list of rows, each laid out one level in
+            row = inner + "  "
+            text = ("[\n" + row + text.replace("\1", ",\n" + row)
+                    .replace("\2", "\n" + inner + "],\n" + inner + "[\n" + row) + "\n" + inner + "]")
+        else:
+            text = text.replace("\1", ",\n" + inner)
+        out += ["[\n" + inner + text + "\n" + indent + "]", part]
+    return "".join(out)
+
+
+def _layout(obj, indent: str, arrays: list) -> str:
+    """`_json_text` of ``obj`` at ``indent``, with a NUL in place of each
+    nonempty float64 vector or matrix, appended to ``arrays`` with its indent
+    (json escapes a NUL in a string, so the text has no other)."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -311,24 +332,25 @@ def _json_text(obj, indent: str = "") -> str:
         if not math.isfinite(obj):
             raise ArithmeticError(f"non-finite number {obj!r} in the JSON output")
         return float.__repr__(obj)
-    if isinstance(obj, _Encoded):  # a NamedTuple: test it before tuple
-        return obj.text
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        if obj.size == 0 or obj.ndim not in (1, 2):
+            return _layout(obj.tolist(), indent, arrays)
+        finite = np.isfinite(obj)
+        if not finite.all():
+            raise ArithmeticError(
+                f"non-finite number {float(obj[~finite][0])!r} in the JSON output")
+        arrays.append((obj, indent))
+        return "\0"
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        try:
-            # A matrix row: float.__repr__ refuses anything but floats.
-            items = list(map(float.__repr__, obj))
-        except TypeError:
-            items = None
-        if items is None or not all(map(math.isfinite, obj)):
-            items = [_json_text(item, inner) for item in obj]
+        items = [_layout(item, inner, arrays) for item in obj]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+        items = [encode_basestring_ascii(key) + ": " + _layout(value, inner, arrays)
                  for key, value in sorted(obj.items())]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -351,18 +373,18 @@ def cmd_brackets(rc: RunConfig, args) -> tuple:
             "status": "singular",
             "det_psi": structure.regularity(cfg),
             "kernel_dimension": int(kernel_dim),
-            "omega": _listify(omega),
+            "omega": omega,
         }
     N = cfg.N
     return EXIT_OK, {
         "status": "ok",
-        "omega": _listify(omega),
-        "poisson": _listify(lam),
+        "omega": omega,
+        "poisson": lam,
         "brackets": {
-            "qq": _listify(lam[:N, :N]),
-            "qp": _listify(lam[:N, N:]),
-            "pq": _listify(lam[N:, :N]),
-            "pp": _listify(lam[N:, N:]),
+            "qq": lam[:N, :N],
+            "qp": lam[:N, N:],
+            "pq": lam[N:, :N],
+            "pp": lam[N:, N:],
         },
         "det_psi": structure.regularity(cfg),
     }
@@ -388,8 +410,8 @@ def cmd_darboux(rc: RunConfig, args) -> tuple:
     sp_residual = darboux.symplectic_deviation(dmap.T @ generic.Tinv)
     report = {
         "route": route,
-        "T": _listify(dmap.T),
-        "Tinv": _listify(dmap.Tinv),
+        "T": dmap.T,
+        "Tinv": dmap.Tinv,
         "residual": dmap.residual,
         "cond": dmap.cond,
         "sp_equivalence_residual": sp_residual,
@@ -456,25 +478,21 @@ def cmd_spectrum(rc: RunConfig, args) -> tuple:
     else:
         freqs, kind = spectrum.mode_frequencies(omega, r, lam), "normal-modes"
     table = spectrum.ladder(freqs, model.hbar, args.nmax)
-    return EXIT_OK, {
-        "kind": kind,
-        "hbar": table.hbar,
-        "frequencies": list(table.frequencies),
-        "levels": _level_records(table),
-    }
+    levels = _level_records(table)
+    head = _json_text({"kind": kind, "hbar": table.hbar, "frequencies": list(table.frequencies)})
+    # "levels" sorts last: its text follows the other keys, chunk by chunk.
+    return EXIT_OK, itertools.chain([head[:-2] + ',\n  "levels": [\n    '], levels, ["\n  ]\n}\n"])
 
 
-def _level_records(table: spectrum.SpectrumTable) -> _Encoded:
-    """The report's ``levels`` list, ``[{"energy": e, "n": [...]}, ...]``,
-    laid out as ``_json_text`` lays out a list under a top-level key, with
-    one %-template per record."""
+def _level_records(table: spectrum.SpectrumTable):
+    """The chunks of the records of the report's ``levels`` list,
+    ``{"energy": e, "n": [...]}``, as ``json.dumps`` lays them out under a
+    top-level key: one `g17.records` table of the energies and the quanta."""
     if not np.isfinite(table.energies).all():
         raise ArithmeticError("non-finite level energy in the JSON output")
-    d = table.quanta.shape[1]
-    record = ('{\n      "energy": %r,\n      "n": [\n        '
-              + ",\n        ".join(["%d"] * d) + "\n      ]\n    }")
-    rows = zip(table.energies.tolist(), *table.quanta.T.tolist())
-    return _Encoded("[\n    " + ",\n    ".join([record % row for row in rows]) + "\n  ]")
+    pieces = (['{\n      "energy": ', ',\n      "n": [\n        ']
+              + [",\n        "] * (table.quanta.shape[1] - 1) + ["\n      ]\n    }"])
+    return g17.records(pieces, table.energies, table.quanta, sep=",\n    ")
 
 
 def cmd_limit_scan(rc: RunConfig, args) -> tuple:
@@ -489,14 +507,13 @@ def cmd_limit_scan(rc: RunConfig, args) -> tuple:
     if points > MAX_SCAN_POINTS:
         raise ConfigError(f"--points {points} exceeds the cap of {MAX_SCAN_POINTS} scan points")
     grid = np.geomspace(eps_max, eps_min, points)
-    rows = spectrum.chi_limit_scan(model, B, grid)
-    finite = np.isfinite(np.array(rows)).all(axis=1)
+    table = np.array(spectrum.chi_limit_scan(model, B, grid))
+    finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise ArithmeticError(
-            f"non-finite limit-scan row at epsilon = {rows[finite.argmin()].epsilon!r}")
-    lines = ["epsilon,omega_plus,omega_minus,omega_r_target,fast_amplitude"]
-    lines += [",".join(map(repr, r)) for r in rows]
-    return EXIT_OK, ["\n".join(lines), "\n"]
+            f"non-finite limit-scan row at epsilon = {float(table[finite.argmin(), 0])!r}")
+    header = "epsilon,omega_plus,omega_minus,omega_r_target,fast_amplitude\n"
+    return EXIT_OK, itertools.chain([header], g17.csv_rows(table, shortest=True))
 
 
 def cmd_reduce(rc: RunConfig, args) -> tuple:
@@ -522,15 +539,12 @@ def cmd_reduce(rc: RunConfig, args) -> tuple:
         "status": chain.status,
         "dimensions": chain.dimensions,
         "constraints": {
-            "matrix": _listify(chain.constraints.matrix) if chain.constraints else [],
-            "offset": _listify(chain.constraints.offset) if chain.constraints else [],
+            "matrix": chain.constraints.matrix if chain.constraints else [],
+            "offset": chain.constraints.offset if chain.constraints else [],
         },
-        "terminal_flow": _listify(chain.reduced_flow) if chain.reduced_flow is not None else None,
-        "flow_offset": _listify(chain.flow_offset) if chain.flow_offset is not None else None,
-        "eigenvalues": {
-            "real": [float(v.real) for v in eigen],
-            "imag": [float(v.imag) for v in eigen],
-        },
+        "terminal_flow": chain.reduced_flow,
+        "flow_offset": chain.flow_offset,
+        "eigenvalues": {"real": eigen.real, "imag": eigen.imag},
         "gauge_dimension": int(chain.gauge_basis.shape[1]) if chain.gauge_basis is not None else None,
     }
     return code, report

@@ -109,12 +109,16 @@ def n3_coefficients(Bvec, Cvec, tol: float = TOL_SINGULAR) -> N3Coefficients:
     with np.errstate(over="ignore", invalid="ignore"):
         theta = float(np.dot(Cvec, Bvec))
     chi = _checked_chi(theta, tol)
-    rchi = np.sqrt(chi)
-    u = 0.5 * (1.0 + rchi)
-    ru = np.sqrt(u)
-    # gamma = (1 - sqrt(u)) / (theta sqrt(u)) rewritten without the 0/0 form.
-    gamma = -1.0 / (2.0 * (rchi + 1.0) * (1.0 + ru) * ru)
-    gamma_prime = (2.0 * rchi + 1.0) / (2.0 * (rchi + 1.0) * (rchi + ru) * ru)
+    # A chi near the float limit overflows these products; the map built
+    # from them is refused downstream, so numpy's warnings would only add
+    # noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rchi = np.sqrt(chi)
+        u = 0.5 * (1.0 + rchi)
+        ru = np.sqrt(u)
+        # gamma = (1 - sqrt(u)) / (theta sqrt(u)) rewritten without the 0/0 form.
+        gamma = -1.0 / (2.0 * (rchi + 1.0) * (1.0 + ru) * ru)
+        gamma_prime = (2.0 * rchi + 1.0) / (2.0 * (rchi + 1.0) * (rchi + ru) * ru)
     return N3Coefficients(theta, chi, float(u), float(gamma), float(gamma_prime))
 
 

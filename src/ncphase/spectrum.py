@@ -12,7 +12,7 @@ import numpy as np
 
 from .constrained import gnh_chain
 from .dynamics import OscillatorModel
-from .structure import build_omega, field_config_n2
+from .structure import build_omega, field_config_n2, two_product
 
 # Largest ladder built, in levels; refused before any array is allocated.
 # At the cap an axial (d = 3) spectrum is about 200 MB of JSON.
@@ -178,10 +178,14 @@ def _scan_rows(omega, r, z0) -> np.ndarray:
     # and the caller's finiteness check refuse such rows, so numpy's
     # warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            lam = -np.linalg.inv(omega)
-        except np.linalg.LinAlgError:
-            raise ArithmeticError("Omega is singular in double precision") from None
+        # Psi = chi I, so Lambda is Omega's blocks over chi; chi = 1 + B C
+        # from the exact product, 1 + p being exact where p is near -1.
+        p, err = two_product(-omega[:, 0, 1], omega[:, 2, 3])
+        chi = ((1.0 + p) + err)[:, None, None]
+        if (chi == 0).any():
+            raise ArithmeticError("Omega is singular in double precision")
+        lam = np.block([[-omega[:, 2:, 2:], omega[:, :2, 2:]],
+                        [omega[:, 2:, :2], -omega[:, :2, :2]]]) / chi
         flow = r @ lam @ r.T
         w = _two_sided(omega, lam, whiten(omega, r), flow)
         w_plus, w_minus = w.max(-1), w.min(-1)

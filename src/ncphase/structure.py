@@ -19,9 +19,26 @@ from .errors import SingularOmega
 
 TOL_SINGULAR = 1e-10
 NEWTON_STEPS = 3  # extended-precision corrections of the float64 inverse seed
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 
 # 2D orientation: eps_{12} = +1.
 EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _halves(v):
+    """Dekker's split: v = hi + lo, each with at most 26 significant bits."""
+    c = v * _SPLIT
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def two_product(a, b):
+    """``(p, err)`` with p = fl(a * b) and p + err = a * b exactly, elementwise
+    (Dekker 1971), barring overflow and underflow."""
+    a_hi, a_lo = _halves(a)
+    b_hi, b_lo = _halves(b)
+    p = a * b
+    return p, a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
 
 
 def cross_matrix(v) -> np.ndarray:

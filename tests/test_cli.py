@@ -996,6 +996,23 @@ class TestNumericalFailure:
         ]
         assert not out.exists()
 
+    def test_oblique_overflowing_gamma_writes_one_stderr_line(self, tmp_path):
+        # B.C = 1e300: chi is finite, but the products of the spatial
+        # mixing scalars overflow; the refusal comes without numpy warnings.
+        unit = np.array([1.0, 2.0, 2.0]) / 3.0
+        cfg = dict(BASE, N=3, field={"Bvec": (1e300 * unit).tolist(), "Cvec": unit.tolist()})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "d.json"
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "ncphase.cli", "darboux",
+             "--config", path, "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == cli.EXIT_SINGULAR
+        assert len(proc.stderr.splitlines()) == 1
+        assert "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+
     def test_poisson_cross_check_failure(self, tmp_path, capsys, monkeypatch):
         # A perturbed dense Omega makes the real cross-check in
         # structure.poisson_matrix raise its ArithmeticError.
@@ -1294,6 +1311,78 @@ class TestJsonWriter:
             _json_oracle(obj)
         with pytest.raises(TypeError):
             cli._json_text(obj)
+
+
+class TestFloatArrays:
+    """A float64 ndarray in the JSON output is written as its tolist() would be."""
+
+    @pytest.mark.parametrize("arr", [
+        np.zeros(0), np.zeros((0, 3)), np.zeros((3, 0)), np.array([-0.0, 0.0]),
+        np.array([[1.5, -0.0, 2.0, 1e16, 1e-5]]), np.array([[1e-300], [-0.0], [3.0]]),
+        np.arange(24.0).reshape(2, 3, 4), np.float64(0.1) * np.ones(()),
+    ], ids=["empty", "0xN", "Nx0", "signed-zeros", "1xN", "Nx1", "3-d", "0-d"])
+    def test_shapes_match_json_dumps(self, arr):
+        for obj in (arr, [arr], {"a": {"b": arr}, "c": arr}):
+            oracle = json.loads(json.dumps(obj, default=np.ndarray.tolist))
+            assert cli._json_text(obj) == _json_oracle(oracle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
+           st.integers(1, 7), st.integers(0, 3))
+    def test_random_arrays_match_json_dumps(self, values, cols, depth):
+        cols = min(cols, len(values))
+        arr = np.array(values[:len(values) // cols * cols]).reshape(-1, cols)
+        obj = arr if cols > 1 else arr[:, 0]
+        for _ in range(depth):
+            obj = {"k": [obj]}
+        assert cli._json_text(obj) == _json_oracle(json.loads(
+            json.dumps(obj, default=np.ndarray.tolist)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_and_leaves_no_file(self, tmp_path, monkeypatch, bad):
+        arr = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ArithmeticError, match=f"^non-finite number {bad!r} in the JSON"):
+            cli._json_text({"a": arr})
+        monkeypatch.setattr(cli, "cmd_brackets", lambda rc, args: (cli.EXIT_OK, {"omega": arr}))
+        out = tmp_path / "out.json"
+        assert run(["brackets", "--config", write_config(tmp_path, BASE),
+                    "--out", str(out)]) == cli.EXIT_SINGULAR
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("arr", [np.array([1, 2]), np.array([1j]), np.array([True]),
+                                     np.array([1.0], dtype=object),
+                                     np.array([1.0], dtype=np.float32)])
+    def test_other_arrays_raise_type_error(self, arr):
+        with pytest.raises(TypeError):
+            cli._json_text({"a": arr})
+
+
+class TestLevelRecords:
+    """The streamed levels list is the text json.dumps gives the records."""
+
+    @staticmethod
+    def check(table):
+        got = '{\n  "levels": [\n    ' + "".join(cli._level_records(table)) + "\n  ]\n}"
+        levels = [{"energy": e, "n": n}
+                  for e, n in zip(table.energies.tolist(), table.quanta.tolist())]
+        assert got == _json_oracle({"levels": levels})
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("hbar", [1e-300, 1e-7, 1.0, 1e17, 1e300])
+    def test_ladders(self, d, hbar):
+        freqs = [1.0, 0.7071067811865476, 0.3, 2.5][:d]
+        self.check(spectrum.ladder(freqs, hbar, {1: 40, 2: 9, 3: 4, 4: 3}[d]))
+
+    def test_seven_digit_quanta(self):
+        quanta = np.array([[0], [9], [10], [999999], [1000000], [1999999]])
+        energies = 0.1 * (quanta[:, 0] + 0.5)
+        self.check(spectrum.SpectrumTable(quanta, energies, 1.0, (0.1,)))
+
+    def test_non_finite_energy_refused(self):
+        table = spectrum.ladder([1.0], 1.0, 2)
+        table.energies[1] = np.inf
+        with pytest.raises(ArithmeticError, match="non-finite level energy"):
+            cli._level_records(table)
 
 
 class TestRecords:

@@ -129,6 +129,164 @@ class TestEncoder:
         assert got == want
 
 
+def shortest(table):
+    """The CSV text of the repr encoder and of the per-value repr oracle."""
+    got = "".join(g17.csv_rows(table, shortest=True))
+    return got, "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+
+
+def powers_of_ten():
+    """10**k, correctly rounded, and its two float neighbours for every k
+    whose power is a nonzero finite double."""
+    out = []
+    for k in range(-324, 309):
+        x = float(f"1e{k}")
+        out += [x, float(np.nextafter(x, 0)), float(np.nextafter(x, np.inf))]
+    return [x for x in out if x > 0]
+
+
+# repr's switch points and integral values, where ".0" and the exponent
+# form start: 1e16 is the first exponent-form integer, 9999999999999998.0
+# the last fixed one; 2**53 and its neighbours end the exact integers.
+SWITCHES = sorted(set(
+    [0.0, -0.0, 1e-4, 1e-5, 1e16, 9999999999999998.0, 9007199254740992.0,
+     0.5, 1.0, 2.0, 100.0, 123456789012345.0, 1234567890123456.0]
+    + near(1e-4) + near(1e-5) + near(1e16) + near(9007199254740992.0)
+    + [v for k in (15, 16) for v in near(10.0 ** k, 3)]
+    + [float(k) for k in range(10**15 - 5, 10**15 + 5)]
+    + [float(k) for k in range(10**16 - 10, 10**16 + 10, 2)]
+))
+
+
+class TestShortest:
+    """csv_rows(shortest=True) writes exactly the bytes of float.__repr__."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64), st.integers(1, 8))
+    def test_random_bit_patterns(self, bits, cols):
+        values = bits_to_floats(bits)
+        if values.size:
+            got, want = shortest(as_rows(values, cols))
+            assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 2**52 - 1), min_size=1, max_size=32))
+    def test_subnormals(self, mantissas):
+        values = bits_to_floats(mantissas)
+        got, want = shortest(as_rows(np.concatenate([values, -values]), 4))
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 2**53), st.integers(-80, 80)), min_size=1,
+                    max_size=32))
+    def test_short_binary_fractions(self, pairs):
+        # k * 2**j has a short exact decimal expansion: ties of the 15-, 16-
+        # and 17-digit roundings, and values on a read-back boundary, live
+        # here and inside the tie band.
+        values = [float(np.ldexp(float(k), j)) for k, j in pairs]
+        got, want = shortest(as_rows(values + [-v for v in values], 2))
+        assert got == want
+
+    def test_powers_of_ten(self):
+        values = powers_of_ten()
+        got, want = shortest(as_rows(values + [-v for v in values], 3))
+        assert got == want
+
+    def test_powers_of_two(self):
+        # The gap below a power of two is half the gap above it.
+        values = [2.0 ** k for k in range(-1074, 1024)]
+        values += [float(np.nextafter(v, 0)) for v in values]
+        got, want = shortest(as_rows(values, 1))
+        assert got == want
+
+    def test_switch_points(self):
+        got, want = shortest(as_rows(SWITCHES + [-v for v in SWITCHES], 1))
+        assert got == want
+
+    def test_inside_the_tie_band(self):
+        # Exact 16- and 17-digit ties, and decimals of 16 and 17 digits
+        # whose neighbours straddle a read-back boundary.
+        values = [1 + 2**-17, 0.5 + 2**-18, 3 + 2**-16, 1 + 3 * 2**-17, 0.25 + 3 * 2**-20,
+                  5e-324, 2.5, 1000000000000000.5, 4503599627370497.5,
+                  float("9007199254740993"), 0.30000000000000004, 2 / 3, 1 / 3]
+        rng = np.random.default_rng(16)
+        digits = rng.integers(10**15, 10**17, 2000)
+        values += [float(f"{d}e{x}") for d, x in zip(digits, rng.integers(-110, 110, 2000))]
+        got, want = shortest(as_rows(values + [-v for v in values], 5))
+        assert got == want
+
+    def test_seeded_bulk(self):
+        rng = np.random.default_rng(18)
+        values = np.concatenate([
+            bits_to_floats(rng.integers(0, 2**64, 20000, dtype=np.uint64)),
+            rng.normal(size=20000) * 10.0 ** rng.integers(-110, 110, 20000),
+            np.round(rng.normal(size=20000) * 1000, 3),
+        ])
+        got, want = shortest(as_rows(values, 5))
+        assert got == want
+
+
+class TestFallback:
+    """CPython writes only the values the encoder cannot decide."""
+
+    @pytest.mark.parametrize("shortest", [False, True])
+    def test_only_ties_and_out_of_range_values(self, shortest):
+        # Below 1e11 a double's exact decimal has more than 18 digits, so
+        # no 17-digit rounding is a tie.
+        rng = np.random.default_rng(21)
+        block = (rng.normal(size=4000) * 10.0 ** rng.integers(-90, 10, 4000))[:, None]
+        words = np.zeros((4000, 1, 6), np.uint64)
+        assert g17._encode(block, words, shortest).size == 0
+        edge = np.array([[0.1], [1 + 2**-17], [1e-300], [0.0], [1e300], [2.5]])
+        assert g17._encode(edge, words[:6], shortest).tolist() == [1, 2, 4]
+
+    def test_ties_of_unwritten_digits_stay_on_the_fast_path(self):
+        # n + j/8 (j odd) in [6e14, 1e15) has 18 exact digits, a tie of the
+        # 17-digit rounding, but its gap is 1/8, so repr writes 16 digits,
+        # which are decided.
+        rng = np.random.default_rng(22)
+        block = (rng.integers(6 * 10**14, 10**15, 500) + rng.integers(0, 4, 500) / 4 + 0.125)
+        words = np.zeros((500, 1, 6), np.uint64)
+        assert g17._encode(block[:, None], words, True).size == 0
+        assert g17._encode(block[:, None], words, False).size == 500
+
+
+class TestReprText:
+    @pytest.mark.parametrize("chunk", [3, 8192])
+    def test_each_value_followed_by_its_byte(self, monkeypatch, chunk):
+        monkeypatch.setattr(g17, "CHUNK_VALUES", chunk)
+        values = [0.1, -0.0, 1e16, 5e-324, 2.5, 1e-300, 123.0, -7e22, 1 + 2**-17, 0.3, 4.0]
+        ends = [1, 2, 3, 1, 10, 44, 3, 2, 1, 1, 3]
+        want = "".join(repr(v) + chr(e) for v, e in zip(values, ends))
+        assert g17.repr_text(values, ends) == want
+
+
+class TestRecords:
+    """g17.records lays out its slots between the pieces, in whole records."""
+
+    def test_pieces_floats_and_ints(self):
+        floats = np.array([0.1, 1e300, 5e-324, -2.0, 1e16])
+        ints = np.array([[0, 7], [12, 10**7], [99999999, 1], [5, 50], [3, 0]])
+        text = "".join(g17.records(["<", "|", "|long piece|", ">"], floats, ints, sep=" ; "))
+        want = " ; ".join(f"<{a!r}|{i}|long piece|{j}>"
+                          for a, (i, j) in zip(floats.tolist(), ints.tolist()))
+        assert text == want
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+    def test_chunks_are_whole_records(self, monkeypatch, chunk):
+        monkeypatch.setattr(g17, "CHUNK_VALUES", chunk)
+        floats = np.random.default_rng(chunk).normal(size=11)
+        ints = np.arange(11)[:, None]
+        chunks = list(g17.records(["[", ",", "]"], floats, ints, sep="\n"))
+        assert len(chunks) == -(-11 // chunk)
+        assert "".join(chunks) == "\n".join(f"[{a!r},{i}]" for i, a in enumerate(floats.tolist()))
+
+    def test_ints_out_of_range_refused(self):
+        for ints in ([[-1]], [[10**8]]):
+            with pytest.raises(ValueError):
+                list(g17.records(["", "", ""], [1.0], np.array(ints), sep=""))
+
+
 def _generic_config(seed, N):
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.normal(0.0, 0.3 / np.sqrt(N), (2, N, N)), 1)

@@ -125,14 +125,15 @@ def rel_err(got, want) -> float:
     return float(np.max(np.abs(np.asarray(got, dtype=float) / np.asarray(want, dtype=float) - 1.0)))
 
 
-def _mpmath_planar_frequencies(B, C):
-    """Mode frequencies of the planar unit oscillator from a 50-digit mpmath
+def _mpmath_planar_frequencies(B, C, m=1.0, kappa=1.0):
+    """Mode frequencies of the planar oscillator from a 60-digit mpmath
     eigensolve of -Omega^-1 Hess H, descending; no ncphase code."""
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(50):
-        B, C = mp.mpf(B), mp.mpf(C)
+    with mp.workdps(60):
+        B, C, m, kappa = map(mp.mpf, (B, C, m, kappa))
         omega = mp.matrix([[0, -B, 1, 0], [B, 0, 0, 1], [-1, 0, 0, C], [0, -1, -C, 0]])
-        eigvals = mp.eig(-mp.inverse(omega), left=False, right=False)
+        hess = mp.diag([kappa, kappa, 1 / m, 1 / m])
+        eigvals = mp.eig(-mp.inverse(omega) * hess, left=False, right=False)
         return [float(w) for w in sorted((mp.im(e) for e in eigvals), reverse=True)[:2]]
 
 
@@ -275,14 +276,22 @@ class TestLimitScan:
     @settings(max_examples=100, deadline=None)
     @given(m=hst.floats(0.1, 10.0), kappa=hst.floats(0.1, 10.0), B=hst.floats(0.1, 10.0),
            eps=hst.floats(1e-3, 1.0))
-    def test_frequencies_are_the_core_of_each_row(self, m, kappa, B, eps):
+    def test_frequencies_match_mpmath_at_the_rows_c(self, m, kappa, B, eps):
         # An off-constraint start keeps the fast amplitude O(1), so no row
         # is refused for it.
-        model = dyn.OscillatorModel(m=m, kappa=kappa)
-        row, = sp.chi_limit_scan(model, B, [eps], z0=[1.0, 0.0, 0.3, 0.8])
-        omega = st.build_omega(st.field_config_n2(B, (eps * eps - 1.0) / B))
-        w = sp.mode_frequencies(omega, sp.hessian_factor(model.hessian(2)))
-        assert rel_err([row.omega_plus, row.omega_minus], w) <= 1e-15
+        row, = sp.chi_limit_scan(dyn.OscillatorModel(m=m, kappa=kappa), B, [eps],
+                                 z0=[1.0, 0.0, 0.3, 0.8])
+        want = _mpmath_planar_frequencies(B, (eps * eps - 1.0) / B, m, kappa)
+        assert rel_err([row.omega_plus, row.omega_minus], want) <= 1e-14
+
+    def test_lambda_keeps_the_rounding_of_chi_out(self):
+        # A dense float64 inverse of Omega carries the rounding of 1 + B C:
+        # 3.0e-11 in omega_plus at eps = 1e-3 and 3.3e-8 at 3e-5 here.
+        model = dyn.OscillatorModel(m=2.0, kappa=2.0)
+        rows = sp.chi_limit_scan(model, 0.3, [1e-3, 1.7e-4, 3e-5], z0=[1.0, 0.0, 0.3, 0.8])
+        for row in rows:
+            want = _mpmath_planar_frequencies(0.3, (row.epsilon**2 - 1.0) / 0.3, 2.0, 2.0)
+            assert rel_err([row.omega_plus, row.omega_minus], want) <= 1e-14
 
     def test_first_failing_row_is_named(self):
         # The batched pass fails as a whole; the error names the largest

@@ -48,6 +48,18 @@ class TestFieldConfig:
         assert st.n2_scalars(cfg) == (cfg.eF[0, 1], cfg.rG[0, 1])
 
 
+class TestTwoProduct:
+    def test_product_and_error_are_exact(self):
+        from fractions import Fraction
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=2000) * 10.0 ** rng.integers(-100, 100, 2000)
+        b = rng.normal(size=2000) * 10.0 ** rng.integers(-100, 100, 2000)
+        p, err = st.two_product(a, b)
+        for x, y, hi, lo in zip(a.tolist(), b.tolist(), p.tolist(), err.tolist()):
+            assert Fraction(hi) + Fraction(lo) == Fraction(x) * Fraction(y)
+            assert hi == x * y
+
+
 class TestBuildOmega:
     def test_canonical(self):
         omega = st.build_omega(st.field_config_n2(0.0, 0.0))
