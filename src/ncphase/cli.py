@@ -364,6 +364,10 @@ def _require(value, what: str):
 
 def cmd_brackets(rc: RunConfig, args) -> tuple:
     cfg = _require(rc.cfg, "a field section")
+    det_psi = structure.regularity(cfg)
+    if not math.isfinite(det_psi):
+        raise NonFiniteOutput(f"det Psi = {det_psi!r} is not finite in double precision; "
+                              "no output written")
     omega = structure.build_omega(cfg)
     try:
         lam = structure.poisson_matrix(cfg, rc.tol_singular)
@@ -371,7 +375,7 @@ def cmd_brackets(rc: RunConfig, args) -> tuple:
         kernel_dim = constrained.kernel(omega).shape[1]
         return EXIT_SINGULAR, {
             "status": "singular",
-            "det_psi": structure.regularity(cfg),
+            "det_psi": det_psi,
             "kernel_dimension": int(kernel_dim),
             "omega": omega,
         }
@@ -386,7 +390,7 @@ def cmd_brackets(rc: RunConfig, args) -> tuple:
             "pq": lam[N:, :N],
             "pp": lam[N:, N:],
         },
-        "det_psi": structure.regularity(cfg),
+        "det_psi": det_psi,
     }
 
 

@@ -2,15 +2,15 @@
 
 A map is stored as the matrix T with zeta = T z, accepted when
 T^T J T = Omega up to a small residual.  Closed forms cover the planar
-and spatial constant-field cases and the single-charge shears; a pivoted
-symplectic orthogonalization handles any nondegenerate Omega.
+and spatial constant-field cases; a pivoted symplectic orthogonalization
+handles any nondegenerate Omega.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BothChargesNonzero, DegenerateChi, NegativeChi, SingularOmega
+from .errors import DegenerateChi, NegativeChi, SingularOmega
 from .structure import (
     EPS2,
     TOL_SINGULAR,
@@ -32,9 +32,6 @@ class DarbouxMap(NamedTuple):
     Tinv: np.ndarray
     residual: float
     cond: float
-
-    def apply(self, z) -> np.ndarray:
-        return self.T @ np.asarray(z, dtype=float)
 
 
 def verify_darboux(dmap: DarbouxMap, omega: np.ndarray) -> float:
@@ -185,36 +182,6 @@ def lambda3(cfg: FieldConfig, states):
     N = cfg.N
     l3 = zeta[..., 0] * zeta[..., N + 1] - zeta[..., 1] * zeta[..., N]
     return float(l3) if zeta.ndim == 1 else l3
-
-
-def darboux_single_charge(cfg: FieldConfig, which: str) -> DarbouxMap:
-    """Shear map when exactly one field block is active.
-
-    "e-only" (rG = 0): pi = p - (1/2) eF q from the linear potential
-    eA_k = (1/2) eF_ik q^i.  "r-only" (eF = 0): xi = q - (1/2) rG p.
-    """
-    if which not in ("e-only", "r-only"):
-        raise ValueError(f"which must be 'e-only' or 'r-only', got {which!r}")
-    N = cfg.N
-    scale = max(1.0, np.abs(cfg.eF).max(), np.abs(cfg.rG).max())
-    e_zero = np.abs(cfg.eF).max() <= 1e-14 * scale
-    r_zero = np.abs(cfg.rG).max() <= 1e-14 * scale
-    if not (e_zero or r_zero):
-        raise BothChargesNonzero("neither eF nor rG vanishes; no single-charge shear")
-    if which == "e-only" and not r_zero:
-        raise ValueError("which='e-only' requires rG = 0")
-    if which == "r-only" and not e_zero:
-        raise ValueError("which='r-only' requires eF = 0")
-
-    ident = np.eye(N)
-    zero = np.zeros((N, N))
-    if which == "e-only":
-        T = np.block([[ident, zero], [-0.5 * cfg.eF, ident]])
-        Tinv = np.block([[ident, zero], [0.5 * cfg.eF, ident]])
-    else:
-        T = np.block([[ident, -0.5 * cfg.rG], [zero, ident]])
-        Tinv = np.block([[ident, 0.5 * cfg.rG], [zero, ident]])
-    return _finish(T, Tinv, build_omega(cfg), 1e-12)
 
 
 def symplectic_gram_schmidt(omega: np.ndarray, tol_singular: float = TOL_SINGULAR) -> DarbouxMap:

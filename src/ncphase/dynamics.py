@@ -98,12 +98,6 @@ def expm_minus_identity(a):
     return _square(2.0 * np.linalg.solve(v - u, u), s)
 
 
-def expm(a):
-    """Matrix exponential exp(A): `expm_minus_identity(A)` plus I."""
-    e = expm_minus_identity(a)
-    return e + np.eye(e.shape[0])
-
-
 def _rowdot(a, b):
     # Row-wise dot product of (..., n) arrays.  The batched matmul rounds
     # each row exactly like the BLAS `a @ b` of two 1-d vectors, which
@@ -138,12 +132,6 @@ class OscillatorModel:
         self.m, self.kappa, self.potential = m, kappa, potential
         self.Evec, self.hbar = Evec, hbar
 
-    @property
-    def omega0(self) -> float:
-        if self.potential != HARMONIC or self.kappa <= 0:
-            raise ValueError("bare frequency requires a harmonic potential with kappa > 0")
-        return float(np.sqrt(self.kappa / self.m))
-
     def hessian(self, N: int) -> np.ndarray:
         h = np.zeros((2 * N, 2 * N))
         if self.potential == HARMONIC:
@@ -156,11 +144,6 @@ class OscillatorModel:
         if self.potential == LINEAR:
             g[:N] = -np.asarray(self.Evec, dtype=float)
         return g
-
-    def gradient(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        N = z.size // 2
-        return self.hessian(N) @ z + self.gradient_offset(N)
 
     def hamiltonian(self, z):
         """H of one state (a float) or of each row of a (..., 2N) array."""
@@ -205,8 +188,10 @@ def midpoint_transfer(M: np.ndarray, k: np.ndarray, dt: float):
             f"midpoint resolvent singular at dt = {dt}", suggested_dt=suggestion
         )
     e = np.zeros((n + 1, n + 1))
-    e[:n, :n] = dt * M
-    e[:n, n] = dt * k
+    # A step that overflows is refused with the trajectory, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        e[:n, :n] = dt * M
+        e[:n, n] = dt * k
     e[:n] = np.linalg.solve(a, e[:n])
     return e
 
@@ -257,8 +242,10 @@ def affine_flow(M: np.ndarray, k: np.ndarray, z0, dt: float, steps: int,
     if method == "exact":
         n = M.shape[0]
         aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = M * dt
-        aug[:n, n] = k * dt
+        # A step that overflows is refused with the trajectory, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            aug[:n, :n] = M * dt
+            aug[:n, n] = k * dt
         e = expm_minus_identity(aug)
     elif method == "midpoint":
         e = midpoint_transfer(M, k, dt)

@@ -17,14 +17,6 @@ class NegativeChi(DegenerateChi):
     """chi < 0: the structure is symplectic but outside the closed-form branch."""
 
 
-class BothChargesNonzero(NcphaseError):
-    """Single-charge shear map requested while neither field block vanishes."""
-
-
-class NoKernel(NcphaseError):
-    """Kernel-based operation called on a nondegenerate structure."""
-
-
 class InconsistentSystem(NcphaseError):
     """Constraint chain admits no consistent dynamics anywhere."""
 
@@ -43,7 +35,3 @@ class StepRejected(NcphaseError):
     def __init__(self, message, suggested_dt=None):
         super().__init__(message)
         self.suggested_dt = suggested_dt
-
-
-class NotARotation(NcphaseError):
-    """Matrix supplied as a rotation is not orthogonal."""

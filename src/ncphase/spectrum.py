@@ -36,15 +36,6 @@ class SpectrumTable(NamedTuple):
     hbar: float
     frequencies: tuple
 
-    @property
-    def levels(self) -> tuple:
-        """The levels as (quantum-number tuple, float energy) pairs."""
-        return tuple(zip(map(tuple, self.quanta.tolist()), self.energies.tolist()))
-
-    @property
-    def ground_state(self) -> float:
-        return float(self.energies[0])
-
 
 def ladder(freqs, hbar: float, nmax: int) -> SpectrumTable:
     """All levels hbar (n + 1/2) . freqs with 0 <= n_k <= nmax, sorted."""

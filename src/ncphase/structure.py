@@ -11,8 +11,6 @@ blocks built out of one inverse of Psi = I - rG.eF (Phi = I - eF.rG is
 Psi^T for antisymmetric fields, so Phi^{-1} = Psi^{-T}).
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import SingularOmega
@@ -121,34 +119,29 @@ def build_omega(cfg: FieldConfig) -> np.ndarray:
     return omega
 
 
-class PsiPhiPair(NamedTuple):
-    """Factorization matrices Psi = I - rG.eF and Phi = I - eF.rG (Phi = Psi^T)."""
-
-    Psi: np.ndarray
-    Phi: np.ndarray
-    det_psi: float
-
-
-def psi_phi(cfg: FieldConfig) -> PsiPhiPair:
+def regularity(cfg: FieldConfig) -> float:
+    """det Psi, Psi = I - rG.eF, in float64; the structure is symplectic iff
+    this is nonzero."""
     # Fields near the float limit overflow here; the non-finite products are
     # refused downstream, so numpy's warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = np.eye(cfg.N) - cfg.rG @ cfg.eF
-        phi = np.eye(cfg.N) - cfg.eF @ cfg.rG
-        return PsiPhiPair(psi, phi, float(np.linalg.det(psi)))
-
-
-def regularity(cfg: FieldConfig) -> float:
-    """det Psi; the structure is symplectic iff this is nonzero."""
-    return psi_phi(cfg).det_psi
+        return float(np.linalg.det(np.eye(cfg.N) - cfg.rG @ cfg.eF))
 
 
 def _newton_inv(a_ld: np.ndarray) -> np.ndarray:
-    """Inverse of a longdouble matrix by LAPACK seed plus Newton correction."""
-    # Entries beyond the float64 range become inf in the seed, and the
-    # caller's finiteness check refuses the result.
-    with np.errstate(over="ignore"):
-        x = np.linalg.inv(a_ld.astype(float)).astype(np.longdouble)
+    """Inverse of a longdouble matrix by LAPACK seed plus Newton correction.
+
+    The seed is the float64 inverse of a D, D = diag(2^-k_j) with 2^k_j
+    near the largest |a_ij| of column j, scaled back as D inv(a D).  A
+    matrix whose entries overflow a double still gets a finite seed, and
+    one whose columns span more than the double range (the axial pair of
+    a huge N = 3 field beside its unit entry) one that is not singular.
+    Column powers of two keep LU's pivots, so any other matrix gets the
+    bits of the unscaled seed.
+    """
+    k = np.frexp(np.abs(a_ld).max(axis=0))[1]
+    x = np.ldexp(np.linalg.inv(np.ldexp(a_ld, -k).astype(float)).astype(np.longdouble),
+                 -k[:, None])
     ident = np.eye(a_ld.shape[0], dtype=np.longdouble)
     for _ in range(NEWTON_STEPS):
         x = x + x @ (ident - a_ld @ x)
@@ -168,7 +161,7 @@ def poisson_matrix(cfg: FieldConfig, tol_singular: float = TOL_SINGULAR) -> np.n
     when |det Psi| is below tol_singular: this is the one
     regular/degenerate decision of `simulate` and `spectrum`.
     """
-    det_psi = psi_phi(cfg).det_psi
+    det_psi = regularity(cfg)
     if abs(det_psi) < tol_singular:
         raise SingularOmega(
             f"det Psi = {det_psi:.3e} below tolerance {tol_singular:.1e}; "
@@ -193,10 +186,3 @@ def poisson_matrix(cfg: FieldConfig, tol_singular: float = TOL_SINGULAR) -> np.n
             f"closed-form Poisson blocks disagree with dense inversion (rel {err:.3e})"
         )
     return lam
-
-
-def bracket(grad_f, grad_g, lam: np.ndarray) -> float:
-    """Poisson bracket {f, g} = (grad f)^T Lambda (grad g) at a point."""
-    grad_f = np.asarray(grad_f, dtype=float)
-    grad_g = np.asarray(grad_g, dtype=float)
-    return float(grad_f @ lam @ grad_g)

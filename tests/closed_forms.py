@@ -18,7 +18,11 @@ from ncphase import darboux as dx
 from ncphase import dynamics as dyn
 from ncphase import spectrum as sp
 from ncphase import structure as st
-from ncphase.errors import NoKernel, OffConstraint, SingularOmega
+from ncphase.errors import OffConstraint, SingularOmega
+
+
+class NoKernel(Exception):
+    """`secondary_constraints` of a nondegenerate Omega."""
 
 
 def refined_inv(a) -> np.ndarray:
@@ -49,21 +53,23 @@ def hamiltonian_vector_field(cfg: st.FieldConfig, grad_f,
     """Lambda . grad f solved from the Psi/Phi factorization.
 
     X_q = Psi^{-1} (df/dp - rG df/dq),  X_p = -Phi^{-1} (df/dq - eF df/dp),
-    each with one step of residual refinement.  With grad f = grad H(z)
-    this is dz/dt.
+    with Psi = I - rG eF and Phi = I - eF rG formed here, each solve with
+    one step of residual refinement.  With grad f = grad H(z) this is dz/dt.
     """
-    pair = st.psi_phi(cfg)
-    if abs(pair.det_psi) < tol_singular:
-        raise SingularOmega(f"det Psi = {pair.det_psi:.3e}")
-    grad_f = np.asarray(grad_f, dtype=float)
     N = cfg.N
+    psi = np.eye(N) - cfg.rG @ cfg.eF
+    phi = np.eye(N) - cfg.eF @ cfg.rG
+    det_psi = np.linalg.det(psi)
+    if abs(det_psi) < tol_singular:
+        raise SingularOmega(f"det Psi = {det_psi:.3e}")
+    grad_f = np.asarray(grad_f, dtype=float)
     gq, gp = grad_f[:N], grad_f[N:]
     rhs_q = gp - cfg.rG @ gq
     rhs_p = gq - cfg.eF @ gp
-    xq = np.linalg.solve(pair.Psi, rhs_q)
-    xq += np.linalg.solve(pair.Psi, rhs_q - pair.Psi @ xq)
-    xp = np.linalg.solve(pair.Phi, rhs_p)
-    xp += np.linalg.solve(pair.Phi, rhs_p - pair.Phi @ xp)
+    xq = np.linalg.solve(psi, rhs_q)
+    xq += np.linalg.solve(psi, rhs_q - psi @ xq)
+    xp = np.linalg.solve(phi, rhs_p)
+    xp += np.linalg.solve(phi, rhs_p - phi @ xp)
     return np.concatenate([xq, -xp])
 
 
@@ -105,7 +111,7 @@ def n2_frequencies(model: dyn.OscillatorModel, B: float, C: float,
         mk = np.sqrt(model.m * model.kappa)
         b = B / mk
         c = C * mk
-        omega0 = model.omega0
+        omega0 = np.sqrt(model.kappa / model.m)
         m_prime = model.m * chi / (u * (1.0 + c * c / (4.0 * u * u)))
         kappa_prime = model.kappa * (u / chi) * (1.0 + b * b / (4.0 * u * u))
 
@@ -181,7 +187,8 @@ def degenerate_omega_r(model: dyn.OscillatorModel, C: float) -> float:
     if model.potential != dyn.HARMONIC or model.kappa <= 0:
         raise ValueError("the reduced frequency requires a harmonic potential")
     mk = model.m * model.kappa
-    return float(-np.sqrt(mk) * C * model.omega0 / (1.0 + mk * C * C))
+    omega0 = np.sqrt(model.kappa / model.m)
+    return float(-np.sqrt(mk) * C * omega0 / (1.0 + mk * C * C))
 
 
 def closed_form_solution_n2(model: dyn.OscillatorModel, B: float, C: float,
@@ -241,7 +248,7 @@ def spectrum_n3_parallel(model: dyn.OscillatorModel, B: float, C: float,
                          nmax: int) -> sp.SpectrumTable:
     """Axis-aligned spatial levels: transverse pair (w+, w-) plus the bare w3."""
     fr = n2_frequencies(model, B, C)
-    return sp.ladder((fr.omega_plus, fr.omega_minus, model.omega0), model.hbar, nmax)
+    return sp.ladder((fr.omega_plus, fr.omega_minus, fr.omega0), model.hbar, nmax)
 
 
 class ReducedOscillatorN2(NamedTuple):
@@ -332,3 +339,31 @@ def loglog_slope(x, y) -> float:
     a = np.vstack([np.ones_like(lx), lx]).T
     coef, *_ = np.linalg.lstsq(a, ly, rcond=None)
     return float(coef[1])
+
+
+def flow_mpmath(cfg: st.FieldConfig, model: dyn.OscillatorModel, dps: int):
+    """The flow matrix -Omega^{-1} Hess H in dps-digit mpmath, unrounded."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        return (-mp.inverse(mp.matrix(st.build_omega(cfg).tolist()))
+                * mp.matrix(model.hessian(cfg.N).tolist()))
+
+
+def frequencies_mpmath(cfg: st.FieldConfig, model: dyn.OscillatorModel,
+                       dps: int = 700) -> list:
+    """Normal-mode frequencies of a positive-definite H, descending: the
+    positive imaginary parts of a dps-digit eigensolve of the flow."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        eigvals = mp.eig(flow_mpmath(cfg, model, dps), left=False, right=False)
+        return [float(w) for w in sorted((mp.im(e) for e in eigvals), reverse=True)[:cfg.N]]
+
+
+def trajectory_mpmath(cfg: st.FieldConfig, model: dyn.OscillatorModel, z0, times,
+                      dps: int = 700) -> np.ndarray:
+    """Rows exp(flow t) z0 at each t, from a dps-digit matrix exponential."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        flow, z0 = flow_mpmath(cfg, model, dps), mp.matrix(list(map(float, z0)))
+        return np.array([[float(x) for x in mp.expm(flow * mp.mpf(float(t))) * z0]
+                         for t in times])

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from ncphase import cli, constrained as con, darboux as dx, dynamics as dyn
-from ncphase import spectrum as sp, structure as st, symmetry as sym
+from ncphase import spectrum as sp, structure as st
 
 import closed_forms as cf
 
@@ -148,7 +148,7 @@ def test_closed_form_vs_numeric_flow():
         cfg = st.field_config_n2(B, C)
         M, _ = dyn.flow_matrix(cfg, model, tol_singular=1e-16)
         z0 = rng.uniform(-1, 1, 4)
-        for t in np.linspace(0.0, 20 * 2 * np.pi / model.omega0, 9):
+        for t in np.linspace(0.0, 20 * 2 * np.pi / np.sqrt(model.kappa / model.m), 9):
             za = cf.closed_form_solution_n2(model, B, C, z0, t)
             zb = expm(M * t) @ z0
             worst = max(worst, float(np.abs(za - zb).max()))
@@ -253,22 +253,22 @@ def test_limit_study_fast_amplitude_order():
 
 def test_spectra(tmp_path):
     table = cf.spectrum_n2(UNIT, 0.7, -0.3, 3)
-    energies = {n: e for n, e in table.levels}
+    energies = dict(zip(map(tuple, table.quanta.tolist()), table.energies.tolist()))
     wp, wm = table.frequencies
     additivity = max(
         max(abs(energies[(i + 1, j)] - energies[(i, j)] - wp) for i in range(3) for j in range(4)),
         max(abs(energies[(i, j + 1)] - energies[(i, j)] - wm) for i in range(4) for j in range(3)),
     )
     ground_ok = (
-        abs(table.ground_state - 0.5 * (wp + wm)) <= 1e-14
-        and abs(cf.spectrum_n2(UNIT, 0.0, 0.0, 1).ground_state - 1.0) <= 1e-14
+        abs(table.energies[0] - 0.5 * (wp + wm)) <= 1e-14
+        and abs(cf.spectrum_n2(UNIT, 0.0, 0.0, 1).energies[0] - 1.0) <= 1e-14
     )
 
     ladder = cf.spectrum_degenerate_n2(UNIT, -1.0, 4)
-    ladder_err = max(abs(e - 0.5 * (n[0] + 0.5)) for n, e in ladder.levels)
+    ladder_err = np.abs(ladder.energies - 0.5 * (ladder.quanta[:, 0] + 0.5)).max()
 
     axial = cf.spectrum_n3_parallel(UNIT, 1.0, 0.0, 2)
-    axial_err = abs(axial.ground_state - (np.sqrt(5) / 2 + 0.5))
+    axial_err = abs(axial.energies[0] - (np.sqrt(5) / 2 + 0.5))
 
     # The program's one spectrum core against the three closed forms.
     core_err = 0.0
@@ -292,57 +292,49 @@ def test_spectra(tmp_path):
     )
 
 
-def test_symmetry():
-    for n in (2, 3, 4):
-        lam0 = st.poisson_matrix(st.FieldConfig(n, np.zeros((n, n)), np.zeros((n, n))))
-        rng = np.random.RandomState(105 + n)
-        z = rng.randint(-3, 4, 2 * n).astype(float)
-        val = sym.momentum_canonical(z[:n], z[n:])
-        for g1 in sym.generators(n):
-            for g2 in sym.generators(n):
-                comm = g1.matrix @ g2.matrix - g2.matrix @ g1.matrix
-                rhs = sym.commutator_expansion(n, g1.alpha, g1.beta, g2.alpha, g2.beta)
-                assert np.array_equal(comm, rhs)
-                lhs = st.bracket(
-                    sym.momentum_gradient(z, g1.alpha, g1.beta),
-                    sym.momentum_gradient(z, g2.alpha, g2.beta),
-                    lam0,
-                )
-                def d(i, j):
-                    return 1.0 if i == j else 0.0
-                a, b, mu, nu = g1.alpha, g1.beta, g2.alpha, g2.beta
-                expected = (-d(a, mu) * val[(b, nu)] + d(a, nu) * val[(b, mu)]
-                            - d(b, nu) * val[(a, mu)] + d(b, mu) * val[(a, nu)])
-                assert lhs == expected
+def test_symmetry(tmp_path):
+    # A rotation R of the field lifts to the symplectic D = diag(R, R): the
+    # rotated config has the Poisson matrix D Lambda D^T and the same
+    # normal-mode frequencies.
+    rng = np.random.RandomState(105)
+    cfg = random_config(rng, 3)
+    rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    lift = np.kron(np.eye(2), rot)
+    runs = {}
+    for name, (eF, rG) in {"plain": (cfg.eF, cfg.rG),
+                           "rotated": (rot @ cfg.eF @ rot.T, rot @ cfg.rG @ rot.T)}.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"schema_version": 1, "N": 3,
+                                    "field": {"eF": eF.tolist(), "rG": rG.tolist()},
+                                    "model": {"m": 1.0, "kappa": 1.0}}))
+        for cmd in ("brackets", "spectrum"):
+            out = tmp_path / f"{name}-{cmd}.json"
+            assert cli.main([cmd, "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+            runs[name, cmd] = json.loads(out.read_text())
+    lam = np.array(runs["plain", "brackets"]["poisson"])
+    lam_rot = np.array(runs["rotated", "brackets"]["poisson"])
+    rot_err = np.abs(lam_rot - lift @ lam @ lift.T).max() / np.abs(lam).max()
+    freqs, freqs_rot = (np.array(runs[name, "spectrum"]["frequencies"])
+                        for name in ("plain", "rotated"))
+    freq_err = np.abs(freqs_rot / freqs - 1.0).max()
 
-    rot = sym.finite_rotation(3, {(0, 1): 0.7})
-    parallel = sym.invariance_check(st.field_config_n3([0, 0, 1.0], [0, 0, 0.5]), rot)
-    crossed = sym.invariance_check(st.field_config_n3([0, 0, 1.0], [1.0, 0, 0]), rot)
-    rot_ok = (
-        parallel.symplectic
-        and max(parallel.residual_f, parallel.residual_g) <= 1e-12
-        and parallel.residual_omega <= 1e-10
-        and crossed.residual_g > 0.1
-    )
-
-    fr = cf.n2_frequencies(UNIT, 1.0, 0.0)
-    j_can = st.canonical_j(2)
-    bilinear = np.zeros((4, 4))
-    bilinear[0, 3] = bilinear[3, 0] = 1.0
-    bilinear[1, 2] = bilinear[2, 1] = -1.0
-    quad = np.diag([fr.kappa_prime, fr.kappa_prime, 1 / fr.m_prime, 1 / fr.m_prime])
-    quad -= fr.omegaL_prime * bilinear
-    rng = np.random.RandomState(106)
-    commute = max(
-        abs(st.bracket(quad @ zeta, bilinear @ zeta, j_can))
-        for zeta in rng.uniform(-2, 2, (20, 4))
-    )
+    # The planar field is invariant under rotations about the third axis,
+    # so the Lambda3 column of `simulate` is conserved.
+    path = tmp_path / "planar.json"
+    path.write_text(json.dumps({"schema_version": 1, "N": 2, "field": {"B": 1.0, "C": 0.5},
+                                "model": {"m": 1.0, "kappa": 1.0},
+                                "state": [1.0, -0.3, 0.4, 0.8],
+                                "time": {"t_final": 20.0, "dt": 0.01}}))
+    out = tmp_path / "planar.csv"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    assert out.read_text().partition("\n")[0].endswith(",Lambda3")
+    drift = np.ptp(np.loadtxt(out, delimiter=",", skiprows=1)[:, -1])
 
     report(
         "symmetry",
-        rot_ok and commute <= 1e-10,
-        f"(rotation residuals f {parallel.residual_f:.2e} g {parallel.residual_g:.2e}, "
-        f"crossed {crossed.residual_g:.2f}, commutator {commute:.2e})",
+        rot_err <= 1e-12 and freq_err <= 1e-12 and drift <= 1e-10,
+        f"(rotated Lambda {rot_err:.2e}, rotated frequencies {freq_err:.2e}, "
+        f"Lambda3 drift {drift:.2e})",
     )
 
 

@@ -348,25 +348,24 @@ class TestSimulate:
     def test_non_finite_trajectory_leaves_no_warning_on_stderr(self, tmp_path):
         # B = 1e300, C = 1e-300, m = 1: the ~990 squarings of the exact
         # propagator overflow.  m = 1e-10: Lambda . Hess(H) itself overflows
-        # in flow_matrix, on both methods.  B = -1e300, C = 1e150 and
-        # B = 1e150, C = 1e300: chi = 1 + B C overflows, Lambda is lost and
-        # the Darboux chart for Lambda3 has no finite coefficients.  numpy
-        # must not print a RuntimeWarning beside the refusal.
-        trajectory = ("ncphase simulate: non-finite trajectory (overflow or invalid "
-                      "arithmetic in the flow); no output written")
-        poisson = ("ncphase: numerical failure: closed-form Poisson blocks disagree "
-                   "with dense inversion (rel 1.000e+00)")
+        # in flow_matrix, on both methods.  Evec = 1e300 or kappa = 1e300
+        # with dt = 1e9: the step's products k dt and M dt overflow, on
+        # both methods.  numpy must not print a RuntimeWarning beside the
+        # refusal.
+        line = ("ncphase simulate: non-finite trajectory (overflow or invalid "
+                "arithmetic in the flow); no output written")
+        short, long = {"t_final": 1.0, "dt": 0.1}, {"t_final": 1e10, "dt": 1e9}
         cases = [
-            ((1e300, 1e-300), 1.0, "exact", trajectory),
-            ((1e300, 1e-300), 1e-10, "exact", trajectory),
-            ((1e300, 1e-300), 1e-10, "midpoint", trajectory),
-            ((-1e300, 1e150), 1.0, "exact", poisson),
-            ((1e150, 1e300), 1.0, "exact", poisson),
+            ({"B": 1e300, "C": 1e-300}, {"m": 1.0, "kappa": 1.0}, short, "exact"),
+            ({"B": 1e300, "C": 1e-300}, {"m": 1e-10, "kappa": 1.0}, short, "exact"),
+            ({"B": 1e300, "C": 1e-300}, {"m": 1e-10, "kappa": 1.0}, short, "midpoint"),
+            ({"B": 1.0, "C": 0.5}, {"m": 1.0, "Evec": [1e300, 0.0]}, long, "exact"),
+            ({"B": 1.0, "C": 0.5}, {"m": 1.0, "Evec": [1e300, 0.0]}, long, "midpoint"),
+            ({"B": 1.0, "C": 0.5}, {"m": 1.0, "kappa": 1e300}, long, "exact"),
         ]
-        for i, ((b, c), m, method, line) in enumerate(cases):
-            cfg = dict(BASE, field={"B": b, "C": c},
-                       model={"m": m, "kappa": 1.0}, state=[1.0, 0.0, 0.0, 1.0],
-                       time={"t_final": 1.0, "dt": 0.1, "method": method})
+        for i, (field, model, time, method) in enumerate(cases):
+            cfg = dict(BASE, field=field, model=model, state=[1.0, 0.0, 0.0, 1.0],
+                       time=dict(time, method=method))
             path = write_config(tmp_path, cfg, name=f"config{i}.json")
             out = tmp_path / "nan.csv"
             proc = subprocess.run(
@@ -374,15 +373,16 @@ class TestSimulate:
                  "--config", path, "--out", str(out)],
                 capture_output=True, text=True,
             )
-            assert proc.returncode == cli.EXIT_SINGULAR, (b, c, m, method)
-            assert proc.stderr.splitlines() == [line], (b, c, m, method)
+            assert proc.returncode == cli.EXIT_SINGULAR, cases[i]
+            assert proc.stderr.splitlines() == [line], cases[i]
             assert not out.exists()
 
     def test_chart_without_finite_coefficients_drops_lambda3(self, tmp_path):
-        # Axial Bz = Cz = 1e300: chi overflows, but Lambda passes its
-        # cross-check (the axial block carries its norm).  The closed-form
-        # chart then has no finite coefficients, so there is no Lambda3
-        # column, and no warning or SVD failure from building the chart.
+        # Axial Bz = Cz = 1e300: chi overflows, but the transverse Lambda
+        # block of about 1e-300 is representable.  The closed-form chart
+        # has no finite coefficients, so there is no Lambda3 column, and no
+        # warning or SVD failure from building the chart.  The rows are
+        # those of a 700-digit mpmath flow.
         cfg = {"schema_version": 1, "N": 3,
                "field": {"Bvec": [0.0, 0.0, 1e300], "Cvec": [0.0, 0.0, 1e300]},
                "model": BASE["model"], "state": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
@@ -395,6 +395,11 @@ class TestSimulate:
         )
         assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
         assert out.read_text().splitlines()[0] == "t,q1,q2,q3,p1,p2,p3,H"
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        want = cf.trajectory_mpmath(structure.field_config_n3(*cfg["field"].values()), UNIT,
+                                    cfg["state"], rows[:, 0])
+        assert np.abs(rows[:, 1:7] - want).max() <= 1e-16
+        assert np.abs(rows[1:, [2, 4]] / want[1:, [1, 3]] - 1.0).max() <= 1e-15
 
     def test_off_constraint_initial_state(self, tmp_path):
         cfg = dict(BASE, field={"B": 1.0, "C": -1.0}, state=[1.0, 0.0, 0.0, 0.0],
@@ -661,11 +666,6 @@ class TestSpectrum:
         assert abs(rep["frequencies"][0] / want - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("field, model, message", [
-        # chi = 1 + B C overflows: the closed-form Lambda is zero, and the
-        # cross-check in poisson_matrix, relative to the dense inverse,
-        # refuses it.
-        ({"B": 1e150, "C": 1e300}, {"m": 1.0, "kappa": 1e300},
-         "closed-form Poisson blocks disagree with dense inversion (rel 1.000e+00)"),
         # omega_r = 1e-600: rG m overflows where Hess H = I.
         ({"B": -1e-300, "C": 1e300}, {"m": 1e300, "kappa": 1.0},
          "Omega overflows in the coordinates where Hess H = I"),
@@ -746,17 +746,15 @@ class TestSpectrum:
         assert err.endswith(" relative\n") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_axial_block_checks_its_own_lambda(self, tmp_path, capsys):
-        # chi = 1 + B C overflows: the transverse Lambda block is zero, as
-        # in the planar twin, while the axial block's entries of 1 would
-        # let a residual over the whole matrix pass.
-        path = write_config(tmp_path, dict(BASE, N=3, field={"Bvec": [0, 0, 1e300],
-                                                             "Cvec": [0, 0, 1e300]}))
-        out = tmp_path / "sp.json"
-        assert run(["spectrum", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
-        assert capsys.readouterr().err == (
-            "ncphase: numerical failure: Lambda does not invert -Omega at these scales\n")
-        assert not out.exists()
+    def test_axial_block_checks_its_own_lambda(self, tmp_path):
+        # chi = 1 + B C overflows, but the transverse Lambda block of about
+        # 1e-300 is representable; each block passes its own residual check,
+        # and the axial w3 = 1 does not hide the transverse pair.  The
+        # frequencies are those of a 700-digit mpmath eigensolve.
+        field = {"Bvec": [0, 0, 1e300], "Cvec": [0, 0, 1e300]}
+        rep = spectrum_report(tmp_path, dict(BASE, N=3, field=field))
+        want = cf.frequencies_mpmath(structure.field_config_n3(*field.values()), UNIT)
+        assert np.abs(np.array(rep["frequencies"]) / want - 1.0).max() <= 1e-15
 
 
 class TestSizeCaps:
@@ -1032,36 +1030,64 @@ class TestNumericalFailure:
         assert err.startswith("ncphase: numerical failure: constructed map violates")
 
 
-    def test_non_finite_brackets_refused(self, tmp_path, capsys):
-        # chi = 1 + 1e200: Lambda is finite, but det Psi = chi^2 overflows,
-        # and json.dumps would have written Infinity.
-        path = write_config(tmp_path, dict(BASE, field={"B": 1e100, "C": 1e100}))
-        out = tmp_path / "br.json"
-        assert run(["brackets", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
-        err = capsys.readouterr().err
-        assert err.startswith("ncphase: numerical failure: non-finite number ")
-        assert err.endswith(" in the JSON output\n")
-        assert not out.exists()
+    def test_non_finite_brackets_refused(self, tmp_path):
+        # chi = 1 + 1e200: Lambda is representable, but det Psi = chi^2
+        # overflows, and json.dumps would have written Infinity.  One line
+        # names det Psi, with no warning beside it.
+        for i, (field, kappa) in enumerate([({"B": 1e100, "C": 1e100}, 1.0),
+                                            ({"B": 1e200, "C": 1.0}, 1e200)]):
+            cfg = dict(BASE, field=field, model={"m": 1.0, "kappa": kappa})
+            out = tmp_path / "br.json"
+            proc = subprocess.run(
+                [sys.executable, "-W", "always", "-m", "ncphase.cli", "brackets",
+                 "--config", write_config(tmp_path, cfg, name=f"config{i}.json"),
+                 "--out", str(out)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == cli.EXIT_SINGULAR
+            assert proc.stderr.splitlines() == [
+                "ncphase brackets: det Psi = inf is not finite in double precision; "
+                "no output written"]
+            assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["brackets", "simulate", "spectrum"])
-    def test_zero_lambda_of_overflowing_chi_refused(self, tmp_path, command):
-        # chi = 1 + B C = 1e450 overflows and the closed-form Lambda is all
-        # zero, where the true blocks are about 1e-150 and 1e-300.  The
-        # cross-check, relative to the dense inverse, refuses it on every
-        # route that builds Lambda; an absolute test below 1 passed it.
-        cfg = dict(BASE, field={"B": 1e150, "C": 1e300}, state=[1.0, 0.0, 0.0, 1.0],
-                   time={"t_final": 1.0, "dt": 0.5})
-        out = tmp_path / "never.out"
-        proc = subprocess.run(
-            [sys.executable, "-W", "always", "-m", "ncphase.cli", command,
-             "--config", write_config(tmp_path, cfg), "--out", str(out)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == cli.EXIT_SINGULAR
-        assert proc.stderr.splitlines() == [
-            "ncphase: numerical failure: closed-form Poisson blocks disagree "
-            "with dense inversion (rel 1.000e+00)"]
-        assert not out.exists()
+    @pytest.mark.parametrize("command, kappa", [
+        ("brackets", 1.0), ("simulate", 1.0), ("spectrum", 1.0), ("spectrum", 1e300),
+    ], ids=["brackets", "simulate", "spectrum", "spectrum-stiff"])
+    def test_overflowing_chi_keeps_lambda(self, tmp_path, command, kappa):
+        # chi = 1 + B C overflows a double, but the Lambda blocks of about
+        # 1/B and 1/C do not.  `spectrum` (also at kappa = 1e300, a mode of
+        # 1e150) and `simulate` agree with a 700-digit mpmath eigensolve
+        # and matrix exponential of the flow, with nothing on stderr.
+        # `brackets` refuses in one line: det Psi = chi^2 is not finite.
+        model = dynamics.OscillatorModel(m=1.0, kappa=kappa)
+        for i, (B, C) in enumerate([(1e150, 1e300), (-1e300, 1e150)]):
+            cfg = dict(BASE, field={"B": B, "C": C}, model={"m": 1.0, "kappa": kappa},
+                       state=[1.0, 0.0, 0.0, 1.0], time={"t_final": 1.0, "dt": 0.5})
+            out = tmp_path / f"{i}.out"
+            proc = subprocess.run(
+                [sys.executable, "-W", "always", "-m", "ncphase.cli", command,
+                 "--config", write_config(tmp_path, cfg, name=f"{i}.json"), "--out", str(out)],
+                capture_output=True, text=True,
+            )
+            if command == "brackets":
+                assert proc.returncode == cli.EXIT_SINGULAR
+                assert proc.stderr.splitlines() == [
+                    "ncphase brackets: det Psi = inf is not finite in double precision; "
+                    "no output written"]
+                assert not out.exists()
+                continue
+            assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+            fields = structure.field_config_n2(B, C)
+            if command == "spectrum":
+                freqs = np.array(json.loads(out.read_text())["frequencies"])
+                want = cf.frequencies_mpmath(fields, model)
+                assert np.abs(freqs / want - 1.0).max() <= 1e-15
+            else:
+                rows = np.loadtxt(out, delimiter=",", skiprows=1)
+                want = cf.trajectory_mpmath(fields, model, cfg["state"], rows[:, 0])
+                moving = want != 0
+                assert np.array_equal(rows[:, 1:5] == 0, ~moving)
+                assert np.abs(rows[:, 1:5][moving] / want[moving] - 1.0).max() <= 1e-15
 
     def test_non_finite_level_energy_refused(self, tmp_path, capsys):
         # Finite frequencies and hbar, but hbar (n + 1/2) . omega overflows
@@ -1219,12 +1245,9 @@ for argv in (["brackets", "--config", {midpoint!r}],
         script = f"""
 import sys
 import ncphase.cli
-from ncphase import symmetry
 for path in {paths!r}:
     assert ncphase.cli.main(["simulate", "--config", path, "--out", {str(tmp_path / "out")!r}]) == 0
     assert "scipy" not in sys.modules, path
-symmetry.finite_rotation(3, {{(0, 1): 0.7, (1, 2): -0.2}})
-assert "scipy" not in sys.modules, "finite_rotation"
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,7 @@ import pytest
 from ncphase import constrained as con
 from ncphase import dynamics as dyn
 from ncphase import structure as st
-from ncphase.errors import InconsistentSystem, NoKernel, OffConstraint
+from ncphase.errors import InconsistentSystem, OffConstraint
 
 import closed_forms as cf
 
@@ -66,7 +66,7 @@ class TestSecondaryConstraints:
         assert np.abs(lc.matrix[:, 2:]).max() > 0.1
 
     def test_nondegenerate_raises(self):
-        with pytest.raises(NoKernel):
+        with pytest.raises(cf.NoKernel):
             cf.secondary_constraints(st.field_config_n2(1.0, 1.0), UNIT)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from ncphase import darboux as dx
 from ncphase import structure as st
-from ncphase.errors import BothChargesNonzero, DegenerateChi, NegativeChi, SingularOmega
+from ncphase.errors import DegenerateChi, NegativeChi, SingularOmega
 
 
 def random_config(rng, N):
@@ -96,14 +96,13 @@ class TestDarbouxN2:
         assert issubclass(NegativeChi, DegenerateChi)
 
     def test_reduces_to_single_charge_shears(self):
+        # One field: pi = p - (1/2) eF q, or xi = q - (1/2) rG p.
         for B in (0.5, 1.0, -2.0):
-            closed = dx.darboux_n2(B, 0.0)
-            shear = dx.darboux_single_charge(st.field_config_n2(B, 0.0), "e-only")
-            assert np.abs(closed.T - shear.T).max() <= 1e-12
+            shear = np.block([[np.eye(2), np.zeros((2, 2))], [-0.5 * B * st.EPS2, np.eye(2)]])
+            assert np.abs(dx.darboux_n2(B, 0.0).T - shear).max() <= 1e-12
         for C in (0.5, -1.3):
-            closed = dx.darboux_n2(0.0, C)
-            shear = dx.darboux_single_charge(st.field_config_n2(0.0, C), "r-only")
-            assert np.abs(closed.T - shear.T).max() <= 1e-12
+            shear = np.block([[np.eye(2), -0.5 * C * st.EPS2], [np.zeros((2, 2)), np.eye(2)]])
+            assert np.abs(dx.darboux_n2(0.0, C).T - shear).max() <= 1e-12
 
     def test_random_residual_sweep(self):
         rng = np.random.RandomState(7)
@@ -167,39 +166,6 @@ class TestDarbouxN3:
             dmap = dx.darboux_n3(bvec, cvec)
             assert dmap.residual <= 1e-9
             assert np.abs(dmap.T @ dmap.Tinv - np.eye(6)).max() < 1e-10
-
-
-class TestSingleCharge:
-    def test_both_zero_gives_identity(self):
-        cfg = st.field_config_n2(0.0, 0.0)
-        for which in ("e-only", "r-only"):
-            dmap = dx.darboux_single_charge(cfg, which)
-            assert np.array_equal(dmap.T, np.eye(4))
-
-    def test_planar_magnetic_shear(self):
-        dmap = dx.darboux_single_charge(st.field_config_n2(1.0, 0.0), "e-only")
-        z = np.array([0.3, -0.7, 0.2, 0.9])
-        zeta = dmap.apply(z)
-        # pi = p - (1/2) eF q with eF = eps: pi_1 = p_1 - q2/2, pi_2 = p_2 + q1/2
-        assert zeta[2] == pytest.approx(0.2 - (-0.7) / 2)
-        assert zeta[3] == pytest.approx(0.9 + 0.3 / 2)
-        assert dmap.residual <= 1e-12
-
-    def test_n3_dual_shear_only_in_positions(self):
-        cfg = st.field_config_n3([0, 0, 0], [0, 0, 1.0])
-        dmap = dx.darboux_single_charge(cfg, "r-only")
-        assert dmap.residual <= 1e-12
-        assert np.array_equal(dmap.T[3:, :3], np.zeros((3, 3)))
-        assert np.array_equal(dmap.T[3:, 3:], np.eye(3))
-        assert np.abs(dmap.T[:3, 3:]).max() > 0
-
-    def test_both_charges_raises(self):
-        with pytest.raises(BothChargesNonzero):
-            dx.darboux_single_charge(st.field_config_n2(1.0, 1.0), "e-only")
-
-    def test_mismatched_side_raises(self):
-        with pytest.raises(ValueError, match="requires"):
-            dx.darboux_single_charge(st.field_config_n2(0.0, 1.0), "e-only")
 
 
 class TestSymplecticGramSchmidt:
@@ -355,4 +321,4 @@ class TestMapProperties:
             a, b = rng.uniform(-1, 1, (2, 4))
             at = np.linalg.solve(dmap.T.T, a)
             bt = np.linalg.solve(dmap.T.T, b)
-            assert st.bracket(a, b, lam) == pytest.approx(st.bracket(at, bt, j), abs=1e-9)
+            assert a @ lam @ b == pytest.approx(at @ j @ bt, abs=1e-9)

@@ -1,4 +1,5 @@
-"""Accuracy of the scaling-and-squaring `dynamics.expm`.
+"""Accuracy of the scaling-and-squaring `dynamics.expm_minus_identity`:
+exp(A) - I, checked as itself plus I.
 
 scipy.linalg.expm and 50-digit mpmath are the oracles; neither is used by
 the package itself.
@@ -67,7 +68,8 @@ def test_matches_scipy_on_hamiltonian_generators(N):
         M = _hamiltonian_generator(rng, N)
         a = M * (target / np.linalg.norm(M, 1))
         ref = scipy_expm(a)
-        err = np.linalg.norm(dyn.expm(a) - ref, 1) / np.linalg.norm(ref, 1)
+        got = dyn.expm_minus_identity(a) + np.eye(len(a))
+        err = np.linalg.norm(got - ref, 1) / np.linalg.norm(ref, 1)
         # Rounding in the squarings grows like ||A|| eps (Higham 2005).
         assert err <= 50.0 * max(1.0, target) * EPS, (N, target, err)
 
@@ -87,7 +89,7 @@ def test_nilpotent_generators(N):
             a = _augmented(*dyn.flow_matrix(cfg, model), dt)
             assert not np.linalg.matrix_power(a, 3).any()
             exact = _taylor(a, 3)
-            got = dyn.expm(a)
+            got = dyn.expm_minus_identity(a) + np.eye(len(a))
             tol = 10.0 * max(1.0, np.linalg.norm(a, 1)) * EPS * np.linalg.norm(exact, 1)
             assert np.linalg.norm(got - exact, 1) <= tol
             assert np.linalg.norm(got - scipy_expm(a), 1) <= tol
@@ -95,7 +97,7 @@ def test_nilpotent_generators(N):
 
 def test_zero_matrix_gives_identity():
     for n in (1, 2, 5, 101):
-        assert np.array_equal(dyn.expm(np.zeros((n, n))), np.eye(n))
+        assert np.array_equal(dyn.expm_minus_identity(np.zeros((n, n))) + np.eye(n), np.eye(n))
 
 
 def _mp_expm_rounded(a, dps=50):
@@ -122,7 +124,7 @@ def test_benchmark_propagator_within_a_tenth_eps_of_50_digits(name):
     # diagonal.
     model = dyn.OscillatorModel(m=1.0, kappa=1.0)
     a = _augmented(*dyn.flow_matrix(BENCHMARK_FIELDS[name], model), 0.01)
-    err = np.abs(dyn.expm(a) - _mp_expm_rounded(a)).max()
+    err = np.abs(dyn.expm_minus_identity(a) + np.eye(len(a)) - _mp_expm_rounded(a)).max()
     assert err <= 0.1 * EPS, err / EPS
 
 
@@ -131,7 +133,7 @@ def test_linear_potential_propagator_against_50_digits():
     model = dyn.OscillatorModel(m=1.0, potential=dyn.LINEAR, Evec=(0.3, -1.1))
     a = _augmented(*dyn.flow_matrix(cfg, model), 0.01)
     assert a[:4, 4].any()
-    err = np.abs(dyn.expm(a) - _mp_expm_rounded(a)).max()
+    err = np.abs(dyn.expm_minus_identity(a) + np.eye(len(a)) - _mp_expm_rounded(a)).max()
     assert err <= 0.1 * EPS, err / EPS
 
 
@@ -139,7 +141,7 @@ def test_non_finite_input_gives_nan():
     for bad in (np.inf, np.nan):
         a = np.eye(3)
         a[0, 1] = bad
-        assert np.isnan(dyn.expm(a)).all()
+        assert np.isnan(dyn.expm_minus_identity(a)).all()
 
 
 def test_overflowing_squarings_are_silent():
@@ -149,5 +151,5 @@ def test_overflowing_squarings_are_silent():
     a = _augmented(*dyn.flow_matrix(st.field_config_n2(1e300, 1e-300), model), 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = dyn.expm(a)
+        out = dyn.expm_minus_identity(a)
     assert not np.isfinite(out).all()

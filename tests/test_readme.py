@@ -30,7 +30,7 @@ def _ncphase_modules() -> set:
 
 def test_readme_names_resolve():
     # Every backticked dotted name whose head is `ncphase` or one of its
-    # modules, such as `ncphase.structure` or `dynamics.expm`.
+    # modules, such as `ncphase.structure` or `dynamics.expm_minus_identity`.
     modules = _ncphase_modules()
     names = []
     for span in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README.read_text(encoding="utf-8")):
@@ -43,7 +43,8 @@ def test_readme_names_resolve():
             for attr in parts[1:]:
                 assert hasattr(obj, attr), f"README names `{span}`, which does not exist"
                 obj = getattr(obj, attr)
-    assert {"ncphase.structure", "dynamics.expm", "spectrum.MODE_ACCURACY"} <= set(names)
+    assert {"ncphase.structure", "dynamics.expm_minus_identity",
+            "spectrum.MODE_ACCURACY"} <= set(names)
 
 
 STATED = {

@@ -90,28 +90,31 @@ class TestBuildOmega:
 
 
 class TestPsiPhi:
+    """`regularity` is det Psi, Psi = I - rG eF."""
+
     def test_planar_is_chi_identity(self):
+        # Psi = chi I.
         b, c = 0.7, -0.3
-        pair = st.psi_phi(st.field_config_n2(b, c))
-        assert np.allclose(pair.Psi, (1 + c * b) * np.eye(2), atol=1e-15)
+        assert st.regularity(st.field_config_n2(b, c)) == pytest.approx((1 + c * b) ** 2,
+                                                                        abs=1e-15)
 
     def test_n3_parallel_unit_fields(self):
-        pair = st.psi_phi(st.field_config_n3([0, 0, 1.0], [0, 0, 1.0]))
-        assert np.allclose(pair.Psi, np.diag([2.0, 2.0, 1.0]), atol=1e-15)
+        # Psi = diag(2, 2, 1).
+        cfg = st.field_config_n3([0, 0, 1.0], [0, 0, 1.0])
+        assert st.regularity(cfg) == pytest.approx(4.0, abs=1e-14)
 
     def test_single_charge_is_identity(self):
         cfg = st.FieldConfig(3, st.cross_matrix([1.0, 2.0, 3.0]), np.zeros((3, 3)))
-        pair = st.psi_phi(cfg)
-        assert np.array_equal(pair.Psi, np.eye(3))
-        assert np.array_equal(pair.Phi, np.eye(3))
+        assert st.regularity(cfg) == 1.0
 
     def test_transpose_relation(self):
+        # Phi = I - eF rG is Psi^T for antisymmetric fields.
         rng = np.random.RandomState(1)
         for _ in range(50):
-            pair = st.psi_phi(random_config(rng, rng.randint(1, 7)))
-            assert np.array_equal(pair.Phi.T, pair.Psi)
-            det_phi = np.linalg.det(pair.Phi)
-            assert abs(det_phi - pair.det_psi) <= 1e-12 * max(1.0, abs(pair.det_psi))
+            cfg = random_config(rng, rng.randint(1, 7))
+            det_psi = st.regularity(cfg)
+            det_phi = np.linalg.det(np.eye(cfg.N) - cfg.eF @ cfg.rG)
+            assert abs(det_phi - det_psi) <= 1e-12 * max(1.0, abs(det_psi))
 
 
 class TestRegularity:
@@ -169,11 +172,10 @@ class TestPoissonMatrix:
         rng = np.random.RandomState(3)
         for _ in range(50):
             cfg = random_config(rng, rng.randint(1, 7))
-            pair = st.psi_phi(cfg)
-            if abs(pair.det_psi) <= 1e-6:
+            if abs(st.regularity(cfg)) <= 1e-6:
                 continue
-            a = np.linalg.solve(pair.Psi, cfg.rG)
-            b = np.linalg.solve(pair.Phi, cfg.eF)
+            a = np.linalg.solve(np.eye(cfg.N) - cfg.rG @ cfg.eF, cfg.rG)
+            b = np.linalg.solve(np.eye(cfg.N) - cfg.eF @ cfg.rG, cfg.eF)
             assert np.abs(a + a.T).max() < 1e-10
             assert np.abs(b + b.T).max() < 1e-10
 
@@ -211,33 +213,35 @@ class TestLambdaOracle:
 
 
 class TestBracket:
+    """{f, g} = grad f . Lambda . grad g for linear f and g."""
+
     def test_canonical_pair(self):
         lam = st.poisson_matrix(st.field_config_n2(0.0, 0.0))
         e_q1 = np.array([1.0, 0, 0, 0])
         e_p1 = np.array([0, 0, 1.0, 0])
-        assert st.bracket(e_q1, e_p1, lam) == 1.0
+        assert e_q1 @ lam @ e_p1 == 1.0
 
     def test_antisymmetry(self):
         rng = np.random.RandomState(4)
         lam = st.poisson_matrix(st.field_config_n2(1.0, 1.0))
         for _ in range(20):
             u, v = rng.uniform(-1, 1, (2, 4))
-            assert st.bracket(u, v, lam) == pytest.approx(-st.bracket(v, u, lam), abs=1e-15)
-            assert st.bracket(u, u, lam) == pytest.approx(0.0, abs=1e-15)
+            assert u @ lam @ v == pytest.approx(-(v @ lam @ u), abs=1e-15)
+            assert u @ lam @ u == pytest.approx(0.0, abs=1e-15)
 
     def test_momentum_pair_entry(self):
         lam = st.poisson_matrix(st.field_config_n2(1.0, 1.0))
         e_p1 = np.array([0, 0, 1.0, 0])
         e_p2 = np.array([0, 0, 0, 1.0])
-        assert st.bracket(e_p1, e_p2, lam) == pytest.approx(0.5, abs=1e-14)
+        assert e_p1 @ lam @ e_p2 == pytest.approx(0.5, abs=1e-14)
 
     def test_bilinearity(self):
         rng = np.random.RandomState(5)
         lam = st.poisson_matrix(st.field_config_n2(0.8, -0.4))
         u, v, w = rng.uniform(-1, 1, (3, 4))
         a, b = 1.7, -2.3
-        lhs = st.bracket(a * u + b * v, w, lam)
-        rhs = a * st.bracket(u, w, lam) + b * st.bracket(v, w, lam)
+        lhs = (a * u + b * v) @ lam @ w
+        rhs = a * (u @ lam @ w) + b * (v @ lam @ w)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_jacobi_cyclic_sum_is_exactly_zero(self):
@@ -251,9 +255,9 @@ class TestBracket:
         for a in range(4):
             for b in range(4):
                 for c in range(4):
-                    total += st.bracket(basis[a], zero_grad, lam)
-                    total += st.bracket(basis[b], zero_grad, lam)
-                    total += st.bracket(basis[c], zero_grad, lam)
+                    total += basis[a] @ lam @ zero_grad
+                    total += basis[b] @ lam @ zero_grad
+                    total += basis[c] @ lam @ zero_grad
         assert total == 0.0
 
 

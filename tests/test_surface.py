@@ -1,0 +1,96 @@
+"""Every definition in `src/ncphase` serves a subcommand.
+
+The roots are `cli.main`, the `cmd_*` subcommands and the names of the
+README's Python example.  A top-level function or class that no live code
+names (a `Name` or an `Attribute` node outside its own body) is dead, and
+so is a non-dunder method that no `Attribute` node names; so is one named
+only from dead code, which the scan finds by dropping definitions until
+none drops.  A module outside the import closure of `ncphase.cli` is dead
+as a whole.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ncphase"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _trees() -> dict:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def _names(node, skip=()) -> set:
+    """The names that `Name` nodes under ``node`` use, and those of
+    `Attribute` nodes with a leading dot, outside the subtrees in ``skip``."""
+    out, todo = set(), [node]
+    while todo:
+        sub = todo.pop()
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add("." + sub.attr)
+        todo += [child for child in ast.iter_child_nodes(sub)
+                 if not any(child is s for s in skip)]
+    return out
+
+
+def _definitions(tree) -> dict:
+    """{qualified name: (node, the names that reach it)} of the top-level
+    functions and classes and the non-dunder methods."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            defs[node.name] = node, {node.name, "." + node.name}
+            if isinstance(node, ast.ClassDef):
+                defs.update((f"{node.name}.{sub.name}", (sub, {"." + sub.name}))
+                            for sub in node.body
+                            if isinstance(sub, DEFINITIONS) and not sub.name.startswith("__"))
+    return defs
+
+
+def _dead_definitions(trees: dict, roots: set) -> list:
+    defs = {(module, qual): value for module, tree in trees.items()
+            for qual, value in _definitions(tree).items()}
+    nodes = [node for node, _ in defs.values()]
+    # The names each definition uses in its own body, less its methods'.
+    own = {key: _names(node, skip=[n for n in nodes if n is not node])
+           for key, (node, _) in defs.items()}
+    used = set().union(*(_names(node) for tree in trees.values() for node in tree.body
+                         if not isinstance(node, DEFINITIONS)))
+    live = set(defs)
+    while True:
+        dead = {key for key in live
+                if not (defs[key][1] & roots or defs[key][0].name.startswith("cmd_")
+                        or defs[key][1] & used
+                        or any(defs[key][1] & own[other] for other in live - {key}))}
+        if not dead:
+            return sorted(f"{module}.{qual}" for module, qual in set(defs) - live)
+        live -= dead
+
+
+def _import_closure(trees: dict, start: str) -> set:
+    seen, todo = {"__init__"}, [start]
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        for node in ast.walk(trees[module]):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                todo += [node.module] if node.module else [a.name for a in node.names]
+    return seen
+
+
+def test_every_module_is_imported_by_the_cli():
+    trees = _trees()
+    assert set(trees) - _import_closure(trees, "cli") == set()
+
+
+def test_every_definition_is_reached_from_a_subcommand():
+    example = re.search(r"```python\n(.*?)```",
+                        (ROOT / "README.md").read_text(encoding="utf-8"), re.S).group(1)
+    roots = {"main"} | _names(ast.parse(example))
+    assert _dead_definitions(_trees(), roots) == []
