@@ -19,7 +19,6 @@ import numpy as np
 
 from . import constrained, darboux, dynamics, g17, spectrum, structure
 from .errors import (
-    DegenerateChi,
     InconsistentSystem,
     NcphaseError,
     NegativeChi,
@@ -35,7 +34,6 @@ EXIT_SINGULAR = 2
 EXIT_STEP_REJECTED = 3
 EXIT_INCONSISTENT = 4
 EXIT_BROKEN_PIPE = 141
-ENV_TOL = "NCPHASE_TOL_SINGULAR"
 # Largest simulate state table, rows (t_final/dt + 1) times 2N, refused
 # with exit 1 before anything is allocated: 400 MB of float64 states.
 MAX_STATE_VALUES = 50_000_000
@@ -179,15 +177,11 @@ def _sized(arr, n: int, where: str):
     return arr
 
 
-def _positive(value, where: str) -> float:
-    """``value`` as a float, when it is positive and finite."""
-    try:
-        x = float(value)
-    except ValueError:
-        x = math.nan
-    if not 0 < x < math.inf:
+def _positive(value: float, where: str) -> float:
+    """``value``, when it is positive and finite."""
+    if not 0 < value < math.inf:
         raise ConfigError(f"{where} must be positive and finite, got {value!r}")
-    return x
+    return value
 
 
 def load_config(path: str) -> RunConfig:
@@ -203,9 +197,8 @@ def load_config(path: str) -> RunConfig:
     N = top["N"]
     if ("field" in top) == ("problem" in top):
         raise ConfigError(f"{path}: exactly one of 'field' or 'problem' must be present")
-    tol = _positive(os.environ.get(ENV_TOL, structure.TOL_SINGULAR), f"environment {ENV_TOL}")
-    if "tolerances" in top:
-        tol = _positive(top["tolerances"]["singular"], f"{path}: tolerances.singular")
+    tol = _positive(top.get("tolerances", {"singular": structure.TOL_SINGULAR})["singular"],
+                    f"{path}: tolerances.singular")
 
     cfg = None
     if "field" in top:
@@ -364,21 +357,20 @@ def _require(value, what: str):
 
 def cmd_brackets(rc: RunConfig, args) -> tuple:
     cfg = _require(rc.cfg, "a field section")
-    det_psi = structure.regularity(cfg)
+    omega = structure.build_omega(cfg)
+    try:
+        det_psi = structure.regularity(cfg, rc.tol_singular)
+    except SingularOmega as exc:
+        return EXIT_SINGULAR, {
+            "status": "singular",
+            "det_psi": exc.det_psi,
+            "kernel_dimension": constrained.kernel(omega).shape[1],
+            "omega": omega,
+        }
     if not math.isfinite(det_psi):
         raise NonFiniteOutput(f"det Psi = {det_psi!r} is not finite in double precision; "
                               "no output written")
-    omega = structure.build_omega(cfg)
-    try:
-        lam = structure.poisson_matrix(cfg, rc.tol_singular)
-    except SingularOmega:
-        kernel_dim = constrained.kernel(omega).shape[1]
-        return EXIT_SINGULAR, {
-            "status": "singular",
-            "det_psi": det_psi,
-            "kernel_dimension": int(kernel_dim),
-            "omega": omega,
-        }
+    lam = structure.poisson_matrix(cfg)
     N = cfg.N
     return EXIT_OK, {
         "status": "ok",
@@ -396,18 +388,18 @@ def cmd_brackets(rc: RunConfig, args) -> tuple:
 
 def cmd_darboux(rc: RunConfig, args) -> tuple:
     cfg = _require(rc.cfg, "a field section")
+    structure.regularity(cfg, rc.tol_singular)
     omega = structure.build_omega(cfg)
     n2, n3 = structure.n2_scalars(cfg), structure.n3_vectors(cfg)
     dmap, route, note = None, "generic", None
     try:
         if n2 is not None:
-            dmap, route = darboux.darboux_n2(*n2, tol=rc.tol_singular), "closed-n2"
+            dmap, route = darboux.darboux_n2(*n2), "closed-n2"
         elif n3 is not None:
-            dmap, route = darboux.darboux_n3(*n3, tol=rc.tol_singular), "closed-n3"
+            dmap, route = darboux.darboux_n3(*n3), "closed-n3"
     except NegativeChi:
         note = "chi < 0: routed to the generic orthogonalization"
-    # The generic map cross-checks a closed form; on the generic route it
-    # is the map.  DegenerateChi at chi = 0 has escaped before it is built.
+    # The generic map cross-checks a closed form, or is the map.
     generic = darboux.symplectic_gram_schmidt(omega, rc.tol_singular)
     if dmap is None:
         dmap = generic
@@ -436,9 +428,8 @@ def _simulate_rows(rc: RunConfig):
     steps = int(round(rc.t_final / rc.dt))
     N = cfg.N
     header = ["t"] + [f"q{i+1}" for i in range(N)] + [f"p{i+1}" for i in range(N)] + ["H"]
-    chain = None
     try:
-        M, k = dynamics.flow_matrix(cfg, model, rc.tol_singular)
+        structure.regularity(cfg, rc.tol_singular)
     except SingularOmega:
         # Presymplectic: the flow of the terminal constraint stage.
         chain = constrained.gnh_from_model(cfg, model)
@@ -447,11 +438,12 @@ def _simulate_rows(rc: RunConfig):
             raise OffConstraint(
                 f"initial state violates the constraints (residual {residual:.3e})")
         M, k = chain.reduced_flow, chain.flow_offset
-    states = dynamics.affine_flow(M, k, z0, rc.dt, steps, rc.method)
-    if chain is None:
-        last, column = "Lambda3", darboux.lambda3(cfg, states)
+        last, observe = "constraint_residual", chain.constraints.residual
     else:
-        last, column = "constraint_residual", chain.constraints.residual(states)
+        M, k = dynamics.flow_matrix(cfg, model)
+        last, observe = "Lambda3", lambda zs: darboux.lambda3(cfg, zs)
+    states = dynamics.affine_flow(M, k, z0, rc.dt, steps, rc.method)
+    column = observe(states)
     columns = [rc.dt * np.arange(steps + 1), states, model.hamiltonian(states)]
     if column is not None:
         header.append(last)
@@ -474,12 +466,13 @@ def cmd_spectrum(rc: RunConfig, args) -> tuple:
     r = spectrum.hessian_factor(model.hessian(cfg.N))
     omega = structure.build_omega(cfg)
     try:
-        lam = structure.poisson_matrix(cfg, rc.tol_singular)
+        structure.regularity(cfg, rc.tol_singular)
     except SingularOmega:
         # Presymplectic: the modes of the terminal constraint stage.
         freqs = spectrum.mode_frequencies(spectrum.terminal_form(omega, r))
         kind = "degenerate-ladder"
     else:
+        lam = structure.poisson_matrix(cfg)
         freqs, kind = spectrum.mode_frequencies(omega, r, lam), "normal-modes"
     table = spectrum.ladder(freqs, model.hbar, args.nmax)
     levels = _level_records(table)
@@ -605,7 +598,7 @@ def main(argv=None) -> int:
         hint = f" (try dt <= {exc.suggested_dt:.3e})" if exc.suggested_dt else ""
         sys.stderr.write(f"ncphase: step rejected: {exc}{hint}\n")
         return EXIT_STEP_REJECTED
-    except (SingularOmega, DegenerateChi) as exc:
+    except SingularOmega as exc:
         sys.stderr.write(f"ncphase: singular structure: {exc}\n")
         return EXIT_SINGULAR
 

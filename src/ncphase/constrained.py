@@ -22,20 +22,17 @@ from .structure import FieldConfig, build_omega
 RANK_TOL_FACTOR = 1e-10
 
 
-def _rank(s: np.ndarray, tol_factor: float) -> int:
-    """Count of singular values above tol_factor times the largest (0 if none)."""
-    return int(np.sum(s > tol_factor * s[0])) if s.size else 0
+def _rank(s: np.ndarray) -> int:
+    """Count of singular values above RANK_TOL_FACTOR times the largest (0 if none)."""
+    return int(np.sum(s > RANK_TOL_FACTOR * s[0])) if s.size else 0
 
 
-def kernel(omega: np.ndarray, tol_factor: float = RANK_TOL_FACTOR) -> np.ndarray:
-    """Orthonormal basis of the null space of Omega (2N x k, possibly k = 0).
-
-    Rank decisions use a singular-value cutoff relative to the largest
-    singular value.
-    """
+def kernel(omega: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of Omega (2N x k, possibly k = 0),
+    of the rank that `_rank` finds."""
     omega = np.asarray(omega, dtype=float)
     _, s, vt = np.linalg.svd(omega)
-    return vt[_rank(s, tol_factor):].T
+    return vt[_rank(s):].T
 
 
 class LinearConstraints(NamedTuple):
@@ -84,16 +81,15 @@ class ConstraintChain:
         return ev[np.lexsort((ev.real, ev.imag))]
 
 
-def _row_space(rows: np.ndarray, tol_factor: float) -> np.ndarray:
+def _row_space(rows: np.ndarray) -> np.ndarray:
     """Orthonormal spanning rows (empty-safe)."""
     if rows.shape[0] == 0:
         return rows
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    return vt[:_rank(s, tol_factor)]
+    return vt[:_rank(s)]
 
 
-def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient,
-              tol_factor: float = RANK_TOL_FACTOR) -> ConstraintChain:
+def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient) -> ConstraintChain:
     """Iterated constraint construction for quadratic Hamiltonian data.
 
     Inputs are the (possibly singular) two-form matrix, the constant
@@ -118,12 +114,12 @@ def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient,
         # Left null vectors of the stacked system generate the conditions
         # under which [Omega; A] X = [-(Hess z + g); 0] is solvable.
         u, s, vt = np.linalg.svd(stacked)
-        rank = _rank(s, tol_factor)
+        rank = _rank(s)
         left_null = u[:, rank:].T
         y_omega = left_null[:, :omega.shape[0]]
         new_rows = np.hstack([y_omega @ h_hessian, (y_omega @ g)[:, None]])
 
-        merged = _row_space(np.vstack([aug, new_rows]), tol_factor)
+        merged = _row_space(np.vstack([aug, new_rows]))
         if merged.shape[0] < aug.shape[0]:
             # merged spans aug and more: the relative cutoff lost rows of aug.
             raise ArithmeticError(
@@ -134,7 +130,7 @@ def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient,
             break
 
         a_new, b_new = merged[:, :n], merged[:, n]
-        basis = _row_space(a_new, tol_factor)
+        basis = _row_space(a_new)
         if basis.shape[0] < merged.shape[0]:
             chain.status = "inconsistent"
             chain.constraints = LinearConstraints(a_new, b_new)
@@ -149,7 +145,10 @@ def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient,
 
     # After the break, `stacked` is [Omega; A] of the final constraints.
     chain.constraints = LinearConstraints(a_rows, aug[:, n])
-    proj = np.linalg.pinv(stacked, rcond=tol_factor)[:, :n]
+    # Its pseudo-inverse, as `np.linalg.pinv` forms it, under `_rank`'s cutoff.
+    u, s, vt_r = np.linalg.svd(stacked, full_matrices=False)
+    s_inv = np.divide(1, s, where=np.arange(s.size) < _rank(s), out=np.zeros_like(s))
+    proj = (vt_r.T @ (s_inv[:, None] * u.T))[:, :n]
     chain.reduced_flow = -proj @ h_hessian
     chain.flow_offset = -proj @ g
     chain.gauge_basis = vt[rank:].T

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateChi, NegativeChi, SingularOmega
+from .errors import NegativeChi, SingularOmega
 from .structure import (
     EPS2,
     TOL_SINGULAR,
@@ -66,24 +66,21 @@ class N2Coefficients(NamedTuple):
     u: float
 
 
-def _checked_chi(theta, tol: float):
-    """chi = 1 + theta where the closed forms hold: NegativeChi below -tol,
-    DegenerateChi up to tol, and OverflowError when it is not finite."""
+def _checked_chi(B, C):
+    """(C.B, chi = 1 + C.B) where the closed forms hold, 0 < chi < inf; else
+    NegativeChi (chi <= 0: the generic map applies) or OverflowError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = float(np.dot(C, B))
     chi = 1.0 + theta
-    if chi < -tol:
-        raise NegativeChi(
-            f"chi = {chi:.6g} < 0: closed form unavailable, use symplectic_gram_schmidt"
-        )
-    if chi <= tol:
-        raise DegenerateChi(f"chi = {chi:.6g} is singular (presymplectic regime)")
+    if chi <= 0:
+        raise NegativeChi(f"chi = {chi:.6g} <= 0: no closed-form map")
     if not chi < np.inf:
         raise OverflowError(f"chi = 1 + C.B = {chi:.6g} is not finite: no closed-form map")
-    return chi
+    return theta, chi
 
 
-def n2_coefficients(B: float, C: float, tol: float = TOL_SINGULAR) -> N2Coefficients:
-    with np.errstate(over="ignore"):
-        chi = _checked_chi(C * B, tol)
+def n2_coefficients(B: float, C: float) -> N2Coefficients:
+    chi = _checked_chi(B, C)[1]
     return N2Coefficients(chi, 0.5 * (1.0 + np.sqrt(chi)))
 
 
@@ -102,10 +99,8 @@ class N3Coefficients(NamedTuple):
     gamma_prime: float
 
 
-def n3_coefficients(Bvec, Cvec, tol: float = TOL_SINGULAR) -> N3Coefficients:
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = float(np.dot(Cvec, Bvec))
-    chi = _checked_chi(theta, tol)
+def n3_coefficients(Bvec, Cvec) -> N3Coefficients:
+    theta, chi = _checked_chi(Bvec, Cvec)
     # A chi near the float limit overflows these products; the map built
     # from them is refused downstream, so numpy's warnings would only add
     # noise.
@@ -119,13 +114,13 @@ def n3_coefficients(Bvec, Cvec, tol: float = TOL_SINGULAR) -> N3Coefficients:
     return N3Coefficients(theta, chi, float(u), float(gamma), float(gamma_prime))
 
 
-def darboux_n2(B: float, C: float, tol: float = TOL_SINGULAR) -> DarbouxMap:
+def darboux_n2(B: float, C: float) -> DarbouxMap:
     """Closed-form planar map.
 
     xi = sqrt(u) (q - (C/2u) eps p),  pi = sqrt(u) (p - (B/2u) eps q),
     with u = (1 + sqrt(chi))/2; the inverse carries the extra 1/sqrt(chi).
     """
-    co = n2_coefficients(B, C, tol)
+    co = n2_coefficients(B, C)
     ru = np.sqrt(co.u)
     ident = np.eye(2)
     half = lambda s: (s / (2.0 * co.u)) * EPS2
@@ -135,7 +130,7 @@ def darboux_n2(B: float, C: float, tol: float = TOL_SINGULAR) -> DarbouxMap:
     return _finish(T, Tinv, build_omega(field_config_n2(B, C)), 1e-12)
 
 
-def darboux_n3(Bvec, Cvec, tol: float = TOL_SINGULAR) -> DarbouxMap:
+def darboux_n3(Bvec, Cvec) -> DarbouxMap:
     """Closed-form spatial map.
 
     xi = sqrt(u) (q + gamma B (C.q) + (1/2u) C x p),
@@ -143,7 +138,7 @@ def darboux_n3(Bvec, Cvec, tol: float = TOL_SINGULAR) -> DarbouxMap:
     """
     B = np.asarray(Bvec, dtype=float)
     C = np.asarray(Cvec, dtype=float)
-    co = n3_coefficients(B, C, tol)
+    co = n3_coefficients(B, C)
     ru = np.sqrt(co.u)
     ident = np.eye(3)
     bx, cx = cross_matrix(B), cross_matrix(C)
@@ -166,7 +161,8 @@ def lambda3(cfg: FieldConfig, states):
     each row of a (..., 2N) array; None where no such chart exists.
 
     The charts are those of planar configs and of axis-aligned spatial
-    configs whose chi = 1 + C.B is finite and positive.
+    configs whose chi = 1 + C.B is finite and positive, where the map
+    meets `_finish`'s contract.
     """
     try:
         sc, vecs = n2_scalars(cfg), n3_vectors(cfg)
@@ -176,7 +172,7 @@ def lambda3(cfg: FieldConfig, states):
             dmap = darboux_n3(*vecs)
         else:
             return None
-    except (DegenerateChi, OverflowError):
+    except (NegativeChi, ArithmeticError):
         return None
     zeta = np.asarray(states, dtype=float) @ dmap.T.T
     N = cfg.N

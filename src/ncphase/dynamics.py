@@ -13,7 +13,7 @@ degenerate constraint chain is stepped by the same code.
 import numpy as np
 
 from .errors import StepRejected
-from .structure import TOL_SINGULAR, FieldConfig, poisson_matrix
+from .structure import FieldConfig, poisson_matrix
 
 HARMONIC = "harmonic"
 LINEAR = "linear"
@@ -158,15 +158,14 @@ class OscillatorModel:
         return float(h) if z.ndim == 1 else h
 
 
-def flow_matrix(cfg: FieldConfig, model: OscillatorModel,
-                tol_singular: float = TOL_SINGULAR):
-    """Affine generator (M, k) of dz/dt = M z + k, M = Lambda . Hess(H).
+def flow_matrix(cfg: FieldConfig, model: OscillatorModel):
+    """Affine generator (M, k) of dz/dt = M z + k, M = Lambda . Hess(H),
+    of a structure that `structure.regularity` has passed.
 
-    A degenerate structure raises SingularOmega from `poisson_matrix`.
     Finite fields and models can still overflow here; the products then
     hold inf/NaN, without a warning, and the trajectory is refused later.
     """
-    lam = poisson_matrix(cfg, tol_singular)
+    lam = poisson_matrix(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         return lam @ model.hessian(cfg.N), lam @ model.gradient_offset(cfg.N)
 

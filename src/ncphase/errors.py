@@ -6,15 +6,15 @@ class NcphaseError(Exception):
 
 
 class SingularOmega(NcphaseError):
-    """The phase-space two-form matrix is singular (presymplectic regime)."""
+    """Omega is singular (presymplectic); det_psi is what `regularity` refused."""
+
+    def __init__(self, message, det_psi=None):
+        super().__init__(message)
+        self.det_psi = det_psi
 
 
-class DegenerateChi(NcphaseError):
-    """The regularity scalar chi vanishes; closed-form maps are unavailable."""
-
-
-class NegativeChi(DegenerateChi):
-    """chi < 0: the structure is symplectic but outside the closed-form branch."""
+class NegativeChi(NcphaseError):
+    """chi = 1 + C.B is not positive: outside the closed-form branch."""
 
 
 class InconsistentSystem(NcphaseError):

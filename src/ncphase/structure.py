@@ -119,13 +119,17 @@ def build_omega(cfg: FieldConfig) -> np.ndarray:
     return omega
 
 
-def regularity(cfg: FieldConfig) -> float:
-    """det Psi, Psi = I - rG.eF, in float64; the structure is symplectic iff
-    this is nonzero."""
+def regularity(cfg: FieldConfig, tol_singular: float) -> float:
+    """det Psi, Psi = I - rG.eF, in float64: the one regular/degenerate decision.
+    Below tol_singular in magnitude it raises SingularOmega, carrying the value."""
     # Fields near the float limit overflow here; the non-finite products are
     # refused downstream, so numpy's warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.det(np.eye(cfg.N) - cfg.rG @ cfg.eF))
+        det_psi = float(np.linalg.det(np.eye(cfg.N) - cfg.rG @ cfg.eF))
+    if abs(det_psi) < tol_singular:
+        raise SingularOmega(f"det Psi = {det_psi:.3e} below tolerance {tol_singular:.1e}; "
+                            "use the constrained module", det_psi)
+    return det_psi
 
 
 def _newton_inv(a_ld: np.ndarray) -> np.ndarray:
@@ -148,7 +152,7 @@ def _newton_inv(a_ld: np.ndarray) -> np.ndarray:
     return x
 
 
-def poisson_matrix(cfg: FieldConfig, tol_singular: float = TOL_SINGULAR) -> np.ndarray:
+def poisson_matrix(cfg: FieldConfig) -> np.ndarray:
     """Poisson matrix Lambda = -Omega^{-1} from the closed-form blocks.
 
     Block layout: qq = -Psi^{-1} rG, qp = +Psi^{-1}, pq = -Psi^{-T},
@@ -157,16 +161,9 @@ def poisson_matrix(cfg: FieldConfig, tol_singular: float = TOL_SINGULAR) -> np.n
     final rounding: near the admissible singularity the entries of Lambda
     amplify the formation rounding of Psi quadratically, which would
     otherwise dominate the result.  The output is cross-checked against a
-    dense inversion of Omega and antisymmetrized.  Raises SingularOmega
-    when |det Psi| is below tol_singular: this is the one
-    regular/degenerate decision of `simulate` and `spectrum`.
+    dense inversion of Omega and antisymmetrized.  Whether Lambda exists
+    is the caller's decision, by `regularity`.
     """
-    det_psi = regularity(cfg)
-    if abs(det_psi) < tol_singular:
-        raise SingularOmega(
-            f"det Psi = {det_psi:.3e} below tolerance {tol_singular:.1e}; "
-            "use the constrained module"
-        )
     eF = cfg.eF.astype(np.longdouble)
     rG = cfg.rG.astype(np.longdouble)
     psi_inv = _newton_inv(np.eye(cfg.N, dtype=np.longdouble) - rG @ eF)

@@ -103,8 +103,10 @@ def n2_frequencies(model: dyn.OscillatorModel, B: float, C: float,
     """Renormalized mass/elasticity and mode frequencies for the planar oscillator."""
     if model.potential != dyn.HARMONIC or model.kappa <= 0:
         raise ValueError("frequencies require a harmonic potential with kappa > 0")
-    co = dx.n2_coefficients(B, C, tol)
+    co = dx.n2_coefficients(B, C)
     chi, u = co.chi, co.u
+    if chi <= tol:
+        raise SingularOmega(f"chi = {chi:.6g} is at or below {tol:.1e}")
     # Extreme parameters overflow to inf or nan here.  The output writers
     # refuse non-finite numbers, so numpy's warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -77,11 +77,14 @@ class TestConfigValidation:
 
     def test_env_tolerance_override(self, tmp_path, monkeypatch):
         # chi = 1e-4 regular structure: det Psi = 1e-8 trips a raised gate.
+        # The config is the one source of the tolerance: the environment
+        # variable that used to set it is not read.
         cfg = dict(BASE, field={"B": 1.0, "C": 1e-4 - 1.0})
-        path = write_config(tmp_path, cfg)
         out = tmp_path / "br.json"
+        monkeypatch.setenv("NCPHASE_TOL_SINGULAR", "1e-6")
+        path = write_config(tmp_path, cfg)
         assert run(["brackets", "--config", path, "--out", str(out)]) == cli.EXIT_OK
-        monkeypatch.setenv(cli.ENV_TOL, "1e-6")
+        path = write_config(tmp_path, dict(cfg, tolerances={"singular": 1e-6}))
         assert run(["brackets", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
 
     @pytest.mark.parametrize("section, value, key", [
@@ -175,13 +178,6 @@ class TestConfigValidation:
         assert run(["brackets", "--config", path]) == cli.EXIT_CONFIG
         assert "tolerances.singular must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("env", ["-1", "0", "nan", "inf"])
-    def test_non_positive_env_tolerance_refused(self, tmp_path, capsys, monkeypatch, env):
-        path = write_config(tmp_path, dict(BASE, field={"B": 1.0, "C": -1.0}))
-        monkeypatch.setenv(cli.ENV_TOL, env)
-        assert run(["brackets", "--config", path]) == cli.EXIT_CONFIG
-        assert f"{cli.ENV_TOL} must be positive" in capsys.readouterr().err
-
     def test_tolerances_require_singular(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(BASE, tolerances={}))
         assert run(["brackets", "--config", path]) == cli.EXIT_CONFIG
@@ -263,8 +259,78 @@ class TestDarboux:
         out = tmp_path / "dx.json"
         assert run(["darboux", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
         assert capsys.readouterr().err == (
-            "ncphase: singular structure: chi = 0 is singular (presymplectic regime)\n")
+            "ncphase: singular structure: det Psi = 0.000e+00 below tolerance 1.0e-10; "
+            "use the constrained module\n")
         assert not out.exists()
+
+
+class TestOneRegularityDecision:
+    """`structure.regularity` is the one regular/degenerate decision of a
+    field config: each of `brackets`, `darboux`, `simulate` and `spectrum`
+    asks it once per run and takes the route it gives."""
+
+    CHIS = (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5, 1e-3, -1e-3)
+
+    @staticmethod
+    def singular_route(tmp_path, capsys, command, path):
+        out = tmp_path / f"{command}.out"
+        out.unlink(missing_ok=True)
+        code = run([command, "--config", path, "--out", str(out)])
+        err = capsys.readouterr().err
+        if command == "darboux":
+            return code == cli.EXIT_SINGULAR and "det Psi" in err
+        assert out.exists(), (command, code, err)
+        text = out.read_text()
+        if command == "brackets":
+            return json.loads(text)["status"] == "singular"
+        if command == "simulate":
+            return text.split("\n", 1)[0].endswith(",constraint_residual")
+        return json.loads(text)["kind"] == "degenerate-ladder"
+
+    @pytest.mark.parametrize("tol", [None, 1e-6, 1e-16])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_subcommands_agree_on_the_route(self, tmp_path, capsys, monkeypatch, n, tol):
+        calls = []
+        regularity = structure.regularity
+
+        def counted(*args):
+            calls.append(args)
+            return regularity(*args)
+
+        monkeypatch.setattr(structure, "regularity", counted)
+        routes = {}
+        for chi in self.CHIS:
+            field = ({"B": 1.0, "C": -1.0 + chi} if n == 2 else
+                     {"Bvec": [0.0, 0.0, 1.0], "Cvec": [0.0, 0.0, -1.0 + chi]})
+            cfg = dict(BASE, N=n, field=field, state=[0.0] * (2 * n),
+                       time={"t_final": 1.0, "dt": 0.5})
+            if tol is not None:
+                cfg["tolerances"] = {"singular": tol}
+            path = write_config(tmp_path, cfg)
+            routes[chi] = set()
+            for command in ("brackets", "darboux", "simulate", "spectrum"):
+                calls.clear()
+                routes[chi].add(self.singular_route(tmp_path, capsys, command, path))
+                assert len(calls) == 1, (command, chi, len(calls))
+        assert all(len(seen) == 1 for seen in routes.values()), routes
+        # Both routes are taken on the grid, chi = 0 singular and 1e-3 not.
+        assert routes[0.0] == {True} and routes[1e-3] == {False}
+
+    def test_lambda3_follows_the_chart(self, tmp_path):
+        # At a 1e-30 gate the regular route reaches chi = 3e-11, where the
+        # closed-form chart exists: the Lambda3 column is the angular
+        # momentum of the rows mapped by its T.  At chi = 1e-13 the chart
+        # fails its contract, and the column is dropped.
+        cfg = dict(BASE, state=[1.0, 0.0, 0.0, 1.0], time={"t_final": 1.0, "dt": 0.25},
+                   tolerances={"singular": 1e-30})
+        header, table = simulate_table(tmp_path, dict(cfg, field={"B": 1.0, "C": -1.0 + 3e-11}))
+        assert header[-1] == "Lambda3"
+        dmap = darboux.darboux_n2(1.0, -1.0 + 3e-11)
+        zeta = table[:, 1:5] @ dmap.T.T
+        l3 = zeta[:, 0] * zeta[:, 3] - zeta[:, 1] * zeta[:, 2]
+        assert np.abs(table[:, -1] - l3).max() <= 1e-12 * np.abs(l3).max()
+        header, table = simulate_table(tmp_path, dict(cfg, field={"B": 1.0, "C": -1.0 + 1e-13}))
+        assert header == ["t", "q1", "q2", "p1", "p2", "H"]
 
 
 class TestSimulate:
@@ -531,7 +597,7 @@ class TestDegenerateSimulate:
         assert header[-1] == "constraint_residual"
         assert not table[:, -1].any()
         regular = dynamics.affine_flow(*dynamics.flow_matrix(
-            structure.field_config_n2(1.0, -0.9999), UNIT, tol_singular=1e-12), z0, 0.1, 10)
+            structure.field_config_n2(1.0, -0.9999), UNIT), z0, 0.1, 10)
         assert np.abs(table[:, 1:5] - regular).max() <= 1e-9
 
     @pytest.mark.parametrize("n", [2, 4])

@@ -64,8 +64,9 @@ class TestEquationsOfMotion:
         assert np.abs(closed - (M @ z + k)).max() < 1e-12
 
     def test_singular_raises(self):
+        # `simulate` asks `regularity` before it builds the flow.
         with pytest.raises(SingularOmega):
-            dyn.flow_matrix(st.field_config_n2(1.0, -1.0), UNIT)
+            st.regularity(st.field_config_n2(1.0, -1.0), st.TOL_SINGULAR)
 
 
 class TestFrequencies:
@@ -128,7 +129,7 @@ class TestFrequencies:
             produced += 1
             model = dyn.OscillatorModel(m=float(m), kappa=float(k))
             fr = cf.n2_frequencies(model, B, C)
-            M, _ = dyn.flow_matrix(st.field_config_n2(B, C), model, tol_singular=1e-16)
+            M, _ = dyn.flow_matrix(st.field_config_n2(B, C), model)
             got = np.sort(np.abs(np.linalg.eigvals(M).imag))
             want = np.sort([fr.omega_minus, fr.omega_minus, fr.omega_plus, fr.omega_plus])
             assert np.abs(got - want).max() < 1e-9
@@ -159,7 +160,7 @@ class TestClosedFormSolution:
             produced += 1
             model = dyn.OscillatorModel(m=float(m), kappa=float(k))
             cfg = st.field_config_n2(B, C)
-            M, _ = dyn.flow_matrix(cfg, model, tol_singular=1e-16)
+            M, _ = dyn.flow_matrix(cfg, model)
             z0 = rng.uniform(-1, 1, 4)
             horizon = 20 * 2 * np.pi / np.sqrt(model.kappa / model.m)
             for t in np.linspace(0.0, horizon, 7):

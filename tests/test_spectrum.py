@@ -174,7 +174,7 @@ class TestModeFrequencies:
             a[np.triu_indices(n, 1)] = values
             blocks.append(a - a.T)
         fields = st.FieldConfig(n, *blocks)
-        assume(abs(st.regularity(fields)) >= 0.1)
+        assume(abs(st.regularity(fields, 0.0)) >= 0.1)
         model = dyn.OscillatorModel(m=m, kappa=kappa)
         w = core(fields, model)
         dense = np.linalg.eigvals(st.poisson_matrix(fields) @ model.hessian(n))

@@ -90,40 +90,54 @@ class TestBuildOmega:
 
 
 class TestPsiPhi:
-    """`regularity` is det Psi, Psi = I - rG eF."""
+    """`regularity` is det Psi, Psi = I - rG eF; a zero tolerance refuses none."""
 
     def test_planar_is_chi_identity(self):
         # Psi = chi I.
         b, c = 0.7, -0.3
-        assert st.regularity(st.field_config_n2(b, c)) == pytest.approx((1 + c * b) ** 2,
-                                                                        abs=1e-15)
+        det = st.regularity(st.field_config_n2(b, c), 0.0)
+        assert det == pytest.approx((1 + c * b) ** 2, abs=1e-15)
 
     def test_n3_parallel_unit_fields(self):
         # Psi = diag(2, 2, 1).
         cfg = st.field_config_n3([0, 0, 1.0], [0, 0, 1.0])
-        assert st.regularity(cfg) == pytest.approx(4.0, abs=1e-14)
+        assert st.regularity(cfg, 0.0) == pytest.approx(4.0, abs=1e-14)
 
     def test_single_charge_is_identity(self):
         cfg = st.FieldConfig(3, st.cross_matrix([1.0, 2.0, 3.0]), np.zeros((3, 3)))
-        assert st.regularity(cfg) == 1.0
+        assert st.regularity(cfg, 0.0) == 1.0
 
     def test_transpose_relation(self):
         # Phi = I - eF rG is Psi^T for antisymmetric fields.
         rng = np.random.RandomState(1)
         for _ in range(50):
             cfg = random_config(rng, rng.randint(1, 7))
-            det_psi = st.regularity(cfg)
+            det_psi = st.regularity(cfg, 0.0)
             det_phi = np.linalg.det(np.eye(cfg.N) - cfg.eF @ cfg.rG)
             assert abs(det_phi - det_psi) <= 1e-12 * max(1.0, abs(det_psi))
 
 
 class TestRegularity:
     def test_worked_values(self):
-        assert st.regularity(st.field_config_n2(1.0, 1.0)) == pytest.approx(4.0, abs=1e-12)
-        assert st.regularity(st.field_config_n2(2.0, -0.5)) == pytest.approx(0.0, abs=1e-14)
+        assert st.regularity(st.field_config_n2(1.0, 1.0), 0.0) == pytest.approx(4.0, abs=1e-12)
+        assert st.regularity(st.field_config_n2(2.0, -0.5), 0.0) == pytest.approx(0.0, abs=1e-14)
         # theta = C.B = 3 gives det Psi = chi^2 = 16
-        det = st.regularity(st.field_config_n3([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]))
+        det = st.regularity(st.field_config_n3([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]), 0.0)
         assert det == pytest.approx(16.0, rel=1e-12)
+
+    def test_gate_is_strict_and_carries_the_value(self):
+        # det Psi is about 1e-14: a tolerance equal to it passes, the next
+        # float up refuses it, and the exception carries the value.
+        cfg = st.field_config_n2(1.0, -0.9999999)
+        det = st.regularity(cfg, 0.0)
+        assert st.regularity(cfg, det) == det
+        with pytest.raises(SingularOmega) as info:
+            st.regularity(cfg, np.nextafter(det, 1.0))
+        assert info.value.det_psi == det
+
+    def test_non_finite_values_are_not_refused(self):
+        # chi = 1 + 1e200: det Psi = chi^2 overflows; the callers refuse it.
+        assert st.regularity(st.field_config_n2(1e200, 1.0), st.TOL_SINGULAR) == np.inf
 
 
 class TestPoissonMatrix:
@@ -150,16 +164,19 @@ class TestPoissonMatrix:
         assert lam[2, 5] == pytest.approx(1.0, abs=1e-14)    # {q3, p3} = (1 + B3 C3)/chi
 
     def test_singular_raises_naming_det_psi(self):
-        with pytest.raises(SingularOmega,
-                           match="det Psi = .* below tolerance .*; use the constrained module"):
-            st.poisson_matrix(st.field_config_n2(2.0, -0.5))
+        # Whether Lambda exists is decided by `regularity`, before
+        # `poisson_matrix` is called.
+        with pytest.raises(SingularOmega, match="det Psi = 0.000e[+]00 below tolerance 1.0e-10; "
+                                                "use the constrained module") as info:
+            st.regularity(st.field_config_n2(2.0, -0.5), st.TOL_SINGULAR)
+        assert info.value.det_psi == 0.0
 
     def test_random_sweep_inverse_and_closed_form(self):
         rng = np.random.RandomState(2)
         produced = 0
         while produced < 300:
             cfg = random_config(rng, rng.randint(1, 7))
-            if abs(st.regularity(cfg)) <= 1e-6:
+            if abs(st.regularity(cfg, 0.0)) <= 1e-6:
                 continue
             produced += 1
             omega = st.build_omega(cfg)
@@ -172,7 +189,7 @@ class TestPoissonMatrix:
         rng = np.random.RandomState(3)
         for _ in range(50):
             cfg = random_config(rng, rng.randint(1, 7))
-            if abs(st.regularity(cfg)) <= 1e-6:
+            if abs(st.regularity(cfg, 0.0)) <= 1e-6:
                 continue
             a = np.linalg.solve(np.eye(cfg.N) - cfg.rG @ cfg.eF, cfg.rG)
             b = np.linalg.solve(np.eye(cfg.N) - cfg.eF @ cfg.rG, cfg.eF)
@@ -190,23 +207,23 @@ class TestLambdaOracle:
     BOUND = 2e-15
 
     @staticmethod
-    def rel_error(cfg, **kw):
+    def rel_error(cfg):
         ref = cf.lambda_mpmath(cfg)
-        return np.abs(st.poisson_matrix(cfg, **kw) - ref).max() / np.abs(ref).max()
+        return np.abs(st.poisson_matrix(cfg) - ref).max() / np.abs(ref).max()
 
     @pytest.mark.parametrize("chi", [1e-2, 1e-3, 1e-4, 3e-5, 1e-5])
     @pytest.mark.parametrize("b", [0.3, 1.0, 3.0, -2.0])
     def test_planar_near_the_singularity(self, chi, b):
         # det Psi = chi^2 is 1e-10 at chi = 1e-5, at the default tolerance.
         cfg = st.field_config_n2(b, (chi - 1.0) / b)
-        assert self.rel_error(cfg, tol_singular=1e-12) <= self.BOUND
+        assert self.rel_error(cfg) <= self.BOUND
 
     def test_random_fields(self):
         rng = np.random.RandomState(15)
         produced = 0
         while produced < 40:
             cfg = random_config(rng, rng.randint(2, 9))
-            if abs(st.regularity(cfg)) < 1e-8:
+            if abs(st.regularity(cfg, 0.0)) < 1e-8:
                 continue
             produced += 1
             assert self.rel_error(cfg) <= self.BOUND
@@ -280,7 +297,7 @@ class TestHamiltonianVectorField:
         rng = np.random.RandomState(6)
         for _ in range(30):
             cfg = random_config(rng, rng.randint(1, 7))
-            if abs(st.regularity(cfg)) <= 1e-6:
+            if abs(st.regularity(cfg, 0.0)) <= 1e-6:
                 continue
             lam = st.poisson_matrix(cfg)
             grad = rng.uniform(-1, 1, 2 * cfg.N)
@@ -294,4 +311,4 @@ class TestHamiltonianVectorField:
 
     def test_singular_raises(self):
         with pytest.raises(SingularOmega):
-            st.poisson_matrix(st.field_config_n2(1.0, -1.0))
+            st.regularity(st.field_config_n2(1.0, -1.0), st.TOL_SINGULAR)

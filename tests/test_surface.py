@@ -1,4 +1,5 @@
-"""Every definition in `src/ncphase` serves a subcommand.
+"""Every definition in `src/ncphase` serves a subcommand, and each
+numerical decision has one site.
 
 The roots are `cli.main`, the `cmd_*` subcommands and the names of the
 README's Python example.  A top-level function or class that no live code
@@ -7,6 +8,11 @@ so is a non-dunder method that no `Attribute` node names; so is one named
 only from dead code, which the scan finds by dropping definitions until
 none drops.  A module outside the import closure of `ncphase.cli` is dead
 as a whole.
+
+A tolerance is a parameter of only two functions: `structure.regularity`,
+the one regular/degenerate decision, and the pivot check of
+`darboux.symplectic_gram_schmidt`.  Only those two raise `SingularOmega`,
+and only `constrained._rank` reads the chain's rank cutoff.
 """
 
 import ast
@@ -94,3 +100,53 @@ def test_every_definition_is_reached_from_a_subcommand():
                         (ROOT / "README.md").read_text(encoding="utf-8"), re.S).group(1)
     roots = {"main"} | _names(ast.parse(example))
     assert _dead_definitions(_trees(), roots) == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _sites(trees: dict, match) -> set:
+    """``module.function`` of the innermost function around each node that
+    ``match`` accepts (a function node is inside itself; ``module`` at the
+    top level)."""
+    sites = set()
+
+    def visit(node, module, where):
+        if isinstance(node, FUNCTIONS):
+            where = f"{module}.{node.name}"
+        if match(node):
+            sites.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for module, tree in trees.items():
+        visit(tree, module, module)
+    return sites
+
+
+def _parameters(node) -> list:
+    a = node.args
+    return [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+
+
+def _named(node, name: str) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def test_tolerance_parameters_reach_two_functions():
+    sites = _sites(_trees(), lambda node: isinstance(node, FUNCTIONS + (ast.Lambda,))
+                   and any("tol" in name for name in _parameters(node)))
+    assert sites == {"structure.regularity", "darboux.symplectic_gram_schmidt"}
+
+
+def test_only_rank_reads_the_rank_cutoff():
+    sites = _sites(_trees(), lambda node: _named(node, "RANK_TOL_FACTOR")
+                   and isinstance(node.ctx, ast.Load))
+    assert sites == {"constrained._rank"}
+
+
+def test_singular_omega_is_raised_by_the_two_decisions():
+    sites = _sites(_trees(), lambda node: isinstance(node, ast.Call)
+                   and _named(node.func, "SingularOmega"))
+    assert sites == {"structure.regularity", "darboux.symplectic_gram_schmidt"}
