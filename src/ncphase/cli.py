@@ -400,7 +400,7 @@ def cmd_darboux(rc: RunConfig, args) -> tuple:
     except NegativeChi:
         note = "chi < 0: routed to the generic orthogonalization"
     # The generic map cross-checks a closed form, or is the map.
-    generic = darboux.symplectic_gram_schmidt(omega, rc.tol_singular)
+    generic = darboux.darboux_generic(omega)
     if dmap is None:
         dmap = generic
     sp_residual = darboux.symplectic_deviation(dmap.T @ generic.Tinv)
@@ -409,7 +409,8 @@ def cmd_darboux(rc: RunConfig, args) -> tuple:
         "T": dmap.T,
         "Tinv": dmap.Tinv,
         "residual": dmap.residual,
-        "cond": dmap.cond,
+        # A closed form at |B| near 1e300 has a cond of about 1e600, beyond a double.
+        "cond": dmap.cond if math.isfinite(dmap.cond) else None,
         "sp_equivalence_residual": sp_residual,
     }
     if note:
@@ -504,7 +505,7 @@ def cmd_limit_scan(rc: RunConfig, args) -> tuple:
     if points > MAX_SCAN_POINTS:
         raise ConfigError(f"--points {points} exceeds the cap of {MAX_SCAN_POINTS} scan points")
     grid = np.geomspace(eps_max, eps_min, points)
-    table = np.array(spectrum.chi_limit_scan(model, B, grid))
+    table = spectrum.chi_limit_scan(model, B, grid)
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise ArithmeticError(

@@ -2,18 +2,17 @@
 
 A map is stored as the matrix T with zeta = T z, accepted when
 T^T J T = Omega up to a small residual.  Closed forms cover the planar
-and spatial constant-field cases; a pivoted symplectic orthogonalization
-handles any nondegenerate Omega.
+and spatial constant-field cases; the 2x2-pivoted skew-symmetric
+factorization of Omega (Bunch 1982) handles any nondegenerate Omega.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NegativeChi, SingularOmega
+from .errors import NegativeChi
 from .structure import (
     EPS2,
-    TOL_SINGULAR,
     FieldConfig,
     build_omega,
     canonical_j,
@@ -180,63 +179,49 @@ def lambda3(cfg: FieldConfig, states):
     return float(l3) if zeta.ndim == 1 else l3
 
 
-def symplectic_gram_schmidt(omega: np.ndarray, tol_singular: float = TOL_SINGULAR) -> DarbouxMap:
-    """Generic Darboux map by greedy symplectic orthogonalization.
+def darboux_generic(omega: np.ndarray) -> DarbouxMap:
+    """Generic Darboux map from the skew-symmetric factorization of Omega.
 
-    Builds a basis (v_1..v_N, w_1..w_N) that is pairwise conjugate under
-    Omega by largest-pivot selection: v is the largest-norm candidate,
-    normalized, and w the candidate with the largest |Omega(v, w)|, scaled
-    so that Omega(v, w) = 1; the pair is then balanced by
-    s = sqrt(|w| / |v|).  The remaining candidates are projected onto the
-    Omega-orthogonal complement of the pair (projection applied twice for
-    stability), and the largest-norm ones are kept.  With S = [v | w],
-    S^T Omega S = J, so T = S^{-1}.
+    Bunch's 2x2-pivoted elimination gives P Omega P^T = L D L^T, with L
+    unit lower triangular and D = diag(d_k [[0, 1], [-1, 0]]).  Each step
+    moves the largest |entry| of the remaining block to the pivot p = d_k
+    (complete pivoting, so |L| <= 1) and takes the rank-2 Schur update
+    A -= (c0 c1^T - c1 c0^T) / p of the pivot columns c0, c1, formed from
+    L's columns c1 / p and -c0 / p so that no product of two entries can
+    overflow.  With S = diag(sqrt|d_k|, sign(d_k) sqrt|d_k|) per pair,
+    D = S^T J' S for the pairwise J' = Q^T J Q, where Q orders the pairs
+    as (q, p); so T = Q S L^T P, and T^-1 = P^T L^-T S^-1 Q^T is a back
+    substitution.
 
-    The candidates are held as one matrix, one candidate per row, so a
-    step is BLAS work: the pivots of all candidates are one matvec with
-    v^T Omega, their pairings Omega(u, v) and Omega(u, w) one product
-    with [Omega v | Omega w], and each projection pass one rank-2 update.
-    A step costs O(N^2) flops and the map O(N^3).  A pair or a candidate
-    norm that stops being finite (extreme field scales) raises
+    Whether Omega is regular is `structure.regularity`'s decision; a zero
+    or non-finite pivot (overflow at extreme field scales) raises
     ArithmeticError naming the pair.
     """
-    omega = np.asarray(omega, dtype=float)
-    n2 = omega.shape[0]
+    a = np.array(omega, dtype=float)
+    n2 = a.shape[0]
     N = n2 // 2
-    scale = max(1.0, np.abs(omega).max())
-
-    # Rows in descending norm order: v is always the first candidate.
-    cand, norms = np.eye(n2), np.ones(n2)
-    vs, ws = [], []
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    perm, lower, pivots = np.arange(n2), np.eye(n2), np.empty(N)
+    # An overflow becomes a non-finite pivot, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(N):
-            v = cand[0] / norms[0]
-            pivots = cand @ (v @ omega)
-            jmax = int(np.argmax(np.abs(pivots)))
-            if abs(pivots[jmax]) < tol_singular * scale:
-                raise SingularOmega(
-                    f"pivot {abs(pivots[jmax]):.3e} below tolerance at pair {k}: "
-                    "Omega is rank deficient"
-                )
-            w = cand[jmax] / pivots[jmax]
-            # Balance the pair without changing Omega(v, w) = 1.
-            s = np.sqrt(np.sqrt(w @ w) / np.sqrt(v @ v))
-            v, w = v * s, w / s
-            if not (np.isfinite(v).all() and np.isfinite(w).all()):
-                raise ArithmeticError(f"non-finite basis pair at pair {k}")
-            vs.append(v)
-            ws.append(w)
-            pair = np.stack([v, w])
-            omega_pair = omega @ pair.T
-            for _ in range(2):
-                # u -> u - Omega(u, w) v + Omega(u, v) w for every row u.
-                cand += (cand @ omega_pair) @ EPS2 @ pair
-            norms = np.sqrt(np.einsum("ij,ij->i", cand, cand))
-            if not np.isfinite(norms).all():
-                raise ArithmeticError(f"non-finite candidate norms after pair {k}")
-            keep = np.argsort(-norms, kind="stable")[: n2 - 2 * (k + 1)]
-            cand, norms = cand[keep], norms[keep]
-
-    S = np.column_stack(vs + ws)
-    T = np.linalg.inv(S)
-    return _finish(T, S, omega, 1e-8)
+            top, rest = 2 * k, slice(2 * k + 2, n2)
+            # The first maximum of a skew block lies above its diagonal: i < j.
+            i, j = divmod(int(np.abs(a[top:, top:]).argmax()), n2 - top)
+            for src, dst in ((top + i, top), (top + j, top + 1)):
+                # Rows and columns of the remaining block, and L's finished rows.
+                for rows in (a[:, top:], a[top:].T, lower[:, :top], perm):
+                    rows[[src, dst]] = rows[[dst, src]]
+            p = float(a[top, top + 1])
+            if not (p != 0 and np.isfinite(p)):
+                raise ArithmeticError(f"pivot {p!r} at pair {k}: no Darboux map")
+            pivots[k] = p
+            c1, l1 = a[rest, top + 1], -a[rest, top] / p
+            lower[rest, top], lower[rest, top + 1] = c1 / p, l1
+            a[rest, rest] -= c1[:, None] * l1 - l1[:, None] * c1
+    root = np.sqrt(np.abs(pivots))
+    s = np.column_stack([root, np.copysign(root, pivots)]).reshape(-1)
+    qp = np.r_[0:n2:2, 1:n2:2]
+    T, Tinv = np.empty((n2, n2)), np.empty((n2, n2))
+    T[:, perm] = (lower.T * s[:, None])[qp]
+    Tinv[perm] = (np.linalg.inv(lower.T) / s)[:, qp]
+    return _finish(T, Tinv, omega, 1e-8)

@@ -150,16 +150,6 @@ def _two_sided(omega, lam, white, flow) -> np.ndarray:
     return w
 
 
-class LimitScanRow(NamedTuple):
-    """One chi = eps^2 sample of the degenerate-limit study."""
-
-    epsilon: float
-    omega_plus: float
-    omega_minus: float
-    omega_r_target: float
-    fast_amplitude: float
-
-
 def _scan_rows(omega, r, z0) -> np.ndarray:
     """Columns (omega_plus, omega_minus, fast_amplitude) of a stack of
     planar Omega: the core's two-sided frequencies, and the q amplitude of
@@ -193,10 +183,12 @@ def _scan_rows(omega, r, z0) -> np.ndarray:
 
 
 def chi_limit_scan(model: OscillatorModel, B: float, eps_values,
-                   z0=None) -> list:
+                   z0=None) -> np.ndarray:
     """Scan chi = eps^2 at fixed B > 0, with C = (eps^2 - 1)/B.
 
-    Per row: the two mode frequencies (omega_plus the larger), the
+    One float64 row per distinct eps, descending, with the columns
+    (epsilon, omega_plus, omega_minus, omega_r_target, fast_amplitude):
+    the two mode frequencies (omega_plus the larger), the
     reduced-frequency target of the chi = 0 system, and the amplitude of
     the omega_plus mode in q(t) for an initial state on the limiting
     constraint subspace.  As eps -> 0, omega_minus -> omega_r with an
@@ -245,6 +237,5 @@ def chi_limit_scan(model: OscillatorModel, B: float, eps_values,
             raise ArithmeticError(
                 f"limit scan at epsilon = {float(eps_values[lo])!r}: {exc}") from None
         raise
-    rows = np.column_stack([eps_values, table[:, :2], np.full(eps_values.size, omega_r),
+    return np.column_stack([eps_values, table[:, :2], np.full(eps_values.size, omega_r),
                             table[:, 2]])
-    return list(map(LimitScanRow._make, rows.tolist()))

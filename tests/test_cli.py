@@ -263,6 +263,18 @@ class TestDarboux:
             "use the constrained module\n")
         assert not out.exists()
 
+    def test_large_tolerance_keeps_a_regular_field(self, tmp_path):
+        # det Psi = 6.25 passes tolerances.singular = 4, and the generic
+        # cross-check has no tolerance of its own to refuse it with.
+        cfg = dict(BASE, field={"B": 1.0, "C": 1.5}, tolerances={"singular": 4.0})
+        out = tmp_path / "dx.json"
+        assert run(["darboux", "--config", write_config(tmp_path, cfg),
+                    "--out", str(out)]) == cli.EXIT_OK
+        rep = json.loads(out.read_text())
+        assert rep["route"] == "closed-n2"
+        assert rep["residual"] <= 1e-15 * 1.5
+        assert rep["sp_equivalence_residual"] <= 1e-15
+
 
 class TestOneRegularityDecision:
     """`structure.regularity` is the one regular/degenerate decision of a
@@ -957,9 +969,8 @@ class TestLimitScan:
 
     def test_non_finite_value_names_the_first_row(self, tmp_path, capsys, monkeypatch):
         def scan(model, B, grid):
-            rows = [spectrum.LimitScanRow(e, 2.0, 0.5, 0.5, 1e-3) for e in grid.tolist()]
-            rows[2] = rows[2]._replace(fast_amplitude=float("nan"))
-            rows[3] = rows[3]._replace(omega_plus=float("inf"))
+            rows = np.column_stack([grid] + [np.full(grid.size, v) for v in (2.0, 0.5, 0.5, 1e-3)])
+            rows[2, 4], rows[3, 1] = np.nan, np.inf
             return rows
 
         monkeypatch.setattr(spectrum, "chi_limit_scan", scan)
@@ -1013,32 +1024,42 @@ class TestNumericalFailure:
     errors (LinAlgError subclasses ValueError) or tracebacks."""
 
     def test_singular_inverse_in_darboux(self, tmp_path, capsys):
-        # chi = 2, but the generic cross-check's symplectic Gram-Schmidt
-        # meets a non-finite basis pair and raises ArithmeticError.
-        cfg = dict(BASE, field={"B": 1e300, "C": 1e-300})
-        path = write_config(tmp_path, cfg)
+        # chi = 2 at B = 1e300, C = 1e-300: the map and its generic
+        # cross-check meet the contract to rounding, and the closed form's
+        # cond (about 1e600) is written as null.  Where chi overflows, the
+        # closed form's refusal is a numerical failure, not a config error.
+        path = write_config(tmp_path, dict(BASE, field={"B": 1e300, "C": 1e-300}))
         out = tmp_path / "d.json"
+        assert run(["darboux", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        rep = json.loads(out.read_text())
+        assert rep["route"] == "closed-n2" and rep["cond"] is None
+        assert rep["residual"] <= 1e-15 * 1e300
+        assert rep["sp_equivalence_residual"] <= 1e-15
+        path = write_config(tmp_path, dict(BASE, field={"B": 1e150, "C": 1e300}))
         assert run(["darboux", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
         err = capsys.readouterr().err
         assert err.startswith("ncphase: numerical failure: ")
         assert "config error" not in err
-        assert not out.exists()
 
     def test_extreme_scale_darboux_writes_one_stderr_line(self, tmp_path):
-        # The generic cross-check's balanced pair underflows at these
-        # scales; the refusal must not come with numpy RuntimeWarnings.
-        path = write_config(tmp_path, dict(BASE, field={"B": 1e300, "C": 1e-300}))
-        out = tmp_path / "d.json"
-        proc = subprocess.run(
-            [sys.executable, "-W", "always", "-m", "ncphase.cli", "darboux",
-             "--config", path, "--out", str(out)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == cli.EXIT_SINGULAR
-        assert proc.stderr.splitlines() == [
-            "ncphase: numerical failure: non-finite basis pair at pair 0"
-        ]
-        assert not out.exists()
+        # Under -W always, B = 1e300, C = 1e-300 writes its map and nothing
+        # on stderr; B = 1e150, C = 1e300 (chi overflows) one line and no file.
+        for i, (field, code, lines) in enumerate([
+            ({"B": 1e300, "C": 1e-300}, cli.EXIT_OK, []),
+            ({"B": 1e150, "C": 1e300}, cli.EXIT_SINGULAR,
+             ["ncphase: numerical failure: chi = 1 + C.B = inf is not finite: "
+              "no closed-form map"]),
+        ]):
+            path = write_config(tmp_path, dict(BASE, field=field), name=f"config{i}.json")
+            out = tmp_path / f"d{i}.json"
+            proc = subprocess.run(
+                [sys.executable, "-W", "always", "-m", "ncphase.cli", "darboux",
+                 "--config", path, "--out", str(out)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == code
+            assert proc.stderr.splitlines() == lines
+            assert out.exists() == (code == cli.EXIT_OK)
 
     @pytest.mark.parametrize("n, field", [
         (2, {"B": 1e150, "C": 1e300}),

@@ -205,41 +205,39 @@ class TestModeFrequencies:
 class TestLimitScan:
     def test_rows_strictly_decreasing(self):
         rows = sp.chi_limit_scan(UNIT, 1.0, [1e-2, 1e-1, 1e-3])
-        eps = [r.epsilon for r in rows]
-        assert eps == sorted(eps, reverse=True)
+        assert rows.shape == (3, 5) and rows.dtype == np.float64
+        assert rows[:, 0].tolist() == [1e-1, 1e-2, 1e-3]
 
     def test_single_row_at_unit_epsilon_matches_direct_call(self):
         rows = sp.chi_limit_scan(UNIT, 1.0, [1.0])
         fr = cf.n2_frequencies(UNIT, 1.0, 0.0)  # C = (1 - 1)/B = 0
-        assert rows[0].omega_plus == pytest.approx(fr.omega_plus, rel=1e-14)
-        assert rows[0].omega_minus == pytest.approx(fr.omega_minus, rel=1e-14)
+        assert rows[0, 1] == pytest.approx(fr.omega_plus, rel=1e-14)
+        assert rows[0, 2] == pytest.approx(fr.omega_minus, rel=1e-14)
 
     def test_slow_frequency_limit(self):
         rows = sp.chi_limit_scan(UNIT, 1.0, [1e-3])
-        assert abs(rows[0].omega_minus - 0.5) <= 5e-6
+        assert abs(rows[0, 2] - 0.5) <= 5e-6
 
     def test_slow_frequency_quadratic_order(self):
         eps = np.geomspace(1e-1, 1e-3, 9)
         rows = sp.chi_limit_scan(UNIT, 1.0, eps)
-        errors = [abs(r.omega_minus - r.omega_r_target) for r in rows]
+        errors = np.abs(rows[:, 2] - rows[:, 3])
         assert cf.loglog_slope(eps, errors) == pytest.approx(2.0, abs=0.1)
 
     def test_error_shrinks_fourfold_under_halving(self):
         rows = sp.chi_limit_scan(UNIT, 1.0, [2e-2, 1e-2])
-        e_big = abs(rows[0].omega_minus - 0.5)
-        e_small = abs(rows[1].omega_minus - 0.5)
+        e_big, e_small = np.abs(rows[:, 2] - 0.5)
         assert e_big / e_small == pytest.approx(4.0, rel=0.2)
 
     def test_extrapolated_intercept(self):
         eps = np.geomspace(1e-2, 1e-3, 5)
         rows = sp.chi_limit_scan(UNIT, 1.0, eps)
-        coeffs = np.polyfit([r.epsilon**2 for r in rows],
-                            [r.omega_minus for r in rows], 1)
+        coeffs = np.polyfit(rows[:, 0] ** 2, rows[:, 2], 1)
         assert abs(coeffs[1] - 0.5) <= 1e-6
 
     def test_fast_frequency_scaling(self):
         rows = sp.chi_limit_scan(UNIT, 1.0, np.geomspace(1e-2, 1e-3, 5))
-        values = [r.omega_plus * r.epsilon**2 for r in rows]
+        values = rows[:, 1] * rows[:, 0] ** 2
         assert (max(values) - min(values)) / np.mean(values) < 0.01
         # Constant is omega0 (1 + c0^2)/|c0| with c0 = -1.
         assert values[-1] == pytest.approx(2.0, rel=1e-4)
@@ -252,14 +250,12 @@ class TestLimitScan:
         # against an independent mpmath eigendecomposition.
         eps = np.geomspace(1e-1, 1e-3, 9)
         rows = sp.chi_limit_scan(UNIT, 1.0, eps)
-        amps = [r.fast_amplitude for r in rows]
-        assert cf.loglog_slope(eps, amps) == pytest.approx(2.0, abs=0.05)
+        assert cf.loglog_slope(eps, rows[:, 4]) == pytest.approx(2.0, abs=0.05)
 
     def test_off_constraint_amplitude_is_order_one(self):
         eps = np.geomspace(1e-1, 1e-3, 5)
         rows = sp.chi_limit_scan(UNIT, 1.0, eps, z0=[1.0, 0.0, 0.3, 0.8])
-        amps = [r.fast_amplitude for r in rows]
-        assert abs(cf.loglog_slope(eps, amps)) < 0.05
+        assert abs(cf.loglog_slope(eps, rows[:, 4])) < 0.05
 
     def test_requires_positive_orientation(self):
         with pytest.raises(ValueError):
@@ -269,7 +265,7 @@ class TestLimitScan:
         model = dyn.OscillatorModel(m=0.7, kappa=1.3)
         rows = sp.chi_limit_scan(model, 2.0, np.geomspace(1e-1, 1e-3, 1000))
         for row in rows[::7]:
-            assert sp.chi_limit_scan(model, 2.0, [row.epsilon]) == [row]
+            assert np.array_equal(sp.chi_limit_scan(model, 2.0, [row[0]]), row[None])
 
     @settings(max_examples=100, deadline=None)
     @given(m=hst.floats(0.1, 10.0), kappa=hst.floats(0.1, 10.0), B=hst.floats(0.1, 10.0),
@@ -280,7 +276,7 @@ class TestLimitScan:
         row, = sp.chi_limit_scan(dyn.OscillatorModel(m=m, kappa=kappa), B, [eps],
                                  z0=[1.0, 0.0, 0.3, 0.8])
         want = _mpmath_planar_frequencies(B, (eps * eps - 1.0) / B, m, kappa)
-        assert rel_err([row.omega_plus, row.omega_minus], want) <= 1e-14
+        assert rel_err(row[1:3], want) <= 1e-14
 
     def test_lambda_keeps_the_rounding_of_chi_out(self):
         # A dense float64 inverse of Omega carries the rounding of 1 + B C:
@@ -288,8 +284,8 @@ class TestLimitScan:
         model = dyn.OscillatorModel(m=2.0, kappa=2.0)
         rows = sp.chi_limit_scan(model, 0.3, [1e-3, 1.7e-4, 3e-5], z0=[1.0, 0.0, 0.3, 0.8])
         for row in rows:
-            want = _mpmath_planar_frequencies(0.3, (row.epsilon**2 - 1.0) / 0.3, 2.0, 2.0)
-            assert rel_err([row.omega_plus, row.omega_minus], want) <= 1e-14
+            want = _mpmath_planar_frequencies(0.3, (row[0] ** 2 - 1.0) / 0.3, 2.0, 2.0)
+            assert rel_err(row[1:3], want) <= 1e-14
 
     def test_first_failing_row_is_named(self):
         # The batched pass fails as a whole; the error names the largest
@@ -319,10 +315,11 @@ ORACLE_TRIPLES = [(1.0, 1.0, 1.0), (0.7, 1.3, 2.0), (2.0, 2.0, 0.3)]
 def _oracle_error(m, kappa, B, row):
     """Relative error of a row's fast amplitude against the oracle at the
     float C = (eps^2 - 1)/B that the scan itself uses."""
-    C = (row.epsilon * row.epsilon - 1.0) / B
-    want, counter = cf.fast_q_coeffs_mpmath(m, kappa, B, row.epsilon, C)
+    eps, amplitude = row[0], row[4]
+    C = (eps * eps - 1.0) / B
+    want, counter = cf.fast_q_coeffs_mpmath(m, kappa, B, eps, C)
     assert counter <= 1e-40 * want
-    return abs(row.fast_amplitude - float(want)) / float(want)
+    return abs(amplitude - float(want)) / float(want)
 
 
 class TestLimitScanOracle:

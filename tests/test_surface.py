@@ -9,10 +9,9 @@ only from dead code, which the scan finds by dropping definitions until
 none drops.  A module outside the import closure of `ncphase.cli` is dead
 as a whole.
 
-A tolerance is a parameter of only two functions: `structure.regularity`,
-the one regular/degenerate decision, and the pivot check of
-`darboux.symplectic_gram_schmidt`.  Only those two raise `SingularOmega`,
-and only `constrained._rank` reads the chain's rank cutoff.
+A tolerance is a parameter of one function, `structure.regularity`, the
+one regular/degenerate decision.  Only it raises `SingularOmega`, and
+only `constrained._rank` reads the chain's rank cutoff.
 """
 
 import ast
@@ -134,10 +133,10 @@ def _named(node, name: str) -> bool:
             or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
-def test_tolerance_parameters_reach_two_functions():
+def test_tolerance_parameters_reach_one_function():
     sites = _sites(_trees(), lambda node: isinstance(node, FUNCTIONS + (ast.Lambda,))
                    and any("tol" in name for name in _parameters(node)))
-    assert sites == {"structure.regularity", "darboux.symplectic_gram_schmidt"}
+    assert sites == {"structure.regularity"}
 
 
 def test_only_rank_reads_the_rank_cutoff():
@@ -146,7 +145,7 @@ def test_only_rank_reads_the_rank_cutoff():
     assert sites == {"constrained._rank"}
 
 
-def test_singular_omega_is_raised_by_the_two_decisions():
+def test_singular_omega_is_raised_by_the_one_decision():
     sites = _sites(_trees(), lambda node: isinstance(node, ast.Call)
                    and _named(node.func, "SingularOmega"))
-    assert sites == {"structure.regularity", "darboux.symplectic_gram_schmidt"}
+    assert sites == {"structure.regularity"}
