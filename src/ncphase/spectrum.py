@@ -52,9 +52,9 @@ def ladder(freqs, hbar: float, nmax: int) -> SpectrumTable:
     # The frequencies are copied: matmul rounds a strided vector differently.
     with np.errstate(over="ignore", invalid="ignore"):
         energies = hbar * (ns + 0.5) @ np.array(freqs, dtype=float)
-    # lexsort's last key is the primary one: the order of sorted() on
-    # (energy, n) tuples.
-    order = np.lexsort(tuple(ns.T[::-1]) + (energies,))
+    # The rows of ns are in lexicographic order, so a stable sort on the
+    # energy gives the order of sorted() on (energy, n) tuples.
+    order = np.argsort(energies, kind="stable")
     return SpectrumTable(ns[order], energies[order], float(hbar),
                          tuple(float(f) for f in freqs))
 

@@ -11,12 +11,13 @@ blocks built out of one inverse of Psi = I - rG.eF (Phi = I - eF.rG is
 Psi^T for antisymmetric fields, so Phi^{-1} = Psi^{-T}).
 """
 
+import math
+
 import numpy as np
 
 from .errors import SingularOmega
 
 TOL_SINGULAR = 1e-10
-NEWTON_STEPS = 3  # extended-precision corrections of the float64 inverse seed
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 
 # 2D orientation: eps_{12} = +1.
@@ -132,24 +133,47 @@ def regularity(cfg: FieldConfig, tol_singular: float) -> float:
     return det_psi
 
 
-def _newton_inv(a_ld: np.ndarray) -> np.ndarray:
-    """Inverse of a longdouble matrix by LAPACK seed plus Newton correction.
+def _two_sum(a, b):
+    """``(s, err)`` with s = fl(a + b) and s + err = a + b exactly (Knuth),
+    elementwise, barring overflow."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
 
-    The seed is the float64 inverse of a D, D = diag(2^-k_j) with 2^k_j
-    near the largest |a_ij| of column j, scaled back as D inv(a D).  A
-    matrix whose entries overflow a double still gets a finite seed, and
-    one whose columns span more than the double range (the axial pair of
-    a huge N = 3 field beside its unit entry) one that is not singular.
-    Column powers of two keep LU's pivots, so any other matrix gets the
-    bits of the unscaled seed.
+
+def _dd_matmul(a, b, a_lo=None):
+    """``(hi, lo, ea, eb)`` with (a + a_lo) @ b = 2^ea_i (hi + lo)_ij 2^eb_j,
+    to within about 2 k^2 2^(c - 106) of the row scale times the column
+    scale (2^-63 at k = 50; about 2^-70 in practice).
+
+    Each row of ``a`` and each column of ``b`` is scaled by a power of two
+    to a largest entry in [0.5, 1), so no split below overflows, and split
+    at 2^c, c = ceil((53 + log2 k) / 2) + 1 for a contraction of length k
+    (Ozaki, Ogita, Oishi and Rump 2012).  The high parts are then multiples
+    of 2^(c - 53) no larger than 1, so every partial sum of their product
+    is a multiple of 2^(2c - 106) below 2^(2c - 55): BLAS sums ``hi``
+    exactly, in any order.  The cross terms go through BLAS in float64, and
+    ``a_lo`` (a low part of ``a``) with them.
     """
-    k = np.frexp(np.abs(a_ld).max(axis=0))[1]
-    x = np.ldexp(np.linalg.inv(np.ldexp(a_ld, -k).astype(float)).astype(np.longdouble),
-                 -k[:, None])
-    ident = np.eye(a_ld.shape[0], dtype=np.longdouble)
-    for _ in range(NEWTON_STEPS):
-        x = x + x @ (ident - a_ld @ x)
-    return x
+    # A subnormal line keeps a scale of at most 2^1000, which is finite.
+    ea = np.maximum(np.frexp(np.abs(a).max(axis=1))[1], -1000)
+    eb = np.maximum(np.frexp(np.abs(b).max(axis=0))[1], -1000)
+    row = np.ldexp(1.0, -ea)[:, None]
+    a = a * row
+    b = b * np.ldexp(1.0, -eb)
+    sigma = 2.0 ** (math.ceil((53 + math.log2(a.shape[1])) / 2) + 1)
+    a_hi = (a + sigma) - sigma
+    b_hi = (b + sigma) - sigma
+    a -= a_hi
+    if a_lo is not None:
+        a += a_lo * row
+    return a_hi @ b_hi, a_hi @ (b - b_hi) + a @ b, ea, eb
+
+
+def _antisymmetric_part(hi, lo):
+    """hi + lo - (hi + lo)^T of a double-double, rounded once."""
+    s, e = _two_sum(hi, -hi.T)
+    return s + (e + (lo - lo.T))
 
 
 def poisson_matrix(cfg: FieldConfig) -> np.ndarray:
@@ -157,24 +181,60 @@ def poisson_matrix(cfg: FieldConfig) -> np.ndarray:
 
     Block layout: qq = -Psi^{-1} rG, qp = +Psi^{-1}, pq = -Psi^{-T},
     pp = +Psi^{-T} eF, from one inverse of Psi (Phi^{-1} = Psi^{-T}).
-    Products and the inverse are carried in extended precision before the
-    final rounding: near the admissible singularity the entries of Lambda
-    amplify the formation rounding of Psi quadratically, which would
-    otherwise dominate the result.  The output is cross-checked against a
-    dense inversion of Omega and antisymmetrized.  Whether Lambda exists
-    is the caller's decision, by `regularity`.
+    Near the admissible singularity the entries of Lambda amplify the
+    formation rounding of Psi quadratically, so every product is a
+    double-double, from error-free split products in BLAS (`_dd_matmul`).
+    Psi is formed as a double-double; the LAPACK inverse of its float64
+    rounding takes one Newton step, whose residual is a double-double, and
+    the correction stays as the inverse's low part.  The blocks and their
+    antisymmetric average are double-doubles, rounded to float64 once.
+
+    Psi^{-1} is carried as D Y with D = diag(2^-k), 2^k bounding the
+    largest term of each column of Psi, and D is applied by exponent
+    arithmetic.  So a Psi whose entries overflow a double (chi = 1 + B C
+    beyond 1e308), or whose columns span more than the double range, still
+    gives its blocks.  Every scale is a power of two taken from the data,
+    so rescaling q and p by powers of two rescales Lambda bit for bit.  The
+    output is cross-checked against a dense inversion of Omega.  Whether
+    Lambda exists is the caller's decision, by `regularity`.
     """
-    eF = cfg.eF.astype(np.longdouble)
-    rG = cfg.rG.astype(np.longdouble)
-    psi_inv = _newton_inv(np.eye(cfg.N, dtype=np.longdouble) - rG @ eF)
-    lam_ld = np.block([
-        [-psi_inv @ rG, psi_inv],
-        [-psi_inv.T, psi_inv.T @ eF],
-    ])
-    lam = (0.5 * (lam_ld - lam_ld.T)).astype(float)
+    N = cfg.N
+    eF, rG = cfg.eF, cfg.rG
+    lam = np.empty((2 * N, 2 * N))
+    # A non-finite product is refused by the cross-check below, so numpy's
+    # warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Psi D = D - rG eF D, k_j the exponent of the largest term of
+        # column j of I - rG eF.
+        hi, lo, ea, eb = _dd_matmul(rG, eF)
+        # A zero term does not count: -(1 << 20) is below every exponent.
+        top = np.where(hi == 0, -(1 << 20), np.frexp(hi)[1] + ea[:, None]).max(axis=0)
+        k = np.maximum(top + eb, 1)
+        shift = ea[:, None] + (eb - k)
+        psi_hi, psi_lo = _two_sum(-np.ldexp(hi, shift), -np.ldexp(lo, shift))
+        diag = np.diag_indices(N)
+        s, e = _two_sum(np.ldexp(1.0, -k), psi_hi[diag])
+        psi_hi[diag], psi_lo[diag] = _two_sum(s, e + psi_lo[diag])
+
+        # Y = (Psi D)^{-1} = y0 + y_lo: the LAPACK seed and one Newton step.
+        y0 = np.linalg.inv(psi_hi)
+        hi, lo, ea, eb = _dd_matmul(psi_hi, y0, psi_lo)
+        shift = ea[:, None] + eb
+        y_lo = y0 @ ((np.eye(N) - np.ldexp(hi, shift)) - np.ldexp(lo, shift))
+
+        # Psi^{-1} rG = D Y rG is -qq^T, and pp = Psi^{-T} eF = Y^T (D eF);
+        # both are halved for the average.
+        hi, lo, ea, eb = _dd_matmul(y0, rG, y_lo)
+        shift = (ea - k - 1)[:, None] + eb
+        lam[:N, :N] = _antisymmetric_part(np.ldexp(hi, shift).T, np.ldexp(lo, shift).T)
+        hi, lo, ea, eb = _dd_matmul(y0.T, np.ldexp(eF, -k[:, None]), y_lo.T)
+        shift = (ea - 1)[:, None] + eb
+        lam[N:, N:] = _antisymmetric_part(np.ldexp(hi, shift), np.ldexp(lo, shift))
+        lam[:N, N:] = np.ldexp(y0 + y_lo, -k[:, None])
+        lam[N:, :N] = -lam[:N, N:].T
 
     # The error is relative to the dense inverse: a Lambda lost to overflow
-    # (all zero once chi = 1 + B C overflows) is refused, and so is a NaN.
+    # is refused, and so is a NaN.
     dense = -np.linalg.inv(build_omega(cfg))
     with np.errstate(invalid="ignore", divide="ignore"):
         err = np.abs(lam - dense).max() / np.abs(dense).max()

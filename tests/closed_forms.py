@@ -30,7 +30,8 @@ def refined_inv(a) -> np.ndarray:
 
     Newton steps with extended-precision residuals remove the usual
     eps * cond forward-error floor of a LAPACK inverse.  The loop is this
-    module's own, so it does not share a fault with `structure._newton_inv`.
+    module's own, in extended precision rather than double-double, so it
+    does not share a fault with `structure.poisson_matrix`.
     """
     a = np.asarray(a, dtype=np.longdouble)
     x = np.linalg.inv(a.astype(float)).astype(np.longdouble)

@@ -198,25 +198,38 @@ class TestPoissonMatrix:
 
 
 class TestLambdaOracle:
-    """`poisson_matrix` against a 60-digit mpmath -Omega^{-1}.
+    """`poisson_matrix` against an mpmath -Omega^{-1}, rounded once.
 
     A float64 dense inverse is off by 5.6e-12 relative at planar
-    chi = 1e-5, so the 2e-15 bound fails if the extended precision is lost.
+    chi = 1e-5, so the 2e-15 bound fails unless Psi, its inverse and the
+    blocks are carried beyond float64.  They are carried as double-doubles
+    built from float64 alone, so the bound also holds where `np.longdouble`
+    is float64 (MSVC, macOS arm64).  The random configs at N = 20 have the
+    entry scale of the benchmark's generic fields; the split products'
+    bit budget grows with the contraction length.
     """
 
     BOUND = 2e-15
+    CHI_GRID = [1e-2, 1e-3, 1e-4, 3e-5, 1e-5]
+    B_GRID = [0.3, 1.0, 3.0, -2.0]
 
     @staticmethod
-    def rel_error(cfg):
-        ref = cf.lambda_mpmath(cfg)
+    def rel_error(cfg, dps=60):
+        ref = cf.lambda_mpmath(cfg, dps)
         return np.abs(st.poisson_matrix(cfg) - ref).max() / np.abs(ref).max()
 
-    @pytest.mark.parametrize("chi", [1e-2, 1e-3, 1e-4, 3e-5, 1e-5])
-    @pytest.mark.parametrize("b", [0.3, 1.0, 3.0, -2.0])
+    @pytest.mark.parametrize("chi", CHI_GRID)
+    @pytest.mark.parametrize("b", B_GRID)
     def test_planar_near_the_singularity(self, chi, b):
         # det Psi = chi^2 is 1e-10 at chi = 1e-5, at the default tolerance.
         cfg = st.field_config_n2(b, (chi - 1.0) / b)
         assert self.rel_error(cfg) <= self.BOUND
+
+    def test_planar_grid_where_longdouble_is_float64(self, monkeypatch):
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        worst = max(self.rel_error(st.field_config_n2(b, (chi - 1.0) / b))
+                    for chi in self.CHI_GRID for b in self.B_GRID)
+        assert worst <= self.BOUND
 
     def test_random_fields(self):
         rng = np.random.RandomState(15)
@@ -227,6 +240,18 @@ class TestLambdaOracle:
                 continue
             produced += 1
             assert self.rel_error(cfg) <= self.BOUND
+
+    @pytest.mark.parametrize("seed", [20, 21])
+    def test_benchmark_sized_fields(self, seed):
+        # Entries of standard deviation 0.3 / sqrt(N), det Psi in [0.5, 2].
+        N = 20
+        rng = np.random.default_rng(seed)
+        while True:
+            eF, rG = (np.triu(rng.normal(0.0, 0.3 / np.sqrt(N), (N, N)), 1) for _ in range(2))
+            cfg = st.FieldConfig(N, eF - eF.T, rG - rG.T)
+            if 0.5 <= st.regularity(cfg, 0.0) <= 2.0:
+                break
+        assert self.rel_error(cfg, dps=50) <= self.BOUND
 
 
 class TestBracket:

@@ -11,7 +11,8 @@ as a whole.
 
 A tolerance is a parameter of one function, `structure.regularity`, the
 one regular/degenerate decision.  Only it raises `SingularOmega`, and
-only `constrained._rank` reads the chain's rank cutoff.
+only `constrained._rank` reads the chain's rank cutoff.  No module names
+`np.longdouble`, which is float64 on some platforms.
 """
 
 import ast
@@ -149,3 +150,10 @@ def test_singular_omega_is_raised_by_the_one_decision():
     sites = _sites(_trees(), lambda node: isinstance(node, ast.Call)
                    and _named(node.func, "SingularOmega"))
     assert sites == {"structure.regularity"}
+
+
+def test_no_module_names_longdouble():
+    # np.longdouble is float64 on MSVC and macOS arm64; the extended
+    # precision of `structure.poisson_matrix` is double-double in float64.
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if "longdouble" in p.read_text(encoding="utf-8")] == []
