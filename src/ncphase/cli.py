@@ -398,7 +398,7 @@ def cmd_darboux(rc: RunConfig, args) -> tuple:
         elif n3 is not None:
             dmap, route = darboux.darboux_n3(*n3), "closed-n3"
     except NegativeChi:
-        note = "chi < 0: routed to the generic orthogonalization"
+        note = "chi < 0: routed to the generic skew factorization"
     # The generic map cross-checks a closed form, or is the map.
     generic = darboux.darboux_generic(omega)
     if dmap is None:
@@ -418,34 +418,40 @@ def cmd_darboux(rc: RunConfig, args) -> tuple:
     return EXIT_OK, report
 
 
-def _simulate_rows(rc: RunConfig):
+def _chain(rc: RunConfig) -> constrained.ConstraintChain:
+    """The flow of a field config, by the one regularity decision: the
+    one-stage chain of `dynamics.flow_matrix`, or the model's constraint chain."""
     cfg, model = _require(rc.cfg, "a field section"), _require(rc.model, "a model")
-    z0 = _require(rc.state, "an initial state")
-    if (rc.t_final / rc.dt + 1) * 2 * cfg.N > MAX_STATE_VALUES:
-        raise ConfigError(
-            f"t_final/dt = {rc.t_final / rc.dt:.3g} steps at N = {cfg.N} exceeds "
-            f"the cap of {MAX_STATE_VALUES} state values (rows x 2N)"
-        )
-    steps = int(round(rc.t_final / rc.dt))
-    N = cfg.N
-    header = ["t"] + [f"q{i+1}" for i in range(N)] + [f"p{i+1}" for i in range(N)] + ["H"]
     try:
         structure.regularity(cfg, rc.tol_singular)
     except SingularOmega:
+        return constrained.gnh_from_model(cfg, model)
+    return constrained.ConstraintChain(2 * cfg.N, *dynamics.flow_matrix(cfg, model))
+
+
+def _simulate_rows(rc: RunConfig):
+    z0, N = _require(rc.state, "an initial state"), rc.N
+    if (rc.t_final / rc.dt + 1) * 2 * N > MAX_STATE_VALUES:
+        raise ConfigError(
+            f"t_final/dt = {rc.t_final / rc.dt:.3g} steps at N = {N} exceeds "
+            f"the cap of {MAX_STATE_VALUES} state values (rows x 2N)"
+        )
+    steps = int(round(rc.t_final / rc.dt))
+    header = ["t"] + [f"q{i+1}" for i in range(N)] + [f"p{i+1}" for i in range(N)] + ["H"]
+    chain = _chain(rc)
+    if chain.constraints is None:
+        last, observe = "Lambda3", lambda zs: darboux.lambda3(rc.cfg, zs)
+    else:
         # Presymplectic: the flow of the terminal constraint stage.
-        chain = constrained.gnh_from_model(cfg, model)
         residual = chain.constraints.residual(z0)
         if residual > OFF_CONSTRAINT_TOL * max(1.0, np.abs(z0).max()):
             raise OffConstraint(
                 f"initial state violates the constraints (residual {residual:.3e})")
-        M, k = chain.reduced_flow, chain.flow_offset
         last, observe = "constraint_residual", chain.constraints.residual
-    else:
-        M, k = dynamics.flow_matrix(cfg, model)
-        last, observe = "Lambda3", lambda zs: darboux.lambda3(cfg, zs)
-    states = dynamics.affine_flow(M, k, z0, rc.dt, steps, rc.method)
+    states = dynamics.affine_flow(chain.reduced_flow, chain.flow_offset, z0, rc.dt, steps,
+                                  rc.method)
     column = observe(states)
-    columns = [rc.dt * np.arange(steps + 1), states, model.hamiltonian(states)]
+    columns = [rc.dt * np.arange(steps + 1), states, rc.model.hamiltonian(states)]
     if column is not None:
         header.append(last)
         columns.append(column)
@@ -515,31 +521,21 @@ def cmd_limit_scan(rc: RunConfig, args) -> tuple:
 
 
 def cmd_reduce(rc: RunConfig, args) -> tuple:
-    if rc.problem is not None:
-        omega = rc.problem["omega"]
-        hess = rc.problem["hessian"]
-        grad = rc.problem["gradient"]
-    else:
-        cfg, model = _require(rc.cfg, "a field section"), _require(rc.model, "a model")
-        omega = structure.build_omega(cfg)
-        hess = model.hessian(cfg.N)
-        grad = model.gradient_offset(cfg.N)
-
+    code = EXIT_OK
     try:
-        chain = constrained.gnh_chain(omega, hess, grad)
-        code = EXIT_OK
+        if rc.problem is None:
+            chain = _chain(rc)
+        else:
+            chain = constrained.gnh_chain(*map(rc.problem.get, ("omega", "hessian", "gradient")))
     except InconsistentSystem as exc:
-        chain = exc.chain
-        code = EXIT_INCONSISTENT
+        chain, code = exc.chain, EXIT_INCONSISTENT
 
     eigen = chain.terminal_eigenvalues() if chain.reduced_flow is not None else np.array([])
+    matrix, offset = chain.constraints or ([], [])
     report = {
         "status": chain.status,
         "dimensions": chain.dimensions,
-        "constraints": {
-            "matrix": chain.constraints.matrix if chain.constraints else [],
-            "offset": chain.constraints.offset if chain.constraints else [],
-        },
+        "constraints": {"matrix": matrix, "offset": offset},
         "terminal_flow": chain.reduced_flow,
         "flow_offset": chain.flow_offset,
         "eigenvalues": {"real": eigen.real, "imag": eigen.imag},

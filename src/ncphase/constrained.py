@@ -62,9 +62,12 @@ class ConstraintChain:
     __slots__ = ("subspaces", "constraints", "reduced_flow", "flow_offset",
                  "gauge_basis", "status")
 
-    def __init__(self):
-        self.subspaces = []
-        self.constraints = self.reduced_flow = self.flow_offset = self.gauge_basis = None
+    def __init__(self, n: int, flow=None, offset=None):
+        """Stage one, the whole n-space.  With the flow (M, k) of an invertible
+        Omega it is the whole chain: no constraints (None), no gauge freedom."""
+        self.subspaces = [np.eye(n)]
+        self.constraints, self.reduced_flow, self.flow_offset = None, flow, offset
+        self.gauge_basis = None if flow is None else np.zeros((n, 0))
         self.status = "consistent"
 
     @property
@@ -102,9 +105,8 @@ def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient) -> Constrain
     g = np.asarray(h_gradient, dtype=float)
     n = omega.shape[0]
 
-    chain = ConstraintChain()
+    chain = ConstraintChain(n)
     aug = np.zeros((0, n + 1))  # rows [A | b] of the affine constraints A z + b = 0
-    chain.subspaces.append(np.eye(n))
 
     # A consistent stage adds at least one row to [A | b], and A has at most
     # n independent rows, so the chain closes within n + 1 passes.

@@ -278,13 +278,13 @@ class TestDarboux:
 
 class TestOneRegularityDecision:
     """`structure.regularity` is the one regular/degenerate decision of a
-    field config: each of `brackets`, `darboux`, `simulate` and `spectrum`
-    asks it once per run and takes the route it gives."""
+    field config: each of `brackets`, `darboux`, `simulate`, `spectrum` and
+    `reduce` asks it once per run and takes the route it gives."""
 
     CHIS = (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5, 1e-3, -1e-3)
 
     @staticmethod
-    def singular_route(tmp_path, capsys, command, path):
+    def singular_route(tmp_path, capsys, command, path, fields):
         out = tmp_path / f"{command}.out"
         out.unlink(missing_ok=True)
         code = run([command, "--config", path, "--out", str(out)])
@@ -297,7 +297,23 @@ class TestOneRegularityDecision:
             return json.loads(text)["status"] == "singular"
         if command == "simulate":
             return text.split("\n", 1)[0].endswith(",constraint_residual")
-        return json.loads(text)["kind"] == "degenerate-ladder"
+        if command == "spectrum":
+            return json.loads(text)["kind"] == "degenerate-ladder"
+        # Near chi = 0 the degenerate chain may find no constraint row, so
+        # the route shows in the flow: the regular one is what `simulate`
+        # steps, that of `dynamics.flow_matrix`, bit for bit.
+        rep = json.loads(text)
+        try:
+            want = dynamics.flow_matrix(fields, UNIT)
+        except (ArithmeticError, np.linalg.LinAlgError):  # no Lambda at chi = 0
+            return True
+        if not (np.array_equal(rep["terminal_flow"], want[0])
+                and np.array_equal(rep["flow_offset"], want[1])):
+            return True
+        n = 2 * fields.N
+        assert (rep["dimensions"], rep["gauge_dimension"], rep["constraints"]) == (
+            [n], 0, {"matrix": [], "offset": []})
+        return False
 
     @pytest.mark.parametrize("tol", [None, 1e-6, 1e-16])
     @pytest.mark.parametrize("n", [2, 3])
@@ -314,15 +330,17 @@ class TestOneRegularityDecision:
         for chi in self.CHIS:
             field = ({"B": 1.0, "C": -1.0 + chi} if n == 2 else
                      {"Bvec": [0.0, 0.0, 1.0], "Cvec": [0.0, 0.0, -1.0 + chi]})
+            fields = (structure.field_config_n2(**field) if n == 2 else
+                      structure.field_config_n3(**field))
             cfg = dict(BASE, N=n, field=field, state=[0.0] * (2 * n),
                        time={"t_final": 1.0, "dt": 0.5})
             if tol is not None:
                 cfg["tolerances"] = {"singular": tol}
             path = write_config(tmp_path, cfg)
             routes[chi] = set()
-            for command in ("brackets", "darboux", "simulate", "spectrum"):
+            for command in ("brackets", "darboux", "simulate", "spectrum", "reduce"):
                 calls.clear()
-                routes[chi].add(self.singular_route(tmp_path, capsys, command, path))
+                routes[chi].add(self.singular_route(tmp_path, capsys, command, path, fields))
                 assert len(calls) == 1, (command, chi, len(calls))
         assert all(len(seen) == 1 for seen in routes.values()), routes
         # Both routes are taken on the grid, chi = 0 singular and 1e-3 not.
@@ -1225,20 +1243,22 @@ class TestReduce:
         assert rep["status"] == "inconsistent"
 
 
-    def test_rank_loss_in_chain_exits_instead_of_looping(self, tmp_path):
+    def test_rank_loss_in_chain_exits_instead_of_looping(self, tmp_path, capsys):
         # The relative SVD cutoff dropped rows of the accumulated constraints
         # once the new rows reached ~1e184, so the chain alternated between
-        # row counts and never closed, growing without bound.
-        cfg = dict(BASE, field={"B": 1e200, "C": 1.0}, model={"m": 1.0, "kappa": 1e200})
+        # row counts and never closed, growing without bound.  The Omega and
+        # Hessian are those of B = 1e200, C = 1, kappa = 1e200, a regular
+        # field that `reduce` takes to the one-stage chain; as a problem
+        # block they still go through the chain.
+        model = dynamics.OscillatorModel(m=1.0, kappa=1e200)
+        cfg = {"schema_version": 1, "N": 2, "problem": {
+            "omega": structure.build_omega(structure.field_config_n2(1e200, 1.0)).tolist(),
+            "hessian": model.hessian(2).tolist(), "gradient": [0.0] * 4}}
         path = write_config(tmp_path, cfg)
         out = tmp_path / "red.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "ncphase.cli", "reduce", "--config", path,
-             "--out", str(out)],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == cli.EXIT_SINGULAR
-        assert proc.stderr.startswith("ncphase: numerical failure: constraint rows lost rank")
+        assert run(["reduce", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
+        err = capsys.readouterr().err
+        assert err.startswith("ncphase: numerical failure: constraint rows lost rank (2 -> 1)")
         assert not out.exists()
 
 

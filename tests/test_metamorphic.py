@@ -14,17 +14,21 @@ outputs are known from the first run's, at any N, with no closed form:
   D = diag(I / a, a I), and `spectrum` the same frequencies, both bit for
   bit, with det Psi unchanged.  `simulate` may differ in rounding only,
   because the Pade degree of the propagator follows the norm of M dt.
+  `B = 2^k, C = 2^-k` is `B = C = 1` so rescaled, regular at every k:
+  `brackets`, `darboux`, `spectrum` and `reduce` must take one route.
 
 Each run goes through `cli.main`, in process, on a written config.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from ncphase import cli
@@ -196,12 +200,40 @@ def test_power_of_two_rescaling_maps_trajectories(seed, n, k):
         <= tol * np.abs(rows[:, 2 * n + 1]).max()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=20, deadline=None)
+@given(hst.integers(-1000, 1000))
+@example(18)
+@example(-18)
+@example(34)
+@example(-34)
+@example(996)
+@example(-996)
+def test_power_of_two_fields_take_one_route(k):
+    # B = 2^k, C = 2^-k has chi = 2 and det Psi = 4, exactly, at every k,
+    # with m = kappa = 1 or 2^k.  The four subcommands must agree on the
+    # route, with nothing on stderr.
+    a2 = 2.0 ** k
+    for m in (1.0, a2):
+        config = {"schema_version": 1, "N": 2, "field": {"B": a2, "C": 1.0 / a2},
+                  "model": {"m": m, "kappa": m}}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            brackets = json.loads(_run("brackets", config)[1])["status"] == "ok"
+            darboux = _run("darboux", config)[0] == cli.EXIT_OK
+            spectrum = _report("spectrum", config, "--nmax", "0")["kind"] == "normal-modes"
+            rep = _report("reduce", config)
+        reduce = (rep["dimensions"], rep["gauge_dimension"]) == ([4], 0)
+        assert err.getvalue() == ""
+        assert brackets == darboux == spectrum == reduce, (m, brackets, darboux, spectrum, reduce)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the eigenvalues of the unbalanced flow")
 @pytest.mark.parametrize("k", [996, -996])
 def test_rescaled_reduce_keeps_its_report(k):
-    # B = 2^k, C = 2^-k is B = C = 1 rescaled by a^2 = 2^k: chi = 2 and the
-    # chain is that of a regular Omega.  The relative singular-value cutoff
-    # of `reduce` sees the spread of the rescaled Omega instead.
+    # B = 2^k, C = 2^-k is B = C = 1 rescaled by a^2 = 2^k: chi = 2, and
+    # `reduce` reports the one-stage chain of a regular Omega, as at k = 0.
+    # `np.linalg.eigvals` of the unbalanced flow gives +-0.5i, not +-0.7071i.
     def report(k):
         a2 = 2.0 ** k
         return _report("reduce", {"schema_version": 1, "N": 2,
