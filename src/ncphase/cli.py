@@ -6,6 +6,7 @@ constraint system, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -98,11 +99,12 @@ _FIELD_FORMS = {
 def _check_numbers(value, where: str):
     """Refuse anything but a JSON number, or nested lists of them, at
     ``where``: numpy's float conversion would take "1.5", "nan", null and
-    true.  A list of numbers costs one call, not one per entry."""
+    true.  A flat list of numbers costs one scan of its item types, not a
+    call per entry."""
     if type(value) in (int, float):  # bool is a subclass of int, not int
         return
     if type(value) is list:
-        if not all(type(item) in (int, float) for item in value):
+        if not set(map(type, value)) <= {int, float}:
             for i, item in enumerate(value):
                 _check_numbers(item, f"{where}[{i}]")
         return
@@ -544,6 +546,7 @@ def cmd_reduce(rc: RunConfig, args) -> tuple:
     return code, report
 
 
+@functools.cache  # built once per process: later `main` calls only parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncphase",

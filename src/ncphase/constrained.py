@@ -11,6 +11,7 @@ stage adds the rows along which the combined system
 fails to be solvable, and stops when no new independent row appears.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -75,11 +76,23 @@ class ConstraintChain:
         return [b.shape[1] for b in self.subspaces]
 
     def terminal_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the flow restricted to the terminal direction space."""
+        """Eigenvalues of the flow restricted to the terminal direction space.
+
+        The flow M of a one-stage chain is balanced first, when the exponents
+        of its qp and pq blocks differ by more than 40: `eigvals` of D M D^-1,
+        D = diag(2^t I, 2^-t I), a similarity exact in binary.  Unbalanced,
+        `B = 2^996, C = 2^-996, m = kappa = 2^996` gives +-0.5i for +-0.7071i."""
         v = self.subspaces[-1]
         if v.shape[1] == 0:
             return np.array([], dtype=complex)
         restricted = v.T @ self.reduced_flow @ v
+        if self.constraints is None:
+            n = len(restricted) // 2
+            e = (math.frexp(np.abs(restricted[n:, :n]).max())[1]
+                 - math.frexp(np.abs(restricted[:n, n:]).max())[1])
+            if abs(e) > 40:
+                t = np.repeat([e // 4, -(e // 4)], n)
+                restricted = np.ldexp(restricted, t[:, None] - t)
         ev = np.linalg.eigvals(restricted)
         return ev[np.lexsort((ev.real, ev.imag))]
 

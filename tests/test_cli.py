@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -1358,6 +1359,109 @@ for path in {paths!r}:
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestOneParserPerProcess:
+    """`cli.build_parser` is cached: a process builds its argparse tree once,
+    and later `main` calls only parse.  A freshly built parser,
+    `build_parser.__wrapped__()`, is what every call used before."""
+
+    def test_two_calls_build_no_new_parser(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, BASE)
+        argv = ["brackets", "--config", path, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_OK
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert cli.main(argv) == cli.main(argv) == cli.EXIT_OK
+        assert built == []  # a fresh build is 7 parsers: the top level and six subcommands
+        cli.build_parser.__wrapped__()
+        assert len(built) == 7
+
+    @pytest.mark.parametrize("first", [["spectrum", "--nmax", "2"],
+                                       ["limit-scan", "--points", "3"]])
+    def test_the_cached_parser_keeps_no_state(self, tmp_path, monkeypatch, first):
+        # The same subcommand with its defaults, after a call that set them.
+        path = write_config(tmp_path, BASE)
+        then, argv = first[:1], [first[0], "--config", path]
+
+        def output(command):
+            out = tmp_path / "out"
+            assert cli.main(command[:1] + ["--config", path, "--out", str(out)]
+                            + command[1:]) == cli.EXIT_OK
+            return out.read_text()
+
+        changed = output(first)
+        cached_args, cached = cli.build_parser().parse_args(argv), output(then)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert vars(cached_args) == vars(cli.build_parser().parse_args(argv))
+        assert cached == output(then) != changed
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["nope"],
+        ["--help"],
+        ["spectrum", "--help"],
+        ["brackets"],
+        ["brackets", "--config", "cfg.json", "--extra"],
+        ["spectrum", "--config", "cfg.json", "--nmax", "x"],
+    ])
+    def test_usage_and_errors_match_a_fresh_parser(self, capsys, monkeypatch, argv):
+        def outcome():
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            return (exc.value.code, *capsys.readouterr())
+
+        cached = [outcome(), outcome()]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cached == [outcome()] * 2
+        assert cached[0][0] == (0 if "--help" in argv else 2)
+
+
+def _check_numbers_oracle(value, where):
+    """`cli._check_numbers` as it was, with a Python generator over a list's
+    items in place of one scan of their types."""
+    if type(value) in (int, float):
+        return
+    if type(value) is list:
+        if not all(type(item) in (int, float) for item in value):
+            for i, item in enumerate(value):
+                _check_numbers_oracle(item, f"{where}[{i}]")
+        return
+    raise cli.ConfigError(f"{where} must be a JSON number, got {json.dumps(value)}")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**1100, 2**1100)
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=2), inner,
+                                                                  max_size=2),
+    max_leaves=20)
+
+
+def _refusal(check, value):
+    try:
+        check(value, "x")
+    except cli.ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example([[1, 2.5], [0, True]])
+@example([1.0, None, "1.5"])
+@example([[0.0, [1, {"a": 1}]]])
+@example([10**400, float("nan"), -float("inf")])
+@example([[1, 2], [3, False], [None]])
+@example(True)
+def test_check_numbers_matches_its_generator_oracle(value):
+    assert _refusal(cli._check_numbers, value) == _refusal(_check_numbers_oracle, value)
 
 
 def _json_oracle(obj) -> str:

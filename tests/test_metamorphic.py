@@ -41,6 +41,12 @@ from ncphase import cli
 # the propagator of the rescaled flow D M D^-1 rounds relative to its
 # norm, up to a^2 times that of M.  The bounds leave a factor of 15 or more.
 ROTATION_TOL = 1e-12
+# The rotated rows may also differ by this multiple of the gap that the
+# rounding of the rotated input alone makes, measured per draw by rotating
+# forth and back.  Over 60 random draws the rotation gap was at most 3.7
+# times that gap (both near 1e-15), and at most 0.52 times it wherever it
+# exceeded 1e-14 relative; at seed 922 it is 0.41 times.
+INPUT_ROUNDING_FACTOR = 4.0
 RESCALING_TOL = 1e-13  # times a^2
 
 SEEDS = hst.integers(0, 2**32 - 1)
@@ -131,16 +137,26 @@ def test_rotation_maps_brackets_and_spectrum(seed, n):
 
 @settings(max_examples=10, deadline=None)
 @given(SEEDS, DIMENSIONS)
+@example(seed=922, n=6)
 def test_rotation_maps_trajectories(seed, n):
+    # The rotated config carries one rounding of R eF R^T, R rG R^T and D z0,
+    # and the exact flow can amplify it (at seed 922: det Psi = 0.0175,
+    # cond(Omega) = 473, rows off by 1.3e-12 relative).  Rotating forth and
+    # back, R^T (R eF R^T) R, makes the same rounding with no net rotation:
+    # the rows of that config measure the gap the input rounding alone makes.
     eF, rG, m, kappa, z0 = _problem(seed, n)
     R = _rotation(seed, n)
     D = np.kron(np.eye(2), R)
     rows = _rows(_config(eF, rG, m, kappa, z0))
-    rows_turned = _rows(_rotated(R, eF, rG, m, kappa, z0))
+    turned = _rotated(R, eF, rG, m, kappa, z0)
+    rows_turned = _rows(turned)
+    rows_back = _rows(_rotated(R.T, *(np.array(turned["field"][key]) for key in ("eF", "rG")),
+                               m, kappa, np.array(turned["state"])))
     scale = np.abs(rows[:, 1:2 * n + 1]).max()
+    rounding = np.abs(rows_back[:, 1:2 * n + 1] - rows[:, 1:2 * n + 1]).max()
     assert np.array_equal(rows_turned[:, 0], rows[:, 0])
     assert np.abs(rows_turned[:, 1:2 * n + 1] - rows[:, 1:2 * n + 1] @ D.T).max() \
-        <= ROTATION_TOL * scale
+        <= ROTATION_TOL * scale + INPUT_ROUNDING_FACTOR * rounding
     assert np.abs(rows_turned[:, 2 * n + 1] - rows[:, 2 * n + 1]).max() \
         <= ROTATION_TOL * np.abs(rows[:, 2 * n + 1]).max()
 
@@ -228,7 +244,6 @@ def test_power_of_two_fields_take_one_route(k):
         assert brackets == darboux == spectrum == reduce, (m, brackets, darboux, spectrum, reduce)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the eigenvalues of the unbalanced flow")
 @pytest.mark.parametrize("k", [996, -996])
 def test_rescaled_reduce_keeps_its_report(k):
     # B = 2^k, C = 2^-k is B = C = 1 rescaled by a^2 = 2^k: chi = 2, and
