@@ -252,19 +252,19 @@ def load_config(path: str) -> RunConfig:
 
 
 def _write_atomic(path: str | None, chunks):
-    """Write the strings of ``chunks`` in order, to stdout or to ``path``.
+    """Write the bytes of ``chunks`` in order, to stdout or to ``path``.
 
     A file is written to a temp file and renamed, so a failure, also one
     raised while ``chunks`` is being produced, leaves no partial file.
     """
     if path is None:
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()  # a closed pipe raises here, inside `main`
+        sys.stdout.buffer.writelines(chunks)
+        sys.stdout.buffer.flush()  # a closed pipe raises here, inside `main`
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ncphase-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -273,19 +273,19 @@ def _write_atomic(path: str | None, chunks):
         raise
 
 
-def _json_text(obj) -> str:
+def _json_text(obj) -> bytes:
     """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
 
     With an indent set, CPython's json module encodes in pure Python; this
-    writer builds the same layout from joined strings.  Floats are written
-    by ``float.__repr__``, ints by ``int.__repr__`` and strings by json's C
-    ASCII escaper.  A float64 ndarray is written as its ``tolist()`` would
-    be; the values of all of them are encoded by `g17` in one call.  A
-    non-finite float raises ArithmeticError, where json would write NaN or
-    Infinity.
+    writer builds the same layout from joined strings, encoded once.  Floats
+    are written by ``float.__repr__``, ints by ``int.__repr__`` and strings
+    by json's C ASCII escaper.  A float64 ndarray is written as its
+    ``tolist()`` would be; the values of all of them are encoded by `g17` in
+    one call.  A non-finite float raises ArithmeticError, where json would
+    write NaN or Infinity.
     """
     arrays = []
-    parts = _layout(obj, "", arrays).split("\0")
+    parts = _layout(obj, "", arrays).encode("ascii").split(b"\0")
     if not arrays:
         return parts[0]
     # The byte after each value: 1 in a row, 2 at the end of a matrix row,
@@ -295,18 +295,20 @@ def _json_text(obj) -> str:
         end[..., -1] = 2
         end.reshape(-1)[-1] = 3
     texts = g17.repr_text(np.concatenate([arr.reshape(-1) for arr, _ in arrays]),
-                          np.concatenate([end.reshape(-1) for end in ends])).split("\3")
+                          np.concatenate([end.reshape(-1) for end in ends])).split(b"\3")
     out = [parts[0]]
     for (arr, indent), text, part in zip(arrays, texts, parts[1:]):
-        inner = indent + "  "
+        indent = indent.encode("ascii")
+        inner = indent + b"  "
         if arr.ndim == 2:  # a list of rows, each laid out one level in
-            row = inner + "  "
-            text = ("[\n" + row + text.replace("\1", ",\n" + row)
-                    .replace("\2", "\n" + inner + "],\n" + inner + "[\n" + row) + "\n" + inner + "]")
+            row = inner + b"  "
+            text = (b"[\n" + row + text.replace(b"\1", b",\n" + row)
+                    .replace(b"\2", b"\n" + inner + b"],\n" + inner + b"[\n" + row)
+                    + b"\n" + inner + b"]")
         else:
-            text = text.replace("\1", ",\n" + inner)
-        out += ["[\n" + inner + text + "\n" + indent + "]", part]
-    return "".join(out)
+            text = text.replace(b"\1", b",\n" + inner)
+        out += [b"[\n" + inner + text + b"\n" + indent + b"]", part]
+    return b"".join(out)
 
 
 def _layout(obj, indent: str, arrays: list) -> str:
@@ -467,7 +469,8 @@ def cmd_simulate(rc: RunConfig, args) -> tuple:
         raise NonFiniteOutput("non-finite trajectory (overflow or invalid arithmetic "
                               "in the flow); no output written")
     # Lazy: the CSV text is made chunk by chunk as it is written.
-    return EXIT_OK, itertools.chain([",".join(header) + "\n"], g17.csv_rows(table))
+    return EXIT_OK, itertools.chain([(",".join(header) + "\n").encode("ascii")],
+                                    g17.csv_rows(table))
 
 
 def cmd_spectrum(rc: RunConfig, args) -> tuple:
@@ -487,7 +490,8 @@ def cmd_spectrum(rc: RunConfig, args) -> tuple:
     levels = _level_records(table)
     head = _json_text({"kind": kind, "hbar": table.hbar, "frequencies": list(table.frequencies)})
     # "levels" sorts last: its text follows the other keys, chunk by chunk.
-    return EXIT_OK, itertools.chain([head[:-2] + ',\n  "levels": [\n    '], levels, ["\n  ]\n}\n"])
+    return EXIT_OK, itertools.chain([head[:-2] + b',\n  "levels": [\n    '], levels,
+                                    [b"\n  ]\n}\n"])
 
 
 def _level_records(table: spectrum.SpectrumTable):
@@ -518,7 +522,7 @@ def cmd_limit_scan(rc: RunConfig, args) -> tuple:
     if not finite.all():
         raise ArithmeticError(
             f"non-finite limit-scan row at epsilon = {float(table[finite.argmin(), 0])!r}")
-    header = "epsilon,omega_plus,omega_minus,omega_r_target,fast_amplitude\n"
+    header = b"epsilon,omega_plus,omega_minus,omega_r_target,fast_amplitude\n"
     return EXIT_OK, itertools.chain([header], g17.csv_rows(table, shortest=True))
 
 
@@ -574,7 +578,7 @@ def main(argv=None) -> int:
         # Looked up when called, so that a wrapper bound to the name sees the call.
         code, payload = globals()["cmd_" + args.command.replace("-", "_")](rc, args)
         if isinstance(payload, dict):
-            payload = [_json_text(payload), "\n"]
+            payload = [_json_text(payload), b"\n"]
         _write_atomic(args.out, payload)
         return code
     except BrokenPipeError:

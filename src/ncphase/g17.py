@@ -20,13 +20,20 @@ the same bytes with whole-array numpy operations:
   below it is narrower), and any nonzero value outside [``FAST_MIN``,
   ``FAST_MAX``), is written by CPython.  Exact ties always land in the
   band, so round-half-even stays CPython's job.
-* Layout: each value gets a fixed-column slot of ``_SLOT`` bytes (sign,
-  ``0.000`` lead, the 17 digits interleaved with the possible places of a
-  point, exponent, separator) filled by the ``%g`` or the ``repr`` rules;
-  unused bytes are NUL and one ``bytes.translate`` deletes them.
-  `csv_rows` writes tables, `repr_text` a vector with a byte of the
-  caller's after each value, and `records` puts the slots between constant
-  text, such as the records of a JSON list.
+* Layout: each value gets a fixed-column slot of four 64-bit words
+  (``_SLOT`` = 32 bytes).  Word 0 holds the sign, the ``0.000`` lead,
+  digit 0 and the place of a point after it; words 1-2 hold digits 1-16,
+  contiguous; word 3 holds the byte that a point inserted into words 1-2
+  pushes out, the exponent and the separator.  Tables indexed by the
+  value's layout class, by the ``%g`` or the ``repr`` rules, give word 0's
+  lead and the mask of the digits written.  A point after digit 1-15,
+  which only fixed-notation values with 10 <= |x| < 1e16 take, is then
+  inserted on those values alone.  Unused bytes are NUL and one
+  ``bytearray.translate`` deletes them.
+* Output: ASCII bytes, never ``str``.  `csv_rows` writes tables,
+  `repr_text` a vector with a byte of the caller's after each value, and
+  `records` puts the slots between constant text, such as the records of
+  a JSON list.
 """
 
 import functools
@@ -49,36 +56,46 @@ FAST_MAX = 1e100
 TIE_BAND = 1e-6
 
 # Decimal exponents e covered by the tables, with a margin of one on each
-# side for the correction of the log10 estimate and the carry.
+# side for the correction of the log10 estimate and the carry.  The
+# encoder carries e as its index e - _E_LO in these tables.
 _E_LO, _E_HI = -102, 101
+_E_SPAN = _E_HI - _E_LO + 1
 
-# A value's slot is six little-endian 64-bit words, one byte per column:
+# A value's slot is four little-endian 64-bit words, one byte per column:
 #   word 0: sign, "0." and up to three zeros of the -4 <= X < 0 lead,
 #           digit 0 and the place of a point after it;
-#   words 1-4: digits 1-16, each followed by the place of a point;
-#   word 5: "e", exponent sign, hundreds, tens and units, separator, 2 NULs.
-# Words 0-4 are their content ANDed with a mask that depends only on the
-# value's layout class: its significant digit count n and exponent X.
+#   words 1-2: digits 1-16;
+#   word 3: the byte an inserted point pushes out of word 2, "e", exponent
+#           sign, hundreds, tens and units, separator, a NUL.
+# What words 0-2 write, the lead, a point after digit 0 and the digits
+# kept, depends only on the value's layout class: its significant digit
+# count n and exponent X.
 _U64 = np.dtype("<u8")
-_WORDS = 6
+_FAST_BITS = np.array([FAST_MIN, FAST_MAX]).view(_U64)
+_WORDS = 4
 _SLOT = 8 * _WORDS
-_SEP_BYTE = 45                          # the separator's byte in a slot
-_SEP_SHIFT = _U64.type(8 * (_SEP_BYTE - 40))    # and its place in word 5
-# Layout classes: n = 0..17 (0 unused) times X clipped to -5..17, where -5
-# and 17 stand for every X of the exponent form.
-_X_CLASSES = 23
+_SEP_BYTE = 30                          # the separator's byte in a slot
+_SEP_SHIFT = _U64.type(8 * (_SEP_BYTE - 24))    # and its place in word 3
 _COMMA, _NEWLINE = _U64.type(44) << _SEP_SHIFT, _U64.type(10) << _SEP_SHIFT
 
 
 class _Tables(NamedTuple):
     p_hi: np.ndarray      # per e - _E_LO: 10**(16 - e) ~ p_hi + p_lo
     p_lo: np.ndarray
-    group: np.ndarray     # per 4-digit group g: the word "d.d.d.d."
-    sig: np.ndarray       # [j, g]: digits 0.. through the last nonzero one
-                          # of g as group j, or 1 for g = 0
-    head: np.ndarray      # per X - _E_LO: word 0's lead and point
-    mask: np.ndarray      # [shortest, w, n * _X_CLASSES + class]: mask of word w
-    tail: np.ndarray      # [shortest, X - _E_LO]: word 5's exponent
+    quad: np.ndarray      # [h, g]: the 4 digits of group g in half h of a word
+    sig: np.ndarray       # [j, g]: _E_SPAN times the digits 0.. through the
+                          # last nonzero one of g as group j, or 1 for g = 0
+    split: np.ndarray     # [w, p]: the bytes of word 1 + w before a point
+                          # inserted after digit p
+    dot: np.ndarray       # [w, p]: that point in word 1 + w
+
+
+class _Layout(NamedTuple):
+    """The tables of one style, per layout class n * _E_SPAN + e - _E_LO."""
+    head: np.ndarray      # word 0's lead, a "0" to add digit 0 to, and point
+    mask: np.ndarray      # [w, class]: the digits written in word 1 + w
+    point: np.ndarray     # the digit, 1-15, that an inserted point follows; 0: none
+    tail: np.ndarray      # per e - _E_LO: word 3's exponent
 
 
 def _words(byte_table) -> np.ndarray:
@@ -110,130 +127,136 @@ def _powers_of_ten():
     return np.array(his), np.array(los)
 
 
-def _layout_masks(shortest: bool) -> np.ndarray:
-    """Masks of words 0-4 per layout class, by the %g rules or, when
-    ``shortest``, by repr's: the exponent form from X = 16, and ".0" (the
-    digit X + 1, a zero of D) on an integral value."""
+@functools.cache
+def _layout(shortest: bool) -> _Layout:
+    """The layout tables by the %g rules or, when ``shortest``, by repr's:
+    the exponent form from X = 16, and ".0" (the digit X + 1, a zero of D)
+    on an integral value."""
+    # Worked out for X = -5..17, where -5 and 17 stand for every X of the
+    # exponent form, then spread over the X of the tables.
     n = np.arange(18)[:, None]
     X = np.arange(-5, 18)
     fixed = (X >= -4) & (X < 17 - shortest)
     whole = fixed & (X >= 0)
-    # Digits written, and the digit a point follows (-1: none in words 0-4).
+    # Digits written, and the digit a point follows (-1: none, or the lead's).
     keep = np.where(whole, np.maximum(n, X + 1 + shortest), n)
     point = np.where(fixed, np.where(whole & ((n > X + 1) | shortest), X, -1),
                      np.where(n > 1, 0, -1))
-    k = np.arange(17)
-    word = (k + 3) // 4
-    byte = np.where(k == 0, 6, 2 * ((k - 1) % 4))
-    masks = np.zeros((18, _X_CLASSES, 5, 8), np.uint8)
-    masks[:, :, 0, :6] = 255                     # sign and lead
-    masks[:, :, word, byte] = np.where(k < keep[..., None], 255, 0)
-    masks[:, :, word, byte + 1] = np.where(k == point[..., None], 255, 0)
-    return _words(masks).reshape(-1, 5).T.copy()
-
-
-def _exponent_words():
-    X = np.arange(_E_LO, _E_HI + 1)
-    ex = np.abs(X)
-    head = np.zeros((X.size, 8), np.uint8)
-    lead = (X >= -4) & (X < 0)
-    head[lead, 1:3] = [48, 46]
+    head = np.zeros((18, X.size, 8), np.uint8)
+    lead = fixed & (X < 0)
+    head[:, lead, 1:3] = [48, 46]
     for j in range(3):
-        head[lead & (X < -1 - j), 3 + j] = 48
-    head[:, 7] = 46
-    tail = np.zeros((2, X.size, 8), np.uint8)
-    tail[..., 0] = 101
-    tail[..., 1] = np.where(X < 0, 45, 43)
-    tail[..., 2] = np.where(ex >= 100, ex // 100 + 48, 0)
-    tail[..., 3] = ex // 10 % 10 + 48
-    tail[..., 4] = ex % 10 + 48
-    for shortest in (0, 1):
-        tail[shortest, (X >= -4) & (X < 17 - shortest)] = 0
-    return _words(head), _words(tail)
+        head[:, lead & (X < -1 - j), 3 + j] = 48
+    head[..., 6] = 48
+    head[..., 7] = (point == 0) * np.uint8(46)
+    digits = (np.arange(1, 17) < keep[..., None]) * np.uint8(255)
+    exponents = np.arange(_E_LO, _E_HI + 1)
+    spread = np.clip(exponents, -5, 17) + 5
+    mask = _words(digits.reshape(18, X.size, 2, 8))[:, spread]
+
+    ex = np.abs(exponents)
+    tail = np.zeros((exponents.size, 8), np.uint8)
+    tail[:, 1] = 101
+    tail[:, 2] = np.where(exponents < 0, 45, 43)
+    tail[:, 3] = (ex >= 100) * (ex // 100 + 48)
+    tail[:, 4] = ex // 10 % 10 + 48
+    tail[:, 5] = ex % 10 + 48
+    tail[(exponents >= -4) & (exponents < 17 - shortest)] = 0
+    return _Layout(_words(head)[:, spread].reshape(-1), mask.transpose(2, 0, 1).reshape(2, -1),
+                   np.maximum(point, 0)[:, spread].reshape(-1), _words(tail))
 
 
 @functools.cache
 def _tables() -> _Tables:
     # Built on first use, so that importing the module costs nothing.
-    groups = np.full((10000, 8), 46, np.uint8)
-    groups[:, 0::2] = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T + 48
-    g = np.arange(10000)
-    last = 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0) - (g == 0)
-    sig = np.where(g > 0, last + 4 * np.arange(4)[:, None] + 1, 1).astype(np.int16)
-    head, tail = _exponent_words()
-    mask = np.stack([_layout_masks(False), _layout_masks(True)])
-    return _Tables(*_powers_of_ten(), _words(groups), sig, head, mask, tail)
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)     # of each group
+    quad = np.zeros((2, 10000, 8), np.uint8)
+    quad[0, :, :4] = digits.T + 48
+    quad[1, :, 4:] = quad[0, :, :4]
+    # A group's digits through its last nonzero one, 0 for group 0.
+    last = (np.arange(1, 5, dtype=np.int16)[:, None] * (digits > 0)).max(0)
+    sig = np.where(last > 0, last + 4 * np.arange(4, dtype=np.int16)[:, None] + 1, 1)
+    # Byte b of word 1 + w holds digit 8w + b + 1; the point after digit p
+    # takes byte p of the 16.
+    at = np.arange(16).reshape(2, 8) - np.arange(16)[:, None, None]
+    split = _words((at < 0) * np.uint8(255)).T.copy()
+    dot = _words((at == 0) * np.uint8(46)).T.copy()
+    return _Tables(*_powers_of_ten(), _words(quad), sig * np.int16(_E_SPAN), split, dot)
 
 
 def _scaled(a, e, tab: _Tables):
-    """Double-double ``(vh, vl)`` with vh + vl ~ a * 10**(16 - e)."""
-    i = e - _E_LO
-    p, err = two_product(a, tab.p_hi[i])
-    q = err + a * tab.p_lo[i]
+    """Double-double ``(vh, vl)`` with vh + vl ~ a * 10**(16 - e), for the
+    table index e."""
+    p, err = two_product(a, tab.p_hi[e])
+    q = err + a * tab.p_lo[e]
     vh = p + q
     return vh, q - (vh - p)
 
 
 def _shortest(a, e, whole, frac, D, tab: _Tables):
     """Trade the 17 digits ``D`` for the 16 or the 15 that read back as a,
-    where they do; ``whole + frac`` is the scaled value.  Returns the digits
-    and the values to leave to CPython."""
+    where they do, in place; ``whole + frac`` is the scaled value.  Returns
+    the values to leave to CPython."""
     # Half the gap to a's neighbours, in units of the 17th digit.
-    half = 0.5 * np.spacing(a) * tab.p_hi[e - _E_LO]
+    half = 0.5 * np.spacing(a) * tab.p_hi[e]
     flagged = np.abs(frac - 0.5) < TIE_BAND
     for unit in (10, 100):
         q = whole // unit
         rem = (whole - q * unit) + frac
         up = rem > unit / 2
-        dist = np.where(up, unit - rem, rem)
+        dist = np.abs(rem - unit * up)
         ok = dist < half
-        D = np.where(ok, (q + up) * unit, D)
+        np.putmask(D, ok, (q + up) * unit)
         # A rounding tie matters only for the digits written; a 15-digit
         # tie, at distance 50, never reads back.
-        tie = np.abs(dist - 5) < TIE_BAND if unit == 10 else False
-        flagged = np.where(ok, tie, flagged) | (np.abs(dist - half) < TIE_BAND)
+        flagged &= ~ok
+        if unit == 10:
+            flagged |= ok & (np.abs(dist - 5) < TIE_BAND)
+        flagged |= np.abs(dist - half) < TIE_BAND
     # The gap below a power of two is half as wide: CPython writes those
     # whose 15 digits are not exact.
     pow2 = (a.view(_U64) & _U64.type(2**52 - 1)) == 0
-    return D, flagged | (pow2 & (dist >= TIE_BAND))
+    return flagged | (pow2 & (dist >= TIE_BAND))
 
 
-def _encode(block: np.ndarray, words: np.ndarray, shortest: bool, sep=_U64.type(0)):
-    """Fill ``words[r, c]``, the six words of the slot of ``block[r, c]``,
-    with the value's text padded by NULs, and OR ``sep`` (a word per column,
-    or per row and column) into each last word.  The %.17g text, or repr's
-    when ``shortest``.  Returns the flat indices of the values that CPython
-    wrote."""
+def _encode(x: np.ndarray, words: np.ndarray, shortest: bool, sep=_U64.type(0)):
+    """Fill ``words[i]``, the four words of the slot of ``x[i]``, with the
+    value's text padded by NULs, and OR ``sep`` (a word, or a word per
+    value) into each last word.  The %.17g text, or repr's when
+    ``shortest``.  Returns the indices of the values that CPython wrote."""
     tab = _tables()
-    cols = block.shape[1]
-    x = block.reshape(-1)
     a = np.abs(x)
     zero = a == 0
-    fast = (a >= FAST_MIN) & (a < FAST_MAX)
-    a = np.where(fast, a, 1.0)      # zeros and fallbacks encode as 1
+    # Outside [FAST_MIN, FAST_MAX), zero and NaN included: one unsigned
+    # compare on the bits.
+    slow = a.view(_U64) - _FAST_BITS[0] >= _FAST_BITS[1] - _FAST_BITS[0]
+    np.putmask(a, slow, 1.0)        # zeros and fallbacks encode as 1
 
-    # Decimal exponent: the log10 estimate, corrected once on the scaled
-    # value.  A value just below a power of ten that rounds up carries.
-    e = np.floor(np.log10(a)).astype(np.int64)
+    # Decimal exponent, as a table index: the log10 estimate, corrected once
+    # where the scaled value leaves [1e16, 1e17), which one unsigned compare
+    # on its integer part finds.  A value just below a power of ten that
+    # rounds up carries.
+    e = np.floor(np.log10(a)).astype(np.int64) - _E_LO
     vh, vl = _scaled(a, e, tab)
-    below = (vh < 1e16) | ((vh == 1e16) & (vl < 0))
-    above = (vh > 1e17) | ((vh == 1e17) & (vl >= 0))
-    fix = np.flatnonzero(below | above)
-    if fix.size:
-        e[fix] += above[fix].astype(np.int64) - below[fix]
-        vh[fix], vl[fix] = _scaled(a[fix], e[fix], tab)
     t = np.floor(vl)
-    frac = vl - t
     whole = vh.astype(np.int64) + t.astype(np.int64)
+    off = (whole - 10 ** 16).view(_U64) >= 9 * 10 ** 16
+    if off.any():
+        fix = np.flatnonzero(off)
+        e[fix] += np.where(whole[fix] < 10 ** 16, -1, 1)
+        vh[fix], vl[fix] = _scaled(a[fix], e[fix], tab)
+        t[fix] = np.floor(vl[fix])
+        whole[fix] = vh[fix].astype(np.int64) + t[fix].astype(np.int64)
+    frac = vl - t
     D = whole + (frac > 0.5)
     if shortest:
-        D, flagged = _shortest(a, e, whole, frac, D, tab)
+        flagged = _shortest(a, e, whole, frac, D, tab)
     else:
         flagged = np.abs(frac - 0.5) < TIE_BAND
     carry = D == 10 ** 17
-    D[carry] = 10 ** 16
-    X = e + carry
-    flagged |= ~(fast | zero)
+    np.subtract(D, 9 * 10 ** 16, out=D, where=carry)
+    e += carry
+    flagged |= slow ^ zero
 
     # D = top * 10**16 + four 4-digit groups; a zero keeps D = 1e16 but
     # writes its top digit as "0".
@@ -245,37 +268,54 @@ def _encode(block: np.ndarray, words: np.ndarray, shortest: bool, sep=_U64.type(
     for j in (0, 2):
         groups[j] = groups[j + 1] // 10 ** 4
         groups[j + 1] -= groups[j] * 10 ** 4
-    # Significant digits once trailing zeros are stripped.
-    n = tab.sig[0][groups[0]]
+    # The layout class, from the significant digits once trailing zeros
+    # are stripped.
+    layout = tab.sig[0][groups[0]]
     for j in range(1, 4):
-        np.maximum(n, tab.sig[j][groups[j]], out=n)
-    shape = block.shape
-    layout = (n * _X_CLASSES + np.minimum(np.maximum(X, -5), 17) + 5).reshape(shape)
-    xi = (X - _E_LO).reshape(shape)
-    digit0 = ((top - zero + 48).astype(_U64) << _U64.type(48)).reshape(shape)
-    sign = np.signbit(block).astype(_U64) * _U64.type(45)
-    mask = tab.mask[int(shortest)]
-    np.bitwise_and(tab.head[xi] | digit0 | sign, mask[0][layout], out=words[..., 0])
-    for j in range(4):
-        np.bitwise_and(tab.group[groups[j].reshape(shape)], mask[j + 1][layout],
-                       out=words[..., j + 1])
-    np.bitwise_or(tab.tail[int(shortest)][xi], sep, out=words[..., 5])
+        np.maximum(layout, tab.sig[j][groups[j]], out=layout)
+    layout = layout + e
+    style = _layout(shortest)
+    digit0 = (top - zero << 48).view(_U64)
+    np.bitwise_or(style.head[layout] + digit0, np.signbit(x) * _U64.type(45),
+                  out=words[:, 0])
+    lo, hi = tab.quad
+    for w in range(2):
+        np.bitwise_and(lo[groups[2 * w]] | hi[groups[2 * w + 1]], style.mask[w][layout],
+                       out=words[:, w + 1])
+    np.bitwise_or(style.tail[e], sep, out=words[:, 3])
 
+    # Insert the point after digit p, 1 <= p <= 15: the bytes from byte p
+    # of words 1-2 on move up one, the last one into word 3.
+    point = style.point[layout]
+    inserted = np.flatnonzero(point)
+    if inserted.size:
+        p = point[inserted]
+        moved = 0
+        for w in range(2):
+            column = words[:, w + 1]
+            word = column[inserted]
+            before = word & tab.split[w][p]
+            after = word ^ before
+            column[inserted] = before | after << 8 | tab.dot[w][p] | moved
+            moved = after >> 56
+        words[:, 3][inserted] |= moved
+
+    if not flagged.any():
+        return np.empty(0, np.intp)
     # A value's text, at most 24 characters, fits before its separator.
     text = float.__repr__ if shortest else "%.17g".__mod__
     slots = words.view(np.uint8)
     fallback = np.flatnonzero(flagged)
     for i in fallback:
         line = text(float(x[i])).encode("ascii")
-        slot = slots[divmod(i, cols)]
-        slot[:_SEP_BYTE] = 0
-        slot[:len(line)] = np.frombuffer(line, np.uint8)
+        slots[i, :_SEP_BYTE] = 0
+        slots[i, :len(line)] = np.frombuffer(line, np.uint8)
     return fallback
 
 
-def _text(buf: bytearray, used: int) -> str:
+def _text(buf: bytearray, used: int) -> bytearray:
     """The first ``used`` bytes of ``buf``, NULs deleted."""
-    return (buf if used == len(buf) else buf[:used]).translate(None, b"\0").decode("ascii")
+    return (buf if used == len(buf) else buf[:used]).translate(None, b"\0")
 
 
 def _lines(table: np.ndarray, shortest: bool, sep: np.ndarray):
@@ -284,23 +324,24 @@ def _lines(table: np.ndarray, shortest: bool, sep: np.ndarray):
     ``sep`` is a word per column, or per row and column."""
     rows, cols = table.shape
     step = max(1, CHUNK_VALUES // cols)
+    sep = np.broadcast_to(sep, table.shape)
     # One buffer serves every chunk; the last, shorter one uses its start.
     buf = bytearray(min(step, rows) * cols * _SLOT)
-    words = np.frombuffer(buf, _U64).reshape(-1, cols, _WORDS)
+    words = np.frombuffer(buf, _U64).reshape(-1, _WORDS)
     for start in range(0, rows, step):
-        block = table[start:start + step]
-        _encode(block, words[:len(block)], shortest,
-                sep if sep.ndim == 1 else sep[start:start + step])
+        block = table[start:start + step].reshape(-1)
+        _encode(block, words[:block.size], shortest, sep[start:start + step].reshape(-1))
         yield _text(buf, block.size * _SLOT)
 
 
 def csv_rows(table: np.ndarray, shortest: bool = False):
-    """Yield the CSV lines of a 2-D float array, each value written exactly as
-    ``"%.17g" % value`` (``repr(value)`` when ``shortest``), values joined
-    by "," and rows ended by "\\n".
+    """Yield the CSV lines of a 2-D float array as ASCII bytes, each value
+    written exactly as ``"%.17g" % value`` (``repr(value)`` when
+    ``shortest``), values joined by "," and rows ended by "\\n".
 
-    The text comes in chunks of whole rows holding about ``CHUNK_VALUES``
-    values, so a caller can stream it without holding the whole file.
+    The text comes in chunks (bytearrays) of whole rows holding about
+    ``CHUNK_VALUES`` values, so a caller can stream it without holding the
+    whole file.
     """
     table = np.asarray(table, dtype=np.float64)
     sep = np.full(table.shape[1], _COMMA)
@@ -308,11 +349,11 @@ def csv_rows(table: np.ndarray, shortest: bool = False):
     return _lines(table, shortest, sep)
 
 
-def repr_text(values, ends) -> str:
+def repr_text(values, ends) -> bytes:
     """The ``repr`` of each value of a float vector, each followed by its
-    byte of ``ends`` (nonzero ASCII codes), in one string."""
+    byte of ``ends`` (nonzero ASCII codes), as one ASCII bytes object."""
     sep = np.asarray(ends, dtype=_U64)[:, None] << _SEP_SHIFT
-    return "".join(_lines(np.asarray(values, dtype=np.float64)[:, None], True, sep))
+    return b"".join(_lines(np.asarray(values, dtype=np.float64)[:, None], True, sep))
 
 
 def _int_words(v: np.ndarray) -> np.ndarray:
@@ -334,8 +375,10 @@ def records(pieces, floats, ints, sep: str):
     ``pieces[0]``, the float as ``repr`` writes it, then each int of the
     same row of the 2-D ``ints`` (nonnegative, below 10**8) in decimal,
     each value followed by the next piece.  Records are joined by ``sep``.
+    The pieces and ``sep`` are ASCII strings.
 
-    The text comes in chunks of ``CHUNK_VALUES`` whole records.
+    The text comes as ASCII bytes, in chunks (bytearrays) of
+    ``CHUNK_VALUES`` whole records.
     """
     floats = np.asarray(floats, dtype=np.float64)
     ints = np.asarray(ints)
@@ -356,10 +399,10 @@ def records(pieces, floats, ints, sep: str):
     buf = bytearray(min(CHUNK_VALUES, rows) * template.size * 8)
     rec = np.frombuffer(buf, _U64).reshape(-1, template.size)
     for start in range(0, rows, CHUNK_VALUES):
-        block = floats[start:start + CHUNK_VALUES, None]
+        block = floats[start:start + CHUNK_VALUES]
         n = len(block)
         rec[:n] = template
-        _encode(block, rec[:n, None, f0:f0 + _WORDS], True)
+        _encode(block, rec[:n, f0:f0 + _WORDS], True)
         rec[:n, i0:].reshape(n, count, stride)[..., 0] = _int_words(ints[start:start + n])
         if start == 0:
             rec[:1].view(np.uint8)[0, :len(sep)] = 0    # no sep before the first

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
-from ncphase import cli, constrained, darboux, dynamics, spectrum, structure
+from ncphase import cli, constrained, darboux, dynamics, g17, spectrum, structure
 from ncphase.errors import StepRejected
 
 import closed_forms as cf
@@ -1326,6 +1326,18 @@ for argv in (["brackets", "--config", {midpoint!r}],
             assert proc.stderr.read() == b""
             assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
 
+    def test_closed_stdout_of_a_json_subcommand_exits_141(self, tmp_path):
+        # spectrum --nmax 30 on the axial field: 31**3 level records, in
+        # four chunks and about 3 MB of bytes on sys.stdout.buffer.
+        assert 3 * g17.CHUNK_VALUES < 31 ** 3 <= 4 * g17.CHUNK_VALUES
+        argv = [sys.executable, "-m", "ncphase.cli", "spectrum", "--nmax", "30",
+                "--config", write_config(tmp_path, _AXIAL)]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+
     def test_import_does_not_load_dataclasses(self):
         # Records are NamedTuples or __slots__ classes: creating the frozen
         # dataclasses once cost about half of a fresh `import ncphase.cli`.
@@ -1529,7 +1541,7 @@ class TestJsonWriter:
     @example({"q\"uote": "back\\slash \x00\x1f\x7f é \U0001f600 \ud800", "": ""})
     @example([[1.0, 2], [3.0, True], (4.0, 5.0)])
     def test_matches_json_dumps(self, obj):
-        assert cli._json_text(obj) == _json_oracle(obj)
+        assert cli._json_text(obj) == _json_oracle(obj).encode("ascii")
 
     @pytest.mark.parametrize("obj", [
         float("nan"), float("inf"), [float("-inf")], [1.0, 2.0, float("nan")],
@@ -1558,7 +1570,7 @@ class TestFloatArrays:
     def test_shapes_match_json_dumps(self, arr):
         for obj in (arr, [arr], {"a": {"b": arr}, "c": arr}):
             oracle = json.loads(json.dumps(obj, default=np.ndarray.tolist))
-            assert cli._json_text(obj) == _json_oracle(oracle)
+            assert cli._json_text(obj) == _json_oracle(oracle).encode("ascii")
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
@@ -1570,7 +1582,7 @@ class TestFloatArrays:
         for _ in range(depth):
             obj = {"k": [obj]}
         assert cli._json_text(obj) == _json_oracle(json.loads(
-            json.dumps(obj, default=np.ndarray.tolist)))
+            json.dumps(obj, default=np.ndarray.tolist))).encode("ascii")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_raises_and_leaves_no_file(self, tmp_path, monkeypatch, bad):
@@ -1596,10 +1608,10 @@ class TestLevelRecords:
 
     @staticmethod
     def check(table):
-        got = '{\n  "levels": [\n    ' + "".join(cli._level_records(table)) + "\n  ]\n}"
+        got = b'{\n  "levels": [\n    ' + b"".join(cli._level_records(table)) + b"\n  ]\n}"
         levels = [{"energy": e, "n": n}
                   for e, n in zip(table.energies.tolist(), table.quanta.tolist())]
-        assert got == _json_oracle({"levels": levels})
+        assert got == _json_oracle({"levels": levels}).encode("ascii")
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("hbar", [1e-300, 1e-7, 1.0, 1e17, 1e300])
@@ -1656,6 +1668,6 @@ class TestRecords:
         got, payload = command(cli.load_config(args.config), args)
         assert got == code
         if not isinstance(payload, dict):
-            assert all(isinstance(chunk, str) for chunk in payload)
+            assert all(isinstance(chunk, (bytes, bytearray)) for chunk in payload)
         assert capsys.readouterr() == ("", "")
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]

@@ -22,7 +22,8 @@ def reference_csv(header, table):
 
 def encoded(table):
     header = [f"c{i}" for i in range(table.shape[1])]
-    return ",".join(header) + "\n" + "".join(g17.csv_rows(table)), reference_csv(header, table)
+    return (",".join(header).encode() + b"\n" + b"".join(g17.csv_rows(table)),
+            reference_csv(header, table).encode())
 
 
 def as_rows(values, cols):
@@ -116,9 +117,9 @@ class TestEncoder:
         chunks = list(g17.csv_rows(table))
         rows_per_chunk = max(1, chunk // 6)
         assert len(chunks) == -(-41 // rows_per_chunk)
-        assert all(c.endswith("\n") for c in chunks)
-        assert [c.count("\n") for c in chunks[:-1]] == [rows_per_chunk] * (len(chunks) - 1)
-        assert "".join(chunks) == reference_csv(["c"] * 6, table).split("\n", 1)[1]
+        assert all(c.endswith(b"\n") for c in chunks)
+        assert [c.count(b"\n") for c in chunks[:-1]] == [rows_per_chunk] * (len(chunks) - 1)
+        assert b"".join(chunks) == reference_csv(["c"] * 6, table).split("\n", 1)[1].encode()
 
     def test_flagged_rows_between_fast_rows(self):
         # One tie row and one out-of-range row inside a chunk of fast rows.
@@ -131,8 +132,8 @@ class TestEncoder:
 
 def shortest(table):
     """The CSV text of the repr encoder and of the per-value repr oracle."""
-    got = "".join(g17.csv_rows(table, shortest=True))
-    return got, "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+    got = b"".join(g17.csv_rows(table, shortest=True))
+    return got, "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
 
 
 def powers_of_ten():
@@ -234,10 +235,10 @@ class TestFallback:
         # Below 1e11 a double's exact decimal has more than 18 digits, so
         # no 17-digit rounding is a tie.
         rng = np.random.default_rng(21)
-        block = (rng.normal(size=4000) * 10.0 ** rng.integers(-90, 10, 4000))[:, None]
-        words = np.zeros((4000, 1, 6), np.uint64)
+        block = rng.normal(size=4000) * 10.0 ** rng.integers(-90, 10, 4000)
+        words = np.zeros((4000, 4), np.uint64)
         assert g17._encode(block, words, shortest).size == 0
-        edge = np.array([[0.1], [1 + 2**-17], [1e-300], [0.0], [1e300], [2.5]])
+        edge = np.array([0.1, 1 + 2**-17, 1e-300, 0.0, 1e300, 2.5])
         assert g17._encode(edge, words[:6], shortest).tolist() == [1, 2, 4]
 
     def test_ties_of_unwritten_digits_stay_on_the_fast_path(self):
@@ -246,9 +247,80 @@ class TestFallback:
         # which are decided.
         rng = np.random.default_rng(22)
         block = (rng.integers(6 * 10**14, 10**15, 500) + rng.integers(0, 4, 500) / 4 + 0.125)
-        words = np.zeros((500, 1, 6), np.uint64)
-        assert g17._encode(block[:, None], words, True).size == 0
-        assert g17._encode(block[:, None], words, False).size == 500
+        words = np.zeros((500, 4), np.uint64)
+        assert g17._encode(block, words, True).size == 0
+        assert g17._encode(block, words, False).size == 500
+
+
+def through_every_writer(values, cols=3):
+    """Check the text of ``values`` through `csv_rows` in both styles, in
+    one column and in ``cols``, through `repr_text` and through `records`."""
+    values = np.asarray(values, dtype=np.float64)
+    for table in (values[:, None], as_rows(values, cols)):
+        got, want = encoded(table)
+        assert got == want
+        got, want = shortest(table)
+        assert got == want
+    reprs = list(map(repr, values.tolist()))
+    assert g17.repr_text(values, [44] * values.size) == "".join(r + "," for r in reprs).encode()
+    ints = np.arange(values.size)[:, None]
+    got = b"".join(g17.records(["(", "|", ")"], values, ints, sep=";"))
+    assert got == ";".join(f"({r}|{i})" for i, r in enumerate(reprs)).encode()
+
+
+class TestLayout:
+    """Slots of four words: digits 1-16 contiguous, a point inserted after
+    digit 1-15 on the values that take one, and CPython's text before the
+    separator."""
+
+    @pytest.mark.parametrize("p", range(1, 16))
+    def test_point_after_each_digit(self, p):
+        # 17 digits for %.17g, a short form for repr; X = p either way.
+        values = [1.2345678901234567 * 10.0 ** p, float("1" + "2" * p + ".5"),
+                  float("1" + "0" * p + ".25")]
+        values += [-v for v in values]
+        for v in values:
+            assert ("%.17g" % v).index(".") == repr(v).index(".") == p + 1 + (v < 0)
+        through_every_writer(values)
+
+    def test_repr_point_zero_on_integral_values(self):
+        values = [10.0 ** k for k in range(1, 16)] + [12.0, 123456789012345.0, 999999999999999.0,
+                                                       4503599627370497.0, 9007199254740990.0]
+        values += [-v for v in values]
+        assert all(repr(v).endswith(".0") for v in values)
+        through_every_writer(values)
+
+    def test_switch_points_at_x_15_16_17(self):
+        values = [v for k in (15, 16, 17) for v in near(10.0 ** k, 3)]
+        values += [1.2345678901234567 * 10.0 ** k for k in (15, 16, 17)]
+        values += [1234567890123456.8, 12345678901234568.0, 9999999999999998.0, 99999999999999984.0]
+        through_every_writer(values + [-v for v in values])
+
+    @pytest.mark.parametrize("repr_style", [False, True])
+    def test_chunk_where_every_value_is_inserted(self, repr_style):
+        table = np.random.default_rng(26).uniform(10, 1e6, (g17.CHUNK_VALUES // 4, 4))
+        chunks = list(g17.csv_rows(table, repr_style))
+        assert len(chunks) == 1
+        texts = chunks[0].replace(b"\n", b",").split(b",")[:-1]
+        assert all(2 <= text.index(b".") <= 16 for text in texts)
+        got, want = shortest(table) if repr_style else encoded(table)
+        assert got == want
+
+    def test_inserted_value_sent_to_the_fallback(self):
+        # 16 + 2**-16 is 16.0000152587890625: its 17-digit rounding is a tie.
+        tie = 16 + 2**-16
+        values = np.array([1.5, tie, 123.25, -tie, 10.0])
+        for repr_style in (False, True):
+            words = np.zeros((values.size, g17._WORDS), np.uint64)
+            assert g17._encode(values, words, repr_style).tolist() == [1, 3]
+        through_every_writer(values, cols=5)
+
+    def test_longest_texts_fit_before_the_separator(self):
+        values = [-2.2250738585072014e-308, -1.7976931348623157e308, -5e-324,
+                  -1.2345678901234567e-100, -9.8765432109876543e99]
+        assert max(len("%.17g" % v) for v in values) == max(map(len, map(repr, values))) == 24
+        assert 24 <= g17._SEP_BYTE == g17._SLOT - 2
+        through_every_writer(values + [-v for v in values])
 
 
 class TestReprText:
@@ -257,7 +329,7 @@ class TestReprText:
         monkeypatch.setattr(g17, "CHUNK_VALUES", chunk)
         values = [0.1, -0.0, 1e16, 5e-324, 2.5, 1e-300, 123.0, -7e22, 1 + 2**-17, 0.3, 4.0]
         ends = [1, 2, 3, 1, 10, 44, 3, 2, 1, 1, 3]
-        want = "".join(repr(v) + chr(e) for v, e in zip(values, ends))
+        want = "".join(repr(v) + chr(e) for v, e in zip(values, ends)).encode()
         assert g17.repr_text(values, ends) == want
 
 
@@ -267,9 +339,9 @@ class TestRecords:
     def test_pieces_floats_and_ints(self):
         floats = np.array([0.1, 1e300, 5e-324, -2.0, 1e16])
         ints = np.array([[0, 7], [12, 10**7], [99999999, 1], [5, 50], [3, 0]])
-        text = "".join(g17.records(["<", "|", "|long piece|", ">"], floats, ints, sep=" ; "))
+        text = b"".join(g17.records(["<", "|", "|long piece|", ">"], floats, ints, sep=" ; "))
         want = " ; ".join(f"<{a!r}|{i}|long piece|{j}>"
-                          for a, (i, j) in zip(floats.tolist(), ints.tolist()))
+                          for a, (i, j) in zip(floats.tolist(), ints.tolist())).encode()
         assert text == want
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
@@ -279,7 +351,8 @@ class TestRecords:
         ints = np.arange(11)[:, None]
         chunks = list(g17.records(["[", ",", "]"], floats, ints, sep="\n"))
         assert len(chunks) == -(-11 // chunk)
-        assert "".join(chunks) == "\n".join(f"[{a!r},{i}]" for i, a in enumerate(floats.tolist()))
+        assert b"".join(chunks) == "\n".join(
+            f"[{a!r},{i}]" for i, a in enumerate(floats.tolist())).encode()
 
     def test_ints_out_of_range_refused(self):
         for ints in ([[-1]], [[10**8]]):
@@ -354,7 +427,7 @@ class TestSimulateBytes:
 
     def test_write_atomic_failure_mid_stream(self, tmp_path):
         def chunks():
-            yield "first\n"
+            yield b"first\n"
             raise ArithmeticError("late failure")
 
         out = tmp_path / "out.txt"

@@ -53,6 +53,10 @@ def _config(field, model=None, tol=None):
 CONFIGS = {
     "oblique-1e300": (_config({"Bvec": (1e300 * UNIT_DIAGONAL).tolist(),
                                "Cvec": UNIT_DIAGONAL.tolist()}), 700),
+    # The same family at |B| = 10^e; det Psi = (1 + 10^e)^2.
+    **{f"oblique-1e{e}": (_config({"Bvec": (10.0 ** e * UNIT_DIAGONAL).tolist(),
+                                   "Cvec": UNIT_DIAGONAL.tolist()}), 2 * e + 60)
+       for e in (12, 16, 20, 40, 100)},
     "B1e300-C1e-300": (_config({"B": 1e300, "C": 1e-300}), 700),
     "B1e150-C1e300": (_config({"B": 1e150, "C": 1e300}), 700),
     "B1e200-kappa1e200": (_config({"B": 1e200, "C": 1.0}, {"m": 1.0, "kappa": 1e200}), 700),
@@ -81,6 +85,17 @@ ENTRIES = [
      _xfail(17, "exit 0 with the one frequency 1e-300, not [1, 1, 1e-300]")),
     ("oblique-1e300", "reduce", OK,
      _xfail(17, "det Psi = 0.0 takes the chain: dimensions [6, 2], gauge dimension 4")),
+    ("oblique-1e12", "brackets", OK,
+     _xfail(17, "exit 0 with det_psi 1.0000542534754714e+24, exact 1.000000000002e24; "
+                "its Lambda is 2.0e-9 off too (item 20)")),
+    ("oblique-1e16", "brackets", OK,
+     _xfail(20, "closed-form Poisson blocks disagree with dense inversion")),
+    ("oblique-1e20", "brackets", OK,
+     _xfail(20, "closed-form Poisson blocks disagree with dense inversion")),
+    ("oblique-1e40", "brackets", OK,
+     _xfail(17, "the LU of Psi cancels to det Psi = 0.0, a singular report")),
+    ("oblique-1e100", "brackets", OK,
+     _xfail(20, "closed-form Poisson blocks disagree with dense inversion")),
     ("B1e300-C1e-300", "brackets", OK, None),
     ("B1e300-C1e-300", "darboux", OK, None),
     ("B1e300-C1e-300", "simulate", "ncphase simulate: non-finite trajectory", None),
