@@ -255,11 +255,15 @@ def _write_atomic(path: str | None, chunks):
     """Write the bytes of ``chunks`` in order, to stdout or to ``path``.
 
     A file is written to a temp file and renamed, so a failure, also one
-    raised while ``chunks`` is being produced, leaves no partial file.
+    raised while ``chunks`` is being produced, leaves no partial file.  A
+    stdout without a binary ``buffer`` gets the same text as ASCII str.
     """
     if path is None:
-        sys.stdout.buffer.writelines(chunks)
-        sys.stdout.buffer.flush()  # a closed pipe raises here, inside `main`
+        stream = getattr(sys.stdout, "buffer", None)
+        if stream is None:  # a text stream, such as an io.StringIO
+            stream, chunks = sys.stdout, (chunk.decode("ascii") for chunk in chunks)
+        stream.writelines(chunks)
+        stream.flush()  # a closed pipe raises here, inside `main`
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ncphase-")

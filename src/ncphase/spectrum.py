@@ -18,7 +18,7 @@ from .structure import build_omega, field_config_n2, two_product
 # At the cap an axial (d = 3) spectrum is about 200 MB of JSON.
 MAX_LEVELS = 2_000_000
 
-# Largest relative error bound of a reported frequency (_two_sided).
+# Largest relative error bound of a reported frequency (_accept).
 MODE_ACCURACY = 1e-8
 
 # Largest estimated relative error of a fast amplitude in the limit scan,
@@ -118,19 +118,10 @@ def _two_sided(omega, lam, white, flow) -> np.ndarray:
     """One coupled block, or a stack of them along the leading axes.  The
     top halves of the Hermitian eigenvalues of 1j R Lambda R^T and
     -1j R^-T Omega R^-1 are the w and the 1/w, each accurate to about eps
-    times its norm: the Lambda form keeps the modes above
-    sqrt(w_max w_min) and its own noise floor, the Omega form the rest, and
-    a mode is known to 16 n eps w_max / w or 16 n eps w / w_min by the form
-    kept (notes/decisions.md)."""
+    times its norm; `_accept` chooses between them."""
     n = omega.shape[-1] // 2
-    floor = 16 * n * np.finfo(float).eps
-    # An underflowed Lambda would pass as a zero frequency; a frequency of
-    # the discarded form may be inf or 0.
+    _check_inverse(omega, lam)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        residual = np.abs(lam @ omega + np.eye(2 * n)).max((-2, -1))
-        scale = np.abs(lam).max((-2, -1)) * np.abs(omega).max((-2, -1))
-        if not (residual <= 1e-8 * scale).all():
-            raise ArithmeticError("Lambda does not invert -Omega at these scales")
         try:
             large = np.linalg.eigvalsh(1j * flow)[..., n:][..., ::-1]
         except np.linalg.LinAlgError as exc:
@@ -139,6 +130,29 @@ def _two_sided(omega, lam, white, flow) -> np.ndarray:
             raise ArithmeticError(f"{exc} for the whitened flow R Lambda R^T "
                                   f"(largest magnitude {largest:.3e})") from None
         small = 1.0 / np.linalg.eigvalsh(-1j * white)[..., n:]
+    return _accept(large, small)
+
+
+def _check_inverse(omega, lam):
+    """Refuse a Lambda that does not invert -Omega at these scales: an
+    underflowed Lambda would pass as a zero frequency."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(lam @ omega + np.eye(omega.shape[-1])).max((-2, -1))
+        scale = np.abs(lam).max((-2, -1)) * np.abs(omega).max((-2, -1))
+    if not (residual <= 1e-8 * scale).all():
+        raise ArithmeticError("Lambda does not invert -Omega at these scales")
+
+
+def _accept(large, small) -> np.ndarray:
+    """The frequencies w of a block from its two descending estimates,
+    ``large`` from the Lambda form and ``small`` (the 1/w) from the Omega
+    form.  The Lambda form keeps the modes above sqrt(w_max w_min) and its
+    own noise floor, the Omega form the rest, and a mode is known to
+    16 n eps w_max / w or 16 n eps w / w_min by the form kept
+    (notes/decisions.md); a bound above MODE_ACCURACY raises."""
+    floor = 16 * large.shape[-1] * np.finfo(float).eps
+    # A frequency of the discarded form may be inf or 0.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         keep = ((large >= np.sqrt(large[..., :1]) * np.sqrt(small[..., -1:]))
                 & (large > floor * large[..., :1]))
         w = np.where(keep, large, small)
@@ -150,11 +164,29 @@ def _two_sided(omega, lam, white, flow) -> np.ndarray:
     return w
 
 
+def planar_roots(a) -> np.ndarray:
+    """The positive eigenvalues of 1j a, descending, for a stack of real
+    antisymmetric 4x4 a, in closed form.  so(4) = su(2) + su(2) splits a
+    into a self-dual half u = (a01 + a23, a02 - a13, a03 + a12) / 2 and an
+    anti-self-dual half v = (a01 - a23, a02 + a13, a03 - a12) / 2, and the
+    roots are |u| + |v| and ||u| - |v||, each within a few eps max|a|.  Each
+    matrix is first scaled by a power of two, so the squares stay finite.
+    Only the upper triangle is read."""
+    _, e = np.frexp(np.abs(a).max((-2, -1)))
+    a = np.ldexp(a, -e[..., None, None])
+    s, t = a[..., 0, 1:], a[..., [2, 1, 1], [3, 3, 2]] * [1.0, -1.0, 1.0]
+    u, v = np.linalg.norm(s + t, axis=-1), np.linalg.norm(s - t, axis=-1)
+    return np.ldexp(np.stack([u + v, np.abs(u - v)], axis=-1) / 2, e[..., None])
+
+
 def _scan_rows(omega, r, z0) -> np.ndarray:
     """Columns (omega_plus, omega_minus, fast_amplitude) of a stack of
-    planar Omega: the core's two-sided frequencies, and the q amplitude of
-    the orthogonal projection of R z0 onto the +/- omega_plus eigenvectors
-    U of 1j R Lambda R^T, z_fast = R^-1 U U^H R z0."""
+    planar Omega: the roots of R Lambda R^T and R^-T Omega R^-1 in closed
+    form (`planar_roots`), accepted by the core's rule, and the q amplitude
+    of the projection of R z0 onto the +/- omega_plus plane of
+    F = R Lambda R^T.  With G = F / omega_plus and rho = omega_minus /
+    omega_plus, that projector is P = (G^2 + rho^2 I) / (rho^2 - 1), and
+    z_fast = R^-1 P R z0."""
     # Extreme parameters overflow here; the core's checks, the estimate
     # and the caller's finiteness check refuse such rows, so numpy's
     # warnings would only add noise.
@@ -167,19 +199,25 @@ def _scan_rows(omega, r, z0) -> np.ndarray:
             raise ArithmeticError("Omega is singular in double precision")
         lam = np.block([[-omega[:, 2:, 2:], omega[:, :2, 2:]],
                         [omega[:, 2:, :2], -omega[:, :2, :2]]]) / chi
+        _check_inverse(omega, lam)
         flow = r @ lam @ r.T
-        w = _two_sided(omega, lam, whiten(omega, r), flow)
+        w = _accept(planar_roots(flow), 1.0 / planar_roots(whiten(omega, r))[..., ::-1])
         w_plus, w_minus = w.max(-1), w.min(-1)
+        # In units of omega_plus, |G| <= 1, so G^2 cannot overflow.
+        g = flow / w_plus[:, None, None]
+        rho2 = (w_minus / w_plus)[:, None] ** 2
         y0 = r @ z0
-        u = np.linalg.eigh(1j * flow)[1][..., [0, -1]]
-        y = (u @ (u.conj().swapaxes(-1, -2) @ y0)[..., None])[..., 0].real
-        q = np.linalg.solve(r, y[..., None])[..., :2, 0]
+        y = ((g @ (g @ y0)[..., None])[..., 0] + rho2 * y0) / (rho2 - 1.0)
+        # A stacked matmul rounds each row as a one-row scan does; a solve
+        # with many right-hand sides would not.
+        q = (np.linalg.inv(r)[:2] @ y[..., None])[..., 0]
         error = (4 * np.finfo(float).eps * np.linalg.norm(y0) / np.linalg.norm(y, axis=-1)
                  * w_plus / (w_plus - w_minus))
-    if (error > AMPLITUDE_ACCURACY).any():
+    # Where the two modes meet, rho^2 - 1 = 0 and the estimate is NaN.
+    if not (error <= AMPLITUDE_ACCURACY).all():
         raise ArithmeticError(f"the fast amplitude's error estimate {error.max():.3e} "
                               f"exceeds {AMPLITUDE_ACCURACY:.0e} relative")
-    return np.column_stack([w_plus, w_minus, np.hypot(q[..., 0], q[..., 1])])
+    return np.column_stack([w_plus, w_minus, np.hypot(q[:, 0], q[:, 1])])
 
 
 def chi_limit_scan(model: OscillatorModel, B: float, eps_values,
@@ -205,8 +243,11 @@ def chi_limit_scan(model: OscillatorModel, B: float, eps_values,
         raise ValueError("eps values must be positive")
     if z0 is None:
         # q0 = 1 on the limiting constraint subspace: p0 = i m kappa q0 / B.
-        z0 = np.array([1.0, 0.0, 0.0, model.m * model.kappa / B])
+        with np.errstate(over="ignore"):
+            z0 = np.array([1.0, 0.0, 0.0, model.m * model.kappa / B])
     z0 = np.asarray(z0, dtype=float)
+    if not np.isfinite(z0).all():
+        raise ArithmeticError(f"the start {z0.tolist()} of the limit scan is not finite")
     r = hessian_factor(model.hessian(2))
     failures = (ArithmeticError, np.linalg.LinAlgError)
     try:

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -986,6 +988,27 @@ class TestLimitScan:
         assert not out.exists()
         assert not list(tmp_path.glob(".ncphase-*"))
 
+    # The configs that a correct scan runs; every other one is refused.
+    EXTREME_OK = {(1.0, 1.0, 1.0), (1.0, 1e100, 1e-100)}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("kappa", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("B", [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
+    def test_extreme_scales_exit_cleanly(self, tmp_path, capsys, B, m, kappa):
+        cfg = dict(BASE, field={"B": B, "C": 0.5}, model={"m": m, "kappa": kappa})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "scan.csv"
+        code = run(["limit-scan", "--config", path, "--out", str(out), "--points", "50"])
+        err = capsys.readouterr().err.splitlines()
+        if (B, m, kappa) in self.EXTREME_OK:
+            assert (code, err) == (cli.EXIT_OK, [])
+            assert len(out.read_text().splitlines()) == 51
+        else:
+            assert code == cli.EXIT_SINGULAR
+            assert len(err) == 1 and err[0].startswith("ncphase: numerical failure: "), err
+            assert not out.exists()
+
     def test_non_finite_value_names_the_first_row(self, tmp_path, capsys, monkeypatch):
         def scan(model, B, grid):
             rows = np.column_stack([grid] + [np.full(grid.size, v) for v in (2.0, 0.5, 0.5, 1e-3)])
@@ -1337,6 +1360,15 @@ for argv in (["brackets", "--config", {midpoint!r}],
             proc.stdout.close()
             assert proc.stderr.read() == b""
             assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+
+    def test_stdout_without_a_buffer_gets_the_text(self, tmp_path):
+        # An embedding caller may swap sys.stdout for a text stream.
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / "brackets.json"
+        assert run(["brackets", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert run(["brackets", "--config", path]) == cli.EXIT_OK
+        assert text.getvalue().encode("ascii") == out.read_bytes()
 
     def test_import_does_not_load_dataclasses(self):
         # Records are NamedTuples or __slots__ classes: creating the frozen

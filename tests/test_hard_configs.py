@@ -64,6 +64,8 @@ CONFIGS = {
     "B2to34-C2to-34": (_config({"B": 2.0**34, "C": 2.0**-34}), 60),
     "chi1e-7": (_config({"B": 1.0, "C": -0.9999999}), 60),
     "C1.5-tol4": (_config({"B": 1.0, "C": 1.5}, tol=4.0), 60),
+    # The limit scan's on-constraint start p0 = m kappa / B overflows.
+    "B1e-300-kappa1e100": (_config({"B": 1e-300, "C": 0.5}, {"m": 1.0, "kappa": 1e100}), 60),
 }
 LIMIT_SCAN = (_config({"B": 6.0, "C": 0.0}, {"m": 0.25, "kappa": 0.25}),
               ("--eps-min", "1e-3", "--eps-max", "1", "--points", "20"))
@@ -131,6 +133,8 @@ ENTRIES = [
     ("C1.5-tol4", "simulate", OK, None),
     ("C1.5-tol4", "spectrum", OK, None),
     ("C1.5-tol4", "reduce", OK, None),
+    ("B1e-300-kappa1e100", "limit-scan",
+     FAILURE + "the start [1.0, 0.0, 0.0, inf] of the limit scan is not finite", None),
 ]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -300,6 +301,30 @@ class TestLimitScan:
             sp.chi_limit_scan(UNIT, 1.0, eps)
         assert str(info.value).startswith(f"limit scan at epsilon = {first!r}: ")
 
+    def test_meeting_modes_refused(self):
+        # eps^2 = 1 + B^2 / (m kappa) exactly: omega_plus = omega_minus, and
+        # the fast plane is not defined.
+        with pytest.raises(ArithmeticError, match=r"^limit scan at epsilon = 3\.0: the fast "
+                                                  "amplitude's error estimate "):
+            sp.chi_limit_scan(dyn.OscillatorModel(m=0.5, kappa=1.0), 2.0, [3.0])
+
+    def test_no_stacked_eigensolve(self, monkeypatch):
+        # The frequencies and the projector are closed forms on the whole
+        # stack; only the omega_r target solves one matrix.
+        stacked = []
+
+        def counted(solve):
+            def wrapper(a, *args, **kwargs):
+                if np.ndim(a) > 2:
+                    stacked.append(solve.__name__)
+                return solve(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        rows = sp.chi_limit_scan(UNIT, 1.0, np.geomspace(1e-1, 1e-3, 1000))
+        assert rows.shape == (1000, 5) and stacked == []
+
     def test_singular_omega_refused(self):
         # eps = 1e-9: C B rounds to -1, so chi = 0 and Omega is singular.
         assert 1.0 + 1.0 * ((1e-9 * 1e-9 - 1.0) / 1.0) == 0.0
@@ -348,12 +373,51 @@ class TestLimitScanOracle:
                 continue
             assert _oracle_error(m, kappa, B, row) <= sp.AMPLITUDE_ACCURACY
 
+    def test_benchmark_scan_rows_against_mpmath(self):
+        # The 1000-point scan of the benchmark, at 60 rows spread over it.
+        # The eigenvector projection this replaced was within 6.7e-10 of the
+        # oracle here; the polynomial projector is within 7.8e-11.
+        rows = sp.chi_limit_scan(UNIT, 1.0, np.geomspace(1e-1, 1e-3, 1000))
+        sample = rows[np.linspace(0, len(rows) - 1, 60).astype(int)]
+        assert max(_oracle_error(1.0, 1.0, 1.0, row) for row in sample) <= 2e-10
+        for row in sample:
+            want = _mpmath_planar_frequencies(1.0, row[0] * row[0] - 1.0)
+            assert rel_err(row[1:3], want) <= 1e-14
+
     @pytest.mark.parametrize("m, kappa, B", [(1.0, 1.0, 1.0), (1.0, 3.0, 0.5),
                                              (0.7, 1.3, 2.0), (2.0, 2.0, 0.3)])
     def test_oracle_limit_is_closed_form_prefactor(self, m, kappa, B):
         amp, _ = cf.fast_q_coeffs_mpmath(m, kappa, B, "1e-8")
         want = (m * kappa) ** 2 / (B**2 + m * kappa) ** 2
         assert abs(float(amp) / 1e-8**2 - want) <= 1e-12 * want
+
+
+# An entry of a random antisymmetric matrix, spread over 2^+-60.
+_ENTRY = hst.tuples(hst.floats(-1.0, 1.0), hst.integers(-60, 60)).map(lambda t: math.ldexp(*t))
+
+
+class TestPlanarRoots:
+    """The so(4) closed form against LAPACK's Hermitian eigenvalues."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(hst.lists(hst.tuples(hst.lists(_ENTRY, min_size=6, max_size=6),
+                                hst.integers(-900, 900)), min_size=1, max_size=8))
+    def test_match_eigvalsh(self, matrices):
+        a = np.zeros((len(matrices), 4, 4))
+        for block, (entries, scale) in zip(a, matrices):
+            block[np.triu_indices(4, 1)] = np.ldexp(entries, scale)
+        a -= a.swapaxes(-1, -2)
+        roots = sp.planar_roots(a)
+        want = np.linalg.eigvalsh(1j * a)[..., 2:][..., ::-1]
+        assert np.isfinite(roots).all()
+        size = np.abs(a).max((-2, -1), keepdims=True)[..., 0]
+        assert (np.abs(roots - want) <= 16 * np.finfo(float).eps * size).all()
+
+    def test_block_diagonal(self):
+        # Two planes rotating at 3 and 2^-30: the roots are exact.
+        a = np.zeros((4, 4))
+        a[0, 1], a[2, 3] = 3.0, 2.0**-30
+        assert sp.planar_roots(a - a.T).tolist() == [3.0, 2.0**-30]
 
 
 def _sorted_ladder(freqs, hbar, nmax):
