@@ -22,7 +22,6 @@ from . import constrained, darboux, dynamics, g17, spectrum, structure
 from .errors import (
     InconsistentSystem,
     NcphaseError,
-    NegativeChi,
     OffConstraint,
     SingularOmega,
     StepRejected,
@@ -397,33 +396,16 @@ def cmd_brackets(rc: RunConfig, args) -> tuple:
 def cmd_darboux(rc: RunConfig, args) -> tuple:
     cfg = _require(rc.cfg, "a field section")
     structure.regularity(cfg, rc.tol_singular)
-    omega = structure.build_omega(cfg)
-    n2, n3 = structure.n2_scalars(cfg), structure.n3_vectors(cfg)
-    dmap, route, note = None, "generic", None
-    try:
-        if n2 is not None:
-            dmap, route = darboux.darboux_n2(*n2), "closed-n2"
-        elif n3 is not None:
-            dmap, route = darboux.darboux_n3(*n3), "closed-n3"
-    except NegativeChi:
-        note = "chi < 0: routed to the generic skew factorization"
-    # The generic map cross-checks a closed form, or is the map.
-    generic = darboux.darboux_generic(omega)
-    if dmap is None:
-        dmap = generic
-    sp_residual = darboux.symplectic_deviation(dmap.T @ generic.Tinv)
-    report = {
-        "route": route,
+    dmap = darboux.darboux_generic(structure.build_omega(cfg))
+    return EXIT_OK, {
+        "route": "generic",
         "T": dmap.T,
         "Tinv": dmap.Tinv,
         "residual": dmap.residual,
-        # A closed form at |B| near 1e300 has a cond of about 1e600, beyond a double.
+        # At |B| near 1e300 an oblique field's map has a cond beyond a double.
         "cond": dmap.cond if math.isfinite(dmap.cond) else None,
-        "sp_equivalence_residual": sp_residual,
+        "sp_equivalence_residual": darboux.symplectic_deviation(dmap.T @ dmap.Tinv),
     }
-    if note:
-        report["note"] = note
-    return EXIT_OK, report
 
 
 def _chain(rc: RunConfig) -> constrained.ConstraintChain:

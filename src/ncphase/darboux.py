@@ -1,27 +1,20 @@
 """Linear Darboux maps bringing the modified two-form to canonical shape.
 
 A map is stored as the matrix T with zeta = T z, accepted when
-T^T J T = Omega up to a small residual.  Closed forms cover the planar
-and spatial constant-field cases; the 2x2-pivoted skew-symmetric
-factorization of Omega (Bunch 1982) handles any nondegenerate Omega.
+T^T J T = Omega up to a small residual.  One map serves every
+nondegenerate Omega: the 2x2-pivoted skew-symmetric factorization of
+Omega (Bunch 1982).  The paper's planar and spatial closed forms are
+special cases of it, equal to it up to a symplectic matrix, and are kept
+as test oracles (tests/closed_forms.py).  `lambda3`, the angular
+momentum about the third axis, needs no chart: it is the moment map of
+the rotation that both fields commute with.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NegativeChi
-from .structure import (
-    EPS2,
-    FieldConfig,
-    build_omega,
-    canonical_j,
-    cross_matrix,
-    field_config_n2,
-    field_config_n3,
-    n2_scalars,
-    n3_vectors,
-)
+from .structure import FieldConfig, build_omega, canonical_j
 
 
 class DarbouxMap(NamedTuple):
@@ -58,125 +51,35 @@ def _finish(T: np.ndarray, Tinv: np.ndarray, omega: np.ndarray, bound: float) ->
     return DarbouxMap(T, Tinv, res, dmap.cond)
 
 
-class N2Coefficients(NamedTuple):
-    """Planar regularity data: chi = 1 + CB and the branch scalar u."""
-
-    chi: float
-    u: float
-
-
-def _checked_chi(B, C):
-    """(C.B, chi = 1 + C.B) where the closed forms hold, 0 < chi < inf; else
-    NegativeChi (chi <= 0: the generic map applies) or OverflowError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = float(np.dot(C, B))
-    chi = 1.0 + theta
-    if chi <= 0:
-        raise NegativeChi(f"chi = {chi:.6g} <= 0: no closed-form map")
-    if not chi < np.inf:
-        raise OverflowError(f"chi = 1 + C.B = {chi:.6g} is not finite: no closed-form map")
-    return theta, chi
-
-
-def n2_coefficients(B: float, C: float) -> N2Coefficients:
-    chi = _checked_chi(B, C)[1]
-    return N2Coefficients(chi, 0.5 * (1.0 + np.sqrt(chi)))
-
-
-class N3Coefficients(NamedTuple):
-    """Spatial regularity data with the mixing scalars gamma, gamma_prime.
-
-    Both scalars are 0/0 forms in theta = C.B at theta = 0; they are
-    evaluated through equivalent cancellation-free expressions with the
-    finite limits gamma -> -1/8 and gamma_prime -> 3/8.
-    """
-
-    theta: float
-    chi: float
-    u: float
-    gamma: float
-    gamma_prime: float
-
-
-def n3_coefficients(Bvec, Cvec) -> N3Coefficients:
-    theta, chi = _checked_chi(Bvec, Cvec)
-    # A chi near the float limit overflows these products; the map built
-    # from them is refused downstream, so numpy's warnings would only add
-    # noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rchi = np.sqrt(chi)
-        u = 0.5 * (1.0 + rchi)
-        ru = np.sqrt(u)
-        # gamma = (1 - sqrt(u)) / (theta sqrt(u)) rewritten without the 0/0 form.
-        gamma = -1.0 / (2.0 * (rchi + 1.0) * (1.0 + ru) * ru)
-        gamma_prime = (2.0 * rchi + 1.0) / (2.0 * (rchi + 1.0) * (rchi + ru) * ru)
-    return N3Coefficients(theta, chi, float(u), float(gamma), float(gamma_prime))
-
-
-def darboux_n2(B: float, C: float) -> DarbouxMap:
-    """Closed-form planar map.
-
-    xi = sqrt(u) (q - (C/2u) eps p),  pi = sqrt(u) (p - (B/2u) eps q),
-    with u = (1 + sqrt(chi))/2; the inverse carries the extra 1/sqrt(chi).
-    """
-    co = n2_coefficients(B, C)
-    ru = np.sqrt(co.u)
-    ident = np.eye(2)
-    half = lambda s: (s / (2.0 * co.u)) * EPS2
-
-    T = ru * np.block([[ident, -half(C)], [-half(B), ident]])
-    Tinv = (ru / np.sqrt(co.chi)) * np.block([[ident, half(C)], [half(B), ident]])
-    return _finish(T, Tinv, build_omega(field_config_n2(B, C)), 1e-12)
-
-
-def darboux_n3(Bvec, Cvec) -> DarbouxMap:
-    """Closed-form spatial map.
-
-    xi = sqrt(u) (q + gamma B (C.q) + (1/2u) C x p),
-    pi = sqrt(u) (p + gamma (p.B) C + (1/2u) B x q).
-    """
-    B = np.asarray(Bvec, dtype=float)
-    C = np.asarray(Cvec, dtype=float)
-    co = n3_coefficients(B, C)
-    ru = np.sqrt(co.u)
-    ident = np.eye(3)
-    bx, cx = cross_matrix(B), cross_matrix(C)
-    bc, cb = np.outer(B, C), np.outer(C, B)
-
-    T = ru * np.block([
-        [ident + co.gamma * bc, cx / (2.0 * co.u)],
-        [bx / (2.0 * co.u), ident + co.gamma * cb],
-    ])
-    Tinv = (ru / np.sqrt(co.chi)) * np.block([
-        [ident + co.gamma_prime * bc, -cx / (2.0 * co.u)],
-        [-bx / (2.0 * co.u), ident + co.gamma_prime * cb],
-    ])
-    return _finish(T, Tinv, build_omega(field_config_n3(B, C)), 1e-9)
-
-
 def lambda3(cfg: FieldConfig, states):
-    """Angular momentum xi^1 pi_2 - xi^2 pi_1 about the third axis in the
-    closed-form Darboux variables zeta = T z, of one state (a float) or of
-    each row of a (..., 2N) array; None where no such chart exists.
+    """Lambda3 = -1/2 z^T (Omega A) z of one state (a float) or of each row
+    of a (..., 2N) array; None unless N >= 2 and Omega A is symmetric.
 
-    The charts are those of planar configs and of axis-aligned spatial
-    configs whose chi = 1 + C.B is finite and positive, where the map
-    meets `_finish`'s contract.
+    A generates the simultaneous rotation of (q^1, q^2) and (p_1, p_2),
+    A e_1 = e_2 in q and in p, so Lambda3 is its moment map: the angular
+    momentum q^1 p_2 - q^2 p_1 at zero fields, xi^1 pi_2 - xi^2 pi_1 in
+    the paper's planar and spatial Darboux variables.  Omega A is
+    symmetric exactly when both fields commute with the rotation: planar
+    and axis-aligned spatial fields, at any chi, and larger N whose (1, 2)
+    block is invariant.  A's entries are 0 and +-1, so Omega A is copied
+    from Omega's columns exactly and the test is exact.
     """
-    try:
-        sc, vecs = n2_scalars(cfg), n3_vectors(cfg)
-        if sc is not None:
-            dmap = darboux_n2(*sc)
-        elif vecs is not None and not (vecs[0][:2].any() or vecs[1][:2].any()):
-            dmap = darboux_n3(*vecs)
-        else:
-            return None
-    except (NegativeChi, ArithmeticError):
-        return None
-    zeta = np.asarray(states, dtype=float) @ dmap.T.T
     N = cfg.N
-    l3 = zeta[..., 0] * zeta[..., N + 1] - zeta[..., 1] * zeta[..., N]
-    return float(l3) if zeta.ndim == 1 else l3
+    if N < 2:
+        return None
+    omega = build_omega(cfg)
+    s = np.zeros_like(omega)
+    for a, b in ((0, 1), (N, N + 1)):
+        s[:, a], s[:, b] = omega[:, b], -omega[:, a]
+    if not np.array_equal(s, s.T):
+        return None
+    z = np.asarray(states, dtype=float)
+    # Fields near the float limit can overflow the form; the non-finite
+    # column is refused with the trajectory, so numpy's warnings would only
+    # add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        l3 = -0.5 * np.einsum("...i,...i->...", z @ s, z)
+    return float(l3) if z.ndim == 1 else l3
 
 
 def darboux_generic(omega: np.ndarray) -> DarbouxMap:

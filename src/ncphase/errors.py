@@ -13,10 +13,6 @@ class SingularOmega(NcphaseError):
         self.det_psi = det_psi
 
 
-class NegativeChi(NcphaseError):
-    """chi = 1 + C.B is not positive: outside the closed-form branch."""
-
-
 class InconsistentSystem(NcphaseError):
     """Constraint chain admits no consistent dynamics anywhere."""
 

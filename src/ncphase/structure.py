@@ -100,15 +100,6 @@ def n2_scalars(cfg: FieldConfig):
     return cfg.eF[0, 1], cfg.rG[0, 1]
 
 
-def n3_vectors(cfg: FieldConfig):
-    """Recover (Bvec, Cvec) for an N=3 config; else None."""
-    if cfg.N != 3:
-        return None
-    bvec = np.array([cfg.eF[1, 2], cfg.eF[2, 0], cfg.eF[0, 1]])
-    cvec = np.array([cfg.rG[1, 2], cfg.rG[2, 0], cfg.rG[0, 1]])
-    return bvec, cvec
-
-
 def build_omega(cfg: FieldConfig) -> np.ndarray:
     """Assemble the modified two-form matrix [[-eF, I], [-I, rG]]."""
     N = cfg.N

@@ -1,11 +1,13 @@
 """Closed forms and reference solves that the tests compare the program to.
 
 None of these run in the program: `simulate` propagates every flow, the
-degenerate ones included, through `dynamics.affine_flow`, and `spectrum`
+degenerate ones included, through `dynamics.affine_flow`, `spectrum`
 and `limit-scan` take every frequency from the core of
-`spectrum.mode_frequencies`.  (The module is not called `oracles`, which
-would shadow the benchmark's `oracles` module when pytest collects both
-directories in one run.)
+`spectrum.mode_frequencies`, `darboux` prints `darboux.darboux_generic`
+for every field, and the `Lambda3` column is the moment map
+`darboux.lambda3`, read in no chart.  (The module is not called
+`oracles`, which would shadow the benchmark's `oracles` module when
+pytest collects both directories in one run.)
 """
 
 from typing import NamedTuple
@@ -23,6 +25,181 @@ from ncphase.errors import OffConstraint, SingularOmega
 
 class NoKernel(Exception):
     """`secondary_constraints` of a nondegenerate Omega."""
+
+
+class NegativeChi(Exception):
+    """chi = 1 + C.B is not positive: outside the closed-form branch."""
+
+
+# --- The paper's closed-form Darboux maps ----------------------------------
+
+class N2Coefficients(NamedTuple):
+    """Planar regularity data: chi = 1 + CB and the branch scalar u."""
+
+    chi: float
+    u: float
+
+
+def _checked_chi(B, C):
+    """(C.B, chi = 1 + C.B) where the closed forms hold, 0 < chi < inf; else
+    NegativeChi (chi <= 0: the generic map applies) or OverflowError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = float(np.dot(C, B))
+    chi = 1.0 + theta
+    if chi <= 0:
+        raise NegativeChi(f"chi = {chi:.6g} <= 0: no closed-form map")
+    if not chi < np.inf:
+        raise OverflowError(f"chi = 1 + C.B = {chi:.6g} is not finite: no closed-form map")
+    return theta, chi
+
+
+def n2_coefficients(B: float, C: float) -> N2Coefficients:
+    chi = _checked_chi(B, C)[1]
+    return N2Coefficients(chi, 0.5 * (1.0 + np.sqrt(chi)))
+
+
+class N3Coefficients(NamedTuple):
+    """Spatial regularity data with the mixing scalars gamma, gamma_prime.
+
+    Both scalars are 0/0 forms in theta = C.B at theta = 0; they are
+    evaluated through equivalent cancellation-free expressions with the
+    finite limits gamma -> -1/8 and gamma_prime -> 3/8.
+    """
+
+    theta: float
+    chi: float
+    u: float
+    gamma: float
+    gamma_prime: float
+
+
+def n3_coefficients(Bvec, Cvec) -> N3Coefficients:
+    theta, chi = _checked_chi(Bvec, Cvec)
+    # A chi near the float limit overflows these products; the map built
+    # from them is refused by its contract, so numpy's warnings would only
+    # add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rchi = np.sqrt(chi)
+        u = 0.5 * (1.0 + rchi)
+        ru = np.sqrt(u)
+        # gamma = (1 - sqrt(u)) / (theta sqrt(u)) rewritten without the 0/0 form.
+        gamma = -1.0 / (2.0 * (rchi + 1.0) * (1.0 + ru) * ru)
+        gamma_prime = (2.0 * rchi + 1.0) / (2.0 * (rchi + 1.0) * (rchi + ru) * ru)
+    return N3Coefficients(theta, chi, float(u), float(gamma), float(gamma_prime))
+
+
+def n3_vectors(cfg: st.FieldConfig):
+    """Recover (Bvec, Cvec) for an N=3 config; else None."""
+    if cfg.N != 3:
+        return None
+    bvec = np.array([cfg.eF[1, 2], cfg.eF[2, 0], cfg.eF[0, 1]])
+    cvec = np.array([cfg.rG[1, 2], cfg.rG[2, 0], cfg.rG[0, 1]])
+    return bvec, cvec
+
+
+def darboux_n2(B: float, C: float) -> dx.DarbouxMap:
+    """Closed-form planar map.
+
+    xi = sqrt(u) (q - (C/2u) eps p),  pi = sqrt(u) (p - (B/2u) eps q),
+    with u = (1 + sqrt(chi))/2; the inverse carries the extra 1/sqrt(chi).
+    """
+    co = n2_coefficients(B, C)
+    ru = np.sqrt(co.u)
+    ident = np.eye(2)
+    half = lambda s: (s / (2.0 * co.u)) * st.EPS2
+
+    T = ru * np.block([[ident, -half(C)], [-half(B), ident]])
+    Tinv = (ru / np.sqrt(co.chi)) * np.block([[ident, half(C)], [half(B), ident]])
+    return dx._finish(T, Tinv, st.build_omega(st.field_config_n2(B, C)), 1e-12)
+
+
+def darboux_n3(Bvec, Cvec) -> dx.DarbouxMap:
+    """Closed-form spatial map.
+
+    xi = sqrt(u) (q + gamma B (C.q) + (1/2u) C x p),
+    pi = sqrt(u) (p + gamma (p.B) C + (1/2u) B x q).
+    """
+    B = np.asarray(Bvec, dtype=float)
+    C = np.asarray(Cvec, dtype=float)
+    co = n3_coefficients(B, C)
+    ru = np.sqrt(co.u)
+    ident = np.eye(3)
+    bx, cx = st.cross_matrix(B), st.cross_matrix(C)
+    bc, cb = np.outer(B, C), np.outer(C, B)
+
+    T = ru * np.block([
+        [ident + co.gamma * bc, cx / (2.0 * co.u)],
+        [bx / (2.0 * co.u), ident + co.gamma * cb],
+    ])
+    Tinv = (ru / np.sqrt(co.chi)) * np.block([
+        [ident + co.gamma_prime * bc, -cx / (2.0 * co.u)],
+        [-bx / (2.0 * co.u), ident + co.gamma_prime * cb],
+    ])
+    return dx._finish(T, Tinv, st.build_omega(st.field_config_n3(B, C)), 1e-9)
+
+
+def closed_form_chart(cfg: st.FieldConfig):
+    """The paper's Darboux map of a planar config, or of an axis-aligned
+    spatial one, where chi = 1 + C.B is finite and positive and the map
+    meets its contract; else None."""
+    sc, vecs = st.n2_scalars(cfg), n3_vectors(cfg)
+    try:
+        if sc is not None:
+            return darboux_n2(*sc)
+        if vecs is not None and not (vecs[0][:2].any() or vecs[1][:2].any()):
+            return darboux_n3(*vecs)
+    except (NegativeChi, ArithmeticError):
+        pass
+    return None
+
+
+def chart_lambda3(dmap: dx.DarbouxMap, states) -> np.ndarray:
+    """Angular momentum xi^1 pi_2 - xi^2 pi_1 of each state in the chart
+    zeta = T z of ``dmap``."""
+    zeta = np.atleast_2d(np.asarray(states, dtype=float)) @ dmap.T.T
+    N = zeta.shape[1] // 2
+    return zeta[:, 0] * zeta[:, N + 1] - zeta[:, 1] * zeta[:, N]
+
+
+def rotation_generator(N: int) -> np.ndarray:
+    """A with A e_1 = e_2 and A e_2 = -e_1 in q and in p: the simultaneous
+    rotation of (q^1, q^2) and (p_1, p_2)."""
+    a = np.zeros((2 * N, 2 * N))
+    for k in (0, N):
+        a[k + 1, k], a[k, k + 1] = 1.0, -1.0
+    return a
+
+
+def commutes_with_rotation(cfg: st.FieldConfig) -> bool:
+    """Whether Omega A is symmetric, so that -1/2 z^T Omega A z is the
+    rotation's moment map.  A's entries are 0 and +-1, so the product is
+    exact."""
+    if cfg.N < 2:
+        return False
+    s = st.build_omega(cfg) @ rotation_generator(cfg.N)
+    return bool(np.array_equal(s, s.T))
+
+
+def moment_map_mpmath(cfg: st.FieldConfig, states, dps: int = 50) -> np.ndarray:
+    """-1/2 z^T (Omega A) z of each state, in dps-digit mpmath, rounded once."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        s = mp.matrix(st.build_omega(cfg).tolist()) * mp.matrix(
+            rotation_generator(cfg.N).tolist())
+        out = []
+        for z in np.atleast_2d(np.asarray(states, dtype=float)):
+            zm = mp.matrix([mp.mpf(float(x)) for x in z])
+            out.append(float(-(zm.T * s * zm)[0] / 2))
+        return np.array(out)
+
+
+def moment_map_scale(cfg: st.FieldConfig, states) -> np.ndarray:
+    """|z|^T |Omega A| |z| / 2 of each state: the sum of the magnitudes of
+    the terms of the moment map, against which its rounding is measured."""
+    s = np.abs(st.build_omega(cfg) @ rotation_generator(cfg.N))
+    z = np.abs(np.atleast_2d(np.asarray(states, dtype=float)))
+    with np.errstate(over="ignore"):
+        return 0.5 * np.einsum("ij,ij->i", z @ s, z)
 
 
 def refined_inv(a) -> np.ndarray:
@@ -104,7 +281,7 @@ def n2_frequencies(model: dyn.OscillatorModel, B: float, C: float,
     """Renormalized mass/elasticity and mode frequencies for the planar oscillator."""
     if model.potential != dyn.HARMONIC or model.kappa <= 0:
         raise ValueError("frequencies require a harmonic potential with kappa > 0")
-    co = dx.n2_coefficients(B, C)
+    co = n2_coefficients(B, C)
     chi, u = co.chi, co.u
     if chi <= tol:
         raise SingularOmega(f"chi = {chi:.6g} is at or below {tol:.1e}")

@@ -62,7 +62,7 @@ def test_darboux_residuals():
         if 1 + B * C <= 1e-3:
             continue
         produced += 1
-        worst_n2 = max(worst_n2, dx.darboux_n2(B, C).residual)
+        worst_n2 = max(worst_n2, cf.darboux_n2(B, C).residual)
 
     worst_n3 = 0.0
     produced = 0
@@ -71,7 +71,7 @@ def test_darboux_residuals():
         if 1 + np.dot(cvec, bvec) <= 1e-3:
             continue
         produced += 1
-        worst_n3 = max(worst_n3, dx.darboux_n3(bvec, cvec).residual)
+        worst_n3 = max(worst_n3, cf.darboux_n3(bvec, cvec).residual)
 
     worst_generic = 0.0
     for N in range(1, 7):
@@ -90,7 +90,7 @@ def test_darboux_residuals():
         if 1 + B * C <= 0.05:
             continue
         produced += 1
-        closed = dx.darboux_n2(B, C)
+        closed = cf.darboux_n2(B, C)
         generic = dx.darboux_generic(st.build_omega(st.field_config_n2(B, C)))
         worst_equiv = max(worst_equiv, dx.symplectic_deviation(closed.T @ generic.Tinv))
 

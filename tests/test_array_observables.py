@@ -3,7 +3,9 @@ per-sample scalar evaluation they replace.
 
 The reference functions below are the one-state formulas: BLAS dot
 products of 1-d vectors, then per-value format(v, ".17g").  Equality is
-exact (np.array_equal or string equality), never approximate.
+exact (np.array_equal or string equality), never approximate, except
+against the paper's chart bilinear xi^1 pi_2 - xi^2 pi_1, which the
+moment map `darboux.lambda3` meets to rounding.
 """
 
 import json
@@ -85,8 +87,8 @@ def test_secondary_constraint_residual_rows_match_scalar_calls():
     assert np.array_equal(lc.residual(states), want)
 
 
-# Zero fields: the closed-form chart is T = I, so zeta = z exactly.  N = 6
-# has no chart (tests/test_dynamics.py, TestLambda3Chart).
+# Zero fields: the moment map is the bilinear q^1 p_2 - q^2 p_1 of the
+# state itself.
 ZERO_FIELDS = {2: structure.field_config_n2(0.0, 0.0),
                3: structure.field_config_n3([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])}
 
@@ -100,13 +102,17 @@ def test_angular_momentum_rows_match_scalar_calls(N):
 
 
 def test_integrate_lambda3_is_the_darboux_bilinear():
+    # The moment map is the paper's chart bilinear xi^1 pi_2 - xi^2 pi_1
+    # to rounding: within 16 eps of the size of either's terms.
     cfg = structure.field_config_n3([0, 0, 1.0], [0, 0, 0.5])
     model = dynamics.OscillatorModel(m=1.0, kappa=1.0)
     states = dynamics.affine_flow(*dynamics.flow_matrix(cfg, model),
                                   [1.0, 0.0, 0.3, 0.0, 0.7, -0.2], 0.05, 200)
-    zeta = states @ darboux.darboux_n3([0, 0, 1.0], [0, 0, 0.5]).T.T
+    zeta = states @ cf.darboux_n3([0, 0, 1.0], [0, 0, 0.5]).T.T
     want = zeta[:, 0] * zeta[:, 4] - zeta[:, 1] * zeta[:, 3]
-    assert np.array_equal(darboux.lambda3(cfg, states), want)
+    terms = np.abs(zeta[:, 0] * zeta[:, 4]) + np.abs(zeta[:, 1] * zeta[:, 3])
+    scale = cf.moment_map_scale(cfg, states) + terms
+    assert (np.abs(darboux.lambda3(cfg, states) - want) <= 16 * np.finfo(float).eps * scale).all()
     assert np.array_equal(model.hamiltonian(states),
                           [scalar_hamiltonian(model, z) for z in states])
 
@@ -135,13 +141,16 @@ def test_simulate_csv_matches_per_value_format(tmp_path, method):
               "time": {"t_final": 0.5, "dt": 0.01, "method": method}}
     got = simulate_csv(tmp_path, config)
 
-    states = dynamics.affine_flow(*dynamics.flow_matrix(structure.field_config_n2(B, C), model),
-                                  z0, 0.01, 50, method)
-    zeta = states @ darboux.darboux_n2(B, C).T.T
-    rows = [[t, *z, scalar_hamiltonian(model, z), scalar_angular_momentum(x)]
-            for t, z, x in zip(0.01 * np.arange(51), states, zeta)]
+    cfg = structure.field_config_n2(B, C)
+    states = dynamics.affine_flow(*dynamics.flow_matrix(cfg, model), z0, 0.01, 50, method)
+    lam3 = darboux.lambda3(cfg, states)
+    rows = [[t, *z, scalar_hamiltonian(model, z), x]
+            for t, z, x in zip(0.01 * np.arange(51), states, lam3)]
     assert got == csv_text(["t", "q1", "q2", "p1", "p2", "H", "Lambda3"], rows)
-    assert got.splitlines()[1] == "0,-0,1e-300,3.0000000000000002e-300,-2.5e-300,0,0"
+    assert got.splitlines()[1] == "0,-0,1e-300,3.0000000000000002e-300,-2.5e-300,0,-0"
+    # The column is the paper's chart bilinear to rounding; at 1e-300 both
+    # underflow to zero.
+    assert np.array_equal(lam3, cf.chart_lambda3(cf.darboux_n2(B, C), states))
 
 
 def test_degenerate_simulate_csv_matches_per_value_format(tmp_path):

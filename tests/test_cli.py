@@ -231,23 +231,43 @@ class TestBrackets:
         assert rep["kernel_dimension"] == 2
 
 
+def symplectic_error(s):
+    """Max-abs entry of S^T J S - J."""
+    n = s.shape[0] // 2
+    j = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    return np.abs(s.T @ j @ s - j).max()
+
+
 class TestDarboux:
     def test_closed_route(self, tmp_path):
-        path = write_config(tmp_path, dict(BASE, field={"B": 3.0, "C": 1.0}))
-        out = tmp_path / "dx.json"
-        assert run(["darboux", "--config", path, "--out", str(out)]) == cli.EXIT_OK
-        rep = json.loads(out.read_text())
-        assert rep["route"] == "closed-n2"
-        assert rep["residual"] <= 1e-12
-        assert rep["sp_equivalence_residual"] <= 1e-8
+        # Planar and spatial fields take the generic route; the paper's
+        # closed-form chart, a test oracle, differs from the printed map by
+        # a symplectic matrix: T_closed T^-1.
+        for n, field, closed in [
+            (2, {"B": 3.0, "C": 1.0}, cf.darboux_n2(3.0, 1.0)),
+            (3, {"Bvec": [0.3, 0.1, 1.0], "Cvec": [0.2, -0.4, 0.5]},
+             cf.darboux_n3([0.3, 0.1, 1.0], [0.2, -0.4, 0.5])),
+        ]:
+            path = write_config(tmp_path, dict(BASE, N=n, field=field))
+            out = tmp_path / "dx.json"
+            assert run(["darboux", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+            rep = json.loads(out.read_text())
+            assert rep["route"] == "generic" and "note" not in rep
+            assert rep["residual"] <= 1e-15
+            assert rep["sp_equivalence_residual"] <= 1e-15
+            assert symplectic_error(closed.T @ np.array(rep["Tinv"])) <= 1e-12
 
     def test_negative_chi_routes_to_generic(self, tmp_path):
+        # chi = -2: the paper's chart does not exist, and the generic map
+        # is written without a note.
+        with pytest.raises(cf.NegativeChi):
+            cf.darboux_n2(3.0, -1.0)
         path = write_config(tmp_path, dict(BASE, field={"B": 3.0, "C": -1.0}))
         out = tmp_path / "dx.json"
         assert run(["darboux", "--config", path, "--out", str(out)]) == cli.EXIT_OK
         rep = json.loads(out.read_text())
         assert rep["route"] == "generic"
-        assert "note" in rep
+        assert "note" not in rep
         assert rep["residual"] <= 1e-8
 
     def test_identity_for_zero_fields(self, tmp_path):
@@ -274,7 +294,7 @@ class TestDarboux:
         assert run(["darboux", "--config", write_config(tmp_path, cfg),
                     "--out", str(out)]) == cli.EXIT_OK
         rep = json.loads(out.read_text())
-        assert rep["route"] == "closed-n2"
+        assert rep["route"] == "generic"
         assert rep["residual"] <= 1e-15 * 1.5
         assert rep["sp_equivalence_residual"] <= 1e-15
 
@@ -351,19 +371,23 @@ class TestOneRegularityDecision:
 
     def test_lambda3_follows_the_chart(self, tmp_path):
         # At a 1e-30 gate the regular route reaches chi = 3e-11, where the
-        # closed-form chart exists: the Lambda3 column is the angular
-        # momentum of the rows mapped by its T.  At chi = 1e-13 the chart
-        # fails its contract, and the column is dropped.
+        # paper's chart exists: the Lambda3 column is the angular momentum
+        # of the rows mapped by its T.  At chi = 1e-13 the chart fails its
+        # contract, and the column is still the rotation's moment map of
+        # the written rows, evaluated in mpmath.
         cfg = dict(BASE, state=[1.0, 0.0, 0.0, 1.0], time={"t_final": 1.0, "dt": 0.25},
                    tolerances={"singular": 1e-30})
         header, table = simulate_table(tmp_path, dict(cfg, field={"B": 1.0, "C": -1.0 + 3e-11}))
         assert header[-1] == "Lambda3"
-        dmap = darboux.darboux_n2(1.0, -1.0 + 3e-11)
-        zeta = table[:, 1:5] @ dmap.T.T
-        l3 = zeta[:, 0] * zeta[:, 3] - zeta[:, 1] * zeta[:, 2]
+        l3 = cf.chart_lambda3(cf.darboux_n2(1.0, -1.0 + 3e-11), table[:, 1:5])
         assert np.abs(table[:, -1] - l3).max() <= 1e-12 * np.abs(l3).max()
+        fields = structure.field_config_n2(1.0, -1.0 + 1e-13)
+        assert cf.closed_form_chart(fields) is None
         header, table = simulate_table(tmp_path, dict(cfg, field={"B": 1.0, "C": -1.0 + 1e-13}))
-        assert header == ["t", "q1", "q2", "p1", "p2", "H"]
+        assert header[-1] == "Lambda3"
+        want = cf.moment_map_mpmath(fields, table[:, 1:5])
+        assert (np.abs(table[:, -1] - want)
+                <= 8 * np.finfo(float).eps * cf.moment_map_scale(fields, table[:, 1:5])).all()
 
 
 class TestSimulate:
@@ -476,12 +500,13 @@ class TestSimulate:
             assert proc.stderr.splitlines() == [line], cases[i]
             assert not out.exists()
 
-    def test_chart_without_finite_coefficients_drops_lambda3(self, tmp_path):
+    def test_chart_without_finite_coefficients_keeps_lambda3(self, tmp_path):
         # Axial Bz = Cz = 1e300: chi overflows, but the transverse Lambda
-        # block of about 1e-300 is representable.  The closed-form chart
-        # has no finite coefficients, so there is no Lambda3 column, and no
-        # warning or SVD failure from building the chart.  The rows are
-        # those of a 700-digit mpmath flow.
+        # block of about 1e-300 is representable.  The paper's chart has no
+        # finite coefficients; the Lambda3 column is the rotation's moment
+        # map, which needs none, and no warning is written.  The rows are
+        # those of a 700-digit mpmath flow, and the column that of a
+        # 50-digit moment map of each row.
         cfg = {"schema_version": 1, "N": 3,
                "field": {"Bvec": [0.0, 0.0, 1e300], "Cvec": [0.0, 0.0, 1e300]},
                "model": BASE["model"], "state": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
@@ -493,12 +518,15 @@ class TestSimulate:
             capture_output=True, text=True,
         )
         assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
-        assert out.read_text().splitlines()[0] == "t,q1,q2,q3,p1,p2,p3,H"
+        assert out.read_text().splitlines()[0] == "t,q1,q2,q3,p1,p2,p3,H,Lambda3"
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
-        want = cf.trajectory_mpmath(structure.field_config_n3(*cfg["field"].values()), UNIT,
-                                    cfg["state"], rows[:, 0])
+        fields = structure.field_config_n3(*cfg["field"].values())
+        want = cf.trajectory_mpmath(fields, UNIT, cfg["state"], rows[:, 0])
         assert np.abs(rows[:, 1:7] - want).max() <= 1e-16
         assert np.abs(rows[1:, [2, 4]] / want[1:, [1, 3]] - 1.0).max() <= 1e-15
+        lam3 = cf.moment_map_mpmath(fields, rows[:, 1:7])
+        assert (np.abs(rows[:, -1] - lam3)
+                <= 8 * np.finfo(float).eps * cf.moment_map_scale(fields, rows[:, 1:7])).all()
 
     def test_off_constraint_initial_state(self, tmp_path):
         cfg = dict(BASE, field={"B": 1.0, "C": -1.0}, state=[1.0, 0.0, 0.0, 0.0],
@@ -1061,38 +1089,59 @@ class TestLimitScan:
             assert not out.exists()
 
 
+# det Psi = 1, but the first Schur update of Bunch's elimination adds two
+# terms of 1e308 in the q block: the second pivot is -inf.
+OVERFLOWING_PIVOT = {
+    "eF": (1e308 * np.array([[0, 1, 1, 1], [-1, 0, 1, -1],
+                             [-1, -1, 0, 1], [-1, 1, -1, 0]])).tolist(),
+    "rG": np.zeros((4, 4)).tolist(),
+}
+
+
 class TestNumericalFailure:
     """Numerical failures exit 2 with their own message, not as config
     errors (LinAlgError subclasses ValueError) or tracebacks."""
 
     def test_singular_inverse_in_darboux(self, tmp_path, capsys):
-        # chi = 2 at B = 1e300, C = 1e-300: the map and its generic
-        # cross-check meet the contract to rounding, and the closed form's
-        # cond (about 1e600) is written as null.  Where chi overflows, the
-        # closed form's refusal is a numerical failure, not a config error.
-        path = write_config(tmp_path, dict(BASE, field={"B": 1e300, "C": 1e-300}))
+        # chi = 2 at |B| = 1e300, |C| = 1e-300: the map meets the contract
+        # to rounding.  Its cond is 7.1e299 for planar fields; for oblique
+        # ones it is beyond a double and written as null.  Where the
+        # overflowing Schur update of a 1e308 field leaves no pivot, the
+        # refusal is a numerical failure, not a config error.
+        unit = np.array([1.0, 2.0, 2.0]) / 3.0
         out = tmp_path / "d.json"
-        assert run(["darboux", "--config", path, "--out", str(out)]) == cli.EXIT_OK
-        rep = json.loads(out.read_text())
-        assert rep["route"] == "closed-n2" and rep["cond"] is None
-        assert rep["residual"] <= 1e-15 * 1e300
-        assert rep["sp_equivalence_residual"] <= 1e-15
-        path = write_config(tmp_path, dict(BASE, field={"B": 1e150, "C": 1e300}))
+        for n, field, cond in [
+            (2, {"B": 1e300, "C": 1e-300}, 7.1e299),
+            (3, {"Bvec": (1e300 * unit).tolist(), "Cvec": (1e-300 * unit).tolist()}, None),
+        ]:
+            path = write_config(tmp_path, dict(BASE, N=n, field=field))
+            assert run(["darboux", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+            rep = json.loads(out.read_text())
+            assert rep["route"] == "generic"
+            if cond is None:
+                assert rep["cond"] is None
+            else:
+                assert rep["cond"] == pytest.approx(cond, rel=1e-2)
+            assert rep["residual"] <= 1e-15 * 1e300
+            assert rep["sp_equivalence_residual"] <= 1e-15
+        path = write_config(tmp_path, dict(BASE, N=4, field=OVERFLOWING_PIVOT))
         assert run(["darboux", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
         err = capsys.readouterr().err
         assert err.startswith("ncphase: numerical failure: ")
         assert "config error" not in err
 
     def test_extreme_scale_darboux_writes_one_stderr_line(self, tmp_path):
-        # Under -W always, B = 1e300, C = 1e-300 writes its map and nothing
-        # on stderr; B = 1e150, C = 1e300 (chi overflows) one line and no file.
-        for i, (field, code, lines) in enumerate([
-            ({"B": 1e300, "C": 1e-300}, cli.EXIT_OK, []),
-            ({"B": 1e150, "C": 1e300}, cli.EXIT_SINGULAR,
-             ["ncphase: numerical failure: chi = 1 + C.B = inf is not finite: "
-              "no closed-form map"]),
+        # Under -W always, B = 1e300, C = 1e-300 and B = 1e150, C = 1e300
+        # (chi overflows) write their maps and nothing on stderr; an N = 4
+        # field of 1e308 whose Schur update overflows writes one line and
+        # no file.
+        for i, (n, field, code, lines) in enumerate([
+            (2, {"B": 1e300, "C": 1e-300}, cli.EXIT_OK, []),
+            (2, {"B": 1e150, "C": 1e300}, cli.EXIT_OK, []),
+            (4, OVERFLOWING_PIVOT, cli.EXIT_SINGULAR,
+             ["ncphase: numerical failure: pivot -inf at pair 1: no Darboux map"]),
         ]):
-            path = write_config(tmp_path, dict(BASE, field=field), name=f"config{i}.json")
+            path = write_config(tmp_path, dict(BASE, N=n, field=field), name=f"config{i}.json")
             out = tmp_path / f"d{i}.json"
             proc = subprocess.run(
                 [sys.executable, "-W", "always", "-m", "ncphase.cli", "darboux",
@@ -1107,9 +1156,10 @@ class TestNumericalFailure:
         (2, {"B": 1e150, "C": 1e300}),
         (3, {"Bvec": [0.0, 0.0, 1e300], "Cvec": [0.0, 0.0, 1e300]}),
     ])
-    def test_overflowing_chi_darboux_writes_one_stderr_line(self, tmp_path, n, field):
-        # chi = 1 + C.B overflows: the closed form is refused before its
-        # coefficients turn into inf and NaN (and an SVD that fails).
+    def test_overflowing_chi_darboux_writes_the_generic_map(self, tmp_path, n, field):
+        # chi = 1 + C.B overflows and the paper's chart has no finite
+        # coefficients, but the generic map needs no chi: it is written,
+        # with no warning, and meets its contract to rounding.
         path = write_config(tmp_path, dict(BASE, N=n, field=field))
         out = tmp_path / "d.json"
         proc = subprocess.run(
@@ -1117,11 +1167,15 @@ class TestNumericalFailure:
              "--config", path, "--out", str(out)],
             capture_output=True, text=True,
         )
-        assert proc.returncode == cli.EXIT_SINGULAR
-        assert proc.stderr.splitlines() == [
-            "ncphase: numerical failure: chi = 1 + C.B = inf is not finite: no closed-form map"
-        ]
-        assert not out.exists()
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+        rep = json.loads(out.read_text())
+        t = np.array(rep["T"])
+        omega = structure.build_omega(structure.field_config_n2(**field) if n == 2 else
+                                      structure.field_config_n3(**field))
+        j = structure.canonical_j(n)
+        assert rep["route"] == "generic"
+        assert np.abs(t.T @ j @ t - omega).max() <= 1e-15 * np.abs(omega).max()
+        assert symplectic_error(t @ np.array(rep["Tinv"])) <= 1e-15
 
     def test_oblique_overflowing_gamma_writes_one_stderr_line(self, tmp_path):
         # B.C = 1e300: chi is finite, but the products of the spatial

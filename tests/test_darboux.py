@@ -2,12 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from ncphase import darboux as dx
+from ncphase import dynamics as dyn
 from ncphase import structure as st
-from ncphase.errors import NegativeChi, SingularOmega
+from ncphase.errors import SingularOmega
+
+import closed_forms as cf
 
 
 def random_config(rng, N):
@@ -68,16 +71,18 @@ def generic_fields(rng, n):
 
 
 class TestDarbouxN2:
+    """The paper's planar map, a test oracle in `closed_forms`."""
+
     def test_identity_for_zero_fields(self):
-        dmap = dx.darboux_n2(0.0, 0.0)
+        dmap = cf.darboux_n2(0.0, 0.0)
         assert np.allclose(dmap.T, np.eye(4), atol=1e-15)
         assert dmap.residual <= 1e-12
 
     def test_worked_point(self):
-        co = dx.n2_coefficients(3.0, 1.0)
+        co = cf.n2_coefficients(3.0, 1.0)
         assert co.chi == pytest.approx(4.0)
         assert co.u == pytest.approx(1.5)
-        dmap = dx.darboux_n2(3.0, 1.0)
+        dmap = cf.darboux_n2(3.0, 1.0)
         ru = np.sqrt(1.5)
         # xi^1 = sqrt(u) (q^1 - (C/2u) p_2)
         assert dmap.T[0, 0] == pytest.approx(ru, abs=1e-14)
@@ -90,18 +95,18 @@ class TestDarbouxN2:
         # 0 and -2e-12.  It is not a singular structure: the generic map
         # applies where `regularity` passes.
         for C in (-1.0, -0.5, -0.5 - 1e-12):
-            with pytest.raises(NegativeChi):
-                dx.darboux_n2(2.0, C)
-        assert not issubclass(NegativeChi, SingularOmega)
+            with pytest.raises(cf.NegativeChi):
+                cf.darboux_n2(2.0, C)
+        assert not issubclass(cf.NegativeChi, SingularOmega)
 
     def test_reduces_to_single_charge_shears(self):
         # One field: pi = p - (1/2) eF q, or xi = q - (1/2) rG p.
         for B in (0.5, 1.0, -2.0):
             shear = np.block([[np.eye(2), np.zeros((2, 2))], [-0.5 * B * st.EPS2, np.eye(2)]])
-            assert np.abs(dx.darboux_n2(B, 0.0).T - shear).max() <= 1e-12
+            assert np.abs(cf.darboux_n2(B, 0.0).T - shear).max() <= 1e-12
         for C in (0.5, -1.3):
             shear = np.block([[np.eye(2), -0.5 * C * st.EPS2], [np.zeros((2, 2)), np.eye(2)]])
-            assert np.abs(dx.darboux_n2(0.0, C).T - shear).max() <= 1e-12
+            assert np.abs(cf.darboux_n2(0.0, C).T - shear).max() <= 1e-12
 
     def test_random_residual_sweep(self):
         rng = np.random.RandomState(7)
@@ -111,18 +116,20 @@ class TestDarbouxN2:
             if 1 + B * C <= 1e-3:
                 continue
             produced += 1
-            dmap = dx.darboux_n2(B, C)
+            dmap = cf.darboux_n2(B, C)
             assert dmap.residual <= 1e-12
             assert np.isfinite(dmap.cond)
 
 
 class TestDarbouxN3:
+    """The paper's spatial map, a test oracle in `closed_forms`."""
+
     def test_identity_for_zero_fields(self):
-        dmap = dx.darboux_n3([0, 0, 0], [0, 0, 0])
+        dmap = cf.darboux_n3([0, 0, 0], [0, 0, 0])
         assert np.allclose(dmap.T, np.eye(6), atol=1e-15)
 
     def test_parallel_unit_fields(self):
-        dmap = dx.darboux_n3([0, 0, 1.0], [0, 0, 1.0])
+        dmap = cf.darboux_n3([0, 0, 1.0], [0, 0, 1.0])
         assert dmap.residual <= 1e-10
         # Axial pair is untouched: q3 = xi3 and p3 = pi3.
         assert np.abs(dmap.T[2] - np.eye(6)[2]).max() <= 1e-12
@@ -130,7 +137,7 @@ class TestDarbouxN3:
 
     def test_mixing_scalar_limits(self):
         # theta = 1e-8 realized with both vectors along z.
-        co = dx.n3_coefficients([0, 0, 1.0], [0, 0, 1e-8])
+        co = cf.n3_coefficients([0, 0, 1.0], [0, 0, 1e-8])
         assert co.theta == pytest.approx(1e-8, rel=1e-12)
         assert co.gamma == pytest.approx(-0.125, abs=1e-6)
         # The finite-limit root of the inverse-map quadratic is 3/8, and the
@@ -141,7 +148,7 @@ class TestDarbouxN3:
         # At theta = 1e-4 the raw 0/0 forms are still accurate enough to
         # cross-check the cancellation-free rewrites.
         theta = 1e-4
-        co = dx.n3_coefficients([0, 0, 1.0], [0, 0, theta])
+        co = cf.n3_coefficients([0, 0, 1.0], [0, 0, theta])
         u = 0.5 * (1 + np.sqrt(1 + theta))
         ru = np.sqrt(u)
         assert co.gamma == pytest.approx((1 - ru) / (theta * ru), abs=1e-9)
@@ -158,7 +165,7 @@ class TestDarbouxN3:
             if 1 + np.dot(cvec, bvec) <= 1e-3:
                 continue
             produced += 1
-            dmap = dx.darboux_n3(bvec, cvec)
+            dmap = cf.darboux_n3(bvec, cvec)
             assert dmap.residual <= 1e-9
             assert np.abs(dmap.T @ dmap.Tinv - np.eye(6)).max() < 1e-10
 
@@ -183,8 +190,8 @@ class TestDarbouxGeneric:
             if min(1 + B * C, 1 + bvec @ cvec) <= 1e-3:
                 continue
             produced += 1
-            for closed, cfg in ((dx.darboux_n2(B, C), st.field_config_n2(B, C)),
-                                (dx.darboux_n3(bvec, cvec), st.field_config_n3(bvec, cvec))):
+            for closed, cfg in ((cf.darboux_n2(B, C), st.field_config_n2(B, C)),
+                                (cf.darboux_n3(bvec, cvec), st.field_config_n3(bvec, cvec))):
                 generic = dx.darboux_generic(st.build_omega(cfg))
                 assert dx.symplectic_deviation(closed.T @ generic.Tinv) <= 1e-13
 
@@ -282,7 +289,7 @@ class TestVerifyDarboux:
         assert dx.verify_darboux(ident, omega) == 0.0
 
     def test_constructed_map_residual(self):
-        dmap = dx.darboux_n2(3.0, 1.0)
+        dmap = cf.darboux_n2(3.0, 1.0)
         omega = st.build_omega(st.field_config_n2(3.0, 1.0))
         assert dx.verify_darboux(dmap, omega) <= 1e-12
 
@@ -299,7 +306,7 @@ class TestMapProperties:
             B, C = rng.uniform(-1.5, 1.5, 2)
             if 1 + B * C <= 0.05:
                 continue
-            t1 = dx.darboux_n2(B, C)
+            t1 = cf.darboux_n2(B, C)
             t2 = dx.darboux_generic(st.build_omega(st.field_config_n2(B, C)))
             assert dx.symplectic_deviation(t1.T @ t2.Tinv) <= 1e-8
 
@@ -315,8 +322,80 @@ class TestMapProperties:
                 continue
             cfg = st.field_config_n2(B, C)
             lam = st.poisson_matrix(cfg)
-            dmap = dx.darboux_n2(B, C)
+            dmap = cf.darboux_n2(B, C)
             a, b = rng.uniform(-1, 1, (2, 4))
             at = np.linalg.solve(dmap.T.T, a)
             bt = np.linalg.solve(dmap.T.T, b)
             assert a @ lam @ b == pytest.approx(at @ j @ bt, abs=1e-9)
+
+
+# A field component: a sign and a mantissa in [1, 10) times 10^e, e in
+# [-300, 300], or zero; chi = 1 + C.B then spans < 0, 0 < chi < inf and
+# beyond the double range.
+_COMPONENT = hst.one_of(
+    hst.just(0.0),
+    hst.builds(lambda sign, m, e: sign * m * 10.0 ** e, hst.sampled_from([-1.0, 1.0]),
+               hst.floats(1.0, 10.0, exclude_max=True), hst.integers(-300, 300)))
+
+
+class TestMomentMap:
+    """`darboux.lambda3`, the moment map -1/2 z^T (Omega A) z of the
+    rotation of (q^1, q^2) and (p_1, p_2), against the paper's closed-form
+    chart and against 50-digit mpmath."""
+
+    EPS = np.finfo(float).eps
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(axial=hst.booleans(), B=_COMPONENT, C=_COMPONENT, seed=hst.integers(0, 2**32 - 1))
+    @example(axial=False, B=2.0, C=-1.0, seed=0)          # chi = -1
+    @example(axial=False, B=1e150, C=1e300, seed=1)       # chi = +inf
+    @example(axial=True, B=-1e300, C=1e150, seed=2)       # chi = -inf
+    @example(axial=True, B=1e300, C=1e-300, seed=3)       # chi = 2
+    def test_planar_and_axial_fields(self, axial, B, C, seed):
+        cfg = (st.field_config_n3([0.0, 0.0, B], [0.0, 0.0, C]) if axial
+               else st.field_config_n2(B, C))
+        states = np.random.default_rng(seed).uniform(-2.0, 2.0, (3, 2 * cfg.N))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dx.lambda3(cfg, states)
+        assert got is not None and got.shape == (3,)
+        scale = cf.moment_map_scale(cfg, states)
+        assert np.isfinite(scale).all()
+        assert (np.abs(got - cf.moment_map_mpmath(cfg, states)) <= 8 * self.EPS * scale).all()
+        chart = cf.closed_form_chart(cfg)
+        if chart is not None:
+            # Both round at the size of their terms: the chart's products
+            # xi^1 pi_2 and xi^2 pi_1, and the moment map's scale.
+            zeta = states @ chart.T.T
+            n = cfg.N
+            terms = np.abs(zeta[:, 0] * zeta[:, n + 1]) + np.abs(zeta[:, 1] * zeta[:, n])
+            want = cf.chart_lambda3(chart, states)
+            assert (np.abs(got - want) <= 16 * self.EPS * (scale + terms)).all()
+
+    def test_presence_rule(self):
+        # A column exactly where Omega A is symmetric (the oracle's exact
+        # product): fields that commute with the (1, 2) rotation.
+        rng = np.random.default_rng(28)
+        cases = {
+            "planar": (st.field_config_n2(1.0, 0.5), True),
+            "planar-chi-negative": (st.field_config_n2(2.0, -1.0), True),
+            "axial": (st.field_config_n3([0, 0, 2.0], [0, 0, 0.5]), True),
+            "oblique": (st.field_config_n3([1.0, 0, 0], [0, 0, 0.5]), False),
+            "random-n6": (random_config(rng, 6), False),
+            "zero-n6": (st.FieldConfig(6, np.zeros((6, 6)), np.zeros((6, 6))), True),
+            "n1": (st.FieldConfig(1, np.zeros((1, 1)), np.zeros((1, 1))), False),
+        }
+        for name, (cfg, present) in cases.items():
+            assert cf.commutes_with_rotation(cfg) == present, name
+            assert (dx.lambda3(cfg, np.ones(2 * cfg.N)) is not None) == present, name
+
+    def test_conserved_at_negative_chi(self):
+        # chi = -1: no closed-form chart, and the moment map is conserved
+        # by the exact flow over 1,000 steps (3.0e-15 relative measured).
+        cfg = st.field_config_n2(2.0, -1.0)
+        model = dyn.OscillatorModel(m=1.0, kappa=1.0)
+        z0 = [1.0, 0.0, 0.0, 1.0]
+        states = dyn.affine_flow(*dyn.flow_matrix(cfg, model), z0, 0.01, 1000, "exact")
+        lam3 = dx.lambda3(cfg, states)
+        want = cf.moment_map_mpmath(cfg, z0)[0]
+        assert np.abs(lam3 - want).max() <= 1e-14 * abs(want)

@@ -175,8 +175,8 @@ class TestClosedFormSolution:
 
 
 class TestAngularMomentum:
-    """`darboux.lambda3`; with zero fields the closed-form chart is T = I,
-    so it is the bilinear xi^1 pi_2 - xi^2 pi_1 of the state itself."""
+    """`darboux.lambda3`; with zero fields the moment map is the bilinear
+    q^1 p_2 - q^2 p_1 of the state itself."""
 
     def test_unit_pair(self):
         assert dx.lambda3(st.field_config_n2(0.0, 0.0), [1.0, 0.0, 0.0, 1.0]) == 1.0
@@ -242,25 +242,34 @@ class TestN3Parallel:
 
 
 class TestLambda3Chart:
+    """The Lambda3 column needs no chart: it is the rotation's moment map
+    wherever the fields commute with the rotation."""
+
     @pytest.mark.parametrize("cfg", [
         st.field_config_n2(1e150, 1e300),           # chi = +inf
         st.field_config_n2(-1e300, 1e150),          # chi = -inf
         st.field_config_n3([0, 0, 1e300], [0, 0, 1e300]),
     ], ids=["planar-plus-inf", "planar-minus-inf", "axial"])
     def test_no_chart_without_finite_coefficients(self, cfg):
-        # chi = 1 + C.B is +-inf.  RuntimeWarnings are errors under pytest:
-        # chi is refused quietly and no chart is built from inf and NaN.
-        assert dx.lambda3(cfg, np.ones(2 * cfg.N)) is None
+        # chi = 1 + C.B is +-inf: the paper's chart has no finite
+        # coefficients, but the moment map is finite and agrees with
+        # mpmath.  RuntimeWarnings are errors under pytest.
+        assert cf.closed_form_chart(cfg) is None
+        states = np.ones((1, 2 * cfg.N))
+        got = dx.lambda3(cfg, states)
+        assert (np.abs(got - cf.moment_map_mpmath(cfg, states))
+                <= 8 * np.finfo(float).eps * cf.moment_map_scale(cfg, states)).all()
 
     def test_chart_of_finite_coefficients_kept(self):
-        def has_chart(cfg):
+        def has_column(cfg):
             return dx.lambda3(cfg, np.ones(2 * cfg.N)) is not None
 
-        assert has_chart(st.field_config_n2(1e100, 1e100))
-        assert has_chart(st.field_config_n3([0, 0, 2.0], [0, 0, 0.5]))
-        assert not has_chart(st.field_config_n3([1.0, 0, 0], [0, 0, 0.5]))
-        # No closed-form chart beyond N = 3, even with zero fields.
-        assert not has_chart(st.FieldConfig(6, np.zeros((6, 6)), np.zeros((6, 6))))
+        assert has_column(st.field_config_n2(1e100, 1e100))
+        assert has_column(st.field_config_n3([0, 0, 2.0], [0, 0, 0.5]))
+        assert not has_column(st.field_config_n3([1.0, 0, 0], [0, 0, 0.5]))
+        # Beyond N = 3 there is no closed-form chart, but zero fields
+        # commute with the rotation.
+        assert has_column(st.FieldConfig(6, np.zeros((6, 6)), np.zeros((6, 6))))
 
 
 class TestIntegrate:

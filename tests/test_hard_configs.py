@@ -63,6 +63,8 @@ CONFIGS = {
     "B2to18-C2to-18": (_config({"B": 2.0**18, "C": 2.0**-18}), 60),
     "B2to34-C2to-34": (_config({"B": 2.0**34, "C": 2.0**-34}), 60),
     "chi1e-7": (_config({"B": 1.0, "C": -0.9999999}), 60),
+    # chi = -1: no closed-form chart, but a Darboux map and a moment map.
+    "B2-C-1": (_config({"B": 2.0, "C": -1.0}), 60),
     "C1.5-tol4": (_config({"B": 1.0, "C": 1.5}, tol=4.0), 60),
     # The limit scan's on-constraint start p0 = m kappa / B overflows.
     "B1e-300-kappa1e100": (_config({"B": 1e-300, "C": 0.5}, {"m": 1.0, "kappa": 1e100}), 60),
@@ -104,7 +106,7 @@ ENTRIES = [
     ("B1e300-C1e-300", "spectrum", OK, None),
     ("B1e300-C1e-300", "reduce", OK, None),
     ("B1e150-C1e300", "brackets", DET_PSI_INF, None),
-    ("B1e150-C1e300", "darboux", FAILURE + "chi = 1 + C.B = inf is not finite", None),
+    ("B1e150-C1e300", "darboux", OK, None),
     ("B1e150-C1e300", "simulate", OK, None),
     ("B1e150-C1e300", "spectrum", OK, None),
     ("B1e150-C1e300", "reduce", OK, None),
@@ -128,6 +130,8 @@ ENTRIES = [
     ("chi1e-7", "simulate", OK, None),
     ("chi1e-7", "spectrum", OK, None),
     ("chi1e-7", "reduce", OK, None),
+    ("B2-C-1", "darboux", OK, None),
+    ("B2-C-1", "simulate", OK, None),
     ("C1.5-tol4", "brackets", OK, None),
     ("C1.5-tol4", "darboux", OK, None),
     ("C1.5-tol4", "simulate", OK, None),
@@ -181,13 +185,23 @@ def check_darboux(text, cfg, model, dps):
 def check_simulate(text, cfg, model, dps):
     # The propagator rounds relative to |M| t_final, about 2e7 at chi = 1e-7
     # (error measured there: 4.4e-10).
-    rows = np.loadtxt(text.splitlines()[1:], delimiter=",", ndmin=2)
+    lines = text.splitlines()
+    rows = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     want = cf.trajectory_mpmath(cfg, model, [1.0] + [0.0] * (2 * cfg.N - 2) + [1.0],
                                 TIMES, dps)
     stiffness = max(1.0, cf.frequencies_mpmath(cfg, model, dps)[0] * TIMES[-1])
     assert rows[:, 0].tolist() == TIMES
     assert (np.abs(rows[:, 1:1 + 2 * cfg.N] - want).max()
             <= 1e-12 * stiffness * max(1.0, np.abs(want).max()))
+    # Off the degenerate route, a Lambda3 column exactly where Omega A is
+    # symmetric, each value the moment map of its row's state to rounding.
+    last = lines[0].rsplit(",", 1)[1]
+    if last != "constraint_residual":
+        assert (last == "Lambda3") == cf.commutes_with_rotation(cfg)
+    if last == "Lambda3":
+        states = rows[:, 1:1 + 2 * cfg.N]
+        assert (np.abs(rows[:, -1] - cf.moment_map_mpmath(cfg, states))
+                <= 8 * np.finfo(float).eps * cf.moment_map_scale(cfg, states)).all()
 
 
 def check_spectrum(text, cfg, model, dps):

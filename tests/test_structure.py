@@ -32,7 +32,7 @@ class TestFieldConfig:
         cfg = st.field_config_n2(1.25, -0.5)
         assert st.n2_scalars(cfg) == (1.25, -0.5)
         cfg3 = st.field_config_n3([1.0, -2.0, 0.5], [0.0, 3.0, 1.0])
-        bvec, cvec = st.n3_vectors(cfg3)
+        bvec, cvec = cf.n3_vectors(cfg3)
         assert np.allclose(bvec, [1.0, -2.0, 0.5])
         assert np.allclose(cvec, [0.0, 3.0, 1.0])
 
