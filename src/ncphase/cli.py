@@ -219,6 +219,9 @@ def load_config(path: str) -> RunConfig:
     problem = top.get("problem")
     for key, arr in (problem or {}).items():
         _sized(arr, 2 * N, f"{path}: problem.{key}")
+    if problem and not (np.array_equal(problem["omega"], -problem["omega"].T)
+                        and np.array_equal(problem["hessian"], problem["hessian"].T)):
+        raise ConfigError(f"{path}: problem.omega must be antisymmetric, problem.hessian symmetric")
     state = top.get("state")
     if state is not None:
         _sized(state, 2 * N, f"{path}: state")
@@ -415,7 +418,8 @@ def _chain(rc: RunConfig) -> constrained.ConstraintChain:
     try:
         structure.regularity(cfg, rc.tol_singular)
     except SingularOmega:
-        return constrained.gnh_from_model(cfg, model)
+        return constrained.gnh_chain(structure.build_omega(cfg), model.hessian(cfg.N),
+                                     model.gradient_offset(cfg.N))
     return constrained.ConstraintChain(2 * cfg.N, *dynamics.flow_matrix(cfg, model))
 
 
@@ -459,19 +463,28 @@ def cmd_simulate(rc: RunConfig, args) -> tuple:
                                     g17.csv_rows(table))
 
 
+def _frequencies(omega, r, cfg=None, stage=None) -> np.ndarray:
+    """The normal modes of `spectrum` and `reduce`, descending: with the
+    Lambda of a regular field ``cfg``, else on the terminal stage of the
+    chain where Hess H = I, whose dimension must be ``stage`` if given."""
+    if cfg is not None:
+        return spectrum.mode_frequencies(omega, r, structure.poisson_matrix(cfg))
+    form = spectrum.terminal_form(omega, r)
+    if stage not in (None, len(form)):
+        raise ArithmeticError(f"the terminal stage is {stage}-dimensional in the raw-data "
+                              f"chain and {len(form)}-dimensional where Hess H = I")
+    return np.zeros(0) if stage == 0 else spectrum.mode_frequencies(form)
+
+
 def cmd_spectrum(rc: RunConfig, args) -> tuple:
     cfg, model = _require(rc.cfg, "a field section"), _require(rc.model, "a model")
     r = spectrum.hessian_factor(model.hessian(cfg.N))
-    omega = structure.build_omega(cfg)
     try:
         structure.regularity(cfg, rc.tol_singular)
-    except SingularOmega:
-        # Presymplectic: the modes of the terminal constraint stage.
-        freqs = spectrum.mode_frequencies(spectrum.terminal_form(omega, r))
-        kind = "degenerate-ladder"
-    else:
-        lam = structure.poisson_matrix(cfg)
-        freqs, kind = spectrum.mode_frequencies(omega, r, lam), "normal-modes"
+        regular, kind = cfg, "normal-modes"
+    except SingularOmega:  # presymplectic: the modes of the terminal constraint stage
+        regular, kind = None, "degenerate-ladder"
+    freqs = _frequencies(structure.build_omega(cfg), r, regular)
     table = spectrum.ladder(freqs, model.hbar, args.nmax)
     levels = _level_records(table)
     head = _json_text({"kind": kind, "hbar": table.hbar, "frequencies": list(table.frequencies)})
@@ -513,16 +526,26 @@ def cmd_limit_scan(rc: RunConfig, args) -> tuple:
 
 
 def cmd_reduce(rc: RunConfig, args) -> tuple:
-    code = EXIT_OK
+    code, eigen = EXIT_OK, np.array([])
     try:
         if rc.problem is None:
             chain = _chain(rc)
+            omega, hess = structure.build_omega(rc.cfg), rc.model.hessian(rc.N)
         else:
-            chain = constrained.gnh_chain(*map(rc.problem.get, ("omega", "hessian", "gradient")))
+            omega, hess, g = map(rc.problem.get, ("omega", "hessian", "gradient"))
+            chain = constrained.gnh_chain(omega, hess, g)
     except InconsistentSystem as exc:
         chain, code = exc.chain, EXIT_INCONSISTENT
-
-    eigen = chain.terminal_eigenvalues() if chain.reduced_flow is not None else np.array([])
+    if chain.reduced_flow is not None:
+        try:
+            r = spectrum.hessian_factor(hess)
+        except ValueError:  # no ladder, but kappa = 0 still has a cyclotron pair
+            eigen = chain.terminal_eigenvalues()
+        else:
+            w = _frequencies(omega, r, rc.cfg if chain.constraints is None else None,
+                             chain.dimensions[-1])
+            # +-i w, ascending; + 0.0 turns the real part -0.0 of 1j * -w into 0.0.
+            eigen = 1j * np.concatenate([-w, w[::-1]]) + 0.0
     matrix, offset = chain.constraints or ([], [])
     report = {
         "status": chain.status,

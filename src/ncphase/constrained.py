@@ -11,14 +11,11 @@ stage adds the rows along which the combined system
 fails to be solvable, and stops when no new independent row appears.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InconsistentSystem
-from .dynamics import OscillatorModel
-from .structure import FieldConfig, build_omega
 
 RANK_TOL_FACTOR = 1e-10
 
@@ -76,24 +73,10 @@ class ConstraintChain:
         return [b.shape[1] for b in self.subspaces]
 
     def terminal_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the flow restricted to the terminal direction space.
-
-        The flow M of a one-stage chain is balanced first, when the exponents
-        of its qp and pq blocks differ by more than 40: `eigvals` of D M D^-1,
-        D = diag(2^t I, 2^-t I), a similarity exact in binary.  Unbalanced,
-        `B = 2^996, C = 2^-996, m = kappa = 2^996` gives +-0.5i for +-0.7071i."""
+        """Eigenvalues of the flow restricted to the terminal direction space,
+        ascending by imaginary part."""
         v = self.subspaces[-1]
-        if v.shape[1] == 0:
-            return np.array([], dtype=complex)
-        restricted = v.T @ self.reduced_flow @ v
-        if self.constraints is None:
-            n = len(restricted) // 2
-            e = (math.frexp(np.abs(restricted[n:, :n]).max())[1]
-                 - math.frexp(np.abs(restricted[:n, n:]).max())[1])
-            if abs(e) > 40:
-                t = np.repeat([e // 4, -(e // 4)], n)
-                restricted = np.ldexp(restricted, t[:, None] - t)
-        ev = np.linalg.eigvals(restricted)
+        ev = np.linalg.eigvals(v.T @ self.reduced_flow @ v)
         return ev[np.lexsort((ev.real, ev.imag))]
 
 
@@ -170,9 +153,3 @@ def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient) -> Constrain
     if chain.subspaces[-1].shape[1] == 0:
         chain.status = "empty"
     return chain
-
-
-def gnh_from_model(cfg: FieldConfig, model: OscillatorModel) -> ConstraintChain:
-    """Chain for the standard kinetic-plus-potential data of a field config."""
-    return gnh_chain(build_omega(cfg), model.hessian(cfg.N),
-                     model.gradient_offset(cfg.N))

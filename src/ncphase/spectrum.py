@@ -84,10 +84,12 @@ def whiten(omega, r) -> np.ndarray:
 
 def terminal_form(omega, r) -> np.ndarray:
     """Omega on the terminal stage of the constraint chain, built where
-    Hess H = I (y = R z): the chain's relative rank cutoff then does not see
-    the scales of m and kappa.  The gradient offset does not move a mode."""
+    Hess H = I (y = R z) and max |Omega| is in [0.5, 1): the chain's relative
+    rank cutoff then sees no scale of m, kappa or Omega against its unit
+    constraint rows.  The gradient offset does not move a mode."""
     white = whiten(omega, r)
-    v = gnh_chain(white, np.eye(len(white)), np.zeros(len(white))).subspaces[-1]
+    _, e = np.frexp(np.abs(white).max())
+    v = gnh_chain(np.ldexp(white, -e), np.eye(len(white)), np.zeros(len(white))).subspaces[-1]
     return v.T @ white @ v
 
 

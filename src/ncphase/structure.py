@@ -42,12 +42,8 @@ def two_product(a, b):
 
 def cross_matrix(v) -> np.ndarray:
     """Matrix [v]_x such that [v]_x w = v x w."""
-    v = np.asarray(v, dtype=float)
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    x, y, z = np.asarray(v, dtype=float)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def canonical_j(N: int) -> np.ndarray:

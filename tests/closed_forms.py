@@ -467,6 +467,12 @@ def reduced_structure_n2(model: dyn.OscillatorModel, C: float) -> ReducedOscilla
     )
 
 
+def gnh_from_model(cfg: st.FieldConfig, model: dyn.OscillatorModel) -> con.ConstraintChain:
+    """`constrained.gnh_chain` of the kinetic-plus-potential data of a field
+    config, as `simulate` and `reduce` build it on the degenerate route."""
+    return con.gnh_chain(st.build_omega(cfg), model.hessian(cfg.N), model.gradient_offset(cfg.N))
+
+
 def secondary_constraints(cfg: st.FieldConfig,
                           model: dyn.OscillatorModel) -> con.LinearConstraints:
     """Solvability rows <grad H(z) | Z> = 0 for each kernel direction Z of

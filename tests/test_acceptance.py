@@ -11,7 +11,7 @@ import time
 import numpy as np
 from scipy.linalg import expm
 
-from ncphase import cli, constrained as con, darboux as dx, dynamics as dyn
+from ncphase import cli, darboux as dx, dynamics as dyn
 from ncphase import spectrum as sp, structure as st
 
 import closed_forms as cf
@@ -176,7 +176,7 @@ def test_closed_form_vs_numeric_flow():
 
 def test_degenerate_regime():
     cfg = st.field_config_n2(1.0, -1.0)
-    chain = con.gnh_from_model(cfg, UNIT)
+    chain = cf.gnh_from_model(cfg, UNIT)
     dims_ok = chain.dimensions == [4, 2]
     eig = chain.terminal_eigenvalues()
     eig_err = float(

@@ -162,7 +162,7 @@ def test_degenerate_simulate_csv_matches_per_value_format(tmp_path):
     got = simulate_csv(tmp_path, config)
 
     times = 0.01 * np.arange(51)
-    chain = constrained.gnh_from_model(structure.field_config_n2(1.0, -1.0), model)
+    chain = cf.gnh_from_model(structure.field_config_n2(1.0, -1.0), model)
     states = dynamics.affine_flow(chain.reduced_flow, chain.flow_offset, z0, 0.01, 50)
     rows = [[t, *z, scalar_hamiltonian(model, z), scalar_residual(chain.constraints, z)]
             for t, z in zip(times, states)]

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
-from ncphase import cli, constrained, darboux, dynamics, g17, spectrum, structure
+from ncphase import cli, darboux, dynamics, g17, spectrum, structure
 from ncphase.errors import StepRejected
 
 import closed_forms as cf
@@ -578,7 +578,7 @@ def simulate_table(tmp_path, cfg, name="run"):
 
 def chain_expm(fields, times, z0):
     """Dense scipy expm of the constraint chain's flow, applied to z0."""
-    chain = constrained.gnh_from_model(fields, UNIT)
+    chain = cf.gnh_from_model(fields, UNIT)
     assert not chain.flow_offset.any()
     return np.array([scipy_expm(chain.reduced_flow * t) @ z0 for t in times]), chain
 
@@ -1016,8 +1016,10 @@ class TestLimitScan:
         assert not out.exists()
         assert not list(tmp_path.glob(".ncphase-*"))
 
-    # The configs that a correct scan runs; every other one is refused.
-    EXTREME_OK = {(1.0, 1.0, 1.0), (1.0, 1e100, 1e-100)}
+    # The configs that a correct scan runs; every other one is refused.  At
+    # m = 1e-100, kappa = 1e100 the rows are within 4.4e-16 (frequencies)
+    # and 7.9e-11 (fast amplitudes) of a 400-digit mpmath solve.
+    EXTREME_OK = {(1.0, 1.0, 1.0), (1.0, 1e100, 1e-100), (1.0, 1e-100, 1e100)}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [1e-100, 1.0, 1e100])
@@ -1338,6 +1340,99 @@ class TestReduce:
         err = capsys.readouterr().err
         assert err.startswith("ncphase: numerical failure: constraint rows lost rank (2 -> 1)")
         assert not out.exists()
+
+
+# A planar chi = 0 field at m and kappa near 1e9 and 1e4: the raw-data chain
+# over-cuts its last stage to dimension 0, the chain where Hess H = I keeps
+# the 2-dimensional terminal stage, and 2486552.42... = m kappa / B puts the
+# state below on the true constraint (oracle residual 2e-19).
+_OVER_CUT_B = 5074788.115583803
+_OVER_CUT = dict(BASE, field={"B": _OVER_CUT_B, "C": -1.0 / _OVER_CUT_B},
+                 model={"m": 1788489525.6778197, "kappa": 7055.521709333194})
+
+
+class TestOneNormalModeRoute:
+    """`reduce` reports +-i times `spectrum`'s frequencies wherever Hess H is
+    positive definite, from the one helper both subcommands call."""
+
+    @staticmethod
+    def reports(tmp_path, capsys, cfg):
+        """{command: (exit code, stderr lines, report or None)}."""
+        path, out = write_config(tmp_path, cfg), {}
+        for command in ("reduce", "spectrum"):
+            target = tmp_path / f"{command}.json"
+            target.unlink(missing_ok=True)
+            code = run([command, "--config", path, "--out", str(target)])
+            out[command] = (code, capsys.readouterr().err.splitlines(),
+                            json.loads(target.read_text()) if target.exists() else None)
+        return out
+
+    def test_over_cut_terminal_stage_is_refused(self, tmp_path, capsys):
+        got = self.reports(tmp_path, capsys, _OVER_CUT)
+        code, err, rep = got["reduce"]
+        assert (code, rep) == (cli.EXIT_SINGULAR, None)
+        assert err == ["ncphase: numerical failure: the terminal stage is 0-dimensional in "
+                       "the raw-data chain and 2-dimensional where Hess H = I"]
+        code, err, rep = got["spectrum"]
+        model = dynamics.OscillatorModel(**_OVER_CUT["model"])
+        want = abs(cf.degenerate_omega_r(model, _OVER_CUT["field"]["C"]))
+        assert (code, err, rep["kind"]) == (cli.EXIT_OK, [], "degenerate-ladder")
+        assert abs(rep["frequencies"][0] / want - 1.0) <= 4 * np.finfo(float).eps
+
+    def test_stiff_chi0_field_runs_in_both(self, tmp_path, capsys):
+        # The whitened two-form has entries near 1e-10 here: unscaled, the
+        # chain would cut them against its unit constraint rows.
+        B = 1.545773989453215
+        cfg = dict(BASE, field={"B": B, "C": -1.0 / B},
+                   model={"m": 2.8829074819845476e-09, "kappa": 58558066872.5091})
+        got = self.reports(tmp_path, capsys, cfg)
+        (code, err, rep), (sp_code, sp_err, sp_rep) = got["reduce"], got["spectrum"]
+        assert (code, err, sp_code, sp_err) == (cli.EXIT_OK, [], cli.EXIT_OK, [])
+        freqs = sp_rep["frequencies"]
+        assert rep["eigenvalues"] == {"imag": [-f for f in freqs] + freqs[::-1],
+                                      "real": [0.0] * (2 * len(freqs))}
+        assert rep["dimensions"][-1] == 2 * len(freqs)
+        model = dynamics.OscillatorModel(**cfg["model"])
+        want = abs(cf.degenerate_omega_r(model, cfg["field"]["C"]))
+        assert abs(freqs[0] / want - 1.0) <= 1e-14
+
+    def test_empty_terminal_stage_keeps_exit_0(self, tmp_path):
+        # Omega = 0 and Hess H = I: both chains cut to dimension 0.
+        cfg = {"schema_version": 1, "N": 1, "problem": {
+            "omega": [[0.0, 0.0], [0.0, 0.0]], "hessian": [[1.0, 0.0], [0.0, 1.0]],
+            "gradient": [0.5, 0.0]}}
+        path, out = write_config(tmp_path, cfg), tmp_path / "red.json"
+        assert run(["reduce", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        rep = json.loads(out.read_text())
+        assert (rep["status"], rep["dimensions"]) == ("empty", [2, 0])
+        assert rep["eigenvalues"] == {"imag": [], "real": []}
+
+    @pytest.mark.parametrize("key, value", [
+        ("omega", [[0.0, 1.0], [-1.0, 1e-300]]),
+        ("hessian", [[1.0, 0.5], [0.0, 1.0]]),
+    ])
+    def test_problem_block_must_be_a_two_form_and_a_hessian(self, tmp_path, capsys, key, value):
+        # The normal-mode core reads one triangle of each matrix.
+        cfg = dict(_PROBLEM_N1, problem=dict(_PROBLEM_N1["problem"], **{key: value}))
+        assert run(["reduce", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
+        assert ("problem.omega must be antisymmetric, problem.hessian symmetric"
+                in capsys.readouterr().err)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: balancing before the SVD rank "
+                                           "decisions of `gnh_chain`")
+    def test_simulate_accepts_a_start_on_the_true_constraint(self, tmp_path, capsys):
+        # The raw-data chain over-cuts to dimension 0, so its constraint rows
+        # refuse this start with residual 1.773e+06.
+        z0 = [1.0, 0.0, 0.0, 2486552.4210922113]
+        cfg = dict(_OVER_CUT, state=z0, time={"t_final": 1.0, "dt": 0.5})
+        fields = structure.field_config_n2(**_OVER_CUT["field"])
+        model = dynamics.OscillatorModel(**_OVER_CUT["model"])
+        assert cf.secondary_constraints(fields, model).residual(z0) <= 1e-18
+        path, out = write_config(tmp_path, cfg), tmp_path / "run.csv"
+        assert run(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        residual = cf.secondary_constraints(fields, model).residual(rows[:, 1:5])
+        assert (residual <= 1e-8 * np.abs(rows[:, 1:5]).max()).all()
 
 
 class TestDeterminism:

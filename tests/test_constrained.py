@@ -73,34 +73,34 @@ class TestSecondaryConstraints:
 class TestGnhChain:
     def test_nondegenerate_single_link(self):
         cfg = st.field_config_n2(1.0, 1.0)
-        chain = con.gnh_from_model(cfg, UNIT)
+        chain = cf.gnh_from_model(cfg, UNIT)
         assert chain.dimensions == [4]
         assert chain.status == "consistent"
         M, _ = dyn.flow_matrix(cfg, UNIT)
         assert np.abs(chain.reduced_flow - M).max() <= 1e-10
 
     def test_planar_degenerate_harmonic(self):
-        chain = con.gnh_from_model(DEGENERATE, UNIT)
+        chain = cf.gnh_from_model(DEGENERATE, UNIT)
         assert chain.dimensions == [4, 2]
         eig = chain.terminal_eigenvalues()
         assert np.abs(np.sort(eig.imag) - np.array([-0.5, 0.5])).max() <= 1e-10
         assert np.abs(eig.real).max() <= 1e-10
 
     def test_terminal_flow_tangent(self):
-        chain = con.gnh_from_model(DEGENERATE, UNIT)
+        chain = cf.gnh_from_model(DEGENERATE, UNIT)
         v = chain.subspaces[-1]
         off_block = (np.eye(4) - v @ v.T) @ (chain.reduced_flow @ v)
         assert np.abs(off_block).max() <= 1e-10
 
     def test_terminal_matches_secondary_constraints(self):
-        chain = con.gnh_from_model(DEGENERATE, UNIT)
+        chain = cf.gnh_from_model(DEGENERATE, UNIT)
         lc = cf.secondary_constraints(DEGENERATE, UNIT)
         v = chain.subspaces[-1]
         assert np.abs(lc.matrix @ v).max() <= 1e-10
 
     def test_free_particle_chain(self):
         free = dyn.OscillatorModel(m=1.0, kappa=0.0)
-        chain = con.gnh_from_model(DEGENERATE, free)
+        chain = cf.gnh_from_model(DEGENERATE, free)
         assert chain.dimensions == [4, 2]
         v = chain.subspaces[-1]
         # Terminal stage is {p = 0} with vanishing flow.
@@ -108,7 +108,7 @@ class TestGnhChain:
         assert np.abs(chain.reduced_flow @ v).max() <= 1e-12
 
     def test_restricted_form_nondegenerate_on_terminal(self):
-        chain = con.gnh_from_model(DEGENERATE, UNIT)
+        chain = cf.gnh_from_model(DEGENERATE, UNIT)
         v = chain.subspaces[-1]
         restricted = v.T @ st.build_omega(DEGENERATE) @ v
         assert np.linalg.matrix_rank(restricted) == 2
@@ -123,7 +123,7 @@ class TestGnhChain:
 
     def test_gauge_basis_reported(self):
         free = dyn.OscillatorModel(m=1.0, kappa=0.0)
-        chain = con.gnh_from_model(DEGENERATE, free)
+        chain = cf.gnh_from_model(DEGENERATE, free)
         # On {p = 0} the solution field is unique (gauge fixed by tangency).
         assert chain.gauge_basis.shape[1] == 0
 
@@ -163,7 +163,7 @@ class TestDegenerateFlow:
             cf.degenerate_flow_n2(UNIT, -1.0, [1.0, 0.0, 0.0, 0.0], 1.0)
 
     def test_matches_gnh_terminal_flow(self):
-        chain = con.gnh_from_model(DEGENERATE, UNIT)
+        chain = cf.gnh_from_model(DEGENERATE, UNIT)
         dt = 1e-6
         z_plus = cf.degenerate_flow_n2(UNIT, -1.0, ON_M2, dt)
         numeric = (z_plus - ON_M2) / dt

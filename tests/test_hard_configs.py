@@ -66,6 +66,13 @@ CONFIGS = {
     # chi = -1: no closed-form chart, but a Darboux map and a moment map.
     "B2-C-1": (_config({"B": 2.0, "C": -1.0}), 60),
     "C1.5-tol4": (_config({"B": 1.0, "C": 1.5}, tol=4.0), 60),
+    # An oblique field of mixed scales (ROADMAP item 21): a frequency spread
+    # of 1e40, where double precision resolves no middle mode.
+    "oblique-mixed": (_config({"Bvec": [-3.8371050050382895e-85, 3.556578951425496e-85,
+                                        1.413272101775584e-85],
+                               "Cvec": [-1.111604476896361e+22, 1.0306431700304927e+22,
+                                        4.0947106950188614e+21]},
+                              {"m": 0.024545923060614747, "kappa": 0.001705428817437341}), 400),
     # The limit scan's on-constraint start p0 = m kappa / B overflows.
     "B1e-300-kappa1e100": (_config({"B": 1e-300, "C": 0.5}, {"m": 1.0, "kappa": 1e100}), 60),
 }
@@ -137,6 +144,8 @@ ENTRIES = [
     ("C1.5-tol4", "simulate", OK, None),
     ("C1.5-tol4", "spectrum", OK, None),
     ("C1.5-tol4", "reduce", OK, None),
+    ("oblique-mixed", "spectrum", FAILURE + "a frequency spread", None),
+    ("oblique-mixed", "reduce", FAILURE + "a frequency spread", None),
     ("B1e-300-kappa1e100", "limit-scan",
      FAILURE + "the start [1.0, 0.0, 0.0, inf] of the limit scan is not finite", None),
 ]
@@ -214,11 +223,11 @@ def check_reduce(text, cfg, model, dps):
     rep = json.loads(text)
     assert (rep["status"], rep["dimensions"], rep["gauge_dimension"]) == (
         "consistent", [2 * cfg.N], 0)
-    # The chain inverts Omega densely: at chi = 1e-7 (cond(Omega) = 4e7) the
-    # eigenvalues are off by up to 4e-10 of the largest (real and imaginary parts).
+    # +-i w, ascending, each w to check_spectrum's bound.
     want = np.array(cf.frequencies_mpmath(cfg, model, dps))
-    assert _rel(np.sort(rep["eigenvalues"]["imag"]), np.sort(np.concatenate([-want, want]))) <= 1e-9
-    assert np.abs(rep["eigenvalues"]["real"]).max() <= 1e-9 * want.max()
+    imag = np.array(rep["eigenvalues"]["imag"])
+    assert np.abs(imag / np.concatenate([-want, want[::-1]]) - 1.0).max() <= 1e-14
+    assert rep["eigenvalues"]["real"] == [0.0] * len(imag)
 
 
 CHECKS = {"brackets": check_brackets, "darboux": check_darboux, "simulate": check_simulate,

@@ -248,14 +248,16 @@ def test_power_of_two_fields_take_one_route(k):
 def test_rescaled_reduce_keeps_its_report(k):
     # B = 2^k, C = 2^-k is B = C = 1 rescaled by a^2 = 2^k: chi = 2, and
     # `reduce` reports the one-stage chain of a regular Omega, as at k = 0.
-    # `np.linalg.eigvals` of the unbalanced flow gives +-0.5i, not +-0.7071i.
-    def report(k):
+    # At kappa = 0 Hess H is not positive definite, so the eigenvalues are
+    # `np.linalg.eigvals` of the chain's flow, not the normal-mode core's.
+    def report(k, kappa):
         a2 = 2.0 ** k
         return _report("reduce", {"schema_version": 1, "N": 2,
                                   "field": {"B": a2, "C": 1.0 / a2},
-                                  "model": {"m": a2, "kappa": a2}})
-    want, got = report(0), report(k)
+                                  "model": {"m": a2, "kappa": kappa * a2}})
     keys = ("status", "dimensions", "gauge_dimension")
-    assert [got[key] for key in keys] == [want[key] for key in keys]
-    for part in ("real", "imag"):
-        assert np.allclose(got["eigenvalues"][part], want["eigenvalues"][part], atol=1e-12)
+    for kappa in (1.0, 0.0):
+        want, got = report(0, kappa), report(k, kappa)
+        assert [got[key] for key in keys] == [want[key] for key in keys]
+        for part in ("real", "imag"):
+            assert np.allclose(got["eigenvalues"][part], want["eigenvalues"][part], atol=1e-12)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from ncphase import constrained as con
 from ncphase import dynamics as dyn
 from ncphase import spectrum as sp
 from ncphase import structure as st
@@ -115,7 +114,7 @@ def core(fields, model=UNIT):
 def core_restricted(fields, model=UNIT):
     """`mode_frequencies` on the pair restricted to the terminal stage of
     the constraint chain, V^T Omega V and V^T Hess V."""
-    v = con.gnh_from_model(fields, model).subspaces[-1]
+    v = cf.gnh_from_model(fields, model).subspaces[-1]
     return sp.mode_frequencies(v.T @ st.build_omega(fields) @ v,
                                sp.hessian_factor(v.T @ model.hessian(fields.N) @ v))
 

@@ -11,7 +11,11 @@ as a whole.
 
 A tolerance is a parameter of one function, `structure.regularity`, the
 one regular/degenerate decision.  Only it raises `SingularOmega`, and
-only `constrained._rank` reads the chain's rank cutoff.  No module names
+only `constrained._rank` reads the chain's rank cutoff.  `spectrum` and
+`reduce` take their frequencies from the one normal-mode core, so
+`np.linalg.eigvals` is called only by `ConstraintChain.terminal_eigenvalues`
+(a Hessian with no ladder) and by the midpoint step bound of `dynamics`,
+and `constrained` balances nothing (it names no `frexp`).  No module names
 `np.longdouble`, which is float64 on some platforms.
 """
 
@@ -150,6 +154,12 @@ def test_singular_omega_is_raised_by_the_one_decision():
     sites = _sites(_trees(), lambda node: isinstance(node, ast.Call)
                    and _named(node.func, "SingularOmega"))
     assert sites == {"structure.regularity"}
+
+
+def test_eigvals_has_two_sites_and_the_chain_no_balancing():
+    sites = _sites(_trees(), lambda node: _named(node, "eigvals"))
+    assert sites == {"constrained.terminal_eigenvalues", "dynamics.midpoint_transfer"}
+    assert "frexp" not in (SRC / "constrained.py").read_text(encoding="utf-8")
 
 
 def test_no_module_names_longdouble():
