@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import tempfile
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -280,31 +279,43 @@ def _write_atomic(path: str | None, chunks):
 
 
 def _json_text(obj) -> bytes:
-    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
-
-    With an indent set, CPython's json module encodes in pure Python; this
-    writer builds the same layout from joined strings, encoded once.  Floats
-    are written by ``float.__repr__``, ints by ``int.__repr__`` and strings
-    by json's C ASCII escaper.  A float64 ndarray is written as its
-    ``tolist()`` would be; the values of all of them are encoded by `g17` in
-    one call.  A non-finite float raises ArithmeticError, where json would
-    write NaN or Infinity.
-    """
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``, with a
+    float64 ndarray written as its ``tolist()`` would be.  json lays out the
+    document with a placeholder string for each nonempty finite vector or
+    matrix, whose values `g17` encodes in one call.  A non-finite float
+    raises ArithmeticError, where json would write NaN or Infinity."""
     arrays = []
-    parts = _layout(obj, "", arrays).encode("ascii").split(b"\0")
+
+    def slot(value):
+        if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if value.size and value.ndim in (1, 2) and np.isfinite(value).all():
+            arrays.append(value)
+            return "\0"
+        return value.tolist()
+
+    dump = functools.partial(json.dumps, indent=2, sort_keys=True, allow_nan=False)
+    try:
+        parts = dump(obj, default=slot).encode("ascii").split(b'"\\u0000"')
+        if len(parts) != len(arrays) + 1:  # a string of the document holds the placeholder
+            arrays, parts = [], [dump(obj, default=np.ndarray.tolist).encode("ascii")]
+    except ValueError as exc:  # json's message ends in the repr of the number
+        raise ArithmeticError(f"non-finite number {str(exc).rpartition(' ')[2]} "
+                              "in the JSON output") from None
     if not arrays:
         return parts[0]
     # The byte after each value: 1 in a row, 2 at the end of a matrix row,
     # 3 at the end of an array.
-    ends = [np.ones(arr.shape, np.uint8) for arr, _ in arrays]
+    ends = [np.ones(arr.shape, np.uint8) for arr in arrays]
     for end in ends:
         end[..., -1] = 2
         end.reshape(-1)[-1] = 3
-    texts = g17.repr_text(np.concatenate([arr.reshape(-1) for arr, _ in arrays]),
+    texts = g17.repr_text(np.concatenate([arr.reshape(-1) for arr in arrays]),
                           np.concatenate([end.reshape(-1) for end in ends])).split(b"\3")
     out = [parts[0]]
-    for (arr, indent), text, part in zip(arrays, texts, parts[1:]):
-        indent = indent.encode("ascii")
+    for arr, text, before, part in zip(arrays, texts, parts, parts[1:]):
+        line = before[before.rfind(b"\n") + 1:]
+        indent = line[:len(line) - len(line.lstrip(b" "))]
         inner = indent + b"  "
         if arr.ndim == 2:  # a list of rows, each laid out one level in
             row = inner + b"  "
@@ -315,48 +326,6 @@ def _json_text(obj) -> bytes:
             text = text.replace(b"\1", b",\n" + inner)
         out += [b"[\n" + inner + text + b"\n" + indent + b"]", part]
     return b"".join(out)
-
-
-def _layout(obj, indent: str, arrays: list) -> str:
-    """`_json_text` of ``obj`` at ``indent``, with a NUL in place of each
-    nonempty float64 vector or matrix, appended to ``arrays`` with its indent
-    (json escapes a NUL in a string, so the text has no other)."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ArithmeticError(f"non-finite number {obj!r} in the JSON output")
-        return float.__repr__(obj)
-    if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
-        if obj.size == 0 or obj.ndim not in (1, 2):
-            return _layout(obj.tolist(), indent, arrays)
-        finite = np.isfinite(obj)
-        if not finite.all():
-            raise ArithmeticError(
-                f"non-finite number {float(obj[~finite][0])!r} in the JSON output")
-        arrays.append((obj, indent))
-        return "\0"
-    inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_layout(item, inner, arrays) for item in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [encode_basestring_ascii(key) + ": " + _layout(value, inner, arrays)
-                 for key, value in sorted(obj.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _require(value, what: str):
@@ -411,16 +380,16 @@ def cmd_darboux(rc: RunConfig, args) -> tuple:
     }
 
 
-def _chain(rc: RunConfig) -> constrained.ConstraintChain:
-    """The flow of a field config, by the one regularity decision: the
-    one-stage chain of `dynamics.flow_matrix`, or the model's constraint chain."""
+def _chain(rc: RunConfig) -> tuple:
+    """The flow of a field config, by the one regularity decision: the one-stage
+    chain of `dynamics.flow_matrix` (no form), or the model's `terminal_chain`."""
     cfg, model = _require(rc.cfg, "a field section"), _require(rc.model, "a model")
     try:
         structure.regularity(cfg, rc.tol_singular)
     except SingularOmega:
-        return constrained.gnh_chain(structure.build_omega(cfg), model.hessian(cfg.N),
-                                     model.gradient_offset(cfg.N))
-    return constrained.ConstraintChain(2 * cfg.N, *dynamics.flow_matrix(cfg, model))
+        return spectrum.terminal_chain(structure.build_omega(cfg), model.hessian(cfg.N),
+                                       model.gradient_offset(cfg.N))
+    return constrained.ConstraintChain(2 * cfg.N, *dynamics.flow_matrix(cfg, model)), None
 
 
 def _simulate_rows(rc: RunConfig):
@@ -432,7 +401,7 @@ def _simulate_rows(rc: RunConfig):
         )
     steps = int(round(rc.t_final / rc.dt))
     header = ["t"] + [f"q{i+1}" for i in range(N)] + [f"p{i+1}" for i in range(N)] + ["H"]
-    chain = _chain(rc)
+    chain, _ = _chain(rc)
     if chain.constraints is None:
         last, observe = "Lambda3", lambda zs: darboux.lambda3(rc.cfg, zs)
     else:
@@ -463,28 +432,28 @@ def cmd_simulate(rc: RunConfig, args) -> tuple:
                                     g17.csv_rows(table))
 
 
-def _frequencies(omega, r, cfg=None, stage=None) -> np.ndarray:
-    """The normal modes of `spectrum` and `reduce`, descending: with the
-    Lambda of a regular field ``cfg``, else on the terminal stage of the
-    chain where Hess H = I, whose dimension must be ``stage`` if given."""
-    if cfg is not None:
-        return spectrum.mode_frequencies(omega, r, structure.poisson_matrix(cfg))
-    form = spectrum.terminal_form(omega, r)
-    if stage not in (None, len(form)):
-        raise ArithmeticError(f"the terminal stage is {stage}-dimensional in the raw-data "
-                              f"chain and {len(form)}-dimensional where Hess H = I")
-    return np.zeros(0) if stage == 0 else spectrum.mode_frequencies(form)
+def _frequencies(cfg, r, form) -> np.ndarray:
+    """The normal modes of `spectrum` and `reduce`, descending: those of the
+    terminal form of `spectrum.terminal_chain` (none on an empty stage), or,
+    with no form, those of the regular field ``cfg`` with its Lambda."""
+    if form is None:
+        return spectrum.mode_frequencies(structure.build_omega(cfg), r,
+                                         structure.poisson_matrix(cfg))
+    return spectrum.mode_frequencies(form) if form.size else np.zeros(0)
 
 
 def cmd_spectrum(rc: RunConfig, args) -> tuple:
     cfg, model = _require(rc.cfg, "a field section"), _require(rc.model, "a model")
-    r = spectrum.hessian_factor(model.hessian(cfg.N))
+    hess = model.hessian(cfg.N)
+    r = spectrum.hessian_factor(hess)
     try:
         structure.regularity(cfg, rc.tol_singular)
-        regular, kind = cfg, "normal-modes"
+        form, kind = None, "normal-modes"
     except SingularOmega:  # presymplectic: the modes of the terminal constraint stage
-        regular, kind = None, "degenerate-ladder"
-    freqs = _frequencies(structure.build_omega(cfg), r, regular)
+        form = spectrum.terminal_chain(structure.build_omega(cfg), hess,
+                                       model.gradient_offset(cfg.N))[1]
+        kind = "degenerate-ladder"
+    freqs = _frequencies(cfg, r, form)
     table = spectrum.ladder(freqs, model.hbar, args.nmax)
     levels = _level_records(table)
     head = _json_text({"kind": kind, "hbar": table.hbar, "frequencies": list(table.frequencies)})
@@ -529,11 +498,11 @@ def cmd_reduce(rc: RunConfig, args) -> tuple:
     code, eigen = EXIT_OK, np.array([])
     try:
         if rc.problem is None:
-            chain = _chain(rc)
-            omega, hess = structure.build_omega(rc.cfg), rc.model.hessian(rc.N)
+            chain, form = _chain(rc)
+            hess = rc.model.hessian(rc.N)
         else:
             omega, hess, g = map(rc.problem.get, ("omega", "hessian", "gradient"))
-            chain = constrained.gnh_chain(omega, hess, g)
+            chain, form = spectrum.terminal_chain(omega, hess, g)
     except InconsistentSystem as exc:
         chain, code = exc.chain, EXIT_INCONSISTENT
     if chain.reduced_flow is not None:
@@ -542,8 +511,7 @@ def cmd_reduce(rc: RunConfig, args) -> tuple:
         except ValueError:  # no ladder, but kappa = 0 still has a cyclotron pair
             eigen = chain.terminal_eigenvalues()
         else:
-            w = _frequencies(omega, r, rc.cfg if chain.constraints is None else None,
-                             chain.dimensions[-1])
+            w = _frequencies(rc.cfg, r, form)
             # +-i w, ascending; + 0.0 turns the real part -0.0 of 1j * -w into 0.0.
             eigen = 1j * np.concatenate([-w, w[::-1]]) + 0.0
     matrix, offset = chain.constraints or ([], [])

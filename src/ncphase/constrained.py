@@ -50,11 +50,11 @@ class LinearConstraints(NamedTuple):
 class ConstraintChain:
     """Nested subspaces M_1 >= M_2 >= ... with the terminal tangent flow.
 
-    subspaces[k] is an orthonormal basis (columns) of the direction space
-    of stage k.  The terminal flow is dz/dt = reduced_flow @ z +
-    flow_offset, valid on the terminal stage, with any residual gauge
-    freedom spanned by gauge_basis.  `gnh_chain` fills the chain in stage
-    by stage.
+    subspaces[k] is a basis (columns) of the direction space of stage k,
+    orthonormal as `gnh_chain` builds it.  The terminal flow is dz/dt =
+    reduced_flow @ z + flow_offset, valid on the terminal stage, with any
+    residual gauge freedom spanned by gauge_basis.  `gnh_chain` fills the
+    chain in stage by stage.
     """
 
     __slots__ = ("subspaces", "constraints", "reduced_flow", "flow_offset",

@@ -10,8 +10,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constrained import gnh_chain
+from .constrained import LinearConstraints, gnh_chain
 from .dynamics import OscillatorModel
+from .errors import InconsistentSystem
 from .structure import build_omega, field_config_n2, two_product
 
 # Largest ladder built, in levels; refused before any array is allocated.
@@ -82,15 +83,44 @@ def whiten(omega, r) -> np.ndarray:
     return white
 
 
-def terminal_form(omega, r) -> np.ndarray:
-    """Omega on the terminal stage of the constraint chain, built where
-    Hess H = I (y = R z) and max |Omega| is in [0.5, 1): the chain's relative
-    rank cutoff then sees no scale of m, kappa or Omega against its unit
-    constraint rows.  The gradient offset does not move a mode."""
-    white = whiten(omega, r)
-    _, e = np.frexp(np.abs(white).max())
-    v = gnh_chain(np.ldexp(white, -e), np.eye(len(white)), np.zeros(len(white))).subspaces[-1]
-    return v.T @ white @ v
+def terminal_chain(omega, hess, g) -> tuple:
+    """`gnh_chain` of (Omega, Hess H, g) and the terminal form that
+    `mode_frequencies` reads.  Where Hess H = R^T R is positive definite it
+    is built where Hess H = I (y = R z), on 2^s R^-T Omega R^-1 with max |.|
+    in [1, 2) and gradient R^-T g, so its relative rank cutoff sees no scale
+    of m, kappa or Omega, and mapped back to z (an InconsistentSystem's
+    too); the form is R^-T Omega R^-1 on its terminal stage.  Elsewhere the
+    chain is built on the raw data, with no form."""
+    try:
+        r = hessian_factor(hess)
+    except ValueError:
+        return gnh_chain(omega, hess, g), None
+    white, r_inv = whiten(omega, r), np.linalg.inv(r)
+    s = 1 - np.frexp(np.abs(white).max())[1]
+    try:
+        chain = gnh_chain(np.ldexp(white, s), np.eye(len(white)), r_inv.T @ g)
+    except InconsistentSystem as exc:
+        _in_z(exc.chain, r, r_inv, s)
+        raise
+    v = chain.subspaces[-1]
+    return _in_z(chain, r, r_inv, s), v.T @ white @ v
+
+
+def _in_z(chain, r, r_inv, s):
+    """``chain`` of y = R z and 2^s R^-T Omega R^-1, in place in z: bases
+    R^-1 V, constraint rows [A R | b] made orthonormal again (so that a
+    residual keeps its scale in z), flow 2^s R^-1 M R and offset 2^s R^-1 k."""
+    chain.subspaces = [r_inv @ v for v in chain.subspaces]
+    a, b = chain.constraints
+    rows = np.linalg.qr(np.column_stack([a @ r, b]).T)[0].T
+    chain.constraints = LinearConstraints(rows[:, :-1], rows[:, -1])
+    if chain.reduced_flow is not None:
+        # The caller's finiteness check refuses a flow beyond the double range.
+        with np.errstate(over="ignore", invalid="ignore"):
+            chain.reduced_flow = np.ldexp(r_inv @ chain.reduced_flow @ r, s)
+            chain.flow_offset = np.ldexp(r_inv @ chain.flow_offset, s)
+        chain.gauge_basis = r_inv @ chain.gauge_basis
+    return chain
 
 
 def mode_frequencies(omega, r=None, lam=None) -> np.ndarray:
@@ -250,10 +280,12 @@ def chi_limit_scan(model: OscillatorModel, B: float, eps_values,
     z0 = np.asarray(z0, dtype=float)
     if not np.isfinite(z0).all():
         raise ArithmeticError(f"the start {z0.tolist()} of the limit scan is not finite")
-    r = hessian_factor(model.hessian(2))
+    hess = model.hessian(2)
+    r = hessian_factor(hess)
     failures = (ArithmeticError, np.linalg.LinAlgError)
-    try:
-        omega_r = mode_frequencies(terminal_form(build_omega(field_config_n2(B, -1.0 / B)), r))[0]
+    try:  # a harmonic model has no gradient at the origin
+        omega_r = mode_frequencies(terminal_chain(build_omega(field_config_n2(B, -1.0 / B)),
+                                                  hess, np.zeros(4))[1])[0]
     except failures as exc:
         raise ArithmeticError(f"limit scan target omega_r at chi = 0: {exc}") from None
 

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from ncphase import cli, constrained, darboux, dynamics, structure
+from ncphase import cli, constrained, darboux, dynamics, spectrum, structure
 
 import closed_forms as cf
 
@@ -162,7 +162,8 @@ def test_degenerate_simulate_csv_matches_per_value_format(tmp_path):
     got = simulate_csv(tmp_path, config)
 
     times = 0.01 * np.arange(51)
-    chain = cf.gnh_from_model(structure.field_config_n2(1.0, -1.0), model)
+    chain, _ = spectrum.terminal_chain(structure.build_omega(structure.field_config_n2(1.0, -1.0)),
+                                       model.hessian(2), model.gradient_offset(2))
     states = dynamics.affine_flow(chain.reduced_flow, chain.flow_offset, z0, 0.01, 50)
     rows = [[t, *z, scalar_hamiltonian(model, z), scalar_residual(chain.constraints, z)]
             for t, z in zip(times, states)]

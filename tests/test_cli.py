@@ -1323,37 +1323,46 @@ class TestReduce:
         assert rep["status"] == "inconsistent"
 
 
-    def test_rank_loss_in_chain_exits_instead_of_looping(self, tmp_path, capsys):
-        # The relative SVD cutoff dropped rows of the accumulated constraints
-        # once the new rows reached ~1e184, so the chain alternated between
-        # row counts and never closed, growing without bound.  The Omega and
-        # Hessian are those of B = 1e200, C = 1, kappa = 1e200, a regular
-        # field that `reduce` takes to the one-stage chain; as a problem
-        # block they still go through the chain.
+    def test_positive_definite_problem_block_matches_its_field(self, tmp_path):
+        # The Omega and Hessian of B = 1e200, C = 1, kappa = 1e200, a regular
+        # field.  On the raw data the chain's cutoff loses rank
+        # (tests/test_constrained.py); where Hess H = I they are of one
+        # scale, and the problem block has the field's modes.
         model = dynamics.OscillatorModel(m=1.0, kappa=1e200)
+        field = {"B": 1e200, "C": 1.0}
         cfg = {"schema_version": 1, "N": 2, "problem": {
-            "omega": structure.build_omega(structure.field_config_n2(1e200, 1.0)).tolist(),
+            "omega": structure.build_omega(structure.field_config_n2(**field)).tolist(),
             "hessian": model.hessian(2).tolist(), "gradient": [0.0] * 4}}
         path = write_config(tmp_path, cfg)
         out = tmp_path / "red.json"
-        assert run(["reduce", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
-        err = capsys.readouterr().err
-        assert err.startswith("ncphase: numerical failure: constraint rows lost rank (2 -> 1)")
-        assert not out.exists()
+        assert run(["reduce", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        rep = json.loads(out.read_text())
+        assert (rep["status"], rep["dimensions"]) == ("consistent", [4])
+        assert rep["eigenvalues"] == {"imag": [-1.0, -1.0, 1.0, 1.0], "real": [0.0] * 4}
+        path = write_config(tmp_path, dict(BASE, field=field, model={"m": 1.0, "kappa": 1e200}))
+        assert run(["spectrum", "--config", path, "--out", str(out), "--nmax", "0"]) == cli.EXIT_OK
+        assert json.loads(out.read_text())["frequencies"] == [1.0, 1.0]
 
 
-# A planar chi = 0 field at m and kappa near 1e9 and 1e4: the raw-data chain
-# over-cuts its last stage to dimension 0, the chain where Hess H = I keeps
-# the 2-dimensional terminal stage, and 2486552.42... = m kappa / B puts the
-# state below on the true constraint (oracle residual 2e-19).
+# A planar chi = 0 field at m and kappa near 1e9 and 1e4: a chain built on
+# the raw data over-cuts its last stage to dimension 0, the chain where
+# Hess H = I keeps the 2-dimensional terminal stage, and
+# 2486552.42... = m kappa / B puts the state below on the true constraint
+# (oracle residual 2e-19).
 _OVER_CUT_B = 5074788.115583803
 _OVER_CUT = dict(BASE, field={"B": _OVER_CUT_B, "C": -1.0 / _OVER_CUT_B},
                  model={"m": 1788489525.6778197, "kappa": 7055.521709333194})
+# A chi = 0 field whose whitened two-form has entries near 1e-10: unscaled,
+# the chain would cut them against its unit constraint rows.
+_STIFF_B = 1.545773989453215
+_STIFF_CHI0 = dict(BASE, field={"B": _STIFF_B, "C": -1.0 / _STIFF_B},
+                   model={"m": 2.8829074819845476e-09, "kappa": 58558066872.5091})
 
 
 class TestOneNormalModeRoute:
     """`reduce` reports +-i times `spectrum`'s frequencies wherever Hess H is
-    positive definite, from the one helper both subcommands call."""
+    positive definite, from the one helper both subcommands call, and
+    `simulate` steps the flow of the one chain that both read."""
 
     @staticmethod
     def reports(tmp_path, capsys, cfg):
@@ -1367,37 +1376,54 @@ class TestOneNormalModeRoute:
                             json.loads(target.read_text()) if target.exists() else None)
         return out
 
-    def test_over_cut_terminal_stage_is_refused(self, tmp_path, capsys):
-        got = self.reports(tmp_path, capsys, _OVER_CUT)
-        code, err, rep = got["reduce"]
-        assert (code, rep) == (cli.EXIT_SINGULAR, None)
-        assert err == ["ncphase: numerical failure: the terminal stage is 0-dimensional in "
-                       "the raw-data chain and 2-dimensional where Hess H = I"]
-        code, err, rep = got["spectrum"]
-        model = dynamics.OscillatorModel(**_OVER_CUT["model"])
-        want = abs(cf.degenerate_omega_r(model, _OVER_CUT["field"]["C"]))
-        assert (code, err, rep["kind"]) == (cli.EXIT_OK, [], "degenerate-ladder")
-        assert abs(rep["frequencies"][0] / want - 1.0) <= 4 * np.finfo(float).eps
-
-    def test_stiff_chi0_field_runs_in_both(self, tmp_path, capsys):
-        # The whitened two-form has entries near 1e-10 here: unscaled, the
-        # chain would cut them against its unit constraint rows.
-        B = 1.545773989453215
-        cfg = dict(BASE, field={"B": B, "C": -1.0 / B},
-                   model={"m": 2.8829074819845476e-09, "kappa": 58558066872.5091})
-        got = self.reports(tmp_path, capsys, cfg)
+    @staticmethod
+    def check_agreement(got, cfg, bound):
+        """Both exit 0, `reduce` with one pair per `spectrum` frequency, and the
+        frequency is the closed-form omega_r within ``bound`` relative."""
         (code, err, rep), (sp_code, sp_err, sp_rep) = got["reduce"], got["spectrum"]
         assert (code, err, sp_code, sp_err) == (cli.EXIT_OK, [], cli.EXIT_OK, [])
         freqs = sp_rep["frequencies"]
         assert rep["eigenvalues"] == {"imag": [-f for f in freqs] + freqs[::-1],
                                       "real": [0.0] * (2 * len(freqs))}
-        assert rep["dimensions"][-1] == 2 * len(freqs)
+        assert (rep["dimensions"], sp_rep["kind"]) == ([4, 2], "degenerate-ladder")
         model = dynamics.OscillatorModel(**cfg["model"])
         want = abs(cf.degenerate_omega_r(model, cfg["field"]["C"]))
-        assert abs(freqs[0] / want - 1.0) <= 1e-14
+        assert abs(freqs[0] / want - 1.0) <= bound
+        return freqs
+
+    @staticmethod
+    def check_simulate(tmp_path, cfg, t_final):
+        """`simulate` from q0 = 1 on the true constraint follows the closed-form
+        rotation to 1e-12 relative and conserves H."""
+        m, kappa, B = cfg["model"]["m"], cfg["model"]["kappa"], cfg["field"]["B"]
+        z0 = [1.0, 0.0, 0.0, m * kappa / B]
+        fields = structure.field_config_n2(**cfg["field"])
+        model = dynamics.OscillatorModel(m=m, kappa=kappa)
+        oracle = cf.secondary_constraints(fields, model)
+        assert oracle.residual(z0) <= 1e-14 * np.abs(oracle.matrix).max() * max(z0)
+        run_cfg = dict(cfg, state=z0, time={"t_final": t_final, "dt": t_final / 4})
+        path, out = write_config(tmp_path, run_cfg), tmp_path / "run.csv"
+        assert run(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        # The start was checked above, at the scale of the rows.
+        want = cf.degenerate_flow_n2(model, cfg["field"]["C"], z0, rows[:, 0], tol=np.inf)
+        assert np.abs(rows[:, 1:5] - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(rows[:, 5] - rows[0, 5]).max() <= 1e-12 * rows[0, 5]
+        return rows
+
+    def test_over_cut_field_agrees_in_reduce_and_spectrum(self, tmp_path, capsys):
+        freqs = self.check_agreement(self.reports(tmp_path, capsys, _OVER_CUT), _OVER_CUT,
+                                     4 * np.finfo(float).eps)
+        assert freqs == [0.0009331046095742727]
+
+    def test_stiff_chi0_field_runs_in_both(self, tmp_path, capsys):
+        self.check_agreement(self.reports(tmp_path, capsys, _STIFF_CHI0), _STIFF_CHI0, 1e-14)
+        # About two radians of the reduced rotation, at omega_r = 5.3e8.
+        rows = self.check_simulate(tmp_path, _STIFF_CHI0, 4e-9)
+        assert np.abs(rows[-1, 2]) > 0.5
 
     def test_empty_terminal_stage_keeps_exit_0(self, tmp_path):
-        # Omega = 0 and Hess H = I: both chains cut to dimension 0.
+        # Omega = 0 and Hess H = I: the chain cuts to dimension 0.
         cfg = {"schema_version": 1, "N": 1, "problem": {
             "omega": [[0.0, 0.0], [0.0, 0.0]], "hessian": [[1.0, 0.0], [0.0, 1.0]],
             "gradient": [0.5, 0.0]}}
@@ -1418,21 +1444,35 @@ class TestOneNormalModeRoute:
         assert ("problem.omega must be antisymmetric, problem.hessian symmetric"
                 in capsys.readouterr().err)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: balancing before the SVD rank "
-                                           "decisions of `gnh_chain`")
-    def test_simulate_accepts_a_start_on_the_true_constraint(self, tmp_path, capsys):
-        # The raw-data chain over-cuts to dimension 0, so its constraint rows
-        # refuse this start with residual 1.773e+06.
-        z0 = [1.0, 0.0, 0.0, 2486552.4210922113]
-        cfg = dict(_OVER_CUT, state=z0, time={"t_final": 1.0, "dt": 0.5})
-        fields = structure.field_config_n2(**_OVER_CUT["field"])
-        model = dynamics.OscillatorModel(**_OVER_CUT["model"])
-        assert cf.secondary_constraints(fields, model).residual(z0) <= 1e-18
-        path, out = write_config(tmp_path, cfg), tmp_path / "run.csv"
-        assert run(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_OK
-        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
-        residual = cf.secondary_constraints(fields, model).residual(rows[:, 1:5])
-        assert (residual <= 1e-8 * np.abs(rows[:, 1:5]).max()).all()
+    def test_simulate_accepts_a_start_on_the_true_constraint(self, tmp_path):
+        # A chain built on the raw data refused this start with residual 1.773e+06.
+        rows = self.check_simulate(tmp_path, _OVER_CUT, 1.0)
+        assert (rows[:, -1] <= 1e-8 * np.abs(rows[:, 1:5]).max()).all()
+
+    def test_one_chain_per_run_and_one_lambda_per_regular_spectrum(
+            self, tmp_path, capsys, monkeypatch):
+        chains, lambdas = [], []
+        gnh_chain, poisson_matrix = spectrum.gnh_chain, structure.poisson_matrix
+        monkeypatch.setattr(spectrum, "gnh_chain",
+                            lambda *a: chains.append(1) or gnh_chain(*a))
+        for module in (structure, dynamics):
+            monkeypatch.setattr(module, "poisson_matrix",
+                                lambda *a: lambdas.append(1) or poisson_matrix(*a))
+        degenerate = dict(_OVER_CUT, state=[1.0, 0.0, 0.0, 2486552.4210922113],
+                          time={"t_final": 1.0, "dt": 0.5})
+        problem = {"schema_version": 1, "N": 2, "problem": {
+            "omega": structure.build_omega(structure.field_config_n2(1.0, -1.0)).tolist(),
+            "hessian": UNIT.hessian(2).tolist(), "gradient": [0.0] * 4}}
+        for command, cfg, want in [("simulate", degenerate, (1, 0)),
+                                   ("reduce", degenerate, (1, 0)),
+                                   ("spectrum", degenerate, (1, 0)),
+                                   ("reduce", problem, (1, 0)),
+                                   ("spectrum", BASE, (0, 1))]:
+            chains.clear()
+            lambdas.clear()
+            path = write_config(tmp_path, cfg)
+            assert run([command, "--config", path, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+            assert (len(chains), len(lambdas)) == want, (command, cfg)
 
 
 class TestDeterminism:
@@ -1721,6 +1761,7 @@ class TestJsonWriter:
     @example({"big": 2**200, "neg": -(2**70), "bools": [True, False, None], "empty": [[], {}]})
     @example({"q\"uote": "back\\slash \x00\x1f\x7f é \U0001f600 \ud800", "": ""})
     @example([[1.0, 2], [3.0, True], (4.0, 5.0)])
+    @example({"\x00": None})
     def test_matches_json_dumps(self, obj):
         assert cli._json_text(obj) == _json_oracle(obj).encode("ascii")
 
@@ -1764,6 +1805,16 @@ class TestFloatArrays:
             obj = {"k": [obj]}
         assert cli._json_text(obj) == _json_oracle(json.loads(
             json.dumps(obj, default=np.ndarray.tolist))).encode("ascii")
+
+    @pytest.mark.parametrize("obj", [
+        {"\x00": np.ones(2)}, {"a": np.ones(2), "b": "\x00"}, ["\"\x00", np.ones((2, 2))],
+        {"\"\x00": [np.zeros(1), "x\x00"]},
+    ], ids=["key", "value", "quoted", "quoted-key"])
+    def test_strings_like_the_placeholder_keep_their_text(self, obj):
+        # Each array is laid out around a placeholder string, "\x00"; a
+        # document that holds that text elsewhere is laid out by json alone.
+        oracle = json.loads(json.dumps(obj, default=np.ndarray.tolist))
+        assert cli._json_text(obj) == _json_oracle(oracle).encode("ascii")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_raises_and_leaves_no_file(self, tmp_path, monkeypatch, bad):

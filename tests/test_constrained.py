@@ -121,6 +121,18 @@ class TestGnhChain:
             con.gnh_chain(omega, np.zeros((4, 4)), np.array([1.0, 0.0, 0.0, 0.0]))
         assert err.value.chain.status == "inconsistent"
 
+    def test_rank_loss_in_chain_exits_instead_of_looping(self):
+        # The relative SVD cutoff dropped rows of the accumulated constraints
+        # once the new rows reached ~1e184, so the chain alternated between
+        # row counts and never closed, growing without bound.  The Omega and
+        # Hessian are those of B = 1e200, C = 1, kappa = 1e200, a regular
+        # field, on the raw data (the program builds its chains where
+        # Hess H = I, where they are of one scale).
+        model = dyn.OscillatorModel(m=1.0, kappa=1e200)
+        omega = st.build_omega(st.field_config_n2(1e200, 1.0))
+        with pytest.raises(ArithmeticError, match=r"^constraint rows lost rank \(2 -> 1\)"):
+            con.gnh_chain(omega, model.hessian(2), np.zeros(4))
+
     def test_gauge_basis_reported(self):
         free = dyn.OscillatorModel(m=1.0, kappa=0.0)
         chain = cf.gnh_from_model(DEGENERATE, free)

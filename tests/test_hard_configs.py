@@ -5,7 +5,8 @@ An entry is (config, subcommand, expected outcome), run in process
 through `cli.main` with every warning an error.  The outcomes:
 
 - OK: exit 0, and the output agrees with an mpmath oracle of
-  `closed_forms` within the bound of its check below;
+  `closed_forms` within the bound of its check below (on a planar chi = 0
+  field, with the closed-form reduced rotation of the terminal stage);
 - REFUSED: exit 2, one stderr line that starts with the entry's text,
   and no file;
 - OK_OR_FAILURE: OK, or REFUSED with a numerical-failure line;
@@ -73,6 +74,12 @@ CONFIGS = {
                                "Cvec": [-1.111604476896361e+22, 1.0306431700304927e+22,
                                         4.0947106950188614e+21]},
                               {"m": 0.024545923060614747, "kappa": 0.001705428817437341}), 400),
+    # A chi = 0 field whose chain, built on the raw data, over-cut its
+    # terminal stage to dimension 0 (ROADMAP items 9 and 21); the start
+    # q0 = 1, p0 = i m kappa q0 / B is on the secondary constraints.
+    "chi0-over-cut": (dict(_config({"B": 5074788.115583803, "C": -1.0 / 5074788.115583803},
+                                   {"m": 1788489525.6778197, "kappa": 7055.521709333194}),
+                           state=[1.0, 0.0, 0.0, 2486552.4210922113]), 60),
     # The limit scan's on-constraint start p0 = m kappa / B overflows.
     "B1e-300-kappa1e100": (_config({"B": 1e-300, "C": 0.5}, {"m": 1.0, "kappa": 1e100}), 60),
 }
@@ -146,6 +153,9 @@ ENTRIES = [
     ("C1.5-tol4", "reduce", OK, None),
     ("oblique-mixed", "spectrum", FAILURE + "a frequency spread", None),
     ("oblique-mixed", "reduce", FAILURE + "a frequency spread", None),
+    ("chi0-over-cut", "simulate", OK, None),
+    ("chi0-over-cut", "spectrum", OK, None),
+    ("chi0-over-cut", "reduce", OK, None),
     ("B1e-300-kappa1e100", "limit-scan",
      FAILURE + "the start [1.0, 0.0, 0.0, inf] of the limit scan is not finite", None),
 ]
@@ -191,40 +201,63 @@ def check_darboux(text, cfg, model, dps):
     assert rep["sp_equivalence_residual"] <= 1e-15
 
 
+def _chi0_c(cfg):
+    """C of a planar field with chi = 1 + B C = 0 up to the rounding of
+    C = -1/B, else None."""
+    if cfg.N != 2:
+        return None
+    B, C = float(cfg.eF[0, 1]), float(cfg.rG[0, 1])
+    return C if abs(1.0 + B * C) <= 4 * np.finfo(float).eps else None
+
+
 def check_simulate(text, cfg, model, dps):
     # The propagator rounds relative to |M| t_final, about 2e7 at chi = 1e-7
     # (error measured there: 4.4e-10).
     lines = text.splitlines()
     rows = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    assert rows[:, 0].tolist() == TIMES
+    states, last = rows[:, 1:1 + 2 * cfg.N], lines[0].rsplit(",", 1)[1]
+    C = _chi0_c(cfg)
+    if C is not None:  # the reduced rotation from the start in row 0
+        want = cf.degenerate_flow_n2(model, C, states[0], TIMES)
+        assert np.abs(states - want).max() <= 1e-12 * np.abs(want).max()
+        assert last == "constraint_residual"
+        assert np.abs(rows[:, -2] - rows[0, -2]).max() <= 1e-12 * rows[0, -2]
+        return
     want = cf.trajectory_mpmath(cfg, model, [1.0] + [0.0] * (2 * cfg.N - 2) + [1.0],
                                 TIMES, dps)
     stiffness = max(1.0, cf.frequencies_mpmath(cfg, model, dps)[0] * TIMES[-1])
-    assert rows[:, 0].tolist() == TIMES
-    assert (np.abs(rows[:, 1:1 + 2 * cfg.N] - want).max()
+    assert (np.abs(states - want).max()
             <= 1e-12 * stiffness * max(1.0, np.abs(want).max()))
     # Off the degenerate route, a Lambda3 column exactly where Omega A is
     # symmetric, each value the moment map of its row's state to rounding.
-    last = lines[0].rsplit(",", 1)[1]
     if last != "constraint_residual":
         assert (last == "Lambda3") == cf.commutes_with_rotation(cfg)
     if last == "Lambda3":
-        states = rows[:, 1:1 + 2 * cfg.N]
         assert (np.abs(rows[:, -1] - cf.moment_map_mpmath(cfg, states))
                 <= 8 * np.finfo(float).eps * cf.moment_map_scale(cfg, states)).all()
 
 
+def _frequencies(cfg, model, dps):
+    """The oracle's normal-mode frequencies, descending."""
+    C = _chi0_c(cfg)
+    if C is not None:
+        return [abs(cf.degenerate_omega_r(model, C))]
+    return cf.frequencies_mpmath(cfg, model, dps)
+
+
 def check_spectrum(text, cfg, model, dps):
     freqs = json.loads(text)["frequencies"]
-    want = cf.frequencies_mpmath(cfg, model, dps)
+    want = _frequencies(cfg, model, dps)
     assert np.abs(np.array(freqs) / want - 1.0).max() <= 1e-14
 
 
 def check_reduce(text, cfg, model, dps):
     rep = json.loads(text)
-    assert (rep["status"], rep["dimensions"], rep["gauge_dimension"]) == (
-        "consistent", [2 * cfg.N], 0)
     # +-i w, ascending, each w to check_spectrum's bound.
-    want = np.array(cf.frequencies_mpmath(cfg, model, dps))
+    want = np.array(_frequencies(cfg, model, dps))
+    assert (rep["status"], rep["dimensions"], rep["gauge_dimension"]) == (
+        "consistent", [2 * cfg.N] + ([2 * len(want)] if len(want) < cfg.N else []), 0)
     imag = np.array(rep["eigenvalues"]["imag"])
     assert np.abs(imag / np.concatenate([-want, want[::-1]]) - 1.0).max() <= 1e-14
     assert rep["eigenvalues"]["real"] == [0.0] * len(imag)

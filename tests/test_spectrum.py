@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
+from ncphase import constrained as con
 from ncphase import dynamics as dyn
 from ncphase import spectrum as sp
 from ncphase import structure as st
+from ncphase.errors import InconsistentSystem
 
 import closed_forms as cf
 
@@ -117,6 +119,93 @@ def core_restricted(fields, model=UNIT):
     v = cf.gnh_from_model(fields, model).subspaces[-1]
     return sp.mode_frequencies(v.T @ st.build_omega(fields) @ v,
                                sp.hessian_factor(v.T @ model.hessian(fields.N) @ v))
+
+
+class TestTerminalChain:
+    """`terminal_chain` builds the chain once where Hess H = I and maps it
+    back to z: constraint rows orthonormal as rows of [A | b], a flow that
+    solves Omega X = -grad H on the terminal stage and stays on it."""
+
+    # (B, m, kappa) of chi = 0 fields: unit, mixed, the field whose chain
+    # over-cuts on the raw data, and one whose whitened form is near 1e-10.
+    FIELDS = [(1.0, 1.0, 1.0), (-2.0, 0.3, 7.0),
+              (5074788.115583803, 1788489525.6778197, 7055.521709333194),
+              (1.545773989453215, 2.8829074819845476e-09, 58558066872.5091)]
+
+    @staticmethod
+    def check_chain(chain, omega, hess, g, tol=1e-14):
+        """Rows orthonormal in [A | b]; at a point on them the velocity
+        solves Omega X = -grad H and keeps A z + b = 0, to ``tol`` relative."""
+        a, b = chain.constraints
+        aug = np.column_stack([a, b])
+        assert np.abs(aug @ aug.T - np.eye(len(aug))).max() <= 1e-15
+        # A start on the constraints, and the velocity there.
+        v = chain.subspaces[-1]
+        z = np.linalg.lstsq(a, -b, rcond=None)[0] + v @ np.arange(1.0, v.shape[1] + 1)
+        assert np.abs(a @ z + b).max() <= 1e-14 * np.abs(a).max() * np.abs(z).max()
+        x = chain.reduced_flow @ z + chain.flow_offset
+        force = hess @ z + g
+        scale = np.abs(omega).max() * np.abs(x).max() + np.abs(force).max()
+        assert np.abs(omega @ x + force).max() <= tol * scale
+        assert np.abs(a @ x).max() <= 1e-14 * np.abs(a).max() * np.abs(x).max()
+
+    @pytest.mark.parametrize("B, m, kappa", FIELDS)
+    def test_chi0_fields(self, B, m, kappa):
+        fields, model = st.field_config_n2(B, -1.0 / B), dyn.OscillatorModel(m=m, kappa=kappa)
+        omega, hess, g = st.build_omega(fields), model.hessian(2), model.gradient_offset(2)
+        chain, form = sp.terminal_chain(omega, hess, g)
+        assert (chain.status, chain.dimensions, chain.gauge_basis.shape) == (
+            "consistent", [4, 2], (4, 0))
+        self.check_chain(chain, omega, hess, g)
+        # The rows span the secondary constraints of the closed form.
+        oracle = cf.secondary_constraints(fields, model).matrix
+        oracle /= np.linalg.norm(oracle, axis=1, keepdims=True)
+        a = chain.constraints.matrix
+        assert np.abs(oracle - oracle @ np.linalg.pinv(a) @ a).max() <= 1e-12
+        want = abs(cf.degenerate_omega_r(model, -1.0 / B))
+        assert rel_err(sp.mode_frequencies(form), [want]) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_problem_blocks_with_a_gradient(self, seed):
+        # A random Hess H = R^T R with columns over two decades, a two-form of
+        # rank 2N - 2 and a gradient: affine constraint rows.  The flow is
+        # mapped back through R, so its residual grows with cond(R).
+        rng = np.random.default_rng(seed)
+        n = 2 * rng.integers(2, 4)
+        r = np.triu(rng.normal(size=(n, n))) * 10.0 ** rng.uniform(-1, 1, n)
+        u = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :n - 2]
+        core = rng.normal(size=(n - 2, n - 2))
+        omega = u @ (core - core.T) @ u.T
+        omega = 0.5 * (omega - omega.T)
+        hess, g = r.T @ r, rng.normal(size=n)
+        chain, form = sp.terminal_chain(omega, hess, g)
+        assert chain.dimensions == [n, n - 2] and form.shape == (n - 2, n - 2)
+        self.check_chain(chain, omega, hess, g, 1e-15 * np.linalg.cond(r))
+
+    def test_without_a_ladder_the_chain_is_built_on_the_raw_data(self):
+        fields, free = st.field_config_n2(1.0, -1.0), dyn.OscillatorModel(m=1.0, kappa=0.0)
+        data = st.build_omega(fields), free.hessian(2), free.gradient_offset(2)
+        chain, form = sp.terminal_chain(*data)
+        raw = con.gnh_chain(*data)
+        assert form is None
+        assert np.array_equal(chain.reduced_flow, raw.reduced_flow)
+        assert np.array_equal(chain.constraints.matrix, raw.constraints.matrix)
+
+    def test_an_inconsistent_chain_is_mapped_back_too(self, monkeypatch):
+        # Where Hess H = I the chain is consistent in exact arithmetic; a
+        # chain that rounding made inconsistent still reaches the caller in z.
+        def inconsistent(*data):
+            raise InconsistentSystem("nowhere satisfied", chain=con.gnh_chain(*data))
+
+        fields, model = st.field_config_n2(-2.0, 0.5), dyn.OscillatorModel(m=0.3, kappa=7.0)
+        data = st.build_omega(fields), model.hessian(2), model.gradient_offset(2)
+        want = sp.terminal_chain(*data)[0]
+        monkeypatch.setattr(sp, "gnh_chain", inconsistent)
+        with pytest.raises(InconsistentSystem) as err:
+            sp.terminal_chain(*data)
+        got = err.value.chain
+        assert np.array_equal(got.constraints.matrix, want.constraints.matrix)
+        assert np.array_equal(got.reduced_flow, want.reduced_flow)
 
 
 def rel_err(got, want) -> float:

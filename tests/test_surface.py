@@ -11,7 +11,9 @@ as a whole.
 
 A tolerance is a parameter of one function, `structure.regularity`, the
 one regular/degenerate decision.  Only it raises `SingularOmega`, and
-only `constrained._rank` reads the chain's rank cutoff.  `spectrum` and
+only `constrained._rank` reads the chain's rank cutoff.  One function,
+`spectrum.terminal_chain`, calls `constrained.gnh_chain`, so `simulate`,
+`spectrum` and `reduce` read one chain of a config.  `spectrum` and
 `reduce` take their frequencies from the one normal-mode core, so
 `np.linalg.eigvals` is called only by `ConstraintChain.terminal_eigenvalues`
 (a Hessian with no ladder) and by the midpoint step bound of `dynamics`,
@@ -154,6 +156,12 @@ def test_singular_omega_is_raised_by_the_one_decision():
     sites = _sites(_trees(), lambda node: isinstance(node, ast.Call)
                    and _named(node.func, "SingularOmega"))
     assert sites == {"structure.regularity"}
+
+
+def test_one_function_builds_the_constraint_chain():
+    sites = _sites(_trees(), lambda node: isinstance(node, ast.Call)
+                   and _named(node.func, "gnh_chain"))
+    assert sites == {"spectrum.terminal_chain"}
 
 
 def test_eigvals_has_two_sites_and_the_chain_no_balancing():
