@@ -7,6 +7,7 @@ constraint system, 141 stdout closed by its reader (128 + SIGPIPE).
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import math
@@ -584,5 +585,15 @@ def main(argv=None) -> int:
         return EXIT_SINGULAR
 
 
+def run(argv=None) -> int:
+    """The process entry of the `ncphase` command and of `python -m
+    ncphase.cli`: `main` after `gc.freeze`.  The objects alive at this point,
+    numpy's import among them, then stay out of every later collection,
+    also the ones at interpreter exit.  Callers in a longer-lived process
+    use `main`, which leaves their cyclic garbage collectable."""
+    gc.freeze()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -138,8 +138,6 @@ def gnh_chain(omega: np.ndarray, h_hessian: np.ndarray, h_gradient) -> Constrain
         aug = merged
         # The rows of `basis` are orthonormal: its complement needs no rank test.
         chain.subspaces.append(np.linalg.svd(basis)[2][basis.shape[0]:].T)
-    else:
-        raise ArithmeticError(f"constraint chain did not close within {n + 1} stages")
 
     # After the break, `stacked` is [Omega; A] of the final constraints.
     chain.constraints = LinearConstraints(a_rows, aug[:, n])

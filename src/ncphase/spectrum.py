@@ -141,8 +141,10 @@ def mode_frequencies(omega, r=None, lam=None) -> np.ndarray:
         reach |= (a != 0) | (a.T != 0)
     for _ in range(dim.bit_length()):  # squaring doubles the path length
         reach = (reach.astype(float) @ reach) > 0
+    # The rows of a coupled block are equal: keep that of its smallest coordinate.
+    blocks = reach[reach.argmax(1) == np.arange(dim)]
     parts = [_two_sided(*(a[np.ix_(b, b)] for a in (omega, lam, white, flow)))
-             for b in map(np.flatnonzero, np.unique(reach, axis=0))]
+             for b in map(np.flatnonzero, blocks)]
     return np.sort(np.concatenate(parts))[::-1]
 
 

@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +210,37 @@ class TestConfigValidation:
         out = tmp_path / "never.out"
         assert run([command, "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"ncphase: config error: {path}: {message}\n"
+        assert not out.exists()
+
+
+_AXIAL_FIELD = {"Bvec": [0.0, 0.0, 1.0], "Cvec": [0.0, 0.0, 0.5]}
+
+
+class TestRefusals:
+    """Each refusal of a config or an option: exit 1, one stderr line that
+    names it, and no output file.  ``{path}`` stands for the config path."""
+
+    @pytest.mark.parametrize("command, cfg, extra, message", [
+        ("brackets", "not json", [], "{path}: invalid JSON at line 1: Expecting value"),
+        ("brackets", dict(BASE, N=3), [], "{path}: the B/C field form requires N = 2"),
+        ("brackets", dict(BASE, field={"eF": [[0.0, 1.0], [0.5, 0.0]],
+                                       "rG": [[0.0, 0.0], [0.0, 0.0]]}), [],
+         "{path}: invalid field section: eF is not antisymmetric"),
+        ("brackets", dict(BASE, model={"m": 1.0, "kappa": -1.0}), [],
+         "{path}: invalid model: kappa must be nonnegative, got -1.0"),
+        ("simulate", BASE, [], "this subcommand requires a time grid in the config"),
+        ("spectrum", BASE, ["--nmax", "-1"], "nmax must be nonnegative, got -1"),
+        ("limit-scan", dict(BASE, N=3, field=_AXIAL_FIELD), [],
+         "the limit scan requires the scalar B/C field form"),
+    ], ids=["invalid-json", "bc-at-n3", "eF-not-antisymmetric", "negative-kappa",
+            "missing-time", "negative-nmax", "limit-scan-vector-field"])
+    def test_refusal_names_its_cause(self, tmp_path, capsys, command, cfg, extra, message):
+        path = tmp_path / "config.json"
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+        out = tmp_path / "never.out"
+        assert run([command, "--config", str(path), "--out", str(out)] + extra) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "ncphase: config error: " + message.format(path=path) + "\n")
         assert not out.exists()
 
 
@@ -1475,18 +1508,21 @@ class TestOneNormalModeRoute:
             assert (len(chains), len(lambdas)) == want, (command, cfg)
 
 
+# One run of each subcommand: (argv after the subcommand's name, config).
+JOBS = [
+    (["brackets"], BASE),
+    (["darboux"], dict(BASE, field={"B": 3.0, "C": 1.0})),
+    (["simulate"], dict(BASE, state=[1.0, 0.0, 0.0, 1.0],
+                        time={"t_final": 2.0, "dt": 0.05, "method": "midpoint"})),
+    (["spectrum", "--nmax", "3"], dict(BASE, field={"B": 1.0, "C": 0.0})),
+    (["limit-scan", "--points", "5"], BASE),
+    (["reduce"], dict(BASE, field={"B": 1.0, "C": -1.0})),
+]
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
-        jobs = [
-            (["brackets"], BASE),
-            (["darboux"], dict(BASE, field={"B": 3.0, "C": 1.0})),
-            (["simulate"], dict(BASE, state=[1.0, 0.0, 0.0, 1.0],
-                                time={"t_final": 2.0, "dt": 0.05, "method": "midpoint"})),
-            (["spectrum", "--nmax", "3"], dict(BASE, field={"B": 1.0, "C": 0.0})),
-            (["limit-scan", "--points", "5"], BASE),
-            (["reduce"], dict(BASE, field={"B": 1.0, "C": -1.0})),
-        ]
-        for argv, cfg in jobs:
+        for argv, cfg in JOBS:
             path = write_config(tmp_path, cfg, name=f"{argv[0]}.json")
             out_a = tmp_path / f"{argv[0]}-a.out"
             out_b = tmp_path / f"{argv[0]}-b.out"
@@ -1592,6 +1628,59 @@ for path in {paths!r}:
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def _numpy_modules(script: str) -> set:
+    """The ``numpy`` modules loaded by the end of a fresh ``python -c script``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script + "\nimport sys\n"
+         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"],
+        capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+class TestProcessEntry:
+    """`cli.run` is the entry of the `ncphase` command and of `python -m
+    ncphase.cli`: `main` after one `gc.freeze`.  A fresh process does no
+    work that an in-process `main` call does not."""
+
+    @pytest.mark.parametrize("argv, cfg", JOBS, ids=[argv[0] for argv, _ in JOBS])
+    def test_fresh_process_loads_no_numpy_module_and_writes_main_bytes(
+            self, tmp_path, argv, cfg):
+        # np.unique imports numpy.ma when first called, about 10 ms of a fresh
+        # process; no subcommand may reach a numpy module the import did not.
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "process.out"
+        command = [argv[0], "--config", path, "--out", str(out)] + argv[1:]
+        imported = _numpy_modules("import ncphase.cli")
+        ran = _numpy_modules(f"import sys\nsys.argv = {['ncphase'] + command!r}\n"
+                             "import runpy\n"
+                             "try:\n"
+                             "    runpy.run_module('ncphase.cli', run_name='__main__')\n"
+                             "except SystemExit as exc:\n"
+                             "    assert exc.code == 0, exc.code")
+        assert ran - imported == set()
+        in_process = tmp_path / "main.out"
+        assert run([argv[0], "--config", path, "--out", str(in_process)] + argv[1:]) == 0
+        assert out.read_bytes() == in_process.read_bytes()
+
+    def test_run_freezes_once_and_main_never(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append(1))
+        argv = ["brackets", "--config", write_config(tmp_path, BASE),
+                "--out", str(tmp_path / "out")]
+        assert run(argv) == cli.EXIT_OK
+        assert calls == []
+        assert cli.run(argv) == cli.EXIT_OK
+        assert calls == [1]
+
+    def test_script_and_module_share_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts["ncphase"] == "ncphase.cli:run"
+        module, _, name = scripts["ncphase"].partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
 
 
 class TestOneParserPerProcess:

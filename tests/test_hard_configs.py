@@ -80,6 +80,10 @@ CONFIGS = {
     "chi0-over-cut": (dict(_config({"B": 5074788.115583803, "C": -1.0 / 5074788.115583803},
                                    {"m": 1788489525.6778197, "kappa": 7055.521709333194}),
                            state=[1.0, 0.0, 0.0, 2486552.4210922113]), 60),
+    # chi = 1e-12 kept regular by tolerances.singular = 1e-30: the
+    # closed-form Lambda is checked against a dense inverse of Omega that
+    # is 7.2e-6 off, and refused.
+    "B1.7-chi1e-12": (_config({"B": 1.7, "C": (1e-12 - 1.0) / 1.7}, tol=1e-30), 60),
     # The limit scan's on-constraint start p0 = m kappa / B overflows.
     "B1e-300-kappa1e100": (_config({"B": 1e-300, "C": 0.5}, {"m": 1.0, "kappa": 1e100}), 60),
 }
@@ -156,6 +160,12 @@ ENTRIES = [
     ("chi0-over-cut", "simulate", OK, None),
     ("chi0-over-cut", "spectrum", OK, None),
     ("chi0-over-cut", "reduce", OK, None),
+    ("B1.7-chi1e-12", "brackets", OK,
+     _xfail(20, "closed-form Poisson blocks disagree with dense inversion (rel 7.184e-06); "
+                "unchecked, Lambda is 4.0e-12 off and det_psi (LU of Psi) 1.0e-4")),
+    ("B1.7-chi1e-12", "spectrum", OK,
+     _xfail(20, "closed-form Poisson blocks disagree with dense inversion (rel 7.184e-06); "
+                "unchecked, the frequencies are 3.5e-12 off")),
     ("B1e-300-kappa1e100", "limit-scan",
      FAILURE + "the start [1.0, 0.0, 0.0, inf] of the limit scan is not finite", None),
 ]

@@ -283,6 +283,43 @@ class TestModeFrequencies:
                     for B, chi in TABLE)
         assert worst > 1e-12
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(halves=hst.lists(hst.integers(1, 3), min_size=1, max_size=4),
+           seed=hst.integers(0, 2**32 - 1), factored=hst.booleans())
+    def test_block_split_matches_the_unique_split(self, halves, seed, factored):
+        # A block-diagonal pair under a random permutation of coordinates:
+        # the frequencies equal those of the blocks split by `np.unique` of
+        # the rows of the closure, the split the core used before.
+        rng = np.random.default_rng(seed)
+        dim = 2 * sum(halves)
+        omega, hess = np.zeros((dim, dim)), np.zeros((dim, dim))
+        at = 0
+        for half in halves:
+            size = 2 * half
+            a = 0.3 * rng.normal(size=(size, size))
+            b = rng.normal(size=(size, size))
+            block = slice(at, at + size)
+            omega[block, block] = st.canonical_j(half) + a - a.T
+            hess[block, block] = b @ b.T + size * np.eye(size)
+            at += size
+        perm = rng.permutation(dim)
+        omega, hess = omega[np.ix_(perm, perm)], hess[np.ix_(perm, perm)]
+        lam = -np.linalg.inv(omega)
+        r = sp.hessian_factor(hess) if factored else None
+        white = omega if r is None else sp.whiten(omega, r)
+        flow = lam if r is None else r @ lam @ r.T
+        reach = np.eye(dim, dtype=bool)
+        for a in (omega, lam, white, flow) + (() if r is None else (r,)):
+            reach |= (a != 0) | (a.T != 0)
+        for _ in range(dim.bit_length()):
+            reach = (reach.astype(float) @ reach) > 0
+        blocks = np.unique(reach, axis=0)
+        assert len(blocks) == len(halves)
+        want = np.sort(np.concatenate([
+            sp._two_sided(*(a[np.ix_(b, b)] for a in (omega, lam, white, flow)))
+            for b in map(np.flatnonzero, blocks)]))[::-1]
+        assert np.array_equal(sp.mode_frequencies(omega, r, lam), want)
+
     @pytest.mark.parametrize("model", [dyn.OscillatorModel(m=1.0, kappa=0.0),
                                        dyn.OscillatorModel(m=1.0, potential=dyn.LINEAR,
                                                            Evec=(1.0, 0.0))])

@@ -19,6 +19,11 @@ only `constrained._rank` reads the chain's rank cutoff.  One function,
 (a Hessian with no ladder) and by the midpoint step bound of `dynamics`,
 and `constrained` balances nothing (it names no `frexp`).  No module names
 `np.longdouble`, which is float64 on some platforms.
+
+No module calls numpy's set routines (`np.unique`, `np.isin` and the
+rest of `SET_ROUTINES`): under numpy 2.x each imports `numpy.ma` when
+first called, about 10 ms of a fresh `ncphase` process.  Tests may call
+them.
 """
 
 import ast
@@ -175,3 +180,12 @@ def test_no_module_names_longdouble():
     # precision of `structure.poisson_matrix` is double-double in float64.
     assert [p.name for p in sorted(SRC.glob("*.py"))
             if "longdouble" in p.read_text(encoding="utf-8")] == []
+
+
+SET_ROUTINES = {"unique", "isin", "in1d", "setdiff1d", "union1d", "intersect1d", "setxor1d"}
+
+
+def test_no_module_calls_a_set_routine():
+    sites = _sites(_trees(), lambda node: isinstance(node, ast.Call)
+                   and any(_named(node.func, name) for name in SET_ROUTINES))
+    assert sites == set()
