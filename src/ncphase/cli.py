@@ -1,11 +1,11 @@
 """Command-line surface: config ingestion, subcommands, deterministic outputs.
 
-Exit codes: 0 ok, 1 config error, 2 singular structure, numerical failure
-or non-finite result, 3 integrator step rejection, 4 inconsistent
-constraint system, 141 stdout closed by its reader (128 + SIGPIPE).
+Exit codes: 0 ok (or --help), 1 config error, 2 singular structure,
+numerical failure, non-finite result or usage error (argparse's), 3
+integrator step rejection, 4 inconsistent constraint system, 141 stdout
+closed by its reader (128 + SIGPIPE).
 """
 
-import argparse
 import functools
 import gc
 import itertools
@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import tempfile
+import types
 from typing import NamedTuple
 
 import numpy as np
@@ -528,29 +529,64 @@ def cmd_reduce(rc: RunConfig, args) -> tuple:
     return code, report
 
 
+# Each subcommand's own options, flag: (type, default).  Every subcommand
+# also takes --config (required) and --out (default: stdout).
+# `build_parser` makes its argparse tree from this table, and
+# `_plain_args` reads a plain argv by it.
+OPTIONS = {
+    "brackets": {},
+    "darboux": {},
+    "simulate": {},
+    "spectrum": {"--nmax": (int, 4)},
+    "limit-scan": {"--eps-min": (float, 1e-3), "--eps-max": (float, 1e-1), "--points": (int, 9)},
+    "reduce": {},
+}
+
+
 @functools.cache  # built once per process: later `main` calls only parse
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # only here: a plain argv is read without it
+
     parser = argparse.ArgumentParser(
         prog="ncphase",
         description="Brackets, Darboux maps, flows, spectra and constraint "
                     "reductions for noncommutative phase spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("brackets", "darboux", "simulate", "spectrum", "limit-scan", "reduce"):
+    for name, options in OPTIONS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        if name == "spectrum":
-            p.add_argument("--nmax", type=int, default=4)
-        if name == "limit-scan":
-            p.add_argument("--eps-min", type=float, default=1e-3)
-            p.add_argument("--eps-max", type=float, default=1e-1)
-            p.add_argument("--points", type=int, default=9)
+        for flag, (kind, default) in options.items():
+            p.add_argument(flag, type=kind, default=default)
     return parser
 
 
+def _plain_args(argv: list):
+    """The options of a plain ``argv``, as argparse reads them: a subcommand,
+    then ``--flag value`` pairs of --config, --out and the subcommand's own
+    flags, with --config among them and no value that starts with "-".
+    None for any other argv, which is argparse's to read, refuse or explain."""
+    if len(argv) % 2 == 0 or not all(type(arg) is str for arg in argv) or argv[0] not in OPTIONS:
+        return None
+    kinds = {"--config": (str, None), "--out": (str, None)} | OPTIONS[argv[0]]
+    values = {flag: default for flag, (_, default) in kinds.items() if flag != "--config"}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in kinds or value.startswith("-"):
+            return None
+        try:
+            values[flag] = kinds[flag][0](value)
+        except (TypeError, ValueError):  # argparse's error, with its usage line
+            return None
+    if "--config" not in values:
+        return None
+    return types.SimpleNamespace(command=argv[0], **{
+        flag[2:].replace("-", "_"): value for flag, value in values.items()})
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         rc = load_config(args.config)
         # Looked up when called, so that a wrapper bound to the name sees the call.

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import importlib
 import io
 import json
@@ -1239,6 +1240,18 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert err.startswith("ncphase: numerical failure: closed-form Poisson blocks")
 
+    def test_lambda_that_does_not_invert_omega(self, tmp_path, capsys, monkeypatch):
+        # A Lambda off by a factor 1.5 trips the spectrum core's check that
+        # Lambda inverts -Omega, and no file is written.
+        lam = structure.poisson_matrix
+        monkeypatch.setattr(structure, "poisson_matrix", lambda cfg: 1.5 * lam(cfg))
+        out = tmp_path / "s.json"
+        path = write_config(tmp_path, BASE)
+        assert run(["spectrum", "--config", path, "--out", str(out)]) == cli.EXIT_SINGULAR
+        assert capsys.readouterr().err == (
+            "ncphase: numerical failure: Lambda does not invert -Omega at these scales\n")
+        assert not out.exists()
+
     def test_darboux_contract_failure(self, tmp_path, capsys, monkeypatch):
         # A residual above its bound makes darboux._finish raise.
         monkeypatch.setattr(darboux, "verify_darboux", lambda dmap, omega: 1.0)
@@ -1630,11 +1643,10 @@ for path in {paths!r}:
         assert proc.returncode == 0, proc.stderr
 
 
-def _numpy_modules(script: str) -> set:
-    """The ``numpy`` modules loaded by the end of a fresh ``python -c script``."""
+def _modules(script: str) -> set:
+    """The modules loaded by the end of a fresh ``python -c script``."""
     proc = subprocess.run(
-        [sys.executable, "-c", script + "\nimport sys\n"
-         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"],
+        [sys.executable, "-c", script + "\nimport sys\nprint(*sorted(sys.modules))"],
         capture_output=True, text=True, check=True)
     return set(proc.stdout.split())
 
@@ -1644,21 +1656,27 @@ class TestProcessEntry:
     ncphase.cli`: `main` after one `gc.freeze`.  A fresh process does no
     work that an in-process `main` call does not."""
 
+    def test_import_loads_no_argument_parser(self):
+        # argparse, and the gettext and locale its messages go through, cost
+        # about 4 ms of a fresh process; only an argv that is not plain needs them.
+        assert _modules("import ncphase.cli") & {"argparse", "gettext", "locale", "_locale"} == set()
+
     @pytest.mark.parametrize("argv, cfg", JOBS, ids=[argv[0] for argv, _ in JOBS])
     def test_fresh_process_loads_no_numpy_module_and_writes_main_bytes(
             self, tmp_path, argv, cfg):
-        # np.unique imports numpy.ma when first called, about 10 ms of a fresh
-        # process; no subcommand may reach a numpy module the import did not.
+        # np.unique imports numpy.ma when first called, and argparse's gettext
+        # imports locale, each a few ms of a fresh process: a plain run may
+        # reach no module that `python -m ncphase.cli` had not loaded before `main`.
         path = write_config(tmp_path, cfg)
         out = tmp_path / "process.out"
         command = [argv[0], "--config", path, "--out", str(out)] + argv[1:]
-        imported = _numpy_modules("import ncphase.cli")
-        ran = _numpy_modules(f"import sys\nsys.argv = {['ncphase'] + command!r}\n"
-                             "import runpy\n"
-                             "try:\n"
-                             "    runpy.run_module('ncphase.cli', run_name='__main__')\n"
-                             "except SystemExit as exc:\n"
-                             "    assert exc.code == 0, exc.code")
+        imported = _modules("import runpy\nimport ncphase.cli")
+        ran = _modules(f"import sys\nsys.argv = {['ncphase'] + command!r}\n"
+                       "import runpy\n"
+                       "try:\n"
+                       "    runpy.run_module('ncphase.cli', run_name='__main__')\n"
+                       "except SystemExit as exc:\n"
+                       "    assert exc.code == 0, exc.code")
         assert ran - imported == set()
         in_process = tmp_path / "main.out"
         assert run([argv[0], "--config", path, "--out", str(in_process)] + argv[1:]) == 0
@@ -1685,13 +1703,16 @@ class TestProcessEntry:
 
 class TestOneParserPerProcess:
     """`cli.build_parser` is cached: a process builds its argparse tree once,
-    and later `main` calls only parse.  A freshly built parser,
-    `build_parser.__wrapped__()`, is what every call used before."""
+    when the first argv that is not plain needs it, and later `main` calls
+    only parse.  A freshly built parser, `build_parser.__wrapped__()`, is
+    what every call used before."""
 
     def test_two_calls_build_no_new_parser(self, tmp_path, monkeypatch):
+        # Plain calls build none; the first call that is not plain builds the tree.
         path = write_config(tmp_path, BASE)
-        argv = ["brackets", "--config", path, "--out", str(tmp_path / "out")]
-        assert cli.main(argv) == cli.EXIT_OK
+        plain = ["brackets", "--config", path, "--out", str(tmp_path / "out")]
+        other = ["brackets", f"--config={path}", "--out", str(tmp_path / "out")]
+        monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -1700,9 +1721,11 @@ class TestOneParserPerProcess:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        assert cli.main(argv) == cli.main(argv) == cli.EXIT_OK
-        assert built == []  # a fresh build is 7 parsers: the top level and six subcommands
-        cli.build_parser.__wrapped__()
+        assert cli.main(plain) == cli.main(plain) == cli.EXIT_OK
+        assert built == []
+        assert cli.main(other) == cli.main(other) == cli.EXIT_OK
+        assert len(built) == 7  # the top level and six subcommands
+        assert cli.main(plain) == cli.EXIT_OK
         assert len(built) == 7
 
     @pytest.mark.parametrize("first", [["spectrum", "--nmax", "2"],
@@ -1743,6 +1766,74 @@ class TestOneParserPerProcess:
         monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
         assert cached == [outcome()] * 2
         assert cached[0][0] == (0 if "--help" in argv else 2)
+
+
+_FLAGS = ["--config", "--out", "--nmax", "--eps-min", "--eps-max", "--points",
+          "--conf", "--o", "--n", "--eps", "--eps-m", "--po", "--config=c.json", "--nmax=2",
+          "-h", "--help", "--", "-1"]
+_VALUES = ["c.json", "o.json", "3", "0.5", "1e-3", "-1", "-0.5", "", "nan", "inf", " 5",
+           "1_0", "1e400", "x", "brackets", "--", "-h"]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand (or not), then flag-value pairs, mostly of its own flags
+    and often with --config, now and then with one token more or less."""
+    command = draw(st.sampled_from([*cli.OPTIONS, "nope", "", "-h"]))
+    own = ["--config", "--out", *cli.OPTIONS.get(command, ())]
+    rare = st.integers(0, 4).map(lambda i: i == 0)
+    pairs = [("--config", "c.json")] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 3))):
+        pairs.append((draw(st.sampled_from(_FLAGS if draw(rare) else own)),
+                      draw(st.sampled_from(_VALUES if draw(rare) else _VALUES[:5]))))
+    tokens = [token for pair in pairs for token in pair]
+    if draw(rare):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_FLAGS + _VALUES)))
+    if tokens and draw(rare):
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    return [command] + tokens
+
+
+def _argparse_reads(argv):
+    """vars() of argparse's namespace for ``argv``, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestPlainArgv:
+    """`cli._plain_args` reads a plain argv without argparse, and every other
+    argv goes to argparse: where it reads one, argparse reads the same."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_argvs())
+    @example(["spectrum", "--config", "c.json", "--nmax", " 5"])
+    @example(["spectrum", "--config", "c.json", "--nmax", "-1"])
+    @example(["limit-scan", "--config", "c.json", "--eps-min", "nan", "--points", "1_0"])
+    @example(["limit-scan", "--out", "o.json", "--config", "", "--eps-max", "1e400"])
+    @example(["brackets", "--config", "a.json", "--config", "b.json"])
+    @example(["brackets", "--config", "c.json", "--", "--out", "o.json"])
+    @example(["darboux", "--conf", "c.json"])
+    @example(["darboux", "--config", "-h"])
+    @example(["simulate", "--config", "c.json", "--out"])
+    @example(["reduce", "--config", "c.json", "--out", "--config"])
+    def test_plain_reader_agrees_with_argparse(self, argv):
+        plain, parsed = cli._plain_args(argv), _argparse_reads(argv)
+        if plain is not None:  # repr tells 5 from 5.0 and matches nan with nan
+            assert parsed is not None
+            assert {k: repr(v) for k, v in vars(plain).items()} == {
+                k: repr(v) for k, v in parsed.items()}
+        if parsed is None:
+            assert plain is None
+
+    @pytest.mark.parametrize("argv, cfg", JOBS, ids=[argv[0] for argv, _ in JOBS])
+    def test_job_argvs_are_plain(self, argv, cfg):
+        # The form of the benchmark's ops: the subcommand, --config, its own
+        # options, --out.
+        full = [argv[0], "--config", "c.json", *argv[1:], "--out", "o.json"]
+        assert vars(cli._plain_args(full)) == _argparse_reads(full)
 
 
 def _check_numbers_oracle(value, where):

@@ -320,6 +320,14 @@ class TestModeFrequencies:
             for b in map(np.flatnonzero, blocks)]))[::-1]
         assert np.array_equal(sp.mode_frequencies(omega, r, lam), want)
 
+    @pytest.mark.parametrize("dim", [0, 1, 3])
+    def test_empty_or_odd_phase_space_refused(self, dim):
+        # The CLI passes 2N coordinates, and a terminal form only when it is
+        # not empty: only a direct caller meets this refusal.
+        with pytest.raises(ArithmeticError, match=f"^a {dim}-dimensional phase space has no "
+                                                  "normal-mode pairs$"):
+            sp.mode_frequencies(np.eye(dim))
+
     @pytest.mark.parametrize("model", [dyn.OscillatorModel(m=1.0, kappa=0.0),
                                        dyn.OscillatorModel(m=1.0, potential=dyn.LINEAR,
                                                            Evec=(1.0, 0.0))])
