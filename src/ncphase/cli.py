@@ -20,13 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import constrained, darboux, dynamics, g17, spectrum, structure
-from .errors import (
-    InconsistentSystem,
-    NcphaseError,
-    OffConstraint,
-    SingularOmega,
-    StepRejected,
-)
+from .errors import InconsistentSystem, NcphaseError, SingularOmega, StepRejected
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -193,6 +187,8 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, or a file it may not read
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     top = _walk(raw, _SCHEMA, path)
@@ -232,14 +228,10 @@ def load_config(path: str) -> RunConfig:
         sec = top["model"]
         if ("kappa" in sec) == ("Evec" in sec):
             raise ConfigError(f"{path}: model requires exactly one of 'kappa' or 'Evec'")
+        if "Evec" in sec:
+            _sized(sec["Evec"], N, f"{path}: model.Evec")
         try:
-            if "kappa" in sec:
-                model = dynamics.OscillatorModel(
-                    m=sec["m"], kappa=sec["kappa"], hbar=sec.get("hbar", 1.0))
-            else:
-                model = dynamics.OscillatorModel(
-                    m=sec["m"], potential=dynamics.LINEAR, hbar=sec.get("hbar", 1.0),
-                    Evec=_sized(sec["Evec"], N, f"{path}: model.Evec"))
+            model = dynamics.OscillatorModel(**sec)
         except ValueError as exc:
             raise ConfigError(f"{path}: invalid model: {exc}") from None
 
@@ -258,8 +250,9 @@ def _write_atomic(path: str | None, chunks):
     """Write the bytes of ``chunks`` in order, to stdout or to ``path``.
 
     A file is written to a temp file and renamed, so a failure, also one
-    raised while ``chunks`` is being produced, leaves no partial file.  A
-    stdout without a binary ``buffer`` gets the same text as ASCII str.
+    raised while ``chunks`` is being produced, leaves no partial file; a
+    path that cannot be written is a config error.  A stdout without a
+    binary ``buffer`` gets the same text as ASCII str.
     """
     if path is None:
         stream = getattr(sys.stdout, "buffer", None)
@@ -268,16 +261,19 @@ def _write_atomic(path: str | None, chunks):
         stream.writelines(chunks)
         stream.flush()  # a closed pipe raises here, inside `main`
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ncphase-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".ncphase-")
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:  # a missing directory, or a directory at ``path``
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        if tmp is not None:
             os.unlink(tmp)
-        raise
 
 
 def _json_text(obj) -> bytes:
@@ -383,15 +379,17 @@ def cmd_darboux(rc: RunConfig, args) -> tuple:
 
 
 def _chain(rc: RunConfig) -> tuple:
-    """The flow of a field config, by the one regularity decision: the one-stage
-    chain of `dynamics.flow_matrix` (no form), or the model's `terminal_chain`."""
+    """(chain, form, Lambda) of a field config, by the one regularity decision:
+    the one-stage chain of `dynamics.flow_matrix`, no form and the one Lambda
+    of the run, or the model's `terminal_chain`, its form and no Lambda."""
     cfg, model = _require(rc.cfg, "a field section"), _require(rc.model, "a model")
     try:
         structure.regularity(cfg, rc.tol_singular)
     except SingularOmega:
-        return spectrum.terminal_chain(structure.build_omega(cfg), model.hessian(cfg.N),
-                                       model.gradient_offset(cfg.N))
-    return constrained.ConstraintChain(2 * cfg.N, *dynamics.flow_matrix(cfg, model)), None
+        return (*spectrum.terminal_chain(structure.build_omega(cfg), model.hessian(cfg.N),
+                                         model.gradient_offset(cfg.N)), None)
+    lam = structure.poisson_matrix(cfg)
+    return constrained.ConstraintChain(2 * cfg.N, *dynamics.flow_matrix(lam, model)), None, lam
 
 
 def _simulate_rows(rc: RunConfig):
@@ -403,14 +401,14 @@ def _simulate_rows(rc: RunConfig):
         )
     steps = int(round(rc.t_final / rc.dt))
     header = ["t"] + [f"q{i+1}" for i in range(N)] + [f"p{i+1}" for i in range(N)] + ["H"]
-    chain, _ = _chain(rc)
+    chain = _chain(rc)[0]
     if chain.constraints is None:
         last, observe = "Lambda3", lambda zs: darboux.lambda3(rc.cfg, zs)
     else:
         # Presymplectic: the flow of the terminal constraint stage.
         residual = chain.constraints.residual(z0)
         if residual > OFF_CONSTRAINT_TOL * max(1.0, np.abs(z0).max()):
-            raise OffConstraint(
+            raise ConfigError(
                 f"initial state violates the constraints (residual {residual:.3e})")
         last, observe = "constraint_residual", chain.constraints.residual
     states = dynamics.affine_flow(chain.reduced_flow, chain.flow_offset, z0, rc.dt, steps,
@@ -434,29 +432,21 @@ def cmd_simulate(rc: RunConfig, args) -> tuple:
                                     g17.csv_rows(table))
 
 
-def _frequencies(cfg, r, form) -> np.ndarray:
+def _frequencies(cfg, r, form, lam) -> np.ndarray:
     """The normal modes of `spectrum` and `reduce`, descending: those of the
     terminal form of `spectrum.terminal_chain` (none on an empty stage), or,
-    with no form, those of the regular field ``cfg`` with its Lambda."""
+    with no form, those of the regular field ``cfg`` with its Lambda ``lam``."""
     if form is None:
-        return spectrum.mode_frequencies(structure.build_omega(cfg), r,
-                                         structure.poisson_matrix(cfg))
+        return spectrum.mode_frequencies(structure.build_omega(cfg), r, lam)
     return spectrum.mode_frequencies(form) if form.size else np.zeros(0)
 
 
 def cmd_spectrum(rc: RunConfig, args) -> tuple:
-    cfg, model = _require(rc.cfg, "a field section"), _require(rc.model, "a model")
-    hess = model.hessian(cfg.N)
-    r = spectrum.hessian_factor(hess)
-    try:
-        structure.regularity(cfg, rc.tol_singular)
-        form, kind = None, "normal-modes"
-    except SingularOmega:  # presymplectic: the modes of the terminal constraint stage
-        form = spectrum.terminal_chain(structure.build_omega(cfg), hess,
-                                       model.gradient_offset(cfg.N))[1]
-        kind = "degenerate-ladder"
-    freqs = _frequencies(cfg, r, form)
-    table = spectrum.ladder(freqs, model.hbar, args.nmax)
+    _require(rc.cfg, "a field section")
+    r = spectrum.hessian_factor(_require(rc.model, "a model").hessian(rc.N))
+    _, form, lam = _chain(rc)
+    kind = "degenerate-ladder" if lam is None else "normal-modes"  # presymplectic: no Lambda
+    table = spectrum.ladder(_frequencies(rc.cfg, r, form, lam), rc.model.hbar, args.nmax)
     levels = _level_records(table)
     head = _json_text({"kind": kind, "hbar": table.hbar, "frequencies": list(table.frequencies)})
     # "levels" sorts last: its text follows the other keys, chunk by chunk.
@@ -500,11 +490,11 @@ def cmd_reduce(rc: RunConfig, args) -> tuple:
     code, eigen = EXIT_OK, np.array([])
     try:
         if rc.problem is None:
-            chain, form = _chain(rc)
+            chain, form, lam = _chain(rc)
             hess = rc.model.hessian(rc.N)
         else:
             omega, hess, g = map(rc.problem.get, ("omega", "hessian", "gradient"))
-            chain, form = spectrum.terminal_chain(omega, hess, g)
+            chain, form, lam = (*spectrum.terminal_chain(omega, hess, g), None)
     except InconsistentSystem as exc:
         chain, code = exc.chain, EXIT_INCONSISTENT
     if chain.reduced_flow is not None:
@@ -513,7 +503,7 @@ def cmd_reduce(rc: RunConfig, args) -> tuple:
         except ValueError:  # no ladder, but kappa = 0 still has a cyclotron pair
             eigen = chain.terminal_eigenvalues()
         else:
-            w = _frequencies(rc.cfg, r, form)
+            w = _frequencies(rc.cfg, r, form, lam)
             # +-i w, ascending; + 0.0 turns the real part -0.0 of 1j * -w into 0.0.
             eigen = 1j * np.concatenate([-w, w[::-1]]) + 0.0
     matrix, offset = chain.constraints or ([], [])
@@ -609,7 +599,7 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         sys.stderr.write(f"ncphase: numerical failure: {exc}\n")
         return EXIT_SINGULAR
-    except (ConfigError, ValueError, OffConstraint) as exc:
+    except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"ncphase: config error: {exc}\n")
         return EXIT_CONFIG
     except StepRejected as exc:

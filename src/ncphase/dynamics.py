@@ -13,10 +13,6 @@ degenerate constraint chain is stepped by the same code.
 import numpy as np
 
 from .errors import StepRejected
-from .structure import FieldConfig, poisson_matrix
-
-HARMONIC = "harmonic"
-LINEAR = "linear"
 
 
 # Scaling and squaring with diagonal Pade approximants r_m (Higham 2005,
@@ -106,42 +102,38 @@ def _rowdot(a, b):
 
 
 class OscillatorModel:
-    """Mass, elasticity (or constant force) and the action scale hbar.
+    """Mass, elasticity or constant force, and the action scale hbar.
 
-    potential "harmonic" uses V = (kappa/2) |q|^2 (kappa = 0 is the free
-    particle); "linear" uses V = -Evec.q.
+    With ``Evec`` the potential is V = -Evec.q, and ``kappa`` must be 0;
+    without it, V = (kappa/2) |q|^2 (kappa = 0 is the free particle).
     """
 
-    __slots__ = ("m", "kappa", "potential", "Evec", "hbar")
+    __slots__ = ("m", "kappa", "Evec", "hbar")
 
-    def __init__(self, m: float, kappa: float = 0.0, potential: str = HARMONIC,
-                 Evec: tuple | None = None, hbar: float = 1.0):
+    def __init__(self, m: float, kappa: float = 0.0, Evec: tuple | None = None,
+                 hbar: float = 1.0):
         if m <= 0:
             raise ValueError(f"mass must be positive, got {m}")
         if hbar <= 0:
             raise ValueError(f"hbar must be positive, got {hbar}")
-        if potential == HARMONIC:
-            if kappa < 0:
-                raise ValueError(f"kappa must be nonnegative, got {kappa}")
-        elif potential == LINEAR:
-            if Evec is None:
-                raise ValueError("linear potential requires Evec")
+        if kappa < 0:
+            raise ValueError(f"kappa must be nonnegative, got {kappa}")
+        if Evec is not None:
+            if kappa:
+                raise ValueError(f"a constant force Evec takes no kappa, got {kappa}")
             Evec = tuple(float(e) for e in Evec)
-        else:
-            raise ValueError(f"unknown potential {potential!r}")
-        self.m, self.kappa, self.potential = m, kappa, potential
-        self.Evec, self.hbar = Evec, hbar
+        self.m, self.kappa, self.Evec, self.hbar = m, kappa, Evec, hbar
 
     def hessian(self, N: int) -> np.ndarray:
         h = np.zeros((2 * N, 2 * N))
-        if self.potential == HARMONIC:
+        if self.Evec is None:
             h[:N, :N] = self.kappa * np.eye(N)
         h[N:, N:] = np.eye(N) / self.m
         return h
 
     def gradient_offset(self, N: int) -> np.ndarray:
         g = np.zeros(2 * N)
-        if self.potential == LINEAR:
+        if self.Evec is not None:
             g[:N] = -np.asarray(self.Evec, dtype=float)
         return g
 
@@ -150,7 +142,7 @@ class OscillatorModel:
         z = np.asarray(z, dtype=float)
         N = z.shape[-1] // 2
         q, p = z[..., :N], z[..., N:]
-        if self.potential == HARMONIC:
+        if self.Evec is None:
             v = (0.5 * self.kappa) * _rowdot(q, q)
         else:
             v = -_rowdot(q, np.asarray(self.Evec))
@@ -158,16 +150,16 @@ class OscillatorModel:
         return float(h) if z.ndim == 1 else h
 
 
-def flow_matrix(cfg: FieldConfig, model: OscillatorModel):
+def flow_matrix(lam: np.ndarray, model: OscillatorModel):
     """Affine generator (M, k) of dz/dt = M z + k, M = Lambda . Hess(H),
-    of a structure that `structure.regularity` has passed.
+    of the Poisson matrix ``lam`` of a regular structure.
 
     Finite fields and models can still overflow here; the products then
     hold inf/NaN, without a warning, and the trajectory is refused later.
     """
-    lam = poisson_matrix(cfg)
+    N = len(lam) // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        return lam @ model.hessian(cfg.N), lam @ model.gradient_offset(cfg.N)
+        return lam @ model.hessian(N), lam @ model.gradient_offset(N)
 
 
 def midpoint_transfer(M: np.ndarray, k: np.ndarray, dt: float):

@@ -21,10 +21,6 @@ class InconsistentSystem(NcphaseError):
         self.chain = chain
 
 
-class OffConstraint(NcphaseError):
-    """Initial state violates the constraint manifold beyond tolerance."""
-
-
 class StepRejected(NcphaseError):
     """Implicit step solve failed; the time step is too large for the spectrum."""
 

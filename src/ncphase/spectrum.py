@@ -254,9 +254,8 @@ def _scan_rows(omega, r, z0) -> np.ndarray:
     return np.column_stack([w_plus, w_minus, np.hypot(q[:, 0], q[:, 1])])
 
 
-def chi_limit_scan(model: OscillatorModel, B: float, eps_values,
-                   z0=None) -> np.ndarray:
-    """Scan chi = eps^2 at fixed B > 0, with C = (eps^2 - 1)/B.
+def chi_limit_scan(model: OscillatorModel, B: float, eps_values) -> np.ndarray:
+    """Scan chi = eps^2 at fixed B > 0, with C = (eps^2 - 1)/B, over positive eps.
 
     One float64 row per distinct eps, descending, with the columns
     (epsilon, omega_plus, omega_minus, omega_r_target, fast_amplitude):
@@ -273,13 +272,9 @@ def chi_limit_scan(model: OscillatorModel, B: float, eps_values,
     if B <= 0:
         raise ValueError("the scan fixes the orientation B > 0")
     eps_values = np.asarray(sorted(set(float(e) for e in eps_values), reverse=True))
-    if eps_values.size == 0 or eps_values[-1] <= 0:
-        raise ValueError("eps values must be positive")
-    if z0 is None:
-        # q0 = 1 on the limiting constraint subspace: p0 = i m kappa q0 / B.
-        with np.errstate(over="ignore"):
-            z0 = np.array([1.0, 0.0, 0.0, model.m * model.kappa / B])
-    z0 = np.asarray(z0, dtype=float)
+    # q0 = 1 on the limiting constraint subspace: p0 = i m kappa q0 / B.
+    with np.errstate(over="ignore"):
+        z0 = np.array([1.0, 0.0, 0.0, model.m * model.kappa / B])
     if not np.isfinite(z0).all():
         raise ArithmeticError(f"the start {z0.tolist()} of the limit scan is not finite")
     hess = model.hessian(2)

@@ -20,7 +20,7 @@ from ncphase import darboux as dx
 from ncphase import dynamics as dyn
 from ncphase import spectrum as sp
 from ncphase import structure as st
-from ncphase.errors import OffConstraint, SingularOmega
+from ncphase.errors import SingularOmega
 
 
 class NoKernel(Exception):
@@ -29,6 +29,10 @@ class NoKernel(Exception):
 
 class NegativeChi(Exception):
     """chi = 1 + C.B is not positive: outside the closed-form branch."""
+
+
+class OffConstraint(Exception):
+    """`degenerate_flow_n2` of a start off the constraint subspace."""
 
 
 # --- The paper's closed-form Darboux maps ----------------------------------
@@ -279,7 +283,7 @@ class N2Frequencies(NamedTuple):
 def n2_frequencies(model: dyn.OscillatorModel, B: float, C: float,
                    tol: float = st.TOL_SINGULAR) -> N2Frequencies:
     """Renormalized mass/elasticity and mode frequencies for the planar oscillator."""
-    if model.potential != dyn.HARMONIC or model.kappa <= 0:
+    if model.Evec is not None or model.kappa <= 0:
         raise ValueError("frequencies require a harmonic potential with kappa > 0")
     co = n2_coefficients(B, C)
     chi, u = co.chi, co.u
@@ -364,7 +368,7 @@ def shift_modes(model: dyn.OscillatorModel, B: float, C: float, z0) -> ShiftMode
 
 def degenerate_omega_r(model: dyn.OscillatorModel, C: float) -> float:
     """Reduced rotation frequency on the secondary constraint subspace."""
-    if model.potential != dyn.HARMONIC or model.kappa <= 0:
+    if model.Evec is not None or model.kappa <= 0:
         raise ValueError("the reduced frequency requires a harmonic potential")
     mk = model.m * model.kappa
     omega0 = np.sqrt(model.kappa / model.m)

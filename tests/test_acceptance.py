@@ -117,7 +117,7 @@ def test_frequency_identities():
         model = dyn.OscillatorModel(m=float(m), kappa=float(k))
         fr = cf.n2_frequencies(model, B, C)
         assert fr.omega_plus > 0 and fr.omega_minus > 0
-        M, _ = dyn.flow_matrix(st.field_config_n2(B, C), model)
+        M, _ = dyn.flow_matrix(st.poisson_matrix(st.field_config_n2(B, C)), model)
         got = np.sort(np.abs(np.linalg.eigvals(M).imag))
         want = np.sort([fr.omega_minus, fr.omega_minus, fr.omega_plus, fr.omega_plus])
         worst = max(worst, float(np.abs(got - want).max()))
@@ -146,7 +146,7 @@ def test_closed_form_vs_numeric_flow():
         produced += 1
         model = dyn.OscillatorModel(m=float(m), kappa=float(k))
         cfg = st.field_config_n2(B, C)
-        M, _ = dyn.flow_matrix(cfg, model)
+        M, _ = dyn.flow_matrix(st.poisson_matrix(cfg), model)
         z0 = rng.uniform(-1, 1, 4)
         for t in np.linspace(0.0, 20 * 2 * np.pi / np.sqrt(model.kappa / model.m), 9):
             za = cf.closed_form_solution_n2(model, B, C, z0, t)
@@ -155,14 +155,14 @@ def test_closed_form_vs_numeric_flow():
 
     cfg = st.field_config_n2(1.0, 0.5)
     z0 = [1.0, 0.0, 0.0, 0.0]
-    M, k = dyn.flow_matrix(cfg, UNIT)
+    M, k = dyn.flow_matrix(st.poisson_matrix(cfg), UNIT)
     ref = dyn.affine_flow(M, k, z0, 0.01, 200, "exact")[-1]
     e1 = np.abs(dyn.affine_flow(M, k, z0, 0.01, 200, "midpoint")[-1] - ref).max()
     e2 = np.abs(dyn.affine_flow(M, k, z0, 0.005, 400, "midpoint")[-1] - ref).max()
     ratio = e1 / e2
 
     energies = UNIT.hamiltonian(dyn.affine_flow(
-        *dyn.flow_matrix(st.field_config_n2(0.7, -0.2), UNIT),
+        *dyn.flow_matrix(st.poisson_matrix(st.field_config_n2(0.7, -0.2)), UNIT),
         [1.0, 0.2, -0.3, 0.4], 0.05, 100000, "midpoint"))
     drift = float(np.abs(energies - energies[0]).max() / abs(energies[0]))
 

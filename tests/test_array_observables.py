@@ -21,7 +21,7 @@ import closed_forms as cf
 def scalar_hamiltonian(model, z):
     N = z.size // 2
     q, p = z[:N], z[N:]
-    if model.potential == dynamics.HARMONIC:
+    if model.Evec is None:
         v = 0.5 * model.kappa * float(q @ q)
     else:
         v = -float(np.dot(model.Evec, q))
@@ -46,8 +46,7 @@ def random_states(rng, N, rows=2000):
 def models(rng, N):
     return [
         dynamics.OscillatorModel(m=1.7, kappa=0.3),
-        dynamics.OscillatorModel(m=0.4, potential=dynamics.LINEAR,
-                                 Evec=tuple(rng.normal(size=N))),
+        dynamics.OscillatorModel(m=0.4, Evec=tuple(rng.normal(size=N))),
     ]
 
 
@@ -57,7 +56,7 @@ def test_hamiltonian_rows_match_scalar_calls(N):
     states = random_states(rng, N)
     for model in models(rng, N):
         want = np.array([scalar_hamiltonian(model, z) for z in states])
-        assert np.array_equal(model.hamiltonian(states), want), model.potential
+        assert np.array_equal(model.hamiltonian(states), want), model.Evec
         one = model.hamiltonian(states[7])
         assert type(one) is float
         assert one == want[7]
@@ -106,7 +105,7 @@ def test_integrate_lambda3_is_the_darboux_bilinear():
     # to rounding: within 16 eps of the size of either's terms.
     cfg = structure.field_config_n3([0, 0, 1.0], [0, 0, 0.5])
     model = dynamics.OscillatorModel(m=1.0, kappa=1.0)
-    states = dynamics.affine_flow(*dynamics.flow_matrix(cfg, model),
+    states = dynamics.affine_flow(*dynamics.flow_matrix(structure.poisson_matrix(cfg), model),
                                   [1.0, 0.0, 0.3, 0.0, 0.7, -0.2], 0.05, 200)
     zeta = states @ cf.darboux_n3([0, 0, 1.0], [0, 0, 0.5]).T.T
     want = zeta[:, 0] * zeta[:, 4] - zeta[:, 1] * zeta[:, 3]
@@ -142,7 +141,8 @@ def test_simulate_csv_matches_per_value_format(tmp_path, method):
     got = simulate_csv(tmp_path, config)
 
     cfg = structure.field_config_n2(B, C)
-    states = dynamics.affine_flow(*dynamics.flow_matrix(cfg, model), z0, 0.01, 50, method)
+    states = dynamics.affine_flow(*dynamics.flow_matrix(structure.poisson_matrix(cfg), model),
+                                  z0, 0.01, 50, method)
     lam3 = darboux.lambda3(cfg, states)
     rows = [[t, *z, scalar_hamiltonian(model, z), x]
             for t, z, x in zip(0.01 * np.arange(51), states, lam3)]
@@ -183,7 +183,7 @@ def test_long_simulate_csv_matches_per_value_format(tmp_path):
 
     model = dynamics.OscillatorModel(m=1.0, kappa=1.0)
     cfg = structure.field_config_n2(1.0, 0.5)
-    states = dynamics.affine_flow(*dynamics.flow_matrix(cfg, model),
+    states = dynamics.affine_flow(*dynamics.flow_matrix(structure.poisson_matrix(cfg), model),
                                   [1.0, 0.0, 0.0, 1.0], 0.01, 10_000)
     rows = np.column_stack([0.01 * np.arange(10_001), states, model.hamiltonian(states),
                             darboux.lambda3(cfg, states)])

@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import errno
 import functools
 import importlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -233,8 +235,17 @@ class TestRefusals:
         ("spectrum", BASE, ["--nmax", "-1"], "nmax must be nonnegative, got -1"),
         ("limit-scan", dict(BASE, N=3, field=_AXIAL_FIELD), [],
          "the limit scan requires the scalar B/C field form"),
+        ("brackets", dict(BASE, model={"m": 0, "kappa": 1.0}), [],
+         "{path}: invalid model: mass must be positive, got 0.0"),
+        ("brackets", dict(BASE, model={"m": 1.0, "kappa": 1.0, "hbar": 0}), [],
+         "{path}: invalid model: hbar must be positive, got 0.0"),
+        ("limit-scan", dict(BASE, field={"B": -1.0, "C": 1.0}), [],
+         "the scan fixes the orientation B > 0"),
+        ("brackets", dict(BASE, model={"m": 1.0, "kappa": 1.0, "Evec": [1.0, 0.0]}), [],
+         "{path}: model requires exactly one of 'kappa' or 'Evec'"),
     ], ids=["invalid-json", "bc-at-n3", "eF-not-antisymmetric", "negative-kappa",
-            "missing-time", "negative-nmax", "limit-scan-vector-field"])
+            "missing-time", "negative-nmax", "limit-scan-vector-field", "zero-mass",
+            "zero-hbar", "limit-scan-negative-B", "kappa-and-Evec"])
     def test_refusal_names_its_cause(self, tmp_path, capsys, command, cfg, extra, message):
         path = tmp_path / "config.json"
         path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
@@ -243,6 +254,65 @@ class TestRefusals:
         assert capsys.readouterr().err == (
             "ncphase: config error: " + message.format(path=path) + "\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, out, message", [
+        ("dir", "never.out", "cannot read config file {config}: " + os.strerror(errno.EISDIR)),
+        ("config.json", "dir", "cannot write {out}: " + os.strerror(errno.EISDIR)),
+        ("config.json", "missing/never.out", "cannot write {out}: " + os.strerror(errno.ENOENT)),
+    ], ids=["config-is-a-directory", "out-is-a-directory", "out-in-a-missing-directory"])
+    def test_file_error_names_its_path(self, tmp_path, capsys, config, out, message):
+        # Each used to end in a traceback.
+        write_config(tmp_path, BASE)
+        (tmp_path / "dir").mkdir()
+        config, out = str(tmp_path / config), str(tmp_path / out)
+        assert run(["brackets", "--config", config, "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "ncphase: config error: " + message.format(config=config, out=out) + "\n")
+        # No temp file is left behind, and nothing is written.
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "dir"]
+
+
+class TestLinearPotential:
+    """`simulate` and `reduce` with a constant force Evec, in process,
+    against the generator (M, k) of the closed-form Psi/Phi solve and
+    scipy's expm of the augmented generator."""
+
+    M, EVEC = 1.3, np.array([0.4, -0.7])
+    CFG = dict(BASE, field={"B": 0.6, "C": 0.4}, model={"m": 1.3, "Evec": [0.4, -0.7]},
+               state=[0.1, -0.2, 0.4, 0.0], time={"t_final": 2.0, "dt": 0.25})
+
+    def oracle(self):
+        fields = structure.field_config_n2(0.6, 0.4)
+        hess = np.diag([0.0, 0.0, 1.0 / self.M, 1.0 / self.M])
+        flow = np.column_stack([cf.hamiltonian_vector_field(fields, col) for col in hess.T])
+        offset = cf.hamiltonian_vector_field(fields, np.r_[-self.EVEC, 0.0, 0.0])
+        return flow, offset
+
+    def test_simulate_rows_and_energy(self, tmp_path):
+        header, table = simulate_table(tmp_path, self.CFG)
+        assert header == ["t", "q1", "q2", "p1", "p2", "H", "Lambda3"]
+        flow, offset = self.oracle()
+        aug = np.zeros((5, 5))
+        aug[:4, :4], aug[:4, 4] = flow, offset
+        want = np.array([(scipy_expm(t * aug) @ np.r_[self.CFG["state"], 1.0])[:4]
+                         for t in table[:, 0]])
+        assert np.abs(table[:, 1:5] - want).max() <= 1e-13
+        q, p = want[:, :2], want[:, 2:]
+        energy = (p * p).sum(1) / (2 * self.M) - q @ self.EVEC
+        assert np.abs(table[:, 5] - energy).max() <= 1e-14
+
+    def test_reduce_flow_and_eigenvalues(self, tmp_path):
+        path = write_config(tmp_path, self.CFG)
+        out = tmp_path / "r.json"
+        assert run(["reduce", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads(out.read_text())
+        flow, offset = self.oracle()
+        assert np.abs(np.array(report["terminal_flow"]) - flow).max() <= 1e-15
+        assert np.abs(np.array(report["flow_offset"]) - offset).max() <= 1e-15
+        # M = [[0, Lambda_qp / m], [0, Lambda_pp / m]]: 0, 0 and +-i |Lambda_pp| / m.
+        w = abs(flow[2, 3])
+        assert report["eigenvalues"]["real"] == [0.0] * 4
+        assert np.abs(np.array(report["eigenvalues"]["imag"]) - [-w, 0.0, 0.0, w]).max() <= 1e-15
 
 
 class TestBrackets:
@@ -361,7 +431,7 @@ class TestOneRegularityDecision:
         # steps, that of `dynamics.flow_matrix`, bit for bit.
         rep = json.loads(text)
         try:
-            want = dynamics.flow_matrix(fields, UNIT)
+            want = dynamics.flow_matrix(structure.poisson_matrix(fields), UNIT)
         except (ArithmeticError, np.linalg.LinAlgError):  # no Lambda at chi = 0
             return True
         if not (np.array_equal(rep["terminal_flow"], want[0])
@@ -692,7 +762,7 @@ class TestDegenerateSimulate:
         assert header[-1] == "constraint_residual"
         assert not table[:, -1].any()
         regular = dynamics.affine_flow(*dynamics.flow_matrix(
-            structure.field_config_n2(1.0, -0.9999), UNIT), z0, 0.1, 10)
+            structure.poisson_matrix(structure.field_config_n2(1.0, -0.9999)), UNIT), z0, 0.1, 10)
         assert np.abs(table[:, 1:5] - regular).max() <= 1e-9
 
     @pytest.mark.parametrize("n", [2, 4])
@@ -1501,11 +1571,11 @@ class TestOneNormalModeRoute:
         gnh_chain, poisson_matrix = spectrum.gnh_chain, structure.poisson_matrix
         monkeypatch.setattr(spectrum, "gnh_chain",
                             lambda *a: chains.append(1) or gnh_chain(*a))
-        for module in (structure, dynamics):
-            monkeypatch.setattr(module, "poisson_matrix",
-                                lambda *a: lambdas.append(1) or poisson_matrix(*a))
+        monkeypatch.setattr(structure, "poisson_matrix",
+                            lambda *a: lambdas.append(1) or poisson_matrix(*a))
         degenerate = dict(_OVER_CUT, state=[1.0, 0.0, 0.0, 2486552.4210922113],
                           time={"t_final": 1.0, "dt": 0.5})
+        regular = dict(BASE, state=[1.0, 0.0, 0.0, 1.0], time={"t_final": 1.0, "dt": 0.5})
         problem = {"schema_version": 1, "N": 2, "problem": {
             "omega": structure.build_omega(structure.field_config_n2(1.0, -1.0)).tolist(),
             "hessian": UNIT.hessian(2).tolist(), "gradient": [0.0] * 4}}
@@ -1513,7 +1583,9 @@ class TestOneNormalModeRoute:
                                    ("reduce", degenerate, (1, 0)),
                                    ("spectrum", degenerate, (1, 0)),
                                    ("reduce", problem, (1, 0)),
-                                   ("spectrum", BASE, (0, 1))]:
+                                   ("spectrum", BASE, (0, 1)),
+                                   ("reduce", BASE, (0, 1)),
+                                   ("simulate", regular, (0, 1))]:
             chains.clear()
             lambdas.clear()
             path = write_config(tmp_path, cfg)

@@ -4,7 +4,7 @@ import pytest
 from ncphase import constrained as con
 from ncphase import dynamics as dyn
 from ncphase import structure as st
-from ncphase.errors import InconsistentSystem, OffConstraint
+from ncphase.errors import InconsistentSystem
 
 import closed_forms as cf
 
@@ -57,7 +57,7 @@ class TestSecondaryConstraints:
         assert lc.residual(ON_M2) <= 1e-12
 
     def test_linear_potential_offsets(self):
-        model = dyn.OscillatorModel(m=1.0, potential="linear", Evec=(1.0, 0.0))
+        model = dyn.OscillatorModel(m=1.0, Evec=(1.0, 0.0))
         lc = cf.secondary_constraints(DEGENERATE, model)
         # Gradient offset feeds a state-independent part; momentum block
         # still carries the z-dependence.
@@ -76,7 +76,7 @@ class TestGnhChain:
         chain = cf.gnh_from_model(cfg, UNIT)
         assert chain.dimensions == [4]
         assert chain.status == "consistent"
-        M, _ = dyn.flow_matrix(cfg, UNIT)
+        M, _ = dyn.flow_matrix(st.poisson_matrix(cfg), UNIT)
         assert np.abs(chain.reduced_flow - M).max() <= 1e-10
 
     def test_planar_degenerate_harmonic(self):
@@ -171,7 +171,7 @@ class TestDegenerateFlow:
         assert max(residuals) <= 1e-9
 
     def test_off_constraint_rejected(self):
-        with pytest.raises(OffConstraint):
+        with pytest.raises(cf.OffConstraint):
             cf.degenerate_flow_n2(UNIT, -1.0, [1.0, 0.0, 0.0, 0.0], 1.0)
 
     def test_matches_gnh_terminal_flow(self):

@@ -395,7 +395,8 @@ class TestMomentMap:
         cfg = st.field_config_n2(2.0, -1.0)
         model = dyn.OscillatorModel(m=1.0, kappa=1.0)
         z0 = [1.0, 0.0, 0.0, 1.0]
-        states = dyn.affine_flow(*dyn.flow_matrix(cfg, model), z0, 0.01, 1000, "exact")
+        states = dyn.affine_flow(*dyn.flow_matrix(st.poisson_matrix(cfg), model),
+                                 z0, 0.01, 1000, "exact")
         lam3 = dx.lambda3(cfg, states)
         want = cf.moment_map_mpmath(cfg, z0)[0]
         assert np.abs(lam3 - want).max() <= 1e-14 * abs(want)

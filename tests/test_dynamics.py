@@ -24,7 +24,7 @@ class TestModel:
         with pytest.raises(ValueError):
             dyn.OscillatorModel(m=1.0, kappa=-1.0)
         with pytest.raises(ValueError):
-            dyn.OscillatorModel(m=1.0, potential="linear")
+            dyn.OscillatorModel(m=1.0, kappa=1.0, Evec=(1.0, 0.0))
         with pytest.raises(ValueError):
             dyn.OscillatorModel(m=1.0, kappa=1.0, hbar=0.0)
 
@@ -32,7 +32,7 @@ class TestModel:
         z = np.array([1.0, 2.0, 3.0, 4.0])
         assert UNIT.hamiltonian(z) == pytest.approx(0.5 * (1 + 4) + 0.5 * (9 + 16))
         assert np.allclose(UNIT.hessian(2) @ z + UNIT.gradient_offset(2), z)
-        lin = dyn.OscillatorModel(m=2.0, potential="linear", Evec=(1.0, 0.0))
+        lin = dyn.OscillatorModel(m=2.0, Evec=(1.0, 0.0))
         assert lin.hamiltonian(z) == pytest.approx((9 + 16) / 4 - 1.0)
         assert np.allclose(lin.hessian(2) @ z + lin.gradient_offset(2), [-1.0, 0.0, 1.5, 2.0])
 
@@ -43,7 +43,7 @@ class TestEquationsOfMotion:
     def test_plain_oscillator(self):
         cfg = st.field_config_n2(0.0, 0.0)
         z = np.array([1.0, 0.0, 0.0, 0.0])
-        M, k = dyn.flow_matrix(cfg, UNIT)
+        M, k = dyn.flow_matrix(st.poisson_matrix(cfg), UNIT)
         assert np.allclose(M @ z + k, [0, 0, -1, 0], atol=1e-15)
         assert np.allclose(cf.hamiltonian_vector_field(cfg, UNIT.hessian(2) @ z),
                            [0, 0, -1, 0], atol=1e-15)
@@ -51,15 +51,15 @@ class TestEquationsOfMotion:
     def test_matches_poisson_product(self):
         cfg = st.field_config_n2(1.0, 1.0)
         z = np.array([1.0, 0.0, 0.0, 1.0])
-        M, k = dyn.flow_matrix(cfg, UNIT)
+        M, k = dyn.flow_matrix(st.poisson_matrix(cfg), UNIT)
         closed = cf.hamiltonian_vector_field(cfg, UNIT.hessian(2) @ z)
         assert np.abs(closed - (M @ z + k)).max() < 1e-10
 
     def test_linear_potential_against_poisson_product(self):
-        model = dyn.OscillatorModel(m=1.0, potential="linear", Evec=(1.0, 0.0))
+        model = dyn.OscillatorModel(m=1.0, Evec=(1.0, 0.0))
         cfg = st.field_config_n2(0.6, 0.4)
         z = np.array([0.2, -0.1, 0.0, 0.0])
-        M, k = dyn.flow_matrix(cfg, model)
+        M, k = dyn.flow_matrix(st.poisson_matrix(cfg), model)
         closed = cf.hamiltonian_vector_field(cfg, model.hessian(2) @ z + model.gradient_offset(2))
         assert np.abs(closed - (M @ z + k)).max() < 1e-12
 
@@ -129,7 +129,7 @@ class TestFrequencies:
             produced += 1
             model = dyn.OscillatorModel(m=float(m), kappa=float(k))
             fr = cf.n2_frequencies(model, B, C)
-            M, _ = dyn.flow_matrix(st.field_config_n2(B, C), model)
+            M, _ = dyn.flow_matrix(st.poisson_matrix(st.field_config_n2(B, C)), model)
             got = np.sort(np.abs(np.linalg.eigvals(M).imag))
             want = np.sort([fr.omega_minus, fr.omega_minus, fr.omega_plus, fr.omega_plus])
             assert np.abs(got - want).max() < 1e-9
@@ -160,7 +160,7 @@ class TestClosedFormSolution:
             produced += 1
             model = dyn.OscillatorModel(m=float(m), kappa=float(k))
             cfg = st.field_config_n2(B, C)
-            M, _ = dyn.flow_matrix(cfg, model)
+            M, _ = dyn.flow_matrix(st.poisson_matrix(cfg), model)
             z0 = rng.uniform(-1, 1, 4)
             horizon = 20 * 2 * np.pi / np.sqrt(model.kappa / model.m)
             for t in np.linspace(0.0, horizon, 7):
@@ -210,8 +210,9 @@ class TestN3Parallel:
     def test_transverse_sector_is_planar_case(self):
         # The N = 3 flow is the planar flow on (q1, q2, p1, p2) and the bare
         # oscillator on (q3, p3), with no coupling between the two.
-        M3, _ = dyn.flow_matrix(st.field_config_n3([0, 0, 1.0], [0, 0, 0.5]), UNIT)
-        M2, _ = dyn.flow_matrix(st.field_config_n2(1.0, 0.5), UNIT)
+        M3, _ = dyn.flow_matrix(
+            st.poisson_matrix(st.field_config_n3([0, 0, 1.0], [0, 0, 0.5])), UNIT)
+        M2, _ = dyn.flow_matrix(st.poisson_matrix(st.field_config_n2(1.0, 0.5)), UNIT)
         transverse, axial = [0, 1, 3, 4], [2, 5]
         assert np.abs(M3[np.ix_(transverse, transverse)] - M2).max() <= 1e-15
         assert np.array_equal(M3[np.ix_(axial, axial)], [[0.0, 1.0], [-1.0, 0.0]])
@@ -226,7 +227,7 @@ class TestN3Parallel:
     def test_flow_spectrum_decomposes(self):
         fr = cf.n2_frequencies(UNIT, 1.0, 0.0)
         cfg = st.field_config_n3([0, 0, 1.0], [0, 0, 0.0])
-        M, _ = dyn.flow_matrix(cfg, UNIT)
+        M, _ = dyn.flow_matrix(st.poisson_matrix(cfg), UNIT)
         got = np.sort(np.abs(np.linalg.eigvals(M).imag))
         want = np.sort([fr.omega_minus, fr.omega_minus, fr.omega_plus, fr.omega_plus,
                         fr.omega0, fr.omega0])
@@ -235,7 +236,8 @@ class TestN3Parallel:
     def test_axial_angular_momentum_conserved(self):
         cfg = st.field_config_n3([0, 0, 1.0], [0, 0, 0.5])
         z0 = np.array([1.0, 0.0, 0.3, 0.0, 0.7, -0.2])
-        states = dyn.affine_flow(*dyn.flow_matrix(cfg, UNIT), z0, 0.02, 4000, "exact")
+        states = dyn.affine_flow(*dyn.flow_matrix(st.poisson_matrix(cfg), UNIT),
+                                 z0, 0.02, 4000, "exact")
         lam3 = dx.lambda3(cfg, states)
         assert lam3 is not None
         assert np.ptp(lam3) <= 1e-9
@@ -274,19 +276,19 @@ class TestLambda3Chart:
 
 class TestIntegrate:
     """The regular flow through the core calls,
-    `affine_flow(*flow_matrix(cfg, model), z0, dt, steps, method)`."""
+    `affine_flow(*flow_matrix(poisson_matrix(cfg), model), z0, dt, steps, method)`."""
 
     def test_exact_energy_conservation(self):
         cfg = st.field_config_n2(1.0, 1.0)
-        states = dyn.affine_flow(*dyn.flow_matrix(cfg, UNIT), [1.0, 0.0, 0.0, 1.0],
-                                 0.05, 10000, "exact")
+        states = dyn.affine_flow(*dyn.flow_matrix(st.poisson_matrix(cfg), UNIT),
+                                 [1.0, 0.0, 0.0, 1.0], 0.05, 10000, "exact")
         energies = UNIT.hamiltonian(states)
         drift = np.abs(energies - energies[0]).max()
         assert drift <= 1e-10 * abs(energies[0])
 
     def test_midpoint_second_order(self):
         cfg = st.field_config_n2(1.0, 0.5)
-        M, k = dyn.flow_matrix(cfg, UNIT)
+        M, k = dyn.flow_matrix(st.poisson_matrix(cfg), UNIT)
         z0 = [1.0, 0.0, 0.0, 0.0]
         ref = dyn.affine_flow(M, k, z0, 0.01, 200, "exact")[-1]
         e1 = np.abs(dyn.affine_flow(M, k, z0, 0.01, 200, "midpoint")[-1] - ref).max()
@@ -297,14 +299,14 @@ class TestIntegrate:
         free = dyn.OscillatorModel(m=2.0, kappa=0.0)
         cfg = st.field_config_n2(0.0, 0.0)
         for method in ("exact", "midpoint"):
-            states = dyn.affine_flow(*dyn.flow_matrix(cfg, free), [0.0, 0.0, 1.0, 0.0],
-                                     0.1, 10, method)
+            states = dyn.affine_flow(*dyn.flow_matrix(st.poisson_matrix(cfg), free),
+                                     [0.0, 0.0, 1.0, 0.0], 0.1, 10, method)
             assert np.allclose(states[-1], [0.5, 0.0, 1.0, 0.0], atol=1e-14)
 
     def test_midpoint_long_energy_drift(self):
         cfg = st.field_config_n2(0.7, -0.2)
-        states = dyn.affine_flow(*dyn.flow_matrix(cfg, UNIT), [1.0, 0.2, -0.3, 0.4],
-                                 0.05, 100000, "midpoint")
+        states = dyn.affine_flow(*dyn.flow_matrix(st.poisson_matrix(cfg), UNIT),
+                                 [1.0, 0.2, -0.3, 0.4], 0.05, 100000, "midpoint")
         energies = UNIT.hamiltonian(states)
         rel = np.abs(energies - energies[0]).max() / abs(energies[0])
         assert rel <= 1e-9
@@ -312,10 +314,10 @@ class TestIntegrate:
     def test_constant_force_drift(self):
         # Affine part of the generator: exact propagation conserves H and
         # the midpoint rule converges to it at second order.
-        model = dyn.OscillatorModel(m=1.0, potential="linear", Evec=(1.0, 0.0))
+        model = dyn.OscillatorModel(m=1.0, Evec=(1.0, 0.0))
         cfg = st.field_config_n2(0.8, 0.3)
         z0 = [0.1, -0.2, 0.4, 0.0]
-        M, k = dyn.flow_matrix(cfg, model)
+        M, k = dyn.flow_matrix(st.poisson_matrix(cfg), model)
         exact = dyn.affine_flow(M, k, z0, 0.02, 500, "exact")
         energies = model.hamiltonian(exact)
         drift = np.abs(energies - energies[0]).max()
@@ -349,7 +351,7 @@ class TestIntegrate:
 
     def test_bad_arguments(self):
         cfg = st.field_config_n2(0.0, 0.0)
-        M, k = dyn.flow_matrix(cfg, UNIT)
+        M, k = dyn.flow_matrix(st.poisson_matrix(cfg), UNIT)
         with pytest.raises(ValueError):
             dyn.affine_flow(M, k, [1, 0, 0, 0], -0.1, 10)
         with pytest.raises(ValueError):
@@ -362,7 +364,7 @@ def _block_size(steps):
 
 def _one_step_e(cfg, model, dt, method):
     """E = [[P - I, d], [0, 0]] of the one-step map, as `affine_flow` builds it."""
-    M, k = dyn.flow_matrix(cfg, model)
+    M, k = dyn.flow_matrix(st.poisson_matrix(cfg), model)
     if method == "midpoint":
         return dyn.midpoint_transfer(M, k, dt)
     n = M.shape[0]
@@ -385,7 +387,7 @@ def _sequential(e, z0, steps):
     return out
 
 
-LINEAR = dyn.OscillatorModel(m=1.3, potential="linear", Evec=(0.4, -0.7))
+LINEAR = dyn.OscillatorModel(m=1.3, Evec=(0.4, -0.7))
 BLOCK_CASES = [
     (st.field_config_n2(1.0, 0.5), UNIT, [1.0, 0.0, 0.0, 1.0]),
     (st.field_config_n2(0.8, 0.3), LINEAR, [0.1, -0.2, 0.4, 0.0]),
@@ -401,7 +403,7 @@ class TestBlockedStepping:
     def test_exact_e_form_is_expm_minus_identity(self):
         cfg, model, _ = BLOCK_CASES[1]
         e = _one_step_e(cfg, model, 0.01, "exact")
-        M, k = dyn.flow_matrix(cfg, model)
+        M, k = dyn.flow_matrix(st.poisson_matrix(cfg), model)
         aug = np.zeros((5, 5))
         aug[:4, :4], aug[:4, 4] = M * 0.01, k * 0.01
         assert np.array_equal(e, dyn.expm_minus_identity(aug))
@@ -412,7 +414,8 @@ class TestBlockedStepping:
         cfg, model, z0 = BLOCK_CASES[case]
         steps = 5000
         b = _block_size(steps)
-        states = dyn.affine_flow(*dyn.flow_matrix(cfg, model), z0, 0.01, steps, method)
+        states = dyn.affine_flow(*dyn.flow_matrix(st.poisson_matrix(cfg), model),
+                                 z0, 0.01, steps, method)
         seq = _sequential(_one_step_e(cfg, model, 0.01, method), z0, b - 1)
         assert np.array_equal(states[:b], seq)
 
@@ -438,7 +441,8 @@ class TestBlockedStepping:
         # roundings to the last row, was 2.9e-12 away; blocked stepping
         # takes at most 645 and is about 1.3e-13 away.
         z0 = [1.0, 0.0, 0.0, 1.0]
-        states = dyn.affine_flow(*dyn.flow_matrix(st.field_config_n2(1.0, 0.5), UNIT),
+        states = dyn.affine_flow(*dyn.flow_matrix(st.poisson_matrix(st.field_config_n2(1.0, 0.5)),
+                                                  UNIT),
                                  z0, 0.01, 100_000)
         ref = cf.closed_form_solution_n2(UNIT, 1.0, 0.5, z0, 0.01 * np.arange(100_001))
         assert np.abs(states - ref).max() <= 1e-12
@@ -447,6 +451,7 @@ class TestBlockedStepping:
     def test_blocked_midpoint_matches_sequential_loop(self, case):
         cfg, model, z0 = BLOCK_CASES[case]
         steps = 10_000
-        states = dyn.affine_flow(*dyn.flow_matrix(cfg, model), z0, 0.01, steps, "midpoint")
+        states = dyn.affine_flow(*dyn.flow_matrix(st.poisson_matrix(cfg), model),
+                                 z0, 0.01, steps, "midpoint")
         seq = _sequential(_one_step_e(cfg, model, 0.01, "midpoint"), z0, steps)
         assert np.abs(states - seq).max() <= 1e-12 * max(1.0, np.abs(seq).max())

@@ -82,11 +82,10 @@ def test_nilpotent_generators(N):
     upper = np.triu(rng.normal(0.0, 0.3, (N, N)), 1)
     cfg = st.FieldConfig(N, np.zeros((N, N)), upper - upper.T)
     free = dyn.OscillatorModel(m=0.7, kappa=0.0)
-    linear = dyn.OscillatorModel(m=0.7, potential=dyn.LINEAR,
-                                 Evec=tuple(rng.normal(size=N)))
+    linear = dyn.OscillatorModel(m=0.7, Evec=tuple(rng.normal(size=N)))
     for model in (free, linear):
         for dt in (0.01, 1.0, 50.0):
-            a = _augmented(*dyn.flow_matrix(cfg, model), dt)
+            a = _augmented(*dyn.flow_matrix(st.poisson_matrix(cfg), model), dt)
             assert not np.linalg.matrix_power(a, 3).any()
             exact = _taylor(a, 3)
             got = dyn.expm_minus_identity(a) + np.eye(len(a))
@@ -123,15 +122,15 @@ def test_benchmark_propagator_within_a_tenth_eps_of_50_digits(name):
     # matrix; the (V - U)^-1 (V + U) form is off by 0.5-1 eps on the
     # diagonal.
     model = dyn.OscillatorModel(m=1.0, kappa=1.0)
-    a = _augmented(*dyn.flow_matrix(BENCHMARK_FIELDS[name], model), 0.01)
+    a = _augmented(*dyn.flow_matrix(st.poisson_matrix(BENCHMARK_FIELDS[name]), model), 0.01)
     err = np.abs(dyn.expm_minus_identity(a) + np.eye(len(a)) - _mp_expm_rounded(a)).max()
     assert err <= 0.1 * EPS, err / EPS
 
 
 def test_linear_potential_propagator_against_50_digits():
     cfg = st.field_config_n2(1.0, 0.5)
-    model = dyn.OscillatorModel(m=1.0, potential=dyn.LINEAR, Evec=(0.3, -1.1))
-    a = _augmented(*dyn.flow_matrix(cfg, model), 0.01)
+    model = dyn.OscillatorModel(m=1.0, Evec=(0.3, -1.1))
+    a = _augmented(*dyn.flow_matrix(st.poisson_matrix(cfg), model), 0.01)
     assert a[:4, 4].any()
     err = np.abs(dyn.expm_minus_identity(a) + np.eye(len(a)) - _mp_expm_rounded(a)).max()
     assert err <= 0.1 * EPS, err / EPS
@@ -148,7 +147,8 @@ def test_overflowing_squarings_are_silent():
     # B = 1e300, C = 1e-300: chi = 2 but ||M dt||_1 ~ 5e298, so about 990
     # squarings overflow.  The result is non-finite and no warning is raised.
     model = dyn.OscillatorModel(m=1.0, kappa=1.0)
-    a = _augmented(*dyn.flow_matrix(st.field_config_n2(1e300, 1e-300), model), 0.1)
+    a = _augmented(*dyn.flow_matrix(st.poisson_matrix(st.field_config_n2(1e300, 1e-300)), model),
+                   0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = dyn.expm_minus_identity(a)

@@ -101,7 +101,7 @@ class TestAxialSpectrum:
     def test_classical_quantum_consistency(self):
         table = cf.spectrum_n3_parallel(UNIT, 1.0, 0.5, 1)
         cfg = st.field_config_n3([0, 0, 1.0], [0, 0, 0.5])
-        M, _ = dyn.flow_matrix(cfg, UNIT)
+        M, _ = dyn.flow_matrix(st.poisson_matrix(cfg), UNIT)
         eig = np.abs(np.linalg.eigvals(M).imag)
         for f in table.frequencies:
             assert np.min(np.abs(eig - f)) < 1e-9
@@ -329,11 +329,22 @@ class TestModeFrequencies:
             sp.mode_frequencies(np.eye(dim))
 
     @pytest.mark.parametrize("model", [dyn.OscillatorModel(m=1.0, kappa=0.0),
-                                       dyn.OscillatorModel(m=1.0, potential=dyn.LINEAR,
-                                                           Evec=(1.0, 0.0))])
+                                       dyn.OscillatorModel(m=1.0, Evec=(1.0, 0.0))])
     def test_hessian_not_positive_definite_refused(self, model):
         with pytest.raises(ValueError, match="not positive definite"):
             sp.hessian_factor(model.hessian(2))
+
+
+def _off_constraint_rows(model, B, eps):
+    """Columns (omega_plus, omega_minus, fast_amplitude) of `_scan_rows` at
+    each eps, on the Omega stack of `chi_limit_scan` but from a start off
+    the limiting constraint, whose O(1) fast amplitude no row refuses."""
+    eps = np.asarray(eps, dtype=float)
+    omega = np.repeat(st.build_omega(st.field_config_n2(B, 0.0))[None], eps.size, axis=0)
+    c = (eps * eps - 1.0) / B
+    omega[:, 2, 3], omega[:, 3, 2] = c, -c
+    return sp._scan_rows(omega, sp.hessian_factor(model.hessian(2)),
+                         np.array([1.0, 0.0, 0.3, 0.8]))
 
 
 class TestLimitScan:
@@ -388,8 +399,8 @@ class TestLimitScan:
 
     def test_off_constraint_amplitude_is_order_one(self):
         eps = np.geomspace(1e-1, 1e-3, 5)
-        rows = sp.chi_limit_scan(UNIT, 1.0, eps, z0=[1.0, 0.0, 0.3, 0.8])
-        assert abs(cf.loglog_slope(eps, rows[:, 4])) < 0.05
+        rows = _off_constraint_rows(UNIT, 1.0, eps)
+        assert abs(cf.loglog_slope(eps, rows[:, 2])) < 0.05
 
     def test_requires_positive_orientation(self):
         with pytest.raises(ValueError):
@@ -405,21 +416,18 @@ class TestLimitScan:
     @given(m=hst.floats(0.1, 10.0), kappa=hst.floats(0.1, 10.0), B=hst.floats(0.1, 10.0),
            eps=hst.floats(1e-3, 1.0))
     def test_frequencies_match_mpmath_at_the_rows_c(self, m, kappa, B, eps):
-        # An off-constraint start keeps the fast amplitude O(1), so no row
-        # is refused for it.
-        row, = sp.chi_limit_scan(dyn.OscillatorModel(m=m, kappa=kappa), B, [eps],
-                                 z0=[1.0, 0.0, 0.3, 0.8])
+        row, = _off_constraint_rows(dyn.OscillatorModel(m=m, kappa=kappa), B, [eps])
         want = _mpmath_planar_frequencies(B, (eps * eps - 1.0) / B, m, kappa)
-        assert rel_err(row[1:3], want) <= 1e-14
+        assert rel_err(row[:2], want) <= 1e-14
 
     def test_lambda_keeps_the_rounding_of_chi_out(self):
         # A dense float64 inverse of Omega carries the rounding of 1 + B C:
         # 3.0e-11 in omega_plus at eps = 1e-3 and 3.3e-8 at 3e-5 here.
         model = dyn.OscillatorModel(m=2.0, kappa=2.0)
-        rows = sp.chi_limit_scan(model, 0.3, [1e-3, 1.7e-4, 3e-5], z0=[1.0, 0.0, 0.3, 0.8])
-        for row in rows:
-            want = _mpmath_planar_frequencies(0.3, (row[0] ** 2 - 1.0) / 0.3, 2.0, 2.0)
-            assert rel_err(row[1:3], want) <= 1e-14
+        eps = [1e-3, 1.7e-4, 3e-5]
+        for e, row in zip(eps, _off_constraint_rows(model, 0.3, eps)):
+            want = _mpmath_planar_frequencies(0.3, (e ** 2 - 1.0) / 0.3, 2.0, 2.0)
+            assert rel_err(row[:2], want) <= 1e-14
 
     def test_first_failing_row_is_named(self):
         # The batched pass fails as a whole; the error names the largest

@@ -10,8 +10,10 @@ none drops.  A module outside the import closure of `ncphase.cli` is dead
 as a whole.
 
 A tolerance is a parameter of one function, `structure.regularity`, the
-one regular/degenerate decision.  Only it raises `SingularOmega`, and
-only `constrained._rank` reads the chain's rank cutoff.  One function,
+one regular/degenerate decision.  Only it raises `SingularOmega`; only
+`cmd_brackets` (which reports a singular field), `cli._chain` (the route
+of every model run) and `main` (the exit) catch it; and only
+`constrained._rank` reads the chain's rank cutoff.  One function,
 `spectrum.terminal_chain`, calls `constrained.gnh_chain`, so `simulate`,
 `spectrum` and `reduce` read one chain of a config.  `spectrum` and
 `reduce` take their frequencies from the one normal-mode core, so
@@ -161,6 +163,13 @@ def test_singular_omega_is_raised_by_the_one_decision():
     sites = _sites(_trees(), lambda node: isinstance(node, ast.Call)
                    and _named(node.func, "SingularOmega"))
     assert sites == {"structure.regularity"}
+
+
+def test_singular_omega_is_caught_at_the_route_decisions():
+    sites = _sites(_trees(), lambda node: isinstance(node, ast.ExceptHandler)
+                   and node.type is not None
+                   and any(_named(sub, "SingularOmega") for sub in ast.walk(node.type)))
+    assert sites == {"cli.cmd_brackets", "cli._chain", "cli.main"}
 
 
 def test_one_function_builds_the_constraint_chain():
